@@ -327,64 +327,43 @@ def _batch_horizon(state: BalanceState, bad: BadEdge) -> int:
     return min(room + 1, g.agg_units[g.slot_index[bad.f_max]])
 
 
-def _apply_batch(state: BalanceState, bad: BadEdge, t: int) -> None:
-    """Move t units from f_max to f_min, draining copies in holder order,
-    with one strength refresh for the whole block."""
-    g = state.groups[bad.group_key]
-    i_min = g.slot_index[bad.f_min]
-    i_max = g.slot_index[bad.f_max]
+def transfer_step(
+    state: BalanceState, copy: int, f_min: Pair, f_max: Pair, units: int = 1
+) -> None:
+    """Move `units` deltas of weight from f_max to f_min, draining `copy`
+    first and then later holders in copy order, with one strength refresh
+    for the whole block."""
+    g = state.groups[state.group_of_copy[copy]]
+    i_min = g.slot_index[f_min]
+    i_max = g.slot_index[f_max]
     zeros = g.zero_holders[i_max]
     gains = g.zero_holders[i_min]
-    left = t
-    for c in g.copies:
+    if copy in zeros:
+        raise BalanceError(f"copy {copy} holds no weight on slot {f_max}")
+    left = units
+    for c in g.copies[g.copies.index(copy):]:
         if left == 0:
             break
         if c in zeros:
             continue
-        units = g.overrides.get(c)
-        if units is None:
-            units = list(g.default_units)
-            g.overrides[c] = units
-        take = units[i_max] if units[i_max] < left else left
-        units[i_max] -= take
-        units[i_min] += take
-        if units[i_max] == 0:
+        held = g.overrides.get(c)
+        if held is None:
+            held = list(g.default_units)
+            g.overrides[c] = held
+        take = held[i_max] if held[i_max] < left else left
+        held[i_max] -= take
+        held[i_min] += take
+        if held[i_max] == 0:
             zeros.add(c)
         gains.discard(c)
         left -= take
     if left:
-        raise BalanceError("batch drained a slot past its aggregate weight")
-    g.agg_units[i_max] -= t
-    g.agg_units[i_min] += t
-    state.pair_units[bad.f_max] -= t
-    state.pair_units[bad.f_min] = state.pair_units.get(bad.f_min, 0) + t
-    state.iterations += t
-    state.recompute_strengths()
-
-
-def transfer_step(state: BalanceState, copy: int, f_min: Pair, f_max: Pair) -> None:
-    """Move one delta of the copy's weight from f_max to f_min, then refresh
-    strengths."""
-    key = state.group_of_copy[copy]
-    g = state.groups[key]
-    i_min = g.slot_index[f_min]
-    i_max = g.slot_index[f_max]
-    units = g.overrides.get(copy)
-    if units is None:
-        units = list(g.default_units)
-        g.overrides[copy] = units
-    if units[i_max] < 1:
-        raise BalanceError(f"copy {copy} holds no weight on slot {f_max}")
-    units[i_max] -= 1
-    units[i_min] += 1
-    if units[i_max] == 0:
-        g.zero_holders[i_max].add(copy)
-    g.zero_holders[i_min].discard(copy)
-    g.agg_units[i_max] -= 1
-    g.agg_units[i_min] += 1
-    state.pair_units[f_max] -= 1
-    state.pair_units[f_min] = state.pair_units.get(f_min, 0) + 1
-    state.iterations += 1
+        raise BalanceError("transfer drained a slot past its aggregate weight")
+    g.agg_units[i_max] -= units
+    g.agg_units[i_min] += units
+    state.pair_units[f_max] -= units
+    state.pair_units[f_min] = state.pair_units.get(f_min, 0) + units
+    state.iterations += units
     state.recompute_strengths()
 
 
@@ -409,9 +388,11 @@ def run_balance(
             break
         if state.iterations >= iteration_cap:
             raise BalanceError(f"iteration cap {iteration_cap} exceeded")
+        # tracing wants the true state at every single-step boundary
+        t = 1 if trace is not None else _batch_horizon(state, bad)
+        transfer_step(state, bad.copy, bad.f_min, bad.f_max,
+                      min(t, iteration_cap - state.iterations))
         if trace is not None:
-            # tracing wants the true state at every single-step boundary
-            transfer_step(state, bad.copy, bad.f_min, bad.f_max)
             trace.append(IterationRecord(
                 index=state.iterations,
                 group_key=bad.group_key,
@@ -422,12 +403,6 @@ def run_balance(
                 hist=state.strength_histogram(),
                 weight_gt=state.weight_above(),
             ))
-            continue
-        t = _batch_horizon(state, bad)
-        if t > 1:
-            _apply_batch(state, bad, min(t, iteration_cap - state.iterations))
-        else:
-            transfer_step(state, bad.copy, bad.f_min, bad.f_max)
     return state.snapshot()
 
 

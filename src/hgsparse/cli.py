@@ -20,14 +20,15 @@ from typing import Optional
 from .balance import BalanceError, is_balanced, run_balance
 from .graph import strength_table_from_pairs
 from .hypergraph import (
-    HyperEdge,
     ParseError,
     WeightedHypergraph,
+    content_lines,
     format_weight,
     gen_example,
     gen_footnote_graph,
     gen_random,
     gen_sunflower,
+    parse_edge_line,
     parse_hypergraph,
     serialize_hypergraph,
 )
@@ -76,11 +77,15 @@ def _fmt(prog: str) -> argparse.HelpFormatter:
     return argparse.HelpFormatter(prog, width=78)
 
 
-def _read_hypergraph(path: Optional[str]) -> WeightedHypergraph:
+def _read_text(path: Optional[str]) -> str:
     if path is None or path == "-":
-        return parse_hypergraph(sys.stdin.read())
+        return sys.stdin.read()
     with open(path) as fh:
-        return parse_hypergraph(fh.read())
+        return fh.read()
+
+
+def _read_hypergraph(path: Optional[str]) -> WeightedHypergraph:
+    return parse_hypergraph(_read_text(path))
 
 
 def _emit_result(res: SparsifierResult, output: Optional[str]) -> None:
@@ -286,37 +291,6 @@ def cmd_pipeline(args) -> int:
     return 0
 
 
-def _iter_stream_edges(text: str, n: int, fmt: int):
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("%"):
-            continue
-        toks = line.split()
-        if fmt == 1:
-            if len(toks) < 2:
-                raise ParseError(lineno, "weighted edge line needs a weight and vertices")
-            try:
-                w = Fraction(toks[0])
-            except (ValueError, ZeroDivisionError):
-                raise ParseError(lineno, f"bad weight {toks[0]!r}") from None
-            vtoks = toks[1:]
-        else:
-            w = Fraction(1)
-            vtoks = toks
-        try:
-            verts = sorted({int(t) for t in vtoks})
-        except ValueError:
-            raise ParseError(lineno, "bad vertex id") from None
-        if len(verts) < 2:
-            raise ParseError(lineno, "hyperedge has fewer than 2 distinct vertices")
-        for v in verts:
-            if not 1 <= v <= n:
-                raise ParseError(lineno, f"vertex id {v} out of range [1,{n}]")
-        if w <= 0:
-            raise ParseError(lineno, f"non-positive weight {toks[0]}")
-        yield HyperEdge(tuple(verts), w)
-
-
 def cmd_stream(args) -> int:
     cfg = RunConfig("stream", input=args.input, output=args.output,
                     epsilon=args.epsilon, gamma=args.gamma, d=args.d,
@@ -324,15 +298,11 @@ def cmd_stream(args) -> int:
                     edge_cap=args.edge_cap)
     if cfg.rho_override is not None:
         raise ValueError("the streaming wrapper does not take a rho override")
-    if args.input is None or args.input == "-":
-        text = sys.stdin.read()
-    else:
-        with open(args.input) as fh:
-            text = fh.read()
+    text = _read_text(cfg.input)
     state = StreamState(args.n, args.m_bound, cfg.epsilon, cfg.d, cfg.seed,
                         args.capacity, copy_cap=cfg.edge_cap)
-    for edge in _iter_stream_edges(text, args.n, args.fmt):
-        state.push(edge)
+    for lineno, toks in content_lines(text):
+        state.push(parse_edge_line(lineno, toks, args.n, args.fmt))
     res = state.finish()
     _emit_result(res, cfg.output)
     return 0
@@ -398,14 +368,8 @@ def cmd_balance(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if args.epsilon < 0:
-        raise ValueError("verification target must be nonnegative")
-    with open(args.a) as fh:
-        h = parse_hypergraph(fh.read())
-    with open(args.b) as fh:
-        h_hat = parse_hypergraph(fh.read())
     rep = all_cuts_report(
-        h, h_hat, args.epsilon,
+        _read_hypergraph(args.a), _read_hypergraph(args.b), args.epsilon,
         exhaustive_limit=args.exhaustive_limit,
         sample_count=args.cut_samples,
         seed=args.seed,

@@ -18,11 +18,18 @@ from .hypergraph import as_weight
 
 
 class UnionFind:
+    """Connected components: disjoint sets over `ids`, with the vertices of
+    each of `vertex_sets` (an edge; a pair is a 2-set) joined into one."""
+
     __slots__ = ("parent", "rank")
 
-    def __init__(self, ids: Iterable[int]):
+    def __init__(self, ids: Iterable[int], vertex_sets: Iterable[Sequence[int]] = ()):
         self.parent = {i: i for i in ids}
         self.rank = {i: 0 for i in self.parent}
+        for verts in vertex_sets:
+            first = verts[0]
+            for v in verts[1:]:
+                self.union(first, v)
 
     def find(self, x: int) -> int:
         p = self.parent
@@ -106,28 +113,6 @@ def collapse(g: WeightedMultigraph) -> CollapsedGraph:
     return CollapsedGraph(g.n, {p: w for p, w in sums.items() if w > 0})
 
 
-def _connected_blocks(vertices, adj) -> list[list[int]]:
-    """Connected components of the positive subgraph induced on `vertices`."""
-    inside = set(vertices)
-    seen: set[int] = set()
-    blocks = []
-    for start in sorted(inside):
-        if start in seen:
-            continue
-        block = []
-        stack = [start]
-        seen.add(start)
-        while stack:
-            x = stack.pop()
-            block.append(x)
-            for y in adj.get(x, ()):
-                if y in inside and y not in seen:
-                    seen.add(y)
-                    stack.append(y)
-        blocks.append(sorted(block))
-    return blocks
-
-
 def _stoer_wagner(vertices: Sequence[int], adj) -> tuple[object, frozenset[int]]:
     """Exact global min cut of a connected graph on >= 2 vertices.
 
@@ -203,11 +188,11 @@ def global_min_cut(
     for v in verts:
         if not 1 <= v <= g.n:
             raise ValueError(f"vertex id {v} out of range [1,{g.n}]")
-    adj = g.adjacency()
-    blocks = _connected_blocks(verts, adj)
+    inner = (p for p in g.weights if p[0] in vset and p[1] in vset)
+    blocks = UnionFind(verts, inner).groups()
     if len(blocks) > 1:
-        return Fraction(0), frozenset(blocks[0])
-    val, side = _stoer_wagner(verts, adj)
+        return Fraction(0), blocks[0]
+    val, side = _stoer_wagner(verts, g.adjacency())
     return Fraction(val), side
 
 
@@ -242,14 +227,17 @@ def pair_strengths(
     calls only pays for the blocks that actually changed.
     """
     adj: dict[int, dict[int, object]] = {}
+    pairs = []
     for (u, v), w in pair_weights.items():
         if w <= 0:
             continue
         adj.setdefault(u, {})[v] = w
         adj.setdefault(v, {})[u] = w
+        pairs.append((u, v))
     strengths: dict[tuple[int, int], object] = {}
     # once the top block splits into components, every later block is a min
-    # cut side of a connected graph and therefore itself connected
+    # cut side of a connected graph and therefore itself connected; so only
+    # the top block, all n vertices, is ever split, over all positive pairs
     stack: list[tuple[list[int], bool]] = [(list(range(1, n + 1)), False)]
     while stack:
         block, connected = stack.pop()
@@ -258,9 +246,9 @@ def pair_strengths(
         key = _block_key(block, adj) if cache is not None else None
         found = cache.get(key) if key is not None else None
         if found is None:
-            parts = None if connected else _connected_blocks(block, adj)
+            parts = None if connected else UnionFind(block, pairs).groups()
             if parts is not None and len(parts) > 1:
-                found = (None, parts)
+                found = (None, [sorted(c) for c in parts])
             else:
                 found = _stoer_wagner(block, adj)
             if key is not None:
@@ -319,11 +307,8 @@ def k_strong_components(table: StrengthTable, k) -> list[frozenset[int]]:
     k = as_weight(k)
     if k <= 0:
         raise ValueError("strength threshold must be positive")
-    uf = UnionFind(range(1, table.n + 1))
-    for (u, v) in table.pair_weight:
-        if table.pair_strength[(u, v)] >= k:
-            uf.union(u, v)
-    return uf.groups()
+    strong = (p for p in table.pair_weight if table.pair_strength[p] >= k)
+    return UnionFind(range(1, table.n + 1), strong).groups()
 
 
 # ---------------------------------------------------------------------------

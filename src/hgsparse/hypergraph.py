@@ -93,9 +93,6 @@ class WeightedHypergraph:
     def total_weight(self) -> Fraction:
         return sum((e.weight for e in self.edges), Fraction(0))
 
-    def edge_masks(self) -> list[int]:
-        return [e.mask() for e in self.edges]
-
 
 @dataclass(frozen=True)
 class Cut:
@@ -185,18 +182,50 @@ def serialize_hypergraph(h: WeightedHypergraph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_hypergraph(text) -> WeightedHypergraph:
+def content_lines(text) -> Iterator[tuple[int, list[str]]]:
+    """(1-based line number, tokens) of every line that is neither blank
+    nor a '%' comment."""
     if isinstance(text, bytes):
         text = text.decode("ascii")
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if line and not line.startswith("%"):
+            yield lineno, line.split()
+
+
+def parse_edge_line(lineno: int, toks: Sequence[str], n: int, fmt: int) -> HyperEdge:
+    """One edge line, "<weight> <v1> ..." when fmt is 1, "<v1> ..." when 0."""
+    if fmt == 1:
+        if len(toks) < 2:
+            raise ParseError(lineno, "weighted edge line needs a weight and vertices")
+        try:
+            w = Fraction(toks[0])
+        except (ValueError, ZeroDivisionError):
+            raise ParseError(lineno, f"bad weight {toks[0]!r}") from None
+        vtoks = toks[1:]
+    else:
+        w = Fraction(1)
+        vtoks = toks
+    try:
+        verts = sorted({int(t) for t in vtoks})
+    except ValueError:
+        raise ParseError(lineno, "bad vertex id") from None
+    for v in verts:
+        if not 1 <= v <= n:
+            raise ParseError(lineno, f"vertex id {v} out of range [1,{n}]")
+    if len(verts) < 2:
+        raise ParseError(lineno, "hyperedge has fewer than 2 distinct vertices")
+    if w <= 0:
+        raise ParseError(lineno, f"non-positive weight {toks[0]}")
+    return HyperEdge(tuple(verts), w)
+
+
+def parse_hypergraph(text) -> WeightedHypergraph:
     header = None
     header_line = 0
     edges: list[HyperEdge] = []
     m = n = fmt = 0
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("%"):
-            continue
-        toks = line.split()
+    for lineno, toks in content_lines(text):
         if header is None:
             if len(toks) != 3:
                 raise ParseError(lineno, "malformed header, expected '<m> <n> <fmt>'")
@@ -211,29 +240,7 @@ def parse_hypergraph(text) -> WeightedHypergraph:
             continue
         if len(edges) >= m:
             raise ParseError(lineno, f"more than {m} edge lines")
-        if fmt == 1:
-            if len(toks) < 2:
-                raise ParseError(lineno, "weighted edge line needs a weight and vertices")
-            try:
-                w = Fraction(toks[0])
-            except (ValueError, ZeroDivisionError):
-                raise ParseError(lineno, f"bad weight {toks[0]!r}") from None
-            vtoks = toks[1:]
-        else:
-            w = Fraction(1)
-            vtoks = toks
-        try:
-            verts = sorted({int(t) for t in vtoks})
-        except ValueError:
-            raise ParseError(lineno, "bad vertex id") from None
-        for v in verts:
-            if not 1 <= v <= n:
-                raise ParseError(lineno, f"vertex id {v} out of range [1,{n}]")
-        if len(verts) < 2:
-            raise ParseError(lineno, "hyperedge has fewer than 2 distinct vertices")
-        if w <= 0:
-            raise ParseError(lineno, f"non-positive weight {toks[0]}")
-        edges.append(HyperEdge(tuple(verts), w))
+        edges.append(parse_edge_line(lineno, toks, n, fmt))
     if header is None:
         raise ParseError(1, "empty input, expected a header line")
     if len(edges) != m:

@@ -74,15 +74,6 @@ class ContractionMap:
         return tuple(sorted({self.supervertex[v - 1] for v in vertices}))
 
 
-def _components_by_edges(n: int, edge_vertex_sets: Iterable[Sequence[int]]) -> UnionFind:
-    uf = UnionFind(range(1, n + 1))
-    for verts in edge_vertex_sets:
-        first = verts[0]
-        for v in verts[1:]:
-            uf.union(first, v)
-    return uf
-
-
 def contract_components(
     n: int, higher: Sequence[HyperEdge], lower: Sequence[HyperEdge]
 ) -> tuple[WeightedHypergraph, ContractionMap, tuple[int, ...]]:
@@ -92,8 +83,7 @@ def contract_components(
     Returns the contracted hypergraph, the map, and the surviving indices
     into `lower`.
     """
-    uf = _components_by_edges(n, (e.vertices for e in higher))
-    groups = uf.groups()  # sorted by smallest member
+    groups = UnionFind(range(1, n + 1), (e.vertices for e in higher)).groups()
     sv = [0] * n
     for sid, grp in enumerate(groups, start=1):
         for v in grp:
@@ -157,8 +147,8 @@ def sparsify_parity(
                 f"supervertex count {cmap.n_super} does not match the "
                 f"previous bucket's component count {prev_after}"
             )
-        comp_uf = _components_by_edges(contracted.n, (e.vertices for e in contracted.edges))
-        comps = comp_uf.groups()
+        comps = UnionFind(range(1, contracted.n + 1),
+                          (e.vertices for e in contracted.edges)).groups()
         comp_sizes = tuple(len(c) for c in comps)
         after = len(comps)
         delta = cmap.n_super - after
@@ -277,6 +267,9 @@ class StreamState:
         stored = len(self.raw) + sum(len(sk) for lvl in self.sketches for sk in lvl)
         if stored > self.high_water:
             self.high_water = stored
+            bound = self.memory_bound()
+            if stored > bound:
+                raise PipelineError(f"stored {stored} edges, over the budget {bound:.1f}")
 
     def memory_bound(self) -> float:
         return 2 * self.log_ratio * self.log_ratio * self.capacity
@@ -329,11 +322,6 @@ class StreamState:
             self.eps_inner, self.d, child_seed(self.seed, "final"),
             copy_cap=self.copy_cap,
         )
-        bound = self.memory_bound()
-        if self.high_water > bound:
-            raise PipelineError(
-                f"stored {self.high_water} edges, over the budget {bound:.1f}"
-            )
         notes = dict(final.notes)
         notes.update(
             high_water=self.high_water,
@@ -342,7 +330,7 @@ class StreamState:
             levels=len(self.sketches) + 1,
             flushes=self.flushes,
             max_flush_out=self.max_flush_out,
-            memory_bound=bound,
+            memory_bound=self.memory_bound(),
             edges_seen=self.edges_seen,
         )
         return SparsifierResult(

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from typing import Optional
 
@@ -86,7 +87,7 @@ def all_cuts_report(
     """
     if h.n != h_hat.n:
         raise ValueError("hypergraphs disagree on vertex count")
-    if epsilon_target < 0:
+    if not epsilon_target >= 0:  # also rejects NaN
         raise ValueError("epsilon target must be nonnegative")
     n = h.n
     if n <= exhaustive_limit:
@@ -161,7 +162,18 @@ def _err_str(e) -> str:
 
 
 def report_text(report: QualityReport) -> str:
-    """Plain key=value block, one line each, fixed order."""
+    """Plain key=value block, one line each, fixed order.
+
+    max_rel_error is printed exactly.  The exact mean over all cuts can
+    have a denominator past Python's int-to-str digit limit, so
+    mean_rel_error is rounded to 17 significant digits; in decimal, not
+    float, so a mean above the float range still prints.
+    """
+    mean = report.mean_rel_error
+    if mean != math.inf:
+        with localcontext() as ctx:
+            ctx.prec = 17
+            mean = f"{Decimal(mean.numerator) / Decimal(mean.denominator):.17g}"
     lines = [
         f"n={report.n}",
         f"m_in={report.m_in}",
@@ -169,7 +181,7 @@ def report_text(report: QualityReport) -> str:
         f"cuts_checked={report.cuts_checked}",
         f"exhaustive={int(report.exhaustive)}",
         f"max_rel_error={_err_str(report.max_rel_error)}",
-        f"mean_rel_error={_err_str(report.mean_rel_error)}",
+        f"mean_rel_error={mean}",
         f"epsilon_target={report.epsilon_target!r}",
         f"pass={int(report.passed)}",
     ]
@@ -211,10 +223,8 @@ def check_same_component(assignment: BalancedAssignment, plan: SamplingPlan) -> 
         survivors = [c for c in range(h.m) if plan.kappa[c] >= threshold]
         if not survivors:
             return True
-        uf = UnionFind(range(1, h.n + 1))
-        for (u, v) in positive:
-            if table.strength(u, v) >= threshold:
-                uf.union(u, v)
+        uf = UnionFind(range(1, h.n + 1),
+                       (p for p in positive if table.strength(*p) >= threshold))
         for c in survivors:
             verts = h.edges[c].vertices
             root = uf.find(verts[0])

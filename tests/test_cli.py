@@ -3,11 +3,23 @@
 import io
 import shutil
 import subprocess
+from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hgsparse import gen_footnote_graph, gen_random, gen_sunflower, parse_hypergraph
+from hgsparse import (
+    ParseError,
+    gen_footnote_graph,
+    gen_random,
+    gen_sunflower,
+    parse_hypergraph,
+    sparsify_weighted,
+)
 from hgsparse.cli import dispatch
 from hgsparse.hypergraph import serialize_hypergraph
 
@@ -254,3 +266,89 @@ def test_console_script():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert parse_hypergraph(proc.stdout) == gen_sunflower(2)
+
+
+class TestVerifyReports:
+    def test_sampled_sparsifier_verifies(self, tmp_path, capsys):
+        # the exact mean error over 2047 cuts has a denominator past
+        # Python's int-to-str digit limit; printing it once exited 2
+        h = gen_random(12, 80, 4, weighted=True, w_max=4, seed=3)
+        res = sparsify_weighted(h, 0.5, rho_override=10, seed=1)
+        assert res.m_out < h.m
+        a = write_hg(tmp_path / "a.hg", h)
+        b = write_hg(tmp_path / "b.hg", res.hypergraph)
+        assert dispatch(["verify", "-a", a, "-b", b, "-e", "1"]) != 2
+        lines = capsys.readouterr().out.splitlines()
+        (max_line,) = [x for x in lines if x.startswith("max_rel_error=")]
+        (mean_line,) = [x for x in lines if x.startswith("mean_rel_error=")]
+        assert Fraction(max_line.split("=")[1]) > 0
+        assert 0 < float(mean_line.split("=")[1]) < 1
+
+    def test_nan_target_is_usage_error(self, tmp_path, capsys):
+        a = write_hg(tmp_path / "a.hg", gen_sunflower(2))
+        assert dispatch(["verify", "-a", a, "-b", a, "-e", "nan"]) == 2
+        assert "nonnegative" in capsys.readouterr().err
+
+
+# tokens for edge lines: valid pieces, garbage, non-ASCII, zero and negative
+# weights, 1/0, huge rationals, and vertex ids out of range
+TOKENS = st.one_of(
+    st.sampled_from(["1", "2", "3", "1/2", "2.5", "0", "-1", "-2/3", "1/0",
+                     "nan", "x", "é", "١", "1_0", "10" * 12 + "/7"]),
+    st.integers(-1, 6).map(str),
+    st.text(st.characters(blacklist_categories=("Cc", "Cs", "Zl", "Zp")),
+            min_size=1, max_size=3),
+)
+
+
+@st.composite
+def edge_lines(draw, n, fmt):
+    def line(w, vs):
+        return " ".join(([w] if fmt == 1 else []) + [str(v) for v in vs])
+
+    weights = st.sampled_from(["1", "2", "1/2", "3.5"])
+    valid = st.builds(line, weights, st.lists(st.integers(1, n), min_size=2,
+                                              max_size=3, unique=True))
+    # singletons, repeated or out-of-range ids, bad or non-positive weights
+    near = st.builds(line, weights | st.sampled_from(["0", "-1", "-2/3", "1/0"]),
+                     st.lists(st.integers(-1, n + 1), min_size=1, max_size=3))
+    garbage = st.lists(TOKENS, max_size=4).map(" ".join)
+    line_st = st.one_of(valid, valid, near, garbage, st.just("% comment"))
+    return draw(st.lists(line_st, min_size=1, max_size=6))
+
+
+class TestOneParser:
+    @given(st.integers(3, 5), st.sampled_from([0, 1]), st.data())
+    @settings(max_examples=120, deadline=None)
+    def test_stream_and_file_parse_alike(self, n, fmt, data):
+        lines = data.draw(edge_lines(n, fmt))
+        m = sum(1 for x in lines if x.strip() and not x.strip().startswith("%"))
+        body = "".join(x + "\n" for x in lines)
+        try:
+            parse_hypergraph(f"{m} {n} {fmt}\n" + body)
+            expected = None
+        except ParseError as exc:
+            expected = exc
+        out, err = io.StringIO(), io.StringIO()
+        # a comment in place of the header keeps the line numbers aligned
+        with mock.patch("sys.stdin", io.StringIO("%\n" + body)), \
+                redirect_stdout(out), redirect_stderr(err):
+            code = dispatch(["stream", "--n", str(n), "--m-bound", str(max(m, 1)),
+                             "--fmt", str(fmt), "-e", "1"])
+        if expected is None:
+            assert code == 0, err.getvalue()
+        else:
+            assert code == 2
+            assert err.getvalue() == f"error: {expected}\n"
+            assert str(expected).startswith(f"line {expected.line}: ")
+
+
+def test_verify_mean_above_float_range(tmp_path, capsys):
+    a = tmp_path / "a.hg"
+    a.write_text("1 2 1\n1 1 2\n")
+    b = tmp_path / "b.hg"
+    b.write_text(f"1 2 1\n{10**400} 1 2\n")
+    assert dispatch(["verify", "-a", str(a), "-b", str(b), "-e", "1"]) == 1
+    out = capsys.readouterr().out
+    assert f"max_rel_error={10**400 - 1}\n" in out
+    assert "mean_rel_error=1.0000000000000000e+400\n" in out

@@ -259,3 +259,21 @@ class TestHypergraphType:
                                    HyperEdge((1, 2), Fraction(3, 2))))
         assert h.total_weight() == 2
         assert not h.is_unweighted()
+
+
+class TestRoundTripExtremes:
+    @given(st.integers(2, 6), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_huge_and_long_decimal_weights(self, n, data):
+        # denominators 2^a 5^b print as long decimals, others as huge p/q
+        edges = []
+        for _ in range(data.draw(st.integers(0, 6))):
+            size = data.draw(st.integers(2, n))
+            verts = tuple(sorted(data.draw(
+                st.sets(st.integers(1, n), min_size=size, max_size=size))))
+            den = (2 ** data.draw(st.integers(0, 80)) * 5 ** data.draw(st.integers(0, 80))
+                   * data.draw(st.sampled_from([1, 3, 10**9 + 7])))
+            w = Fraction(data.draw(st.integers(1, 10**40)), den)
+            edges.append(HyperEdge(verts, w))
+        h = WeightedHypergraph(n, tuple(edges))
+        assert parse_hypergraph(serialize_hypergraph(h)) == h

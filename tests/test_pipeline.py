@@ -213,3 +213,14 @@ class TestStreaming:
         # two compounded flushes at eps_inner, each within (1 +- eps_inner)
         band = (1 + s.eps_inner) ** 2
         assert 8 / band <= total <= 8 * band
+
+
+class TestStreamMemoryCheck:
+    def test_bound_raises_at_offending_push(self, monkeypatch):
+        monkeypatch.setattr(StreamState, "memory_bound", lambda self: 2.5)
+        s = StreamState(3, 100, 0.5, capacity=8)
+        s.push(HyperEdge((1, 2)))
+        s.push(HyperEdge((2, 3)))
+        with pytest.raises(PipelineError, match="over the budget 2.5"):
+            s.push(HyperEdge((1, 3)))
+        assert s.edges_seen == 3 and s.high_water == 3
