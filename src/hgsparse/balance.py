@@ -250,120 +250,29 @@ def find_max_bad(state: BalanceState) -> Optional[BadEdge]:
     return best
 
 
-def _batch_horizon(state: BalanceState, bad: BadEdge) -> int:
-    """How many consecutive picks provably coincide with `bad`.
-
-    One transfer moves a single unit between two pairs, so every strength
-    moves by at most one unit per step.  Any strict comparison the pick
-    rests on therefore cannot flip while its slack exceeds the accumulated
-    drift, and that many steps collapse into one block of moves with a
-    single strength refresh at the end.  All margins here are conservative;
-    returning 1 degenerates to plain single stepping.
-    """
-    K = state.K_units
-    jstar = bad.ind
-    kmin = bad.k_min
-    smax = bad.k_max
-    sget = state.strengths.get
-    g = state.groups[bad.group_key]
-
-    # picked group: its interval, badness, and both slot identities
-    room = K[jstar] - smax
-    if jstar >= 1:
-        gap = smax - K[jstar - 1] - 1
-        if gap < room:
-            room = gap
-        gap = K[jstar - 1] - kmin - 1
-        if gap < room:
-            room = gap
-    if room < 1:
-        return 1
-    for i, p in enumerate(g.slots):
-        s = sget(p, 0)
-        if p != bad.f_min:
-            if s == kmin:
-                return 1
-            gap = (s - kmin - 1) // 2
-            if gap < room:
-                room = gap
-        if p != bad.f_max and (g.agg_units[i] > 0 or p == bad.f_min):
-            if s == smax:
-                return 1
-            gap = (smax - s - 1) // 2
-            if gap < room:
-                room = gap
-        if room < 1:
-            return 1
-
-    # other groups must neither outrank the pick nor turn bad at a rank
-    # that would win the ascending-key scan
-    for key in state.sorted_keys:
-        if key == bad.group_key:
-            continue
-        grp = state.groups[key]
-        gkmin = None
-        gsmax = None
-        for i, p in enumerate(grp.slots):
-            s = sget(p, 0)
-            if gkmin is None or s < gkmin:
-                gkmin = s
-            if grp.agg_units[i] > 0 and (gsmax is None or s > gsmax):
-                gsmax = s
-        j = bisect_left(K, gsmax)
-        if j >= 1 and gkmin < K[j - 1]:
-            ceil_j = jstar - 1 if key < bad.group_key else jstar
-            gap = K[ceil_j] - gsmax
-            if gap < room:
-                room = gap
-        else:
-            j2lo = jstar if key < bad.group_key else jstar + 1
-            for j2 in range(j2lo, state.ell + 1):
-                kj = K[j2 - 1]
-                x = max(0, kj + 1 - gsmax, gsmax - K[j2], gkmin - kj + 1)
-                if x - 1 < room:
-                    room = x - 1
-        if room < 1:
-            return 1
-    return min(room + 1, g.agg_units[g.slot_index[bad.f_max]])
-
-
-def transfer_step(
-    state: BalanceState, copy: int, f_min: Pair, f_max: Pair, units: int = 1
-) -> None:
-    """Move `units` deltas of weight from f_max to f_min, draining `copy`
-    first and then later holders in copy order, with one strength refresh
-    for the whole block."""
-    g = state.groups[state.group_of_copy[copy]]
+def transfer_step(state: BalanceState, copy: int, f_min: Pair, f_max: Pair) -> None:
+    """Move one delta of the copy's weight from f_max to f_min, then refresh
+    strengths."""
+    key = state.group_of_copy[copy]
+    g = state.groups[key]
     i_min = g.slot_index[f_min]
     i_max = g.slot_index[f_max]
-    zeros = g.zero_holders[i_max]
-    gains = g.zero_holders[i_min]
-    if copy in zeros:
+    units = g.overrides.get(copy)
+    if units is None:
+        units = list(g.default_units)
+        g.overrides[copy] = units
+    if units[i_max] < 1:
         raise BalanceError(f"copy {copy} holds no weight on slot {f_max}")
-    left = units
-    for c in g.copies[g.copies.index(copy):]:
-        if left == 0:
-            break
-        if c in zeros:
-            continue
-        held = g.overrides.get(c)
-        if held is None:
-            held = list(g.default_units)
-            g.overrides[c] = held
-        take = held[i_max] if held[i_max] < left else left
-        held[i_max] -= take
-        held[i_min] += take
-        if held[i_max] == 0:
-            zeros.add(c)
-        gains.discard(c)
-        left -= take
-    if left:
-        raise BalanceError("transfer drained a slot past its aggregate weight")
-    g.agg_units[i_max] -= units
-    g.agg_units[i_min] += units
-    state.pair_units[f_max] -= units
-    state.pair_units[f_min] = state.pair_units.get(f_min, 0) + units
-    state.iterations += units
+    units[i_max] -= 1
+    units[i_min] += 1
+    if units[i_max] == 0:
+        g.zero_holders[i_max].add(copy)
+    g.zero_holders[i_min].discard(copy)
+    g.agg_units[i_max] -= 1
+    g.agg_units[i_min] += 1
+    state.pair_units[f_max] -= 1
+    state.pair_units[f_min] = state.pair_units.get(f_min, 0) + 1
+    state.iterations += 1
     state.recompute_strengths()
 
 
@@ -388,10 +297,7 @@ def run_balance(
             break
         if state.iterations >= iteration_cap:
             raise BalanceError(f"iteration cap {iteration_cap} exceeded")
-        # tracing wants the true state at every single-step boundary
-        t = 1 if trace is not None else _batch_horizon(state, bad)
-        transfer_step(state, bad.copy, bad.f_min, bad.f_max,
-                      min(t, iteration_cap - state.iterations))
+        transfer_step(state, bad.copy, bad.f_min, bad.f_max)
         if trace is not None:
             trace.append(IterationRecord(
                 index=state.iterations,

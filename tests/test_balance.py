@@ -314,45 +314,3 @@ class TestAssignmentViews:
                 assert per_copy[c] == per_group[g.key]
         for lo, hi in zip(per_copy, a.kappa_max_by_copy()):
             assert lo <= hi <= a.gamma * lo
-
-
-class TestTransferBlock:
-    """transfer_step with units > 1 is the batched move of run_balance."""
-
-    @staticmethod
-    def state():
-        # three parallel copies of one edge; each starts at [6, 5, 5] on n=4
-        return init_weights(WeightedHypergraph(4, (HyperEdge((1, 2, 3)),) * 3))
-
-    @staticmethod
-    def view(st):
-        g = st.groups[(1, 2, 3)]
-        return (g.overrides, g.zero_holders, g.agg_units, st.pair_units,
-                st.strengths, st.iterations)
-
-    @pytest.mark.parametrize("first,units", [(0, 8), (1, 8), (0, 6), (0, 18)])
-    def test_block_matches_single_steps(self, first, units):
-        # a block drains the named copy first, then later holders in copy
-        # order, and ends where that many single steps end
-        block = self.state()
-        transfer_step(block, first, (1, 3), (1, 2), units)
-        single = self.state()
-        left = units
-        for c in range(first, 3):
-            take = min(6, left)
-            for _ in range(take):
-                transfer_step(single, c, (1, 3), (1, 2))
-            left -= take
-        assert self.view(block) == self.view(single)
-        g = block.groups[(1, 2, 3)]
-        assert all(g.units_for(c) == [6, 5, 5] for c in range(first))
-
-    def test_empty_copy_rejected(self):
-        st = self.state()
-        transfer_step(st, 0, (1, 3), (1, 2), 6)
-        with pytest.raises(BalanceError, match="holds no weight"):
-            transfer_step(st, 0, (1, 3), (1, 2))
-
-    def test_overdraw_rejected(self):
-        with pytest.raises(BalanceError, match="past its aggregate weight"):
-            transfer_step(self.state(), 1, (1, 3), (1, 2), 13)
