@@ -35,7 +35,7 @@ class BalanceError(RuntimeError):
 
 class _Group:
     __slots__ = ("key", "slots", "slot_index", "copies", "default_units",
-                 "overrides", "agg_units", "zero_holders")
+                 "overrides", "agg_units")
 
     def __init__(self, key: tuple[int, ...], units_total: int, copies: list[int]):
         self.key = key
@@ -50,18 +50,14 @@ class _Group:
         self.default_units = [base + 1 if i < rem else base for i in range(q)]
         self.overrides: dict[int, list[int]] = {}
         self.agg_units = [u * len(copies) for u in self.default_units]
-        # per slot, the copies currently holding zero units there; untouched
-        # copies never qualify since every default slot gets at least 2 units
-        self.zero_holders: list[set[int]] = [set() for _ in range(q)]
 
     def units_for(self, copy: int) -> list[int]:
         got = self.overrides.get(copy)
         return got if got is not None else self.default_units
 
     def smallest_positive_holder(self, slot_i: int) -> int:
-        zeros = self.zero_holders[slot_i]
         for c in self.copies:
-            if c not in zeros:
+            if self.units_for(c)[slot_i] > 0:
                 return c
         raise BalanceError("slot has positive total weight but no holder")
 
@@ -118,16 +114,12 @@ class BalanceState:
             key: _Group(key, self.units_total, copies) for key, copies in per_key.items()
         }
         self.sorted_keys = sorted(self.groups)
-        self.group_of_copy: list[tuple[int, ...]] = [e.vertices for e in h.edges]
 
         self.pair_units: dict[Pair, int] = {}
         for g in self.groups.values():
             for p, agg in zip(g.slots, g.agg_units):
                 self.pair_units[p] = self.pair_units.get(p, 0) + agg
-        self._mincut_cache: dict = {}
-        self.strengths: dict[Pair, int] = pair_strengths(
-            self.n, self.pair_units, self._mincut_cache
-        )
+        self.strengths: dict[Pair, int] = pair_strengths(self.n, self.pair_units)
 
         if self.m == 0:
             self.k0_units = 0
@@ -157,9 +149,7 @@ class BalanceState:
         return bisect_left(self.K_units, value)
 
     def recompute_strengths(self) -> None:
-        if len(self._mincut_cache) > 400_000:
-            self._mincut_cache.clear()
-        self.strengths = pair_strengths(self.n, self.pair_units, self._mincut_cache)
+        self.strengths = pair_strengths(self.n, self.pair_units)
 
     def strength_histogram(self) -> tuple[int, ...]:
         hist = [0] * (self.ell + 1)
@@ -253,8 +243,7 @@ def find_max_bad(state: BalanceState) -> Optional[BadEdge]:
 def transfer_step(state: BalanceState, copy: int, f_min: Pair, f_max: Pair) -> None:
     """Move one delta of the copy's weight from f_max to f_min, then refresh
     strengths."""
-    key = state.group_of_copy[copy]
-    g = state.groups[key]
+    g = state.groups[state.hypergraph.edges[copy].vertices]
     i_min = g.slot_index[f_min]
     i_max = g.slot_index[f_max]
     units = g.overrides.get(copy)
@@ -265,9 +254,6 @@ def transfer_step(state: BalanceState, copy: int, f_min: Pair, f_max: Pair) -> N
         raise BalanceError(f"copy {copy} holds no weight on slot {f_max}")
     units[i_max] -= 1
     units[i_min] += 1
-    if units[i_max] == 0:
-        g.zero_holders[i_max].add(copy)
-    g.zero_holders[i_min].discard(copy)
     g.agg_units[i_max] -= 1
     g.agg_units[i_min] += 1
     state.pair_units[f_max] -= 1

@@ -12,6 +12,7 @@ usage, unreadable input, or out-of-range parameters.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -77,15 +78,16 @@ def _fmt(prog: str) -> argparse.HelpFormatter:
     return argparse.HelpFormatter(prog, width=78)
 
 
-def _read_text(path: Optional[str]) -> str:
+def _open_text(path: Optional[str]):
+    """The input as an open text file, stdin when `path` is None or '-'."""
     if path is None or path == "-":
-        return sys.stdin.read()
-    with open(path) as fh:
-        return fh.read()
+        return contextlib.nullcontext(sys.stdin)
+    return open(path)
 
 
 def _read_hypergraph(path: Optional[str]) -> WeightedHypergraph:
-    return parse_hypergraph(_read_text(path))
+    with _open_text(path) as fh:
+        return parse_hypergraph(fh)
 
 
 def _emit_result(res: SparsifierResult, output: Optional[str]) -> None:
@@ -298,11 +300,11 @@ def cmd_stream(args) -> int:
                     edge_cap=args.edge_cap)
     if cfg.rho_override is not None:
         raise ValueError("the streaming wrapper does not take a rho override")
-    text = _read_text(cfg.input)
-    state = StreamState(args.n, args.m_bound, cfg.epsilon, cfg.d, cfg.seed,
-                        args.capacity, copy_cap=cfg.edge_cap)
-    for lineno, toks in content_lines(text):
-        state.push(parse_edge_line(lineno, toks, args.n, args.fmt))
+    with _open_text(cfg.input) as fh:
+        state = StreamState(args.n, args.m_bound, cfg.epsilon, cfg.d, cfg.seed,
+                            args.capacity, copy_cap=cfg.edge_cap)
+        for lineno, toks in content_lines(fh):
+            state.push(parse_edge_line(lineno, toks, args.n, args.fmt))
     res = state.finish()
     _emit_result(res, cfg.output)
     return 0

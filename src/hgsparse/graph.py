@@ -196,35 +196,15 @@ def global_min_cut(
     return Fraction(val), side
 
 
-def _block_key(block: list[int], adj) -> tuple:
-    """Canonical (vertices, inner edges) fingerprint of an induced block."""
-    bset = set(block)
-    items = []
-    for u in block:
-        row = adj.get(u)
-        if not row:
-            continue
-        for v, w in row.items():
-            if u < v and v in bset:
-                items.append((u, v, w))
-    items.sort()
-    return (tuple(block), tuple(items))
-
-
-def pair_strengths(
-    n: int,
-    pair_weights: Mapping[tuple[int, int], object],
-    cache: Optional[dict] = None,
-) -> dict:
+def pair_strengths(n: int, pair_weights: Mapping[tuple[int, int], object]) -> dict:
     """Strengths for every vertex pair that ever shares a connected block.
 
     Works for any exact numeric weight type (ints for grid arithmetic,
-    Fractions for the public API).  Pairs across different components are
-    simply absent, their strength is 0.
-
-    `cache` memoizes per-block min cuts across calls keyed on the exact
-    induced subgraph, so a caller that perturbs a couple of weights between
-    calls only pays for the blocks that actually changed.
+    Fractions for the public API).  The positive pairs are split into
+    connected components once; each component is then peeled with
+    Stoer-Wagner, every pair of a block taking the largest min-cut value of
+    any block containing it.  Pairs across different components are simply
+    absent, their strength is 0.
     """
     adj: dict[int, dict[int, object]] = {}
     pairs = []
@@ -235,35 +215,20 @@ def pair_strengths(
         adj.setdefault(v, {})[u] = w
         pairs.append((u, v))
     strengths: dict[tuple[int, int], object] = {}
-    # once the top block splits into components, every later block is a min
-    # cut side of a connected graph and therefore itself connected; so only
-    # the top block, all n vertices, is ever split, over all positive pairs
-    stack: list[tuple[list[int], bool]] = [(list(range(1, n + 1)), False)]
+    # both sides of a min cut of a connected graph are connected, so only
+    # the first split, into components, needs UnionFind
+    stack = [sorted(c) for c in UnionFind(range(1, n + 1), pairs).groups()]
     while stack:
-        block, connected = stack.pop()
+        block = stack.pop()
         if len(block) < 2:
             continue
-        key = _block_key(block, adj) if cache is not None else None
-        found = cache.get(key) if key is not None else None
-        if found is None:
-            parts = None if connected else UnionFind(block, pairs).groups()
-            if parts is not None and len(parts) > 1:
-                found = (None, [sorted(c) for c in parts])
-            else:
-                found = _stoer_wagner(block, adj)
-            if key is not None:
-                cache[key] = found
-        val, info = found
-        if val is None:
-            stack.extend((p, True) for p in info)
-            continue
+        val, side = _stoer_wagner(block, adj)
         for u, v in itertools.combinations(block, 2):
             cur = strengths.get((u, v))
             if cur is None or val > cur:
                 strengths[(u, v)] = val
-        rest = sorted(set(block) - info)
-        stack.append((sorted(info), True))
-        stack.append((rest, True))
+        stack.append(sorted(side))
+        stack.append(sorted(set(block) - side))
     return strengths
 
 

@@ -182,12 +182,20 @@ def serialize_hypergraph(h: WeightedHypergraph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def content_lines(text) -> Iterator[tuple[int, list[str]]]:
+def content_lines(source) -> Iterator[tuple[int, list[str]]]:
     """(1-based line number, tokens) of every line that is neither blank
-    nor a '%' comment."""
-    if isinstance(text, bytes):
-        text = text.decode("ascii")
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    nor a '%' comment.
+
+    `source` is the whole text (str, or ASCII bytes) or an iterable of text
+    lines such as an open file, which is read one line at a time.  Either
+    way lines are numbered as `str.splitlines()` numbers the whole text.
+    """
+    if isinstance(source, bytes):
+        source = source.decode("ascii")
+    if isinstance(source, str):
+        source = (source,)
+    lines = (line for chunk in source for line in chunk.splitlines())
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if line and not line.startswith("%"):
             yield lineno, line.split()

@@ -114,23 +114,24 @@ class BucketReport:
 
 def sparsify_parity(
     h: WeightedHypergraph,
+    buckets: WeightBuckets,
     parity: str,
     epsilon: float,
     d: int = 1,
     seed: int = 0,
     copy_cap: int = 10**6,
 ) -> tuple[list[HyperEdge], list[int], list[BucketReport]]:
-    """Sparsify one parity class, heaviest bucket first, contracting all
-    same-parity buckets above the current one.  Per bucket, each connected
-    component of the contracted hypergraph is sparsified at eps/2 on its own
-    and restored through the contraction map.
+    """Sparsify one parity class of `buckets` (the weight buckets of `h`),
+    heaviest bucket first, contracting all same-parity buckets above the
+    current one.  Per bucket, each connected component of the contracted
+    hypergraph is sparsified at eps/2 on its own and restored through the
+    contraction map.
 
     Hard checks: the supervertex counts telescope (total shrink at most n-1)
     and each bucket's restored weight stays within 3x its input weight.
     """
     if parity not in (EVEN, ODD):
         raise ValueError("parity must be 'even' or 'odd'")
-    buckets = bucket_by_weight(h, epsilon)
     indices = buckets.parity_indices(parity)
     out_edges: list[HyperEdge] = []
     out_origin: list[int] = []
@@ -198,14 +199,13 @@ def fast_sparsify(
 ) -> SparsifierResult:
     """Union of the two parity-class sparsifiers; handles arbitrary weight
     ratios at the price of a constant-factor error increase."""
-    if not 0 < epsilon <= 1:
-        raise ValueError("epsilon must be in (0, 1]")
+    buckets = bucket_by_weight(h, epsilon)
     edges: list[HyperEdge] = []
     origin: list[int] = []
     reports: list[BucketReport] = []
     for parity in (EVEN, ODD):
         p_edges, p_origin, p_reports = sparsify_parity(
-            h, parity, epsilon, d, seed, copy_cap=copy_cap)
+            h, buckets, parity, epsilon, d, seed, copy_cap=copy_cap)
         edges.extend(p_edges)
         origin.extend(p_origin)
         reports.extend(p_reports)
@@ -220,7 +220,7 @@ def fast_sparsify(
         sum_p=None,
         origin=tuple(origin[t] for t in order),
         notes={"bucket_reports": tuple(reports),
-               "alpha": bucket_by_weight(h, epsilon).alpha},
+               "alpha": buckets.alpha},
     )
 
 

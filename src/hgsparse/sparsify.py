@@ -179,8 +179,6 @@ def sparsify_unweighted(
 ) -> SparsifierResult:
     """Balance, plan, sample.  With the theoretical rho all cuts land within
     (1 +- 2 eps) of the input with probability 1 - O(n^-d)."""
-    if not h.is_unweighted():
-        raise ValueError("sparsify_unweighted expects unit weights")
     if h.m == 0:
         if not 0 < epsilon <= 1:
             raise ValueError("epsilon must be in (0, 1]")

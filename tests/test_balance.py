@@ -6,6 +6,7 @@ the spanning copy's strong slot sits five intervals above its weak ones, so
 it is bad and the loop has real work to do.
 """
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -15,7 +16,10 @@ from hypothesis import strategies as st
 from hgsparse import (
     BalanceError,
     HyperEdge,
+    MultiEdge,
     WeightedHypergraph,
+    WeightedMultigraph,
+    edge_strengths,
     find_max_bad,
     format_trace_line,
     gen_sunflower,
@@ -39,6 +43,70 @@ def units_of(assignment):
         for g in assignment.groups
         for c in g.copies
     }
+
+
+def reference_balance(h, gamma=2):
+    """The transfer loop from its definition, one copy at a time: strengths
+    from a fresh `edge_strengths` of the collapsed units, the pick a bad copy
+    of highest interval index, ties to the smallest group key, then to the
+    smallest copy index holding the strongest positively weighted slot of
+    that group.  Returns (iterations, {(key, copy): units})."""
+    n, total = h.n, h.n * h.n
+    slots = [list(itertools.combinations(e.vertices, 2)) for e in h.edges]
+    units = []
+    for s in slots:
+        base = max(2, total // len(s))
+        rem = total - len(s) * base
+        units.append([base + 1 if i < rem else base for i in range(len(s))])
+
+    def strengths():
+        return edge_strengths(WeightedMultigraph(n, tuple(
+            MultiEdge(u, v, w)
+            for s, us in zip(slots, units) for (u, v), w in zip(s, us) if w)))
+
+    table = strengths()
+    every = [table.strength(u, v) for s in slots for u, v in s]
+    levels = [min(every)]
+    while levels[-1] <= max(every):
+        levels.append(levels[-1] * gamma)
+    iterations = 0
+    while True:
+        bad = []
+        for c, (s, us) in enumerate(zip(slots, units)):
+            st_c = [table.strength(u, v) for u, v in s]
+            k_max = max(x for x, u in zip(st_c, us) if u > 0)
+            ind = next(j for j, k in enumerate(levels) if k_max <= k)
+            if ind > 0 and min(st_c) < levels[ind - 1]:
+                bad.append((-ind, h.edges[c].vertices))
+        if not bad:
+            return iterations, {(e.vertices, c): tuple(us)
+                                for c, (e, us) in enumerate(zip(h.edges, units))}
+        key = min(bad)[1]
+        group = [c for c, e in enumerate(h.edges) if e.vertices == key]
+        st_g = [table.strength(u, v) for u, v in slots[group[0]]]
+        held = [i for i in range(len(st_g)) if any(units[c][i] > 0 for c in group)]
+        i_max = max(held, key=lambda i: (st_g[i], -i))
+        i_min = min(range(len(st_g)), key=lambda i: (st_g[i], i))
+        copy = next(c for c in group if units[c][i_max] > 0)
+        units[copy][i_max] -= 1
+        units[copy][i_min] += 1
+        iterations += 1
+        table = strengths()
+
+
+def drains_parallel_copy(assignment):
+    """Some copy with a parallel twin holds zero units on a slot."""
+    return any(0 in u for g in assignment.groups if len(g.copies) > 1
+               for u in g.overrides.values())
+
+
+BATCH_INSTANCES = [
+    two_cluster(),
+    two_cluster(30),
+    WeightedHypergraph(4, tuple([HyperEdge((1, 2))] * 9
+                                + [HyperEdge((3, 4))] * 9
+                                + [HyperEdge((1, 2, 3, 4))] * 2)),
+] + [random_hypergraph(6, 12, 4, s) for s in range(6)]
 
 
 class TestInit:
@@ -232,16 +300,9 @@ class TestRunBalance:
                         prev = w
 
     def test_batched_matches_single_step(self):
-        # the no-trace path may apply provably identical picks in blocks;
-        # the result must be indistinguishable from stepping one at a time
-        instances = [
-            two_cluster(),
-            two_cluster(30),
-            WeightedHypergraph(4, tuple([HyperEdge((1, 2))] * 9
-                                        + [HyperEdge((3, 4))] * 9
-                                        + [HyperEdge((1, 2, 3, 4))] * 2)),
-        ] + [random_hypergraph(6, 12, 4, s) for s in range(6)]
-        for h in instances:
+        # a traced run records one pick per transfer; recording must not
+        # change where the loop ends
+        for h in BATCH_INSTANCES:
             fast = run_balance(h)
             trace = []
             slow = run_balance(h, trace=trace)
@@ -249,6 +310,31 @@ class TestRunBalance:
             assert units_of(fast) == units_of(slow)
             assert fast.strengths.pair_strength == slow.strengths.pair_strength
             assert fast.k0 == slow.k0 and fast.ell == slow.ell
+
+    def test_matches_reference_loop(self):
+        drained = False
+        for h in BATCH_INSTANCES:
+            a = run_balance(h)
+            assert reference_balance(h) == (a.iterations, units_of(a))
+            drained = drained or drains_parallel_copy(a)
+        assert drained
+
+    @given(st.integers(3, 5), st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_matches_reference_when_parallel_copies_drain(self, n, data):
+        # a few parallel copies of a hyperedge next to many copies of one of
+        # its pairs: transfers empty the strong slot copy by copy
+        key = tuple(sorted(data.draw(st.sets(st.integers(1, n), min_size=3))))
+        pair = tuple(sorted(data.draw(st.sets(st.sampled_from(key),
+                                              min_size=2, max_size=2))))
+        edges = ([HyperEdge(key)] * data.draw(st.integers(2, 4))
+                 + [HyperEdge(pair)] * data.draw(st.integers(4, 30)))
+        for _ in range(data.draw(st.integers(0, 3))):
+            verts = data.draw(st.sets(st.integers(1, n), min_size=2))
+            edges.append(HyperEdge(tuple(sorted(verts))))
+        h = WeightedHypergraph(n, tuple(data.draw(st.permutations(edges))))
+        a = run_balance(h)
+        assert reference_balance(h) == (a.iterations, units_of(a))
 
 
 class TestIsBalanced:

@@ -180,6 +180,83 @@ class TestStream:
                          "--m-bound", "5", "-e", "0.5", "--capacity", "3"]) == 2
 
 
+class LineStdin:
+    """A stdin that hands out its lines one at a time and refuses read()."""
+
+    def __init__(self, text):
+        self.lines = io.StringIO(text).readlines()
+        self.taken = 0
+
+    def __iter__(self):
+        for line in self.lines:
+            self.taken += 1
+            yield line
+
+    def read(self, *args):
+        raise AssertionError("read() loads the whole stream at once")
+
+
+class TestLazyStream:
+    ARGV = ["stream", "--n", "3", "--m-bound", "20", "-e", "0.5"]
+
+    def test_sparsifies_line_by_line(self, monkeypatch, tmp_path, capsys):
+        text = "% incoming edges\n1 1 2\n2 2 3\x0c1/2 1 3\n\n3 1 2 3\u20281 2 3\n"
+        src = tmp_path / "edges.txt"
+        src.write_text(text)
+        assert dispatch(self.ARGV + ["-i", str(src)]) == 0
+        from_file = capsys.readouterr().out
+        monkeypatch.setattr("sys.stdin", LineStdin(text))
+        assert dispatch(self.ARGV) == 0
+        assert capsys.readouterr().out == from_file
+        assert parse_hypergraph(from_file).m == 5
+
+    def test_stops_at_first_bad_line(self, monkeypatch, capsys):
+        # line 4 by str.splitlines(), inside the third physical line
+        text = "1 1 2\n1 2 3\n1 1 3\x1c1 1 9\x0c1 2 3\n1 1 2\n1 1 2\n"
+        assert text.splitlines()[3] == "1 1 9"
+        stdin = LineStdin(text)
+        monkeypatch.setattr("sys.stdin", stdin)
+        assert dispatch(self.ARGV) == 2
+        assert capsys.readouterr().err == "error: line 4: vertex id 9 out of range [1,3]\n"
+        assert stdin.taken == 3
+
+
+def raw_stdin(data):
+    return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")
+
+
+class TestExitCodeFuzz:
+    @staticmethod
+    def argv(cmd, path):
+        if cmd == "stream":
+            return ["stream", "-i", path, "--n", "3", "--m-bound", "5"]
+        return [cmd, "-i", path]
+
+    @pytest.mark.parametrize("eps", ["inf", "nan", "-0"])
+    @pytest.mark.parametrize("cmd", ["sparsify", "pipeline", "stream"])
+    def test_bad_epsilon(self, tmp_path, capsys, cmd, eps):
+        src = tmp_path / "in.txt"
+        src.write_text("1 1 2\n" if cmd == "stream" else "1 3 1\n1 1 2\n")
+        assert dispatch(self.argv(cmd, str(src)) + ["-e", eps]) == 2
+        assert capsys.readouterr().err.startswith("error: epsilon must be in (0, 1]")
+
+    @pytest.mark.parametrize("data", [b"\xff\xfe\x80\x81", b"1 3 1\n1 1 2\n\xc3\x28 1 2\n"])
+    @pytest.mark.parametrize("argv", [
+        ["sparsify", "-e", "0.5"],
+        ["pipeline", "-e", "0.5"],
+        ["stream", "--n", "3", "--m-bound", "5", "-e", "0.5"],
+        ["strengths"],
+        ["balance"],
+        ["verify", "-a", "-", "-e", "0.5"],
+    ], ids=lambda a: a[0])
+    def test_non_utf8_stdin(self, monkeypatch, tmp_path, capsys, argv, data):
+        if argv[0] == "verify":
+            argv = argv + ["-b", write_hg(tmp_path / "b.hg", gen_sunflower(2))]
+        monkeypatch.setattr("sys.stdin", raw_stdin(data))
+        assert dispatch(argv) == 2
+        assert capsys.readouterr().err.startswith("error: 'utf-8' codec can't decode byte ")
+
+
 class TestStrengths:
     def test_multigraph_direct(self, tmp_path, capsys):
         src = tmp_path / "tri.hg"

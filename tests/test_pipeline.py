@@ -99,7 +99,8 @@ class TestContractComponents:
 class TestSparsifyParity:
     def test_single_bucket_matches_direct_call(self):
         h = gen_random(5, 9, 2, seed=3)
-        edges, origin, reports = sparsify_parity(h, ODD, 0.5, seed=7)
+        edges, origin, reports = sparsify_parity(
+            h, bucket_by_weight(h, 0.5), ODD, 0.5, seed=7)
         direct = sparsify_weighted(h, 0.25, seed=child_seed(7, ODD, 1, 1))
         assert [(e.vertices, e.weight) for e in edges] == \
             [(e.vertices, e.weight) for e in direct.hypergraph.edges]
@@ -108,16 +109,19 @@ class TestSparsifyParity:
 
     def test_other_parity_empty(self):
         h = gen_random(5, 9, 2, seed=3)
-        edges, origin, reports = sparsify_parity(h, EVEN, 0.5, seed=7)
+        edges, origin, reports = sparsify_parity(
+            h, bucket_by_weight(h, 0.5), EVEN, 0.5, seed=7)
         assert edges == [] and origin == [] and reports == []
 
     def test_bad_parity(self):
+        h = gen_random(3, 2, 2, seed=0)
         with pytest.raises(ValueError):
-            sparsify_parity(gen_random(3, 2, 2, seed=0), "both", 0.5)
+            sparsify_parity(h, bucket_by_weight(h, 0.5), "both", 0.5)
 
     def test_heavy_contracts_light_away(self):
         h = heavy_light()
-        edges, origin, reports = sparsify_parity(h, ODD, 0.5, seed=1)
+        edges, origin, reports = sparsify_parity(
+            h, bucket_by_weight(h, 0.5), ODD, 0.5, seed=1)
         # the spanning heavy path collapses everything: the light edge dies
         assert 0 not in origin
         assert sorted(origin) == [1, 2, 3]
