@@ -19,9 +19,9 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional
+from typing import Mapping, Optional
 
 from .graph import StrengthTable, pair_strengths
 from .hypergraph import WeightedHypergraph
@@ -91,12 +91,16 @@ def format_trace_line(rec: IterationRecord) -> str:
             f"fmin={rec.f_min} fmax={rec.f_max} hist=[{hist}]")
 
 
+def check_gamma(gamma: int) -> None:
+    if not isinstance(gamma, int) or gamma < 2:
+        raise ValueError("gamma must be an integer >= 2")
+
+
 class BalanceState:
     """Mutable loop state; all weights live on the integer delta grid."""
 
     def __init__(self, h: WeightedHypergraph, gamma: int):
-        if not isinstance(gamma, int) or gamma < 2:
-            raise ValueError("gamma must be an integer >= 2")
+        check_gamma(gamma)
         if not h.is_unweighted():
             raise ValueError("balancing expects an unweighted multi-hypergraph")
         self.hypergraph = h

@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -34,43 +33,29 @@ from .hypergraph import (
     serialize_hypergraph,
 )
 from .pipeline import PipelineError, StreamState, fast_sparsify
-from .sparsify import SparsifierResult, save_result, sparsify_weighted
+from .sparsify import SparsifierResult, check_epsilon, save_result, sparsify_weighted
 from .verify import EXHAUSTIVE_LIMIT, all_cuts_report, report_csv, report_text
 
 DEFAULT_EDGE_CAP = 10**6
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated common knobs shared by the subcommands.
+def _int_type(ok, message: str):
+    """An argparse type: an int for which `ok` holds, else `message`."""
 
-    The verify threshold is deliberately not `epsilon`: sparsification
-    requires epsilon in (0, 1], while a verification target may be 0 (exact
-    match) or above 1.
-    """
+    def parse(text: str) -> int:
+        value = int(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(message)
+        return value
 
-    subcommand: str
-    input: Optional[str] = None
-    output: Optional[str] = None
-    epsilon: Optional[float] = None
-    gamma: int = 2
-    d: int = 1
-    seed: int = 0
-    rho_override: Optional[Fraction] = None
-    exhaustive_limit: int = EXHAUSTIVE_LIMIT
-    edge_cap: int = DEFAULT_EDGE_CAP
+    parse.__name__ = "int"  # a non-integer still reads "invalid int value"
+    return parse
 
-    def __post_init__(self):
-        if self.epsilon is not None and not 0 < self.epsilon <= 1:
-            raise ValueError("epsilon must be in (0, 1]")
-        if not isinstance(self.gamma, int) or self.gamma < 2:
-            raise ValueError("gamma must be an integer >= 2")
-        if not 0 <= self.seed < 2**64:
-            raise ValueError("seed must fit in 64 unsigned bits")
-        if self.d < 0:
-            raise ValueError("d must be nonnegative")
-        if self.edge_cap < 1:
-            raise ValueError("edge cap must be positive")
+
+_seed = _int_type(lambda v: 0 <= v < 2**64, "seed must fit in 64 unsigned bits")
+_gamma = _int_type(lambda v: v >= 2, "gamma must be an integer >= 2")
+_d = _int_type(lambda v: v >= 0, "d must be nonnegative")
+_edge_cap = _int_type(lambda v: v >= 1, "edge cap must be positive")
 
 
 def _fmt(prog: str) -> argparse.HelpFormatter:
@@ -90,11 +75,20 @@ def _read_hypergraph(path: Optional[str]) -> WeightedHypergraph:
         return parse_hypergraph(fh)
 
 
+def _write_text(text: str, path: Optional[str]) -> None:
+    """Write `text` to `path`, or to stdout when no path is given."""
+    if path:
+        with open(path, "w") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+
+
 def _emit_result(res: SparsifierResult, output: Optional[str]) -> None:
     if output:
         save_result(res, output)
     else:
-        sys.stdout.write(serialize_hypergraph(res.hypergraph))
+        _write_text(serialize_hypergraph(res.hypergraph), None)
 
 
 def _parse_rho(text: Optional[str]) -> Optional[Fraction]:
@@ -109,19 +103,21 @@ def _parse_rho(text: Optional[str]) -> Optional[Fraction]:
     return rho
 
 
-def _add_common(p: argparse.ArgumentParser, *, epsilon: bool = True) -> None:
-    if epsilon:
-        p.add_argument("-e", "--epsilon", type=float, required=True,
-                       help="approximation parameter in (0, 1]")
-    p.add_argument("-g", "--gamma", type=int, default=2,
-                   help="balance ratio, integer >= 2 (default 2)")
-    p.add_argument("-d", type=int, default=1, dest="d",
+def _add_common(p: argparse.ArgumentParser, *, gamma: bool) -> None:
+    # not an argparse type: each command checks -e before it reads input, so
+    # the message stays "error: epsilon must be in (0, 1]"
+    p.add_argument("-e", "--epsilon", type=float, required=True,
+                   help="approximation parameter in (0, 1]")
+    if gamma:
+        p.add_argument("-g", "--gamma", type=_gamma, default=2,
+                       help="balance ratio, integer >= 2 (default 2)")
+    p.add_argument("-d", type=_d, default=1, dest="d",
                    help="failure exponent, error probability O(n^-d) (default 1)")
-    p.add_argument("--seed", type=int, default=0,
+    p.add_argument("--seed", type=_seed, default=0,
                    help="master seed; all randomness derives from it (default 0)")
     p.add_argument("--rho-override", default=None, metavar="RHO",
                    help="replace the theoretical sampling rate (rational or decimal)")
-    p.add_argument("--edge-cap", type=int, default=DEFAULT_EDGE_CAP,
+    p.add_argument("--edge-cap", type=_edge_cap, default=DEFAULT_EDGE_CAP,
                    help="limit on generated edges / expanded unit copies "
                         "(default 1000000)")
 
@@ -151,8 +147,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="random family: draw weights uniformly from [1, w-max]")
     p.add_argument("--w-max", type=int, default=1,
                    help="largest random weight (default 1)")
-    p.add_argument("--seed", type=int, default=0, help="random family seed")
-    p.add_argument("--edge-cap", type=int, default=DEFAULT_EDGE_CAP,
+    p.add_argument("--seed", type=_seed, default=0, help="random family seed")
+    p.add_argument("--edge-cap", type=_edge_cap, default=DEFAULT_EDGE_CAP,
                    help="refuse families with more edges than this")
     p.add_argument("-o", "--output", default=None, help="output path (default stdout)")
     p.set_defaults(func=cmd_gen)
@@ -164,7 +160,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-i", "--input", default=None, help="input path (default stdin)")
     p.add_argument("-o", "--output", default=None,
                    help="output path; writes a .meta sidecar too (default stdout)")
-    _add_common(p)
+    _add_common(p, gamma=True)
     p.set_defaults(func=cmd_sparsify)
 
     p = sub.add_parser("pipeline", formatter_class=_fmt,
@@ -175,7 +171,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-i", "--input", default=None, help="input path (default stdin)")
     p.add_argument("-o", "--output", default=None,
                    help="output path; writes a .meta sidecar too (default stdout)")
-    _add_common(p)
+    _add_common(p, gamma=False)
     p.set_defaults(func=cmd_pipeline)
 
     p = sub.add_parser("stream", formatter_class=_fmt,
@@ -195,7 +191,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "0 unweighted '<v1> ...' (default 1)")
     p.add_argument("--capacity", type=int, default=None,
                    help="level-0 buffer size (default 4*n*ceil(log2(m/n)))")
-    _add_common(p)
+    _add_common(p, gamma=False)
     p.set_defaults(func=cmd_stream)
 
     p = sub.add_parser("strengths", formatter_class=_fmt,
@@ -207,7 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
                                    "clique weights.")
     p.add_argument("-i", "--input", default=None, help="input path (default stdin)")
     p.add_argument("-o", "--output", default=None, help="output path (default stdout)")
-    p.add_argument("-g", "--gamma", type=int, default=2,
+    p.add_argument("-g", "--gamma", type=_gamma, default=2,
                    help="balance ratio for non-2-uniform inputs (default 2)")
     p.set_defaults(func=cmd_strengths)
 
@@ -218,7 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
                                    "re-derived balance report.")
     p.add_argument("-i", "--input", default=None, help="input path (default stdin)")
     p.add_argument("-o", "--output", default=None, help="output path (default stdout)")
-    p.add_argument("-g", "--gamma", type=int, default=2,
+    p.add_argument("-g", "--gamma", type=_gamma, default=2,
                    help="balance ratio, integer >= 2 (default 2)")
     p.set_defaults(func=cmd_balance)
 
@@ -235,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="enumerate all cuts up to this n (default 20)")
     p.add_argument("--cut-samples", type=int, default=None,
                    help="random cut count above the exhaustive limit")
-    p.add_argument("--seed", type=int, default=0, help="cut sampling seed")
+    p.add_argument("--seed", type=_seed, default=0, help="cut sampling seed")
     p.add_argument("--csv", default=None, metavar="FILE",
                    help="also write per-cut records as CSV")
     p.set_defaults(func=cmd_verify)
@@ -244,69 +240,56 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_gen(args) -> int:
-    cfg = RunConfig("gen", output=args.output, seed=args.seed,
-                    edge_cap=args.edge_cap)
     fam = args.family
     if fam == "sunflower":
         h = gen_sunflower(args.n)
     elif fam == "footnote":
         h = gen_footnote_graph(args.n)
     elif fam in ("example1", "example2"):
-        h = gen_example(fam, args.n, args.r, edge_cap=cfg.edge_cap)
+        h = gen_example(fam, args.n, args.r, edge_cap=args.edge_cap)
     else:
-        if args.m > cfg.edge_cap:
-            raise ValueError(f"edge count {args.m} exceeds cap {cfg.edge_cap}")
+        if args.m > args.edge_cap:
+            raise ValueError(f"edge count {args.m} exceeds cap {args.edge_cap}")
         h = gen_random(args.n, args.m, args.r_max, weighted=args.weighted,
-                       w_max=args.w_max, seed=cfg.seed)
-    text = serialize_hypergraph(h)
-    if cfg.output:
-        with open(cfg.output, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+                       w_max=args.w_max, seed=args.seed)
+    _write_text(serialize_hypergraph(h), args.output)
     return 0
 
 
 def cmd_sparsify(args) -> int:
-    cfg = RunConfig("sparsify", input=args.input, output=args.output,
-                    epsilon=args.epsilon, gamma=args.gamma, d=args.d,
-                    seed=args.seed, rho_override=_parse_rho(args.rho_override),
-                    edge_cap=args.edge_cap)
-    h = _read_hypergraph(cfg.input)
-    res = sparsify_weighted(h, cfg.epsilon, d=cfg.d, seed=cfg.seed,
-                            gamma=cfg.gamma, rho_override=cfg.rho_override,
-                            copy_cap=cfg.edge_cap)
-    _emit_result(res, cfg.output)
+    rho = _parse_rho(args.rho_override)
+    check_epsilon(args.epsilon)
+    h = _read_hypergraph(args.input)
+    res = sparsify_weighted(h, args.epsilon, d=args.d, seed=args.seed,
+                            gamma=args.gamma, rho_override=rho,
+                            copy_cap=args.edge_cap)
+    _emit_result(res, args.output)
     return 0
 
 
 def cmd_pipeline(args) -> int:
-    cfg = RunConfig("pipeline", input=args.input, output=args.output,
-                    epsilon=args.epsilon, gamma=args.gamma, d=args.d,
-                    seed=args.seed, rho_override=_parse_rho(args.rho_override),
-                    edge_cap=args.edge_cap)
-    if cfg.rho_override is not None:
+    rho = _parse_rho(args.rho_override)
+    check_epsilon(args.epsilon)
+    if rho is not None:
         raise ValueError("the bucketed pipeline does not take a rho override")
-    h = _read_hypergraph(cfg.input)
-    res = fast_sparsify(h, cfg.epsilon, cfg.d, cfg.seed, copy_cap=cfg.edge_cap)
-    _emit_result(res, cfg.output)
+    h = _read_hypergraph(args.input)
+    res = fast_sparsify(h, args.epsilon, args.d, args.seed, copy_cap=args.edge_cap)
+    _emit_result(res, args.output)
     return 0
 
 
 def cmd_stream(args) -> int:
-    cfg = RunConfig("stream", input=args.input, output=args.output,
-                    epsilon=args.epsilon, gamma=args.gamma, d=args.d,
-                    seed=args.seed, rho_override=_parse_rho(args.rho_override),
-                    edge_cap=args.edge_cap)
-    if cfg.rho_override is not None:
+    rho = _parse_rho(args.rho_override)
+    check_epsilon(args.epsilon)
+    if rho is not None:
         raise ValueError("the streaming wrapper does not take a rho override")
-    with _open_text(cfg.input) as fh:
-        state = StreamState(args.n, args.m_bound, cfg.epsilon, cfg.d, cfg.seed,
-                            args.capacity, copy_cap=cfg.edge_cap)
+    with _open_text(args.input) as fh:
+        state = StreamState(args.n, args.m_bound, args.epsilon, args.d, args.seed,
+                            args.capacity, copy_cap=args.edge_cap)
         for lineno, toks in content_lines(fh):
             state.push(parse_edge_line(lineno, toks, args.n, args.fmt))
     res = state.finish()
-    _emit_result(res, cfg.output)
+    _emit_result(res, args.output)
     return 0
 
 
@@ -331,20 +314,12 @@ def cmd_strengths(args) -> int:
     lines.append(f"% distinct_strengths={table.distinct_strength_count()}"
                  f" weight_over_strength={format_weight(table.strength_weight_sum())}"
                  f" n_minus_1={h.n - 1}")
-    text = "\n".join(lines) + "\n"
-    if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write_text("\n".join(lines) + "\n", args.output)
     return 0
 
 
 def cmd_balance(args) -> int:
-    cfg = RunConfig("balance", input=args.input, output=args.output,
-                    gamma=args.gamma)
-    h = _read_hypergraph(cfg.input)
-    assignment = run_balance(h, cfg.gamma)
+    assignment = run_balance(_read_hypergraph(args.input), args.gamma)
     report = is_balanced(assignment)
     lines = [
         f"n={assignment.hypergraph.n} m={assignment.hypergraph.m}"
@@ -360,12 +335,7 @@ def cmd_balance(args) -> int:
             lines.append(f"copy={c} units={units}")
     lines.append(f"balanced={int(report.ok)} checked={report.checked_copies}"
                  f" violations={len(report.violations)}")
-    text = "\n".join(lines) + "\n"
-    if cfg.output:
-        with open(cfg.output, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write_text("\n".join(lines) + "\n", args.output)
     return 0 if report.ok else 1
 
 
@@ -374,6 +344,7 @@ def cmd_verify(args) -> int:
         _read_hypergraph(args.a), _read_hypergraph(args.b), args.epsilon,
         exhaustive_limit=args.exhaustive_limit,
         sample_count=args.cut_samples,
+        record_cap=None if args.csv else 0,  # only the CSV reads per-cut records
         seed=args.seed,
     )
     sys.stdout.write(report_text(rep))

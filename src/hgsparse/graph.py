@@ -61,7 +61,6 @@ class MultiEdge:
     u: int
     v: int
     weight: Fraction
-    tag: object = None
 
     def __post_init__(self):
         if self.u == self.v:

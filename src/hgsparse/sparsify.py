@@ -17,12 +17,22 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Optional
 
-from .balance import BalancedAssignment, run_balance
-from .hypergraph import HyperEdge, WeightedHypergraph, as_weight, format_weight, serialize_hypergraph
+from .balance import BalancedAssignment, check_gamma, run_balance
+from .hypergraph import HyperEdge, WeightedHypergraph, as_weight, serialize_hypergraph
 from .seeds import RNG_ID
 
 CHERNOFF_CONSTANT = 0.38
 RHO_FACTOR = 8
+
+
+def check_epsilon(epsilon: float) -> None:
+    if not 0 < epsilon <= 1:
+        raise ValueError("epsilon must be in (0, 1]")
+
+
+def check_d(d: int) -> None:
+    if not isinstance(d, int) or d < 0:
+        raise ValueError("d must be a nonnegative integer")
 
 
 def theoretical_rho(n: int, epsilon: float, gamma: int, d: int) -> Fraction:
@@ -77,10 +87,8 @@ def make_plan(
     d: int = 1,
     rho_override=None,
 ) -> SamplingPlan:
-    if not 0 < epsilon <= 1:
-        raise ValueError("epsilon must be in (0, 1]")
-    if not isinstance(d, int) or d < 0:
-        raise ValueError("d must be a nonnegative integer")
+    check_epsilon(epsilon)
+    check_d(d)
     n = assignment.hypergraph.n
     if rho_override is None:
         rho = theoretical_rho(n, epsilon, assignment.gamma, d)
@@ -145,8 +153,7 @@ def reduce_weighted(
     least 3/eps, so the expansion is a (1 +- eps/3) proxy for the input.
     Returns (unweighted hypergraph, scale, copy -> input edge index).
     """
-    if not 0 < epsilon <= 1:
-        raise ValueError("epsilon must be in (0, 1]")
+    check_epsilon(epsilon)
     if h.m == 0:
         return WeightedHypergraph(h.n, ()), Fraction(1), ()
     eps = as_weight(epsilon)
@@ -175,15 +182,15 @@ def sparsify_unweighted(
     d: int = 1,
     seed: int = 0,
     rho_override=None,
-    iteration_cap: Optional[int] = None,
 ) -> SparsifierResult:
     """Balance, plan, sample.  With the theoretical rho all cuts land within
     (1 +- 2 eps) of the input with probability 1 - O(n^-d)."""
+    check_epsilon(epsilon)
+    check_gamma(gamma)
+    check_d(d)
     if h.m == 0:
-        if not 0 < epsilon <= 1:
-            raise ValueError("epsilon must be in (0, 1]")
         return SparsifierResult(h, None, seed, 0, 0, Fraction(0), (), {"rng": RNG_ID})
-    assignment = run_balance(h, gamma, iteration_cap)
+    assignment = run_balance(h, gamma)
     plan = make_plan(assignment, epsilon, d, rho_override)
     result = sample_sparsifier(h, plan, seed)
     notes = dict(result.notes)
@@ -202,18 +209,15 @@ def sparsify_weighted(
     gamma: int = 2,
     rho_override=None,
     copy_cap: int = 10**6,
-    iteration_cap: Optional[int] = None,
 ) -> SparsifierResult:
     """Weighted entry point: reduce to unit copies, sparsify those at eps/3,
     then fold sampled copies of the same input edge back together and undo
     the rescaling.  The two eps/3 stages compose to within (1 +- eps)."""
-    if not 0 < epsilon <= 1:
-        raise ValueError("epsilon must be in (0, 1]")
+    check_epsilon(epsilon)
+    check_gamma(gamma)
+    check_d(d)
     reduced, scale, origin = reduce_weighted(h, epsilon, copy_cap)
-    inner = sparsify_unweighted(
-        reduced, epsilon / 3, gamma, d, seed,
-        rho_override=rho_override, iteration_cap=iteration_cap,
-    )
+    inner = sparsify_unweighted(reduced, epsilon / 3, gamma, d, seed, rho_override)
     counts: dict[int, int] = {}
     p_of: dict[int, Fraction] = {}
     for copy_idx in inner.origin:

@@ -257,6 +257,72 @@ class TestExitCodeFuzz:
         assert capsys.readouterr().err.startswith("error: 'utf-8' codec can't decode byte ")
 
 
+class UntouchedStdin:
+    """A stdin that fails the test if anything reads it."""
+
+    def __iter__(self):
+        raise AssertionError("stdin was read")
+
+    def read(self, *args):
+        raise AssertionError("stdin was read")
+
+    readline = read
+
+
+class TestFlagChecks:
+    # every command that takes the flag, with the rest of a valid argv
+    SEED = [["gen", "sunflower", "--n", "3"], ["sparsify", "-e", "0.5"],
+            ["pipeline", "-e", "0.5"], ["stream", "--n", "3", "--m-bound", "5", "-e", "0.5"],
+            ["verify", "-a", "-", "-b", "-", "-e", "0.5"]]
+    GAMMA = [["sparsify", "-e", "0.5"], ["strengths"], ["balance"]]
+    D = [["sparsify", "-e", "0.5"], ["pipeline", "-e", "0.5"],
+         ["stream", "--n", "3", "--m-bound", "5", "-e", "0.5"]]
+    EDGE_CAP = [["gen", "sunflower", "--n", "3"]] + D
+
+    CASES = ([(argv + ["--seed", v], "argument --seed: seed must fit in 64 unsigned bits")
+              for argv in SEED for v in ("-1", str(2**64))]
+             + [(argv + ["-g", "1"], "argument -g/--gamma: gamma must be an integer >= 2")
+                for argv in GAMMA]
+             + [(argv + ["-d", "-1"], "argument -d: d must be nonnegative") for argv in D]
+             + [(argv + ["--edge-cap", "0"], "argument --edge-cap: edge cap must be positive")
+                for argv in EDGE_CAP])
+
+    @pytest.mark.parametrize("argv,message", CASES, ids=[" ".join(a) for a, _ in CASES])
+    def test_bad_value_exits_2_before_reading(self, monkeypatch, capsys, argv, message):
+        monkeypatch.setattr("sys.stdin", UntouchedStdin())
+        assert dispatch(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: hgsparse ")
+        assert err.endswith(f"hgsparse {argv[0]}: error: {message}\n")
+
+    @pytest.mark.parametrize("argv", [["sparsify"], ["pipeline"],
+                                      ["stream", "--n", "3", "--m-bound", "5"]],
+                             ids=lambda a: a[0])
+    def test_bad_epsilon_exits_2_before_reading(self, monkeypatch, capsys, argv):
+        monkeypatch.setattr("sys.stdin", UntouchedStdin())
+        assert dispatch(argv + ["-e", "2"]) == 2
+        assert capsys.readouterr().err == "error: epsilon must be in (0, 1]\n"
+
+    def test_non_integer_keeps_the_argparse_message(self, capsys):
+        assert dispatch(["sparsify", "-e", "0.5", "--seed", "x"]) == 2
+        assert capsys.readouterr().err.endswith(
+            "error: argument --seed: invalid int value: 'x'\n")
+
+    @pytest.mark.parametrize("argv", [["pipeline", "-e", "0.5"],
+                                      ["stream", "--n", "3", "--m-bound", "5", "-e", "0.5"]],
+                             ids=lambda a: a[0])
+    def test_pipeline_and_stream_take_no_gamma(self, monkeypatch, capsys, argv):
+        monkeypatch.setattr("sys.stdin", UntouchedStdin())
+        assert dispatch(argv + ["-g", "2"]) == 2
+        assert "unrecognized arguments: -g 2" in capsys.readouterr().err
+
+    def test_strengths_gamma_checked_on_2_uniform_input(self, tmp_path, capsys):
+        src = tmp_path / "tri.hg"
+        src.write_text("3 3 0\n1 2\n2 3\n1 3\n")
+        assert dispatch(["strengths", "-i", str(src), "-g", "1"]) == 2
+        assert "gamma must be an integer >= 2" in capsys.readouterr().err
+
+
 class TestStrengths:
     def test_multigraph_direct(self, tmp_path, capsys):
         src = tmp_path / "tri.hg"
@@ -321,6 +387,26 @@ class TestVerify:
         lines = csv.read_text().splitlines()
         assert lines[0] == "cut_id,true_w,hat_w,rel_err"
         assert len(lines) == 1 + (2 ** 3 - 1)
+
+    def test_records_kept_only_for_csv(self, tmp_path, monkeypatch, capsys):
+        import hgsparse.cli as cli
+
+        original, reports = cli.all_cuts_report, []
+
+        def recording(*args, **kwargs):
+            reports.append(original(*args, **kwargs))
+            return reports[-1]
+
+        monkeypatch.setattr(cli, "all_cuts_report", recording)
+        a = write_hg(tmp_path / "a.hg", gen_sunflower(2))
+        assert dispatch(["verify", "-a", a, "-b", a, "-e", "0.1"]) == 0
+        plain = capsys.readouterr().out
+        assert reports[-1].records == () and reports[-1].cuts_checked == 7
+        csv = tmp_path / "cuts.csv"
+        assert dispatch(["verify", "-a", a, "-b", a, "-e", "0.1", "--csv", str(csv)]) == 0
+        assert capsys.readouterr().out == plain
+        assert len(reports[-1].records) == 7
+        assert len(csv.read_text().splitlines()) == 1 + 7
 
     def test_negative_epsilon(self, tmp_path, capsys):
         a = write_hg(tmp_path / "a.hg", gen_sunflower(2))

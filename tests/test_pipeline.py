@@ -148,6 +148,11 @@ class TestFastSparsify:
             with pytest.raises(ValueError):
                 fast_sparsify(h, eps)
 
+    def test_d_checked_on_every_input(self):
+        for h in (WeightedHypergraph(3, ()), heavy_light()):
+            with pytest.raises(ValueError, match="d must be a nonnegative integer"):
+                fast_sparsify(h, 0.5, d=-1)
+
     def test_heavy_light_quality(self):
         h = heavy_light()
         for seed in range(3):
@@ -191,6 +196,12 @@ class TestStreaming:
             StreamState(0, 100, 0.5)
         with pytest.raises(ValueError):
             StreamState(3, 100, 1.5)
+
+    def test_d_checked_before_any_edge(self):
+        with pytest.raises(ValueError, match="d must be a nonnegative integer"):
+            StreamState(3, 100, 0.5, d=-1)
+        with pytest.raises(ValueError, match="d must be a nonnegative integer"):
+            stream_sparsify([], 3, 5, 0.5, d=-1)
 
     def test_multilevel_quality_and_memory(self):
         h = gen_random(6, 120, 3, seed=12)

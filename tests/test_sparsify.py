@@ -189,6 +189,28 @@ class TestSparsifyUnweighted:
         assert res.notes["rng"] == "mt19937"
 
 
+@pytest.mark.parametrize("sparsify", [sparsify_unweighted, sparsify_weighted])
+@pytest.mark.parametrize("h", [WeightedHypergraph(3, ()), gen_sunflower(3)],
+                         ids=["empty", "sunflower"])
+class TestParametersChecked:
+    """Bad parameters raise on every input, the empty hypergraph included."""
+
+    def test_gamma(self, sparsify, h):
+        for gamma in (1, 0, 2.0):
+            with pytest.raises(ValueError, match="gamma must be an integer >= 2"):
+                sparsify(h, 0.5, gamma=gamma)
+
+    def test_d(self, sparsify, h):
+        for d in (-1, 1.0):
+            with pytest.raises(ValueError, match="d must be a nonnegative integer"):
+                sparsify(h, 0.5, d=d)
+
+    def test_epsilon(self, sparsify, h):
+        for eps in (0.0, 1.5):
+            with pytest.raises(ValueError, match=r"epsilon must be in \(0, 1\]"):
+                sparsify(h, eps)
+
+
 class TestSparsifyWeighted:
     def test_footnote_quality(self):
         from hgsparse import all_cuts_report
