@@ -19,13 +19,13 @@ from hgsparse import (
 
 h = gen_random(8, 30, 3, seed=5)
 res = sparsify_unweighted(h, 0.5, d=1, seed=0)
+assignment = run_balance(h)
+kappas = make_plan(assignment, 0.5, 1).kappa
 print(f"theoretical rho ~ {float(res.plan.rho):.0f}, "
-      f"max strength {float(max(res.plan.kappa)):.1f}")
+      f"max strength {float(max(kappas)):.1f}")
 print(f"kept {res.m_out}/{res.m_in} edges (all p=1, output is the input)")
 print()
 
-assignment = run_balance(h)
-kappas = make_plan(assignment, 0.5, 1).kappa
 rho = min(kappas) / 2
 plan = make_plan(assignment, 0.5, 1, rho_override=rho)
 from hgsparse import sample_sparsifier

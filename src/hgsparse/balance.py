@@ -96,13 +96,17 @@ def check_gamma(gamma: int) -> None:
         raise ValueError("gamma must be an integer >= 2")
 
 
+def check_unweighted(h: WeightedHypergraph) -> None:
+    if not h.is_unweighted():
+        raise ValueError("balancing expects an unweighted multi-hypergraph")
+
+
 class BalanceState:
     """Mutable loop state; all weights live on the integer delta grid."""
 
     def __init__(self, h: WeightedHypergraph, gamma: int):
         check_gamma(gamma)
-        if not h.is_unweighted():
-            raise ValueError("balancing expects an unweighted multi-hypergraph")
+        check_unweighted(h)
         self.hypergraph = h
         self.n = h.n
         self.m = h.m

@@ -13,11 +13,12 @@ from __future__ import annotations
 
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Optional
 
-from .balance import BalancedAssignment, check_gamma, run_balance
+from .balance import BalancedAssignment, check_gamma, check_unweighted, run_balance
 from .hypergraph import HyperEdge, WeightedHypergraph, as_weight, serialize_hypergraph
 from .seeds import RNG_ID
 
@@ -48,8 +49,27 @@ def theoretical_rho(n: int, epsilon: float, gamma: int, d: int) -> Fraction:
     return Fraction(value)
 
 
+def plan_rho(
+    n: int, epsilon: float, gamma: int, d: int, rho_override=None
+) -> tuple[Fraction, bool]:
+    """The plan's rho, and whether it came from `rho_override`."""
+    if rho_override is None:
+        return theoretical_rho(n, epsilon, gamma, d), False
+    rho = as_weight(rho_override)
+    if rho <= 0:
+        raise ValueError("rho override must be positive")
+    return rho, True
+
+
 @dataclass(frozen=True)
 class SamplingPlan:
+    """Per-copy strengths kappa and keep probabilities p = min(1, rho/kappa).
+
+    When rho is at least the copy count m', balancing is skipped: no strength
+    can exceed the total copy weight m', so p = 1 on every copy, and kappa
+    holds that bound m' rather than each copy's strength.
+    """
+
     epsilon: float
     gamma: int
     d: int
@@ -61,7 +81,6 @@ class SamplingPlan:
 
     def sum_p(self) -> Fraction:
         # p takes one value per group of parallel copies; sum by multiplicity
-        from collections import Counter
         return sum((v * c for v, c in Counter(self.p).items()), Fraction(0))
 
     def size_budget(self) -> Fraction:
@@ -90,14 +109,7 @@ def make_plan(
     check_epsilon(epsilon)
     check_d(d)
     n = assignment.hypergraph.n
-    if rho_override is None:
-        rho = theoretical_rho(n, epsilon, assignment.gamma, d)
-        overridden = False
-    else:
-        rho = as_weight(rho_override)
-        if rho <= 0:
-            raise ValueError("rho override must be positive")
-        overridden = True
+    rho, overridden = plan_rho(n, epsilon, assignment.gamma, d, rho_override)
     # kappa is shared by all copies of a group, so divide once per group
     one = Fraction(1)
     per_group = assignment.kappa_by_group()
@@ -143,6 +155,25 @@ def sample_sparsifier(h: WeightedHypergraph, plan: SamplingPlan, seed: int) -> S
     )
 
 
+def copy_counts(
+    h: WeightedHypergraph, epsilon: float, copy_cap: int = 10**6
+) -> tuple[Fraction, list[int]]:
+    """The scale that lifts the minimum weight of a nonempty h to 3/eps,
+    and each edge's unit-copy count floor(scale * w).  Raises when the
+    counts sum past copy_cap."""
+    eps = as_weight(epsilon)
+    w_min = min(e.weight for e in h.edges)
+    scale = (3 / eps) / w_min
+    counts = [int(scale * e.weight) for e in h.edges]
+    total = sum(counts)
+    if total > copy_cap:
+        raise ValueError(
+            f"reduction needs {total} copies, over the cap {copy_cap}; "
+            "the weight spread is too large for direct reduction, use the bucketed pipeline"
+        )
+    return scale, counts
+
+
 def reduce_weighted(
     h: WeightedHypergraph, epsilon: float, copy_cap: int = 10**6
 ) -> tuple[WeightedHypergraph, Fraction, tuple[int, ...]]:
@@ -156,16 +187,7 @@ def reduce_weighted(
     check_epsilon(epsilon)
     if h.m == 0:
         return WeightedHypergraph(h.n, ()), Fraction(1), ()
-    eps = as_weight(epsilon)
-    w_min = min(e.weight for e in h.edges)
-    scale = (3 / eps) / w_min
-    counts = [int(scale * e.weight) for e in h.edges]
-    total = sum(counts)
-    if total > copy_cap:
-        raise ValueError(
-            f"reduction needs {total} copies, over the cap {copy_cap}; "
-            "the weight spread is too large for direct reduction, use the bucketed pipeline"
-        )
+    scale, counts = copy_counts(h, epsilon, copy_cap)
     edges: list[HyperEdge] = []
     origin: list[int] = []
     for j, (e, c) in enumerate(zip(h.edges, counts)):
@@ -173,6 +195,30 @@ def reduce_weighted(
         edges.extend([unit] * c)
         origin.extend([j] * c)
     return WeightedHypergraph(h.n, tuple(edges)), scale, tuple(origin)
+
+
+def _keep_every_edge(
+    h: WeightedHypergraph,
+    copies: int,
+    epsilon: float,
+    gamma: int,
+    d: int,
+    seed: int,
+    rho: Fraction,
+    overridden: bool,
+    notes: Mapping[str, object],
+) -> SparsifierResult:
+    """The sparsifier when rho >= copies, the unit-copy count behind h.
+
+    Every copy spreads weight 1 over its clique, so no strength exceeds the
+    total copy weight `copies`, and p = min(1, rho/kappa) is 1 on every
+    copy: h is its own sparsifier, and nothing needs balancing or drawing.
+    """
+    bound = Fraction(copies)
+    plan = SamplingPlan(epsilon, gamma, d, rho, h.n, (bound,) * copies,
+                        (Fraction(1),) * copies, overridden)
+    return SparsifierResult(h, plan, seed, h.m, h.m, bound, tuple(range(h.m)),
+                            {"rng": RNG_ID, "balance_iterations": 0, **notes})
 
 
 def sparsify_unweighted(
@@ -190,6 +236,10 @@ def sparsify_unweighted(
     check_d(d)
     if h.m == 0:
         return SparsifierResult(h, None, seed, 0, 0, Fraction(0), (), {"rng": RNG_ID})
+    check_unweighted(h)
+    rho, overridden = plan_rho(h.n, epsilon, gamma, d, rho_override)
+    if rho >= h.m:
+        return _keep_every_edge(h, h.m, epsilon, gamma, d, seed, rho, overridden, {})
     assignment = run_balance(h, gamma)
     plan = make_plan(assignment, epsilon, d, rho_override)
     result = sample_sparsifier(h, plan, seed)
@@ -216,6 +266,15 @@ def sparsify_weighted(
     check_epsilon(epsilon)
     check_gamma(gamma)
     check_d(d)
+    if h.m > 0:
+        scale, per_edge = copy_counts(h, epsilon, copy_cap)
+        copies = sum(per_edge)
+        rho, overridden = plan_rho(h.n, epsilon / 3, gamma, d, rho_override)
+        if rho >= copies:
+            rounded = WeightedHypergraph(h.n, tuple(
+                HyperEdge(e.vertices, Fraction(c) / scale) for e, c in zip(h.edges, per_edge)))
+            return _keep_every_edge(rounded, copies, epsilon / 3, gamma, d, seed, rho,
+                                   overridden, {"scale": scale, "reduced_copies": copies})
     reduced, scale, origin = reduce_weighted(h, epsilon, copy_cap)
     inner = sparsify_unweighted(reduced, epsilon / 3, gamma, d, seed, rho_override)
     counts: dict[int, int] = {}

@@ -41,6 +41,21 @@ def random_hypergraph(n, m, r_max, seed):
     return WeightedHypergraph(n, tuple(edges))
 
 
+def two_cluster(parallel=12):
+    edges = [HyperEdge((1, 2))] * parallel + [HyperEdge((1, 2, 3))]
+    return WeightedHypergraph(3, tuple(edges))
+
+
+# unweighted instances on which the balancing loop has real work to do
+BATCH_INSTANCES = [
+    two_cluster(),
+    two_cluster(30),
+    WeightedHypergraph(4, tuple([HyperEdge((1, 2))] * 9
+                                + [HyperEdge((3, 4))] * 9
+                                + [HyperEdge((1, 2, 3, 4))] * 2)),
+] + [random_hypergraph(6, 12, 4, s) for s in range(6)]
+
+
 @pytest.fixture
 def tmp_hg_file(tmp_path):
     def write(h, name="h.hg"):

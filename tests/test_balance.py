@@ -29,12 +29,7 @@ from hgsparse import (
     transfer_step,
 )
 from hgsparse.balance import AssignmentGroup, BalancedAssignment
-from conftest import random_hypergraph
-
-
-def two_cluster(parallel=12):
-    edges = [HyperEdge((1, 2))] * parallel + [HyperEdge((1, 2, 3))]
-    return WeightedHypergraph(3, tuple(edges))
+from conftest import BATCH_INSTANCES, random_hypergraph, two_cluster
 
 
 def units_of(assignment):
@@ -98,15 +93,6 @@ def drains_parallel_copy(assignment):
     """Some copy with a parallel twin holds zero units on a slot."""
     return any(0 in u for g in assignment.groups if len(g.copies) > 1
                for u in g.overrides.values())
-
-
-BATCH_INSTANCES = [
-    two_cluster(),
-    two_cluster(30),
-    WeightedHypergraph(4, tuple([HyperEdge((1, 2))] * 9
-                                + [HyperEdge((3, 4))] * 9
-                                + [HyperEdge((1, 2, 3, 4))] * 2)),
-] + [random_hypergraph(6, 12, 4, s) for s in range(6)]
 
 
 class TestInit:

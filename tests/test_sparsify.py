@@ -4,12 +4,16 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import BATCH_INSTANCES
 from hgsparse import (
     Cut,
     HyperEdge,
     WeightedHypergraph,
     cut_weight,
+    expected_size_check,
     gen_footnote_graph,
     gen_random,
     gen_sunflower,
@@ -250,6 +254,127 @@ class TestSparsifyWeighted:
             count = sum(1 for j in origin if h.edges[j].vertices == verts)
             assert w == Fraction(count) / scale
             assert abs(w - e.weight) <= e.weight / 2
+
+
+def slow_unweighted(h, epsilon, gamma, d, seed, rho_override):
+    """sparsify_unweighted without the p = 1 shortcut."""
+    assignment = run_balance(h, gamma)
+    plan = make_plan(assignment, epsilon, d, rho_override)
+    return sample_sparsifier(h, plan, seed), assignment
+
+
+def slow_weighted(h, epsilon, gamma, d, seed, rho_override):
+    """sparsify_weighted without the p = 1 shortcut: expand, balance, plan,
+    sample, then fold the kept copies of each input edge."""
+    reduced, scale, origin = reduce_weighted(h, epsilon)
+    inner, assignment = slow_unweighted(reduced, epsilon / 3, gamma, d, seed, rho_override)
+    kept = {}
+    for idx in inner.origin:
+        j = origin[idx]
+        kept[j] = kept.get(j, 0) + Fraction(1) / inner.plan.p[idx]
+    edges = tuple(HyperEdge(h.edges[j].vertices, w / scale) for j, w in sorted(kept.items()))
+    return (WeightedHypergraph(h.n, edges), tuple(sorted(kept)), inner.sum_p, inner.plan,
+            assignment)
+
+
+def took_shortcut(res):
+    """The shortcut's plan holds the copy count m' in every kappa slot."""
+    copies = len(res.plan.kappa)
+    return res.plan.kappa == (Fraction(copies),) * copies
+
+
+@st.composite
+def small_hypergraphs(draw, weighted):
+    n = draw(st.integers(2, 5))
+    edges = []
+    for _ in range(draw(st.integers(1, 4) if weighted else st.integers(2, 8))):
+        verts = tuple(sorted(draw(st.sets(st.integers(1, n), min_size=2, max_size=4))))
+        w = Fraction(draw(st.integers(1, 3)), draw(st.integers(1, 2))) if weighted else 1
+        edges.append(HyperEdge(verts, w))
+    return WeightedHypergraph(n, tuple(edges))
+
+
+class TestKeepEveryEdgeShortcut:
+    """rho >= m' (the unit-copy count) forces p = 1 on every copy, so both
+    samplers return without balancing; the slow path is the oracle."""
+
+    @given(small_hypergraphs(weighted=True), st.sampled_from([1.0, 0.5]),
+           st.sampled_from(["theory", "m'", "m'-1"]), st.integers(0, 3))
+    @settings(max_examples=40, deadline=None)
+    def test_weighted_matches_slow_path(self, h, eps, which, seed):
+        copies = reduce_weighted(h, eps)[0].m
+        rho = {"theory": None, "m'": copies, "m'-1": copies - 1}[which]
+        res = sparsify_weighted(h, eps, seed=seed, rho_override=rho)
+        out, origin, sum_p, plan, assignment = slow_weighted(h, eps, 2, 1, seed, rho)
+        assert res.hypergraph == out
+        assert res.origin == origin
+        assert (res.m_in, res.m_out) == (h.m, len(origin))
+        assert res.sum_p == sum_p
+        assert (res.plan.rho, res.plan.p) == (plan.rho, plan.p)
+        assert res.notes["reduced_copies"] == copies
+        assert max(assignment.kappa_by_copy()) <= copies
+        fired = plan.rho >= copies
+        assert fired == (which != "m'-1")
+        if fired:
+            assert res.notes["balance_iterations"] == 0
+            assert res.plan.kappa == (Fraction(copies),) * copies
+        else:
+            assert res.notes["balance_iterations"] == assignment.iterations
+            assert res.plan.kappa == plan.kappa
+
+    @given(small_hypergraphs(weighted=False), st.sampled_from([1.0, 0.5]),
+           st.sampled_from(["theory", "m", "m-1"]), st.integers(0, 3))
+    @settings(max_examples=40, deadline=None)
+    def test_unweighted_matches_slow_path(self, h, eps, which, seed):
+        rho = {"theory": None, "m": h.m, "m-1": h.m - 1}[which]
+        res = sparsify_unweighted(h, eps, seed=seed, rho_override=rho)
+        slow, assignment = slow_unweighted(h, eps, 2, 1, seed, rho)
+        assert max(assignment.kappa_by_copy()) <= h.m
+        assert res.hypergraph == slow.hypergraph
+        assert res.origin == slow.origin
+        assert (res.m_in, res.m_out, res.sum_p) == (slow.m_in, slow.m_out, slow.sum_p)
+        assert (res.plan.rho, res.plan.p) == (slow.plan.rho, slow.plan.p)
+        if slow.plan.rho >= h.m:
+            assert res.hypergraph == h
+            assert res.notes["balance_iterations"] == 0
+            assert res.plan.kappa == (Fraction(h.m),) * h.m
+        else:
+            assert res.notes["balance_iterations"] == assignment.iterations
+            assert res.plan.kappa == slow.plan.kappa
+
+    def test_no_strength_exceeds_copy_count(self):
+        for h in BATCH_INSTANCES:
+            assert max(run_balance(h).kappa_by_copy()) <= h.m
+
+    def test_sunflower_skips_balancing(self):
+        res = sparsify_unweighted(gen_sunflower(5), 0.5)
+        assert took_shortcut(res) and res.notes["balance_iterations"] == 0
+        assert sample_sparsifier(gen_sunflower(5), res.plan, 0).hypergraph == res.hypergraph
+
+    def test_copy_cap_still_checked(self):
+        h = WeightedHypergraph(2, (HyperEdge((1, 2), 10**6), HyperEdge((1, 2), 1)))
+        with pytest.raises(ValueError, match="use the bucketed pipeline"):
+            sparsify_weighted(h, 0.5, copy_cap=1000, rho_override=10**12)
+
+    def test_weighted_input_still_rejected(self):
+        h = WeightedHypergraph(2, (HyperEdge((1, 2), 2),))
+        with pytest.raises(ValueError, match="balancing expects an unweighted multi-hypergraph"):
+            sparsify_unweighted(h, 0.5, rho_override=10**6)
+
+    @pytest.mark.parametrize("sparsify", [sparsify_unweighted, sparsify_weighted])
+    def test_rho_override_still_checked(self, sparsify):
+        # at the theoretical rho, gen_sunflower(3) takes the shortcut
+        assert took_shortcut(sparsify(gen_sunflower(3), 0.5))
+        for rho in (0, -1, Fraction(-1, 2)):
+            with pytest.raises(ValueError, match="rho override must be positive"):
+                sparsify(gen_sunflower(3), 0.5, rho_override=rho)
+
+    @pytest.mark.parametrize("sparsify", [sparsify_unweighted, sparsify_weighted])
+    def test_within_size_budget(self, sparsify):
+        for h in (gen_sunflower(4), gen_random(6, 10, 3, seed=2)):
+            res = sparsify(h, 0.5)
+            assert took_shortcut(res)
+            assert expected_size_check(res.plan)
 
 
 class TestResultSerialization:
