@@ -155,9 +155,11 @@ def sparsify_parity(
         total_delta += delta
         weight_in = sum((e.weight for e in bucket_edges), Fraction(0))
         weight_out = Fraction(0)
-        for ci, comp in enumerate(comps):
-            edge_ids = [k for k, e in enumerate(contracted.edges)
-                        if e.vertices[0] in comp]
+        comp_of = {v: ci for ci, comp in enumerate(comps) for v in comp}
+        comp_edges: list[list[int]] = [[] for _ in comps]
+        for k, e in enumerate(contracted.edges):
+            comp_edges[comp_of[e.vertices[0]]].append(k)
+        for comp, edge_ids in zip(comps, comp_edges):
             if not edge_ids:
                 continue
             relabel = {v: t for t, v in enumerate(sorted(comp), start=1)}

@@ -1,12 +1,16 @@
 """Strength-proportional sampling of hyperedges.
 
-Given a gamma-balanced clique assignment, each copy is kept independently
-with probability min(1, rho/kappa_e), where kappa_e is the weakest clique
-slot strength of the copy and rho grows like gamma^2 log(n)/eps^2.  Kept
-copies are reweighted by 1/p so every cut is preserved in expectation; the
-concentration constant 0.38 in rho comes from the Chernoff bound used in
-the analysis.  Weighted inputs are first rescaled and expanded into unit
-copies so the unweighted sampler applies.
+Both samplers share one core, which reads edge j as counts[j] unit copies of
+weight 1/scale: one copy per edge at scale 1 for `sparsify_unweighted`; for
+`sparsify_weighted`, the minimum weight is rescaled to 3/eps and each edge is
+rounded down to whole copies (the Benczur-Karger reduction), sampled at eps/3.
+Each copy is kept with probability p = min(1, rho/kappa_e), where kappa_e is
+its weakest clique slot strength under a gamma-balanced assignment and rho
+grows like gamma^2 log(n)/eps^2; the constant 0.38 in rho comes from the
+Chernoff bound used in the analysis.  When rho is at least the copy count m',
+p = 1 on every copy, and nothing is expanded, balanced or drawn.  The kept
+copies of edge j fold into one edge of weight sum(1/p)/scale, so every cut is
+preserved in expectation.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping, Optional
+from typing import Mapping, Optional, Sequence
 
 from .balance import BalancedAssignment, check_gamma, check_unweighted, run_balance
 from .hypergraph import HyperEdge, WeightedHypergraph, as_weight, serialize_hypergraph
@@ -45,7 +49,13 @@ def theoretical_rho(n: int, epsilon: float, gamma: int, d: int) -> Fraction:
     """
     if n < 1:
         raise ValueError("n must be positive")
-    value = RHO_FACTOR * (d + 6) * gamma * gamma * math.log(n) / (CHERNOFF_CONSTANT * epsilon * epsilon)
+    try:
+        value = (RHO_FACTOR * (d + 6) * gamma * gamma * math.log(n)
+                 / (CHERNOFF_CONSTANT * epsilon * epsilon))
+    except (OverflowError, ZeroDivisionError):  # gamma past float range, eps^2 underflows to 0
+        value = math.inf
+    if not math.isfinite(value):
+        raise ValueError("rho is not a finite float: epsilon is too small, or gamma or d too large")
     return Fraction(value)
 
 
@@ -63,11 +73,13 @@ def plan_rho(
 
 @dataclass(frozen=True)
 class SamplingPlan:
-    """Per-copy strengths kappa and keep probabilities p = min(1, rho/kappa).
+    """Per-copy strengths kappa and keep probabilities p = min(1, rho/kappa),
+    indexed by unit copy in the sampler core's copy order.
 
-    When rho is at least the copy count m', balancing is skipped: no strength
-    can exceed the total copy weight m', so p = 1 on every copy, and kappa
-    holds that bound m' rather than each copy's strength.
+    `make_plan` reads kappa off a balanced assignment.  When rho is at least
+    the copy count m', the core skips balancing: no strength can exceed the
+    total copy weight m', so p = 1 on every copy, and kappa holds that bound
+    m' rather than each copy's strength.
     """
 
     epsilon: float
@@ -158,9 +170,15 @@ def sample_sparsifier(h: WeightedHypergraph, plan: SamplingPlan, seed: int) -> S
 def copy_counts(
     h: WeightedHypergraph, epsilon: float, copy_cap: int = 10**6
 ) -> tuple[Fraction, list[int]]:
-    """The scale that lifts the minimum weight of a nonempty h to 3/eps,
-    and each edge's unit-copy count floor(scale * w).  Raises when the
-    counts sum past copy_cap."""
+    """The scale that lifts the minimum weight of h to 3/eps, and each
+    edge's unit-copy count floor(scale * w).  Raises when the counts sum
+    past copy_cap.
+
+    Rounding loses less than one copy per edge against a scaled weight of at
+    least 3/eps, so the copies are a (1 +- eps/3) proxy for the input.
+    """
+    if h.m == 0:
+        return Fraction(1), []
     eps = as_weight(epsilon)
     w_min = min(e.weight for e in h.edges)
     scale = (3 / eps) / w_min
@@ -175,50 +193,65 @@ def copy_counts(
 
 
 def reduce_weighted(
-    h: WeightedHypergraph, epsilon: float, copy_cap: int = 10**6
-) -> tuple[WeightedHypergraph, Fraction, tuple[int, ...]]:
-    """Rescale so the minimum weight is 3/eps, then expand each edge into
-    floor(scaled weight) unit copies.
-
-    Rounding loses less than one copy per edge against a scaled weight of at
-    least 3/eps, so the expansion is a (1 +- eps/3) proxy for the input.
-    Returns (unweighted hypergraph, scale, copy -> input edge index).
-    """
-    check_epsilon(epsilon)
-    if h.m == 0:
-        return WeightedHypergraph(h.n, ()), Fraction(1), ()
-    scale, counts = copy_counts(h, epsilon, copy_cap)
+    h: WeightedHypergraph, counts: Sequence[int]
+) -> tuple[WeightedHypergraph, tuple[int, ...]]:
+    """Expand edge j of h into counts[j] unit-weight copies, in edge order.
+    Returns the copies and, per copy, the index of its input edge."""
     edges: list[HyperEdge] = []
     origin: list[int] = []
     for j, (e, c) in enumerate(zip(h.edges, counts)):
-        unit = HyperEdge(e.vertices, Fraction(1))
+        unit = e if e.weight == 1 else HyperEdge(e.vertices, Fraction(1))
         edges.extend([unit] * c)
         origin.extend([j] * c)
-    return WeightedHypergraph(h.n, tuple(edges)), scale, tuple(origin)
+    return WeightedHypergraph(h.n, tuple(edges)), tuple(origin)
 
 
-def _keep_every_edge(
+def _sparsify_copies(
     h: WeightedHypergraph,
-    copies: int,
+    scale: Fraction,
+    counts: Sequence[int],
     epsilon: float,
     gamma: int,
     d: int,
     seed: int,
-    rho: Fraction,
-    overridden: bool,
+    rho_override,
     notes: Mapping[str, object],
 ) -> SparsifierResult:
-    """The sparsifier when rho >= copies, the unit-copy count behind h.
-
-    Every copy spreads weight 1 over its clique, so no strength exceeds the
-    total copy weight `copies`, and p = min(1, rho/kappa) is 1 on every
-    copy: h is its own sparsifier, and nothing needs balancing or drawing.
-    """
-    bound = Fraction(copies)
-    plan = SamplingPlan(epsilon, gamma, d, rho, h.n, (bound,) * copies,
-                        (Fraction(1),) * copies, overridden)
-    return SparsifierResult(h, plan, seed, h.m, h.m, bound, tuple(range(h.m)),
-                            {"rng": RNG_ID, "balance_iterations": 0, **notes})
+    """The sampler core: edge j of h stands for counts[j] unit copies of
+    weight 1/scale.  The kept copies of edge j fold back into one edge of
+    weight sum(1/p) / scale; edges with no kept copy are dropped."""
+    notes = {"rng": RNG_ID, **notes}
+    if h.m == 0:
+        return SparsifierResult(h, None, seed, 0, 0, Fraction(0), (), notes)
+    copies = sum(counts)
+    rho, overridden = plan_rho(h.n, epsilon, gamma, d, rho_override)
+    # Every copy spreads weight 1 over its clique, so no strength exceeds the
+    # total copy weight m' = copies: rho >= m' makes p = 1 on every copy, and
+    # nothing needs expanding, balancing or drawing.
+    keep_all = rho >= copies
+    if keep_all:
+        sums = {j: Fraction(c) for j, c in enumerate(counts)}
+        notes["balance_iterations"] = 0
+    else:
+        unit, origin = reduce_weighted(h, counts)
+        assignment = run_balance(unit, gamma)
+        plan = make_plan(assignment, epsilon, d, rho_override)
+        sample = sample_sparsifier(unit, plan, seed)
+        sum_p = sample.sum_p
+        notes["balance_iterations"] = assignment.iterations
+        # copies are in edge order, so the sums are too
+        sums = {}
+        for c, e in zip(sample.origin, sample.hypergraph.edges):
+            sums[origin[c]] = sums.get(origin[c], 0) + e.weight
+    out = WeightedHypergraph(h.n, tuple(
+        HyperEdge(h.edges[j].vertices, w / scale) for j, w in sums.items()))
+    if keep_all:
+        # after the output edges: built first, these m'-long tuples were
+        # rescanned by the garbage collector all through the edge loop
+        sum_p = Fraction(copies)
+        plan = SamplingPlan(epsilon, gamma, d, rho, h.n, (sum_p,) * copies,
+                            (Fraction(1),) * copies, overridden)
+    return SparsifierResult(out, plan, seed, h.m, out.m, sum_p, tuple(sums), notes)
 
 
 def sparsify_unweighted(
@@ -234,21 +267,9 @@ def sparsify_unweighted(
     check_epsilon(epsilon)
     check_gamma(gamma)
     check_d(d)
-    if h.m == 0:
-        return SparsifierResult(h, None, seed, 0, 0, Fraction(0), (), {"rng": RNG_ID})
     check_unweighted(h)
-    rho, overridden = plan_rho(h.n, epsilon, gamma, d, rho_override)
-    if rho >= h.m:
-        return _keep_every_edge(h, h.m, epsilon, gamma, d, seed, rho, overridden, {})
-    assignment = run_balance(h, gamma)
-    plan = make_plan(assignment, epsilon, d, rho_override)
-    result = sample_sparsifier(h, plan, seed)
-    notes = dict(result.notes)
-    notes["balance_iterations"] = assignment.iterations
-    return SparsifierResult(
-        result.hypergraph, plan, seed, result.m_in, result.m_out,
-        result.sum_p, result.origin, notes,
-    )
+    return _sparsify_copies(h, Fraction(1), [1] * h.m, epsilon, gamma, d, seed,
+                            rho_override, {})
 
 
 def sparsify_weighted(
@@ -260,48 +281,15 @@ def sparsify_weighted(
     rho_override=None,
     copy_cap: int = 10**6,
 ) -> SparsifierResult:
-    """Weighted entry point: reduce to unit copies, sparsify those at eps/3,
-    then fold sampled copies of the same input edge back together and undo
-    the rescaling.  The two eps/3 stages compose to within (1 +- eps)."""
+    """Weighted entry point: round to unit copies, sample those at eps/3,
+    and fold the kept copies of each input edge back together with the
+    rescaling undone.  The two eps/3 stages compose to within (1 +- eps)."""
     check_epsilon(epsilon)
     check_gamma(gamma)
     check_d(d)
-    if h.m > 0:
-        scale, per_edge = copy_counts(h, epsilon, copy_cap)
-        copies = sum(per_edge)
-        rho, overridden = plan_rho(h.n, epsilon / 3, gamma, d, rho_override)
-        if rho >= copies:
-            rounded = WeightedHypergraph(h.n, tuple(
-                HyperEdge(e.vertices, Fraction(c) / scale) for e, c in zip(h.edges, per_edge)))
-            return _keep_every_edge(rounded, copies, epsilon / 3, gamma, d, seed, rho,
-                                   overridden, {"scale": scale, "reduced_copies": copies})
-    reduced, scale, origin = reduce_weighted(h, epsilon, copy_cap)
-    inner = sparsify_unweighted(reduced, epsilon / 3, gamma, d, seed, rho_override)
-    counts: dict[int, int] = {}
-    p_of: dict[int, Fraction] = {}
-    for copy_idx in inner.origin:
-        j = origin[copy_idx]
-        counts[j] = counts.get(j, 0) + 1
-        p_of[j] = inner.plan.p[copy_idx]
-    kept_edges = []
-    kept_origin = []
-    for j in sorted(counts):
-        w = Fraction(counts[j]) / (p_of[j] * scale)
-        kept_edges.append(HyperEdge(h.edges[j].vertices, w))
-        kept_origin.append(j)
-    notes = dict(inner.notes)
-    notes["scale"] = scale
-    notes["reduced_copies"] = reduced.m
-    return SparsifierResult(
-        hypergraph=WeightedHypergraph(h.n, tuple(kept_edges)),
-        plan=inner.plan,
-        seed=seed,
-        m_in=h.m,
-        m_out=len(kept_edges),
-        sum_p=inner.sum_p,
-        origin=tuple(kept_origin),
-        notes=notes,
-    )
+    scale, counts = copy_counts(h, epsilon, copy_cap)
+    return _sparsify_copies(h, scale, counts, epsilon / 3, gamma, d, seed, rho_override,
+                            {"scale": scale, "reduced_copies": sum(counts)})
 
 
 def result_metadata(result: SparsifierResult) -> str:

@@ -108,6 +108,14 @@ class TestSparsify:
                              "--rho-override", bad]) == 2
             capsys.readouterr()
 
+    def test_tiny_epsilon_exits_2(self, tmp_path, capsys):
+        # past the copy cap check, rho at eps/3 overflows a float
+        src = tmp_path / "in.hg"
+        src.write_text("2 3 1\n1 1 2\n1 2 3\n")
+        assert dispatch(["sparsify", "-i", str(src), "-e", "1e-160",
+                         "--edge-cap", str(10**200)]) == 2
+        assert capsys.readouterr().err.startswith("error: rho is not a finite float")
+
     def test_missing_input(self, tmp_path, capsys):
         assert dispatch(["sparsify", "-i", str(tmp_path / "nope.hg"),
                          "-e", "0.5"]) == 2

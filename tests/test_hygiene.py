@@ -1,6 +1,8 @@
-"""Source hygiene: every name a module imports is used in that module."""
+"""Source hygiene: every name a module imports is used in that module, and
+every module-level private function or class is used somewhere in the package."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -8,6 +10,7 @@ import pytest
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "hgsparse"
 # __init__.py imports names only to re-export them
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+PRIVATE_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
 def unused_imports(source: str) -> list[str]:
@@ -37,3 +40,36 @@ def test_every_import_is_used(path):
 def test_detects_an_unused_import():
     source = "import math\nfrom typing import Iterable, Optional\nx: Optional[int] = None\n"
     assert unused_imports(source) == ["line 1: math", "line 2: Iterable"]
+
+
+def names_used(node) -> Counter:
+    return Counter(n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+                   if isinstance(n, (ast.Name, ast.Attribute)))
+
+
+def unreferenced_privates(sources: dict[str, str]) -> list[str]:
+    """Module-level `_private` functions and classes that no code in
+    `sources` (module name -> text) uses outside their own body."""
+    trees = {module: ast.parse(text) for module, text in sources.items()}
+    used = sum((names_used(tree) for tree in trees.values()), Counter())
+    return sorted(
+        f"{module}: {node.name}"
+        for module, tree in trees.items() for node in tree.body
+        if isinstance(node, PRIVATE_DEFS) and node.name.startswith("_")
+        and not node.name.startswith("__")
+        and used[node.name] == names_used(node)[node.name]
+    )
+
+
+def test_every_private_definition_is_used():
+    sources = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    assert unreferenced_privates(sources) == []
+
+
+def test_detects_an_unused_private_definition():
+    sources = {
+        "a.py": "def _dead():\n    pass\n\n\ndef _loop(n):\n    return _loop(n - 1)\n\n\n"
+                "class _Kept:\n    pass\n\n\ndef _helper():\n    return 1\n",
+        "b.py": "from .a import _Kept\nimport a\nx = _Kept()\ny = a._helper()\n",
+    }
+    assert unreferenced_privates(sources) == ["a.py: _dead", "a.py: _loop"]

@@ -11,7 +11,9 @@ from conftest import BATCH_INSTANCES
 from hgsparse import (
     Cut,
     HyperEdge,
+    SparsifierResult,
     WeightedHypergraph,
+    copy_counts,
     cut_weight,
     expected_size_check,
     gen_footnote_graph,
@@ -48,6 +50,16 @@ class TestTheoreticalRho:
     def test_invalid(self):
         with pytest.raises(ValueError):
             theoretical_rho(0, 0.5, 2, 1)
+
+    @pytest.mark.parametrize("epsilon,gamma", [(1e-200, 2), (1e-160, 2), (0.5, 10**200)],
+                             ids=["eps_squared_underflows", "rho_overflows", "gamma_overflows"])
+    def test_not_finite(self, epsilon, gamma):
+        with pytest.raises(ValueError, match="rho is not a finite float"):
+            theoretical_rho(5, epsilon, gamma, 1)
+
+    def test_tiny_epsilon_in_sampler(self):
+        with pytest.raises(ValueError, match="rho is not a finite float"):
+            sparsify_unweighted(gen_sunflower(3), 1e-160)
 
 
 class TestMakePlan:
@@ -140,21 +152,23 @@ class TestSampleSparsifier:
 class TestReduceWeighted:
     def test_single_edge(self):
         h = WeightedHypergraph(2, (HyperEdge((1, 2), 7),))
-        reduced, scale, origin = reduce_weighted(h, 1.0)
+        scale, counts = copy_counts(h, 1.0)
+        reduced, origin = reduce_weighted(h, counts)
         assert scale == Fraction(3, 7)
         assert reduced.m == 3 and origin == (0, 0, 0)
         assert reduced.is_unweighted()
 
     def test_equal_weights_equal_copies(self):
         h = WeightedHypergraph(3, (HyperEdge((1, 2), 5), HyperEdge((2, 3), 5)))
-        reduced, _, origin = reduce_weighted(h, 0.5)
+        reduced, origin = reduce_weighted(h, copy_counts(h, 0.5)[1])
         assert origin.count(0) == origin.count(1) == 6
 
     def test_copy_count_within_band(self):
         for seed in range(6):
             h = gen_random(6, 8, 3, weighted=True, w_max=40, seed=seed)
             eps = 0.5
-            reduced, scale, origin = reduce_weighted(h, eps)
+            scale, counts = copy_counts(h, eps)
+            reduced, origin = reduce_weighted(h, counts)
             eps_f = Fraction(1, 2)
             for j, e in enumerate(h.edges):
                 c = origin.count(j)
@@ -164,10 +178,12 @@ class TestReduceWeighted:
     def test_cap_error_mentions_pipeline(self):
         h = WeightedHypergraph(2, (HyperEdge((1, 2), 10**6), HyperEdge((1, 2), 1)))
         with pytest.raises(ValueError, match="bucketed pipeline"):
-            reduce_weighted(h, 1.0, copy_cap=100)
+            copy_counts(h, 1.0, copy_cap=100)
 
     def test_empty(self):
-        reduced, scale, origin = reduce_weighted(WeightedHypergraph(3, ()), 0.5)
+        h = WeightedHypergraph(3, ())
+        assert copy_counts(h, 0.5) == (1, [])
+        reduced, origin = reduce_weighted(h, [])
         assert reduced.m == 0 and origin == ()
 
 
@@ -191,6 +207,16 @@ class TestSparsifyUnweighted:
         res = sparsify_unweighted(gen_sunflower(3), 0.5)
         assert "balance_iterations" in res.notes
         assert res.notes["rng"] == "mt19937"
+
+
+@pytest.mark.parametrize("sparsify,notes", [
+    (sparsify_unweighted, {"rng": "mt19937"}),
+    (sparsify_weighted, {"rng": "mt19937", "scale": Fraction(1), "reduced_copies": 0}),
+], ids=["unweighted", "weighted"])
+def test_empty_result_pinned(sparsify, notes):
+    empty = WeightedHypergraph(4, ())
+    assert sparsify(empty, 0.5, seed=3) == SparsifierResult(
+        empty, None, 3, 0, 0, Fraction(0), (), notes)
 
 
 @pytest.mark.parametrize("sparsify", [sparsify_unweighted, sparsify_weighted])
@@ -230,7 +256,7 @@ class TestSparsifyWeighted:
         # parallel-copy unweighted instance up to the 1/scale reweighting
         h = WeightedHypergraph(3, (HyperEdge((1, 2), 2), HyperEdge((2, 3), 2)))
         res = sparsify_weighted(h, 0.5, seed=5)
-        reduced, scale, _ = reduce_weighted(h, 0.5)
+        reduced, _ = reduce_weighted(h, copy_counts(h, 0.5)[1])
         inner = sparsify_unweighted(reduced, 0.5 / 3, seed=5)
         merged = {}
         for idx in inner.origin:
@@ -249,7 +275,8 @@ class TestSparsifyWeighted:
                                    HyperEdge((2, 3), Fraction(15, 4))))
         res = sparsify_weighted(h, 0.5, seed=0)
         assert res.plan is not None and all(p == 1 for p in res.plan.p)
-        reduced, scale, origin = reduce_weighted(h, 0.5)
+        scale, counts = copy_counts(h, 0.5)
+        reduced, origin = reduce_weighted(h, counts)
         for (verts, w), e in zip(edges_of(res.hypergraph), h.edges):
             count = sum(1 for j in origin if h.edges[j].vertices == verts)
             assert w == Fraction(count) / scale
@@ -266,7 +293,8 @@ def slow_unweighted(h, epsilon, gamma, d, seed, rho_override):
 def slow_weighted(h, epsilon, gamma, d, seed, rho_override):
     """sparsify_weighted without the p = 1 shortcut: expand, balance, plan,
     sample, then fold the kept copies of each input edge."""
-    reduced, scale, origin = reduce_weighted(h, epsilon)
+    scale, counts = copy_counts(h, epsilon)
+    reduced, origin = reduce_weighted(h, counts)
     inner, assignment = slow_unweighted(reduced, epsilon / 3, gamma, d, seed, rho_override)
     kept = {}
     for idx in inner.origin:
@@ -302,7 +330,7 @@ class TestKeepEveryEdgeShortcut:
            st.sampled_from(["theory", "m'", "m'-1"]), st.integers(0, 3))
     @settings(max_examples=40, deadline=None)
     def test_weighted_matches_slow_path(self, h, eps, which, seed):
-        copies = reduce_weighted(h, eps)[0].m
+        copies = sum(copy_counts(h, eps)[1])
         rho = {"theory": None, "m'": copies, "m'-1": copies - 1}[which]
         res = sparsify_weighted(h, eps, seed=seed, rho_override=rho)
         out, origin, sum_p, plan, assignment = slow_weighted(h, eps, 2, 1, seed, rho)
