@@ -13,6 +13,9 @@ Copies with the same vertex set behave identically up to which slots are
 positive, so they are grouped: per group we keep one shared slot vector for
 untouched copies plus overrides for touched ones, and badness is decided by
 inspecting only the strongest positively weighted slot of the group.
+
+Strengths live in one `StrengthTree`, built from the initial weights; each
+transfer shifts its unit there (see `transfer_step`).
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional
 
-from .graph import StrengthTable, pair_strengths
+from .graph import StrengthTable, StrengthTree, pair_strengths
 from .hypergraph import WeightedHypergraph
 
 Pair = tuple[int, int]
@@ -127,7 +130,8 @@ class BalanceState:
         for g in self.groups.values():
             for p, agg in zip(g.slots, g.agg_units):
                 self.pair_units[p] = self.pair_units.get(p, 0) + agg
-        self.strengths: dict[Pair, int] = pair_strengths(self.n, self.pair_units)
+        self.tree = StrengthTree(self.n, self.pair_units)
+        self.strengths: dict[Pair, int] = self.tree.strengths
 
         if self.m == 0:
             self.k0_units = 0
@@ -144,9 +148,6 @@ class BalanceState:
             self.ell += 1
         self.K_units = [self.k0_units * gamma**j for j in range(self.ell + 1)]
 
-    def strength_of(self, pair: Pair) -> int:
-        return self.strengths.get(pair, 0)
-
     def interval_index(self, value: int) -> int:
         """0 for value == K_0, else the j with K_{j-1} < value <= K_j."""
         if value < self.k0_units or value > self.K_units[-1]:
@@ -155,9 +156,6 @@ class BalanceState:
                 f"[{self.k0_units}, {self.K_units[-1]}]"
             )
         return bisect_left(self.K_units, value)
-
-    def recompute_strengths(self) -> None:
-        self.strengths = pair_strengths(self.n, self.pair_units)
 
     def strength_histogram(self) -> tuple[int, ...]:
         hist = [0] * (self.ell + 1)
@@ -226,6 +224,7 @@ def find_max_bad(state: BalanceState) -> Optional[BadEdge]:
     the inspected slot.
     """
     best: Optional[BadEdge] = None
+    strengths = state.strengths
     for key in state.sorted_keys:
         g = state.groups[key]
         k_min = None
@@ -233,7 +232,7 @@ def find_max_bad(state: BalanceState) -> Optional[BadEdge]:
         k_max = None
         s_star = None
         for i, p in enumerate(g.slots):
-            s = state.strength_of(p)
+            s = strengths.get(p, 0)
             if k_min is None or s < k_min:
                 k_min, f_min = s, p
             if g.agg_units[i] > 0 and (k_max is None or s > k_max):
@@ -249,8 +248,11 @@ def find_max_bad(state: BalanceState) -> Optional[BadEdge]:
 
 
 def transfer_step(state: BalanceState, copy: int, f_min: Pair, f_max: Pair) -> None:
-    """Move one delta of the copy's weight from f_max to f_min, then refresh
-    strengths."""
+    """Move one delta of the copy's weight from f_max to f_min.  The strength
+    tree shifts the same unit and updates `state.strengths` in place: only
+    blocks whose old min cut loses its certificate run Stoer-Wagner again, and
+    the whole graph is peeled again only when f_max empties or f_min joins two
+    components."""
     g = state.groups[state.hypergraph.edges[copy].vertices]
     i_min = g.slot_index[f_min]
     i_max = g.slot_index[f_max]
@@ -267,7 +269,7 @@ def transfer_step(state: BalanceState, copy: int, f_min: Pair, f_max: Pair) -> N
     state.pair_units[f_max] -= 1
     state.pair_units[f_min] = state.pair_units.get(f_min, 0) + 1
     state.iterations += 1
-    state.recompute_strengths()
+    state.tree.shift(f_max, f_min)
 
 
 def run_balance(

@@ -33,7 +33,7 @@ from .hypergraph import (
     serialize_hypergraph,
 )
 from .pipeline import PipelineError, StreamState, fast_sparsify
-from .sparsify import SparsifierResult, check_epsilon, save_result, sparsify_weighted
+from .sparsify import SamplingError, SparsifierResult, check_epsilon, save_result, sparsify_weighted
 from .verify import EXHAUSTIVE_LIMIT, all_cuts_report, report_csv, report_text
 
 DEFAULT_EDGE_CAP = 10**6
@@ -366,7 +366,7 @@ def dispatch(argv) -> int:
     except (ValueError, ParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (BalanceError, PipelineError) as exc:
+    except (BalanceError, PipelineError, SamplingError) as exc:
         print(f"check failed: {exc}", file=sys.stderr)
         return 1
 

@@ -1,10 +1,20 @@
 """Weighted multigraphs, exact global min cuts, and edge strengths.
 
 The strength of an edge is the largest min-cut value among all induced
-subgraphs containing it.  It is computed by peeling: find a global min cut,
-record its value for every vertex pair inside the component, split along the
-cut, recurse.  A brute-force oracle over all vertex subsets and all cuts
-backs the fast path at small n.
+subgraphs containing it.  It is computed by peeling: find a global min cut
+of each connected component with Stoer-Wagner, split along it, recurse.  A
+pair's strength is the largest cut value on the chain of blocks from its
+component down to the block whose cut separates it.
+
+`StrengthTree` keeps the tree of blocks across the balance loop's unit
+moves.  A move changes each cut by at most 1, so a block's old min cut stays
+a min cut when its new value equals a lower bound on every new cut: the old
+value, or, if the pair that loses the unit lies in the block, the smaller of
+that and one less than the largest cut value on that pair's chain from the
+block down.  Otherwise Stoer-Wagner runs on the block again, and its subtree
+is peeled again if it finds a lighter cut.  The whole graph is peeled again
+when a pair empties or a new pair joins two components.  A brute-force oracle
+over all vertex subsets and all cuts backs the fast path at small n.
 """
 
 from __future__ import annotations
@@ -195,40 +205,115 @@ def global_min_cut(
     return Fraction(val), side
 
 
-def pair_strengths(n: int, pair_weights: Mapping[tuple[int, int], object]) -> dict:
-    """Strengths for every vertex pair that ever shares a connected block.
+class _Block:
+    """A peel-tree node: a connected block, one min cut, the child blocks."""
 
-    Works for any exact numeric weight type (ints for grid arithmetic,
-    Fractions for the public API).  The positive pairs are split into
-    connected components once; each component is then peeled with
-    Stoer-Wagner, every pair of a block taking the largest min-cut value of
-    any block containing it.  Pairs across different components are simply
-    absent, their strength is 0.
-    """
-    adj: dict[int, dict[int, object]] = {}
-    pairs = []
-    for (u, v), w in pair_weights.items():
-        if w <= 0:
-            continue
-        adj.setdefault(u, {})[v] = w
-        adj.setdefault(v, {})[u] = w
-        pairs.append((u, v))
-    strengths: dict[tuple[int, int], object] = {}
-    # both sides of a min cut of a connected graph are connected, so only
-    # the first split, into components, needs UnionFind
-    stack = [sorted(c) for c in UnionFind(range(1, n + 1), pairs).groups()]
-    while stack:
-        block = stack.pop()
-        if len(block) < 2:
-            continue
-        val, side = _stoer_wagner(block, adj)
-        for u, v in itertools.combinations(block, 2):
-            cur = strengths.get((u, v))
-            if cur is None or val > cur:
-                strengths[(u, v)] = val
-        stack.append(sorted(side))
-        stack.append(sorted(set(block) - side))
-    return strengths
+    __slots__ = ("verts", "val", "side", "rest", "kids")
+
+    def __init__(self, verts: frozenset[int]):
+        self.verts = verts
+
+
+class StrengthTree:
+    """Strengths of the pairs inside each component, for any exact weight
+    type, kept with their peel tree; `shift` updates them in place."""
+
+    def __init__(self, n: int, pair_weights: Mapping[tuple[int, int], object]):
+        self.adj: dict[int, dict[int, object]] = {v: {} for v in range(1, n + 1)}
+        for (u, v), w in pair_weights.items():
+            if w > 0:
+                self.adj[u][v] = self.adj[v][u] = w
+        self.strengths: dict[tuple[int, int], object] = {}
+        self._peel()
+
+    def _peel(self) -> None:
+        # both sides of a min cut of a connected graph are connected, so only
+        # the first split, into components, needs UnionFind
+        pairs = ((u, v) for u, row in self.adj.items() for v, w in row.items() if u < v and w)
+        groups = UnionFind(self.adj, pairs).groups()
+        self.comp = {v: i for i, g in enumerate(groups) for v in g}
+        self.roots = [_Block(g) for g in groups]
+        self.strengths.clear()
+        for root in self.roots:
+            if len(root.verts) > 1:
+                self._grow(root)
+                self._label(root, 0)
+
+    def _grow(self, node: _Block, cut=None) -> None:
+        """Peel node's block, along `cut` if given, and every block below."""
+        stack = [(node, cut)]
+        while stack:
+            node, cut = stack.pop()
+            node.val, node.side = cut or _stoer_wagner(node.verts, self.adj)
+            node.rest = node.verts - node.side
+            node.kids = [_Block(part) for part in (node.side, node.rest) if len(part) > 1]
+            stack.extend((kid, None) for kid in node.kids)
+
+    def _cross(self, node: _Block, strength) -> None:
+        s = self.strengths
+        for u in node.side:
+            for v in node.rest:
+                s[(u, v) if u < v else (v, u)] = strength
+
+    def _label(self, node: _Block, top) -> None:
+        """Strengths of the pairs under node, whose ancestors' largest cut is top."""
+        stack = [(node, top)]
+        while stack:
+            node, top = stack.pop()
+            top = max(top, node.val)
+            self._cross(node, top)
+            stack.extend((kid, top) for kid in node.kids)
+
+    def shift(self, src: tuple[int, int], dst: tuple[int, int]) -> None:
+        """Move one unit of weight from pair src to pair dst, keeping each
+        block's cut that still meets the certificate in the module docstring."""
+        adj = self.adj
+        (a, b), (c, d) = src, dst
+        joins = not adj[c].get(d) and self.comp[c] != self.comp[d]
+        adj[a][b] = adj[b][a] = adj[a][b] - 1
+        adj[c][d] = adj[d][c] = adj[c].get(d, 0) + 1
+        if joins or not adj[a][b]:
+            self._peel()
+            return
+        # Every old cut of a block B crossing src also cuts each block below
+        # B that holds src, so it weighed at least the largest cut value k
+        # among them: after the move no cut of B is below min(val, k - 1).
+        chain = [self.roots[self.comp[a]]]
+        while (a in chain[-1].side) == (b in chain[-1].side):
+            chain.append(next(kid for kid in chain[-1].kids if a in kid.verts))
+        bound, k = {}, 0
+        for node in reversed(chain):
+            k = max(k, node.val)
+            bound[node] = min(node.val, k - 1)
+        stack = [(self.roots[i], 0, 0) for i in {self.comp[a], self.comp[c]}]
+        while stack:
+            node, old_top, new_top = stack.pop()
+            verts, side = node.verts, node.side
+            has_src = a in verts and b in verts
+            has_dst = c in verts and d in verts
+            if not (has_src or has_dst):
+                if old_top != new_top:
+                    self._label(node, new_top)
+                continue
+            old = node.val
+            val = (old - (has_src and (a in side) != (b in side))
+                   + (has_dst and (c in side) != (d in side)))
+            if val != bound.get(node, old):
+                cut = _stoer_wagner(verts, adj)
+                if cut[0] != val:
+                    self._grow(node, cut)
+                    self._label(node, new_top)
+                    continue
+            node.val = val
+            old_top, new_top = max(old_top, old), max(new_top, val)
+            if old_top != new_top:
+                self._cross(node, new_top)
+            stack.extend((kid, old_top, new_top) for kid in node.kids)
+
+
+def pair_strengths(n: int, pair_weights: Mapping[tuple[int, int], object]) -> dict:
+    """Strengths for every vertex pair that ever shares a connected block."""
+    return StrengthTree(n, pair_weights).strengths
 
 
 @dataclass(frozen=True)

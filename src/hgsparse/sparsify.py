@@ -30,6 +30,10 @@ CHERNOFF_CONSTANT = 0.38
 RHO_FACTOR = 8
 
 
+class SamplingError(RuntimeError):
+    """A sampling plan broke a bound the analysis proves."""
+
+
 def check_epsilon(epsilon: float) -> None:
     if not 0 < epsilon <= 1:
         raise ValueError("epsilon must be in (0, 1]")
@@ -238,6 +242,10 @@ def _sparsify_copies(
         plan = make_plan(assignment, epsilon, d, rho_override)
         sample = sample_sparsifier(unit, plan, seed)
         sum_p = sample.sum_p
+        # p <= rho/kappa and sum(1/kappa) <= gamma (n-1) on a balanced assignment
+        if sum_p > plan.size_budget():
+            raise SamplingError(f"expected size {sum_p} exceeds rho*gamma*(n-1) = "
+                                f"{plan.size_budget()}")
         notes["balance_iterations"] = assignment.iterations
         # copies are in edge order, so the sums are too
         sums = {}

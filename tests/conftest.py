@@ -1,11 +1,13 @@
 """Shared builders for the test corpus. Everything is seeded and exact."""
 
+import dataclasses
 import random
 from fractions import Fraction
 
 import pytest
 
 from hgsparse import HyperEdge, MultiEdge, WeightedHypergraph, WeightedMultigraph
+from hgsparse import sparsify
 
 
 def mg(n, triples):
@@ -66,3 +68,16 @@ def tmp_hg_file(tmp_path):
         return str(path)
 
     return write
+
+
+@pytest.fixture
+def inflate_p(monkeypatch):
+    """Calling it makes the sampler core plan p = 1 on every copy, which
+    breaks the size bound rho * gamma * (n - 1) on inputs with many copies."""
+    real = sparsify.make_plan
+
+    def inflated(*args, **kwargs):
+        plan = real(*args, **kwargs)
+        return dataclasses.replace(plan, p=(Fraction(1),) * len(plan.p))
+
+    return lambda: monkeypatch.setattr(sparsify, "make_plan", inflated)

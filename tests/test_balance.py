@@ -25,9 +25,11 @@ from hgsparse import (
     gen_sunflower,
     init_weights,
     is_balanced,
+    pair_strengths,
     run_balance,
     transfer_step,
 )
+from hgsparse import graph
 from hgsparse.balance import AssignmentGroup, BalancedAssignment
 from conftest import BATCH_INSTANCES, random_hypergraph, two_cluster
 
@@ -320,6 +322,47 @@ class TestRunBalance:
             edges.append(HyperEdge(tuple(sorted(verts))))
         h = WeightedHypergraph(n, tuple(data.draw(st.permutations(edges))))
         a = run_balance(h)
+        assert reference_balance(h) == (a.iterations, units_of(a))
+
+    @given(st.integers(4, 6), st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_matches_reference_on_skewed_shape(self, n, data):
+        # the benchmark's shape: light 2-4-edges plus a few heavy parallel
+        # pairs, so strengths move on every transfer of the loop
+        verts = st.integers(1, n)
+        edges = []
+        for _ in range(data.draw(st.integers(3, 10))):
+            size = data.draw(st.integers(2, min(4, n)))
+            edges.append(HyperEdge(tuple(sorted(data.draw(
+                st.sets(verts, min_size=size, max_size=size))))))
+        for _ in range(data.draw(st.integers(1, 3))):
+            pair = tuple(sorted(data.draw(st.sets(verts, min_size=2, max_size=2))))
+            edges += [HyperEdge(pair)] * data.draw(st.integers(5, 40))
+        h = WeightedHypergraph(n, tuple(data.draw(st.permutations(edges))))
+        a = run_balance(h)
+        assert reference_balance(h) == (a.iterations, units_of(a))
+        fresh = pair_strengths(n, a.collapsed_units())
+        assert a.strengths.pair_strength == {p: v * a.delta for p, v in fresh.items()}
+
+    def test_about_one_stoer_wagner_per_transfer(self, monkeypatch):
+        # the peel tree re-runs Stoer-Wagner only where a cut loses its
+        # certificate; re-running it on every block the move touches stays
+        # exact but costs over 3 calls per transfer here
+        h = WeightedHypergraph(6, random_hypergraph(6, 12, 4, 0).edges
+                               + (HyperEdge((1, 2)),) * 30 + (HyperEdge((3, 5)),) * 20)
+        calls = []
+        real = graph._stoer_wagner
+
+        def counted(*args):
+            calls.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(graph, "_stoer_wagner", counted)
+        init_weights(h)
+        built = len(calls)
+        a = run_balance(h)
+        assert a.iterations > 100
+        assert len(calls) - 2 * built <= 2 * a.iterations
         assert reference_balance(h) == (a.iterations, units_of(a))
 
 

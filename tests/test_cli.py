@@ -116,6 +116,15 @@ class TestSparsify:
                          "--edge-cap", str(10**200)]) == 2
         assert capsys.readouterr().err.startswith("error: rho is not a finite float")
 
+    def test_size_budget_violation_exits_1(self, tmp_path, capsys, inflate_p):
+        src = write_hg(tmp_path / "in.hg", gen_random(5, 20, 3, seed=1))
+        argv = ["sparsify", "-i", src, "-e", "0.5", "--rho-override", "1"]
+        assert dispatch(argv) == 0
+        capsys.readouterr()
+        inflate_p()
+        assert dispatch(argv) == 1
+        assert "check failed: expected size" in capsys.readouterr().err
+
     def test_missing_input(self, tmp_path, capsys):
         assert dispatch(["sparsify", "-i", str(tmp_path / "nope.hg"),
                          "-e", "0.5"]) == 2

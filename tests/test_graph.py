@@ -17,8 +17,10 @@ from hgsparse import (
     edge_strengths,
     global_min_cut,
     k_strong_components,
+    pair_strengths,
     strength_table_from_pairs,
 )
+from hgsparse.graph import StrengthTree
 from conftest import mg, random_multigraph
 
 TRIANGLE = [(1, 2, 1), (2, 3, 1), (1, 3, 1)]
@@ -174,6 +176,64 @@ class TestStrengthTable:
         t = edge_strengths(mg(n, triples))
         assert t.distinct_strength_count() <= n - 1
         assert t.strength_weight_sum() <= n - 1
+
+
+def shift_and_check(n, weights, moves):
+    """Apply unit moves (src, dst) to a StrengthTree of `weights`.  After
+    every move its strengths must equal a fresh peel, and for n <= 7 the
+    brute-force oracle.  Returns how many moves emptied a pair and how many
+    joined two components."""
+    weights = dict(weights)
+    tree = StrengthTree(n, weights)
+    emptied = joined = 0
+    for src, dst in moves:
+        before = dict(tree.strengths)
+        weights[src] -= 1
+        weights[dst] = weights.get(dst, 0) + 1
+        emptied += weights[src] == 0
+        joined += weights[dst] == 1 and dst not in before
+        tree.shift(src, dst)
+        assert tree.strengths == pair_strengths(n, weights), (src, dst)
+        if n <= 7:
+            g = mg(n, [(u, v, w) for (u, v), w in weights.items() if w])
+            slow = {p: s for p, s in brute_force_strengths(g).items() if s}
+            assert tree.strengths == slow, (src, dst)
+    return emptied, joined
+
+
+class TestStrengthTree:
+    def test_construction_is_pair_strengths(self):
+        weights = {(1, 2): 3, (2, 3): 1, (1, 3): 1, (4, 5): 2, (5, 6): 0}
+        tree = StrengthTree(6, weights)
+        assert tree.strengths == pair_strengths(6, weights) == {
+            (1, 2): 3, (1, 3): 2, (2, 3): 2, (4, 5): 2}
+
+    def test_empty_then_join(self):
+        # the bridge (3, 4) empties, splitting the graph, and is refilled;
+        # then (4, 5) empties while (1, 6) opens inside the component
+        weights = {(u, v): w for u, v, w in BRIDGED}
+        moves = [((3, 4), (1, 2)), ((1, 2), (3, 4)), ((4, 5), (1, 6))]
+        assert shift_and_check(6, weights, moves) == (2, 1)
+
+    @given(st.integers(3, 8), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_unit_moves_match_fresh_peel(self, n, data):
+        pairs = list(itertools.combinations(range(1, n + 1), 2))
+        weights = {p: data.draw(st.integers(0, 4)) for p in pairs}
+        moves = []
+        for _ in range(data.draw(st.integers(1, 25))):
+            positive = [p for p in pairs if weights[p] > 0]
+            if not positive:
+                break
+            src = data.draw(st.sampled_from(positive))
+            dst = data.draw(st.sampled_from([p for p in pairs if p != src]))
+            weights[src] -= 1
+            weights[dst] += 1
+            moves.append((src, dst))
+        for src, dst in reversed(moves):
+            weights[src] += 1
+            weights[dst] -= 1
+        shift_and_check(n, weights, moves)
 
 
 class TestKStrongComponents:

@@ -11,6 +11,7 @@ from conftest import BATCH_INSTANCES
 from hgsparse import (
     Cut,
     HyperEdge,
+    SamplingError,
     SparsifierResult,
     WeightedHypergraph,
     copy_counts,
@@ -281,6 +282,19 @@ class TestSparsifyWeighted:
             count = sum(1 for j in origin if h.edges[j].vertices == verts)
             assert w == Fraction(count) / scale
             assert abs(w - e.weight) <= e.weight / 2
+
+
+class TestSizeBudget:
+    def test_inflated_plan_raises(self, inflate_p):
+        h = gen_random(5, 20, 3, seed=1)
+        for res in (sparsify_unweighted(h, 0.5, rho_override=1),
+                    sparsify_weighted(h, 0.5, rho_override=1)):
+            assert expected_size_check(res.plan)
+        inflate_p()
+        with pytest.raises(SamplingError, match="exceeds"):
+            sparsify_unweighted(h, 0.5, rho_override=1)
+        with pytest.raises(SamplingError, match="exceeds"):
+            sparsify_weighted(h, 0.5, rho_override=1)
 
 
 def slow_unweighted(h, epsilon, gamma, d, seed, rho_override):
