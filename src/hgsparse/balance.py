@@ -16,6 +16,13 @@ inspecting only the strongest positively weighted slot of the group.
 
 Strengths live in one `StrengthTree`, built from the initial weights; each
 transfer shifts its unit there (see `transfer_step`).
+
+A group's verdict (bad or not; its index, weakest and strongest slots) is a
+function of its slots' strengths, its aggregate slot units and the fixed
+levels K_j alone.  So after a transfer only the group that moved the unit and
+the groups holding a pair whose strength changed can change verdict;
+`find_max_bad` re-examines just those and caches the rest, which gives
+exactly the pick of a scan over every group.
 """
 
 from __future__ import annotations
@@ -132,6 +139,13 @@ class BalanceState:
                 self.pair_units[p] = self.pair_units.get(p, 0) + agg
         self.tree = StrengthTree(self.n, self.pair_units)
         self.strengths: dict[Pair, int] = self.tree.strengths
+        self.groups_of: dict[Pair, list[tuple[int, ...]]] = {}
+        for key in self.sorted_keys:
+            for p in self.groups[key].slots:
+                self.groups_of.setdefault(p, []).append(key)
+        # find_max_bad's cache: groups to re-examine, and the bad verdicts
+        self.dirty = set(self.groups)
+        self.bad: dict[tuple[int, ...], tuple] = {}
 
         if self.m == 0:
             self.k0_units = 0
@@ -222,15 +236,18 @@ def find_max_bad(state: BalanceState) -> Optional[BadEdge]:
     holding weight on the strongest slot realizes the group's largest index.
     Ties go to the smallest group key, then the smallest copy index holding
     the inspected slot.
+
+    Only dirty groups are examined: those a transfer moved a unit in, and
+    those holding a pair in the tree's `changed` set.  Every other group's
+    inputs, so its cached verdict, are as at its last examination.
     """
-    best: Optional[BadEdge] = None
-    strengths = state.strengths
-    for key in state.sorted_keys:
+    strengths, dirty, bad = state.strengths, state.dirty, state.bad
+    for p in state.tree.changed:
+        dirty.update(state.groups_of.get(p, ()))
+    state.tree.changed.clear()
+    for key in sorted(dirty):
         g = state.groups[key]
-        k_min = None
-        f_min = None
-        k_max = None
-        s_star = None
+        k_min = f_min = k_max = s_star = None
         for i, p in enumerate(g.slots):
             s = strengths.get(p, 0)
             if k_min is None or s < k_min:
@@ -239,12 +256,17 @@ def find_max_bad(state: BalanceState) -> Optional[BadEdge]:
                 k_max, s_star = s, i
         ind = state.interval_index(k_max)
         if ind == 0 or k_min >= state.K_units[ind - 1]:
-            continue
-        if best is not None and ind <= best.ind:
-            continue
-        copy = g.smallest_positive_holder(s_star)
-        best = BadEdge(copy, key, ind, f_min, g.slots[s_star], k_min, k_max)
-    return best
+            bad.pop(key, None)
+        else:
+            bad[key] = (ind, f_min, s_star, k_min, k_max)
+    dirty.clear()
+    if not bad:
+        return None
+    key = min(bad, key=lambda k: (-bad[k][0], k))
+    ind, f_min, s_star, k_min, k_max = bad[key]
+    g = state.groups[key]
+    return BadEdge(g.smallest_positive_holder(s_star), key, ind, f_min, g.slots[s_star],
+                   k_min, k_max)
 
 
 def transfer_step(state: BalanceState, copy: int, f_min: Pair, f_max: Pair) -> None:
@@ -269,6 +291,7 @@ def transfer_step(state: BalanceState, copy: int, f_min: Pair, f_max: Pair) -> N
     state.pair_units[f_max] -= 1
     state.pair_units[f_min] = state.pair_units.get(f_min, 0) + 1
     state.iterations += 1
+    state.dirty.add(g.key)
     state.tree.shift(f_max, f_min)
 
 

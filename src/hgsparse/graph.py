@@ -15,6 +15,10 @@ block down.  Otherwise Stoer-Wagner runs on the block again, and its subtree
 is peeled again if it finds a lighter cut.  The whole graph is peeled again
 when a pair empties or a new pair joins two components.  A brute-force oracle
 over all vertex subsets and all cuts backs the fast path at small n.
+
+`StrengthTree.changed` collects the pairs whose strength took a new value or
+was dropped, until its owner clears it: exactly where the strengths differ
+from those at the last clear, so a caller can re-examine only what they feed.
 """
 
 from __future__ import annotations
@@ -224,6 +228,7 @@ class StrengthTree:
             if w > 0:
                 self.adj[u][v] = self.adj[v][u] = w
         self.strengths: dict[tuple[int, int], object] = {}
+        self.changed: set[tuple[int, int]] = set()
         self._peel()
 
     def _peel(self) -> None:
@@ -231,13 +236,16 @@ class StrengthTree:
         # the first split, into components, needs UnionFind
         pairs = ((u, v) for u, row in self.adj.items() for v, w in row.items() if u < v and w)
         groups = UnionFind(self.adj, pairs).groups()
-        self.comp = {v: i for i, g in enumerate(groups) for v in g}
+        comp = self.comp = {v: i for i, g in enumerate(groups) for v in g}
         self.roots = [_Block(g) for g in groups]
-        self.strengths.clear()
         for root in self.roots:
             if len(root.verts) > 1:
                 self._grow(root)
                 self._label(root, 0)
+        # labelling covers every pair inside a component; drop the rest
+        for p in [p for p in self.strengths if comp[p[0]] != comp[p[1]]]:
+            del self.strengths[p]
+            self.changed.add(p)
 
     def _grow(self, node: _Block, cut=None) -> None:
         """Peel node's block, along `cut` if given, and every block below."""
@@ -250,10 +258,13 @@ class StrengthTree:
             stack.extend((kid, None) for kid in node.kids)
 
     def _cross(self, node: _Block, strength) -> None:
-        s = self.strengths
+        s, changed = self.strengths, self.changed
         for u in node.side:
             for v in node.rest:
-                s[(u, v) if u < v else (v, u)] = strength
+                p = (u, v) if u < v else (v, u)
+                if s.get(p) != strength:
+                    s[p] = strength
+                    changed.add(p)
 
     def _label(self, node: _Block, top) -> None:
         """Strengths of the pairs under node, whose ancestors' largest cut is top."""

@@ -15,9 +15,9 @@ preserved in expectation.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
-from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
@@ -96,8 +96,10 @@ class SamplingPlan:
     overridden: bool = False
 
     def sum_p(self) -> Fraction:
-        # p takes one value per group of parallel copies; sum by multiplicity
-        return sum((v * c for v, c in Counter(self.p).items()), Fraction(0))
+        # make_plan shares one p object per group of parallel copies, so sum
+        # by run length rather than hashing every copy's Fraction
+        runs = (list(run) for _, run in itertools.groupby(self.p, id))
+        return sum((run[0] * len(run) for run in runs), Fraction(0))
 
     def size_budget(self) -> Fraction:
         """Exact upper bound rho * gamma * (n - 1) on the expected size."""
@@ -143,20 +145,28 @@ def make_plan(
 
 def sample_sparsifier(h: WeightedHypergraph, plan: SamplingPlan, seed: int) -> SparsifierResult:
     """One independent draw per copy, in edge order; kept copies get weight
-    w/p.  Identical (hypergraph, plan, seed) gives identical output."""
+    w/p.  Identical (hypergraph, plan, seed) gives identical output.
+
+    `random()` returns k/2^53, so u < p iff u < ceil(p 2^53)/2^53, an exact
+    float for p < 1; it and 1/p are computed once per run of one p object."""
     if h.m != len(plan.p):
         raise ValueError("plan does not match the hypergraph edge count")
-    rng = random.Random(seed)
+    draw = random.Random(seed).random
     kept: list[HyperEdge] = []
     origin: list[int] = []
-    certain = [pe >= 1 for pe in plan.p]
-    for idx, e in enumerate(h.edges):
-        u = rng.random()
-        if certain[idx]:
+    last = None
+    for idx, (e, pe) in enumerate(zip(h.edges, plan.p)):
+        if pe is not last:
+            last, certain = pe, pe >= 1
+            if not certain:
+                threshold = -(-(pe.numerator << 53) // pe.denominator) / 2**53
+                inv = 1 / pe if pe > 0 else None  # p <= 0 keeps nothing
+        u = draw()
+        if certain:
             kept.append(e)
             origin.append(idx)
-        elif u < plan.p[idx]:
-            kept.append(HyperEdge(e.vertices, e.weight / plan.p[idx]))
+        elif u < threshold:
+            kept.append(HyperEdge(e.vertices, e.weight * inv))
             origin.append(idx)
     out = WeightedHypergraph(h.n, tuple(kept))
     return SparsifierResult(

@@ -49,7 +49,7 @@ def two_cluster(parallel=12):
 
 
 # unweighted instances on which the balancing loop has real work to do
-BATCH_INSTANCES = [
+BALANCE_INSTANCES = [
     two_cluster(),
     two_cluster(30),
     WeightedHypergraph(4, tuple([HyperEdge((1, 2))] * 9

@@ -29,9 +29,9 @@ from hgsparse import (
     run_balance,
     transfer_step,
 )
-from hgsparse import graph
-from hgsparse.balance import AssignmentGroup, BalancedAssignment
-from conftest import BATCH_INSTANCES, random_hypergraph, two_cluster
+from hgsparse import balance, graph
+from hgsparse.balance import AssignmentGroup, BadEdge, BalancedAssignment
+from conftest import BALANCE_INSTANCES, random_hypergraph, two_cluster
 
 
 def units_of(assignment):
@@ -89,6 +89,61 @@ def reference_balance(h, gamma=2):
         units[copy][i_min] += 1
         iterations += 1
         table = strengths()
+
+
+def scan_max_bad(state):
+    """`find_max_bad` as a scan over every group, with no cached verdicts:
+    the bad copy of highest index, ties to the smallest group key, then to
+    the smallest copy holding the group's strongest positive slot."""
+    best = None
+    for key in state.sorted_keys:
+        g = state.groups[key]
+        k_min = f_min = k_max = s_star = None
+        for i, p in enumerate(g.slots):
+            s = state.strengths.get(p, 0)
+            if k_min is None or s < k_min:
+                k_min, f_min = s, p
+            if g.agg_units[i] > 0 and (k_max is None or s > k_max):
+                k_max, s_star = s, i
+        ind = state.interval_index(k_max)
+        if ind == 0 or k_min >= state.K_units[ind - 1]:
+            continue
+        if best is not None and ind <= best.ind:
+            continue
+        copy = g.smallest_positive_holder(s_star)
+        best = BadEdge(copy, key, ind, f_min, g.slots[s_star], k_min, k_max)
+    return best
+
+
+def pick_outcome(pick, state):
+    """The pick, or the message of the BalanceError raised instead."""
+    try:
+        return pick(state)
+    except BalanceError as exc:
+        return str(exc)
+
+
+def drive_against_scan(h, data, steps):
+    """Transfers chosen by the loop's own pick or, when the data says so, any
+    unit move of any copy (which can empty a pair or join two components).
+    After every transfer the cached pick must equal the full scan."""
+    st_ = init_weights(h)
+    assert find_max_bad(st_) == scan_max_bad(st_)
+    for _ in range(steps):
+        bad = pick_outcome(scan_max_bad, st_)
+        if isinstance(bad, BadEdge) and data.draw(st.booleans()):
+            transfer_step(st_, bad.copy, bad.f_min, bad.f_max)
+        else:
+            key = data.draw(st.sampled_from(st_.sorted_keys))
+            g = st_.groups[key]
+            if len(g.slots) < 2:
+                continue
+            copy = data.draw(st.sampled_from(g.copies))
+            units = g.units_for(copy)
+            i_max = data.draw(st.sampled_from([i for i, u in enumerate(units) if u > 0]))
+            i_min = data.draw(st.sampled_from([i for i in range(len(units)) if i != i_max]))
+            transfer_step(st_, copy, g.slots[i_min], g.slots[i_max])
+        assert pick_outcome(scan_max_bad, st_) == pick_outcome(find_max_bad, st_)
 
 
 def drains_parallel_copy(assignment):
@@ -158,6 +213,61 @@ class TestFindMaxBad:
         ratio = max(st.strengths.values()) / min(st.strengths.values())
         assert ratio <= st.gamma
         assert find_max_bad(st) is None
+
+    @given(st.integers(2, 6), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_cached_pick_matches_scan(self, n, data):
+        edges = []
+        for _ in range(data.draw(st.integers(1, 8))):
+            size = data.draw(st.integers(2, n))
+            verts = tuple(sorted(data.draw(
+                st.sets(st.integers(1, n), min_size=size, max_size=size))))
+            edges += [HyperEdge(verts)] * data.draw(st.integers(1, 3))
+        drive_against_scan(WeightedHypergraph(n, tuple(edges)), data, 40)
+
+    @given(st.integers(4, 6), st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_cached_pick_matches_scan_on_skewed_shape(self, n, data):
+        verts = st.integers(1, n)
+        edges = []
+        for _ in range(data.draw(st.integers(3, 10))):
+            size = data.draw(st.integers(2, min(4, n)))
+            edges.append(HyperEdge(tuple(sorted(data.draw(
+                st.sets(verts, min_size=size, max_size=size))))))
+        for _ in range(data.draw(st.integers(1, 3))):
+            pair = tuple(sorted(data.draw(st.sets(verts, min_size=2, max_size=2))))
+            edges += [HyperEdge(pair)] * data.draw(st.integers(5, 40))
+        h = WeightedHypergraph(n, tuple(data.draw(st.permutations(edges))))
+        drive_against_scan(h, data, 60)
+
+    def test_cached_pick_across_split_and_join(self):
+        # draining (1, 3) and then (2, 3) isolates vertex 3, which peels the
+        # whole graph; one unit back on (1, 3) joins it again
+        h = WeightedHypergraph(3, (HyperEdge((1, 2, 3)),) + (HyperEdge((1, 2)),) * 4)
+        st_ = init_weights(h)
+        moves = [((1, 3), (1, 2))] * 3 + [((2, 3), (1, 2))] * 3 + [((1, 2), (1, 3))]
+        for src, dst in moves:
+            transfer_step(st_, 0, dst, src)
+            assert find_max_bad(st_) == scan_max_bad(st_)
+            if st_.iterations == 6:
+                assert (1, 3) not in st_.strengths and (2, 3) not in st_.strengths
+        assert st_.strengths[(1, 3)] == st_.strengths[(2, 3)] == 1
+
+    def test_cached_pick_after_drain_without_strength_change(self):
+        # the min cut of {1,2,3} isolates vertex 1, so moving the spanning
+        # copy's units from (1,2) to (1,3) keeps its value while the other
+        # cuts stay heavier: no strength changes, and only the mover's own
+        # slot weights change the pick, once its strongest slot (1,2) empties
+        h = WeightedHypergraph(4, (HyperEdge((1, 2, 3, 4)),) + (HyperEdge((1, 2)),) * 2
+                               + (HyperEdge((1, 3)),) * 2 + (HyperEdge((2, 3)),) * 3)
+        st_ = init_weights(h)
+        before = dict(st_.strengths)
+        assert find_max_bad(st_).f_max == (1, 2)
+        for _ in range(3):
+            transfer_step(st_, 0, (1, 3), (1, 2))
+            assert st_.tree.changed == set() and st_.strengths == before
+            assert find_max_bad(st_) == scan_max_bad(st_)
+        assert find_max_bad(st_).f_max == (1, 3)
 
 
 class TestTransferStep:
@@ -287,10 +397,10 @@ class TestRunBalance:
                         assert prev is None or w <= prev
                         prev = w
 
-    def test_batched_matches_single_step(self):
+    def test_trace_does_not_change_result(self):
         # a traced run records one pick per transfer; recording must not
         # change where the loop ends
-        for h in BATCH_INSTANCES:
+        for h in BALANCE_INSTANCES:
             fast = run_balance(h)
             trace = []
             slow = run_balance(h, trace=trace)
@@ -301,7 +411,7 @@ class TestRunBalance:
 
     def test_matches_reference_loop(self):
         drained = False
-        for h in BATCH_INSTANCES:
+        for h in BALANCE_INSTANCES:
             a = run_balance(h)
             assert reference_balance(h) == (a.iterations, units_of(a))
             drained = drained or drains_parallel_copy(a)
@@ -363,6 +473,31 @@ class TestRunBalance:
         a = run_balance(h)
         assert a.iterations > 100
         assert len(calls) - 2 * built <= 2 * a.iterations
+        assert reference_balance(h) == (a.iterations, units_of(a))
+
+    def test_pick_reexamines_few_groups(self, monkeypatch):
+        # a transfer changes the strengths of a few pairs, so a pick
+        # re-examines only the groups holding them, not all of them
+        h = WeightedHypergraph(8, random_hypergraph(8, 40, 3, 1).edges
+                               + (HyperEdge((1, 2)),) * 30 + (HyperEdge((3, 5)),) * 20)
+        groups = len(init_weights(h).groups)
+        examined, picks = [], []
+        real_index, real_pick = balance.BalanceState.interval_index, balance.find_max_bad
+
+        def counted_index(state, value):
+            examined.append(1)
+            return real_index(state, value)
+
+        def counted_pick(state):
+            picks.append(1)
+            return real_pick(state)
+
+        monkeypatch.setattr(balance.BalanceState, "interval_index", counted_index)
+        monkeypatch.setattr(balance, "find_max_bad", counted_pick)
+        a = run_balance(h)
+        assert groups >= 30 and a.iterations > 100
+        assert len(picks) == a.iterations + 1
+        assert len(examined) <= len(picks) * groups / 2
         assert reference_balance(h) == (a.iterations, units_of(a))
 
 

@@ -181,19 +181,25 @@ class TestStrengthTable:
 def shift_and_check(n, weights, moves):
     """Apply unit moves (src, dst) to a StrengthTree of `weights`.  After
     every move its strengths must equal a fresh peel, and for n <= 7 the
-    brute-force oracle.  Returns how many moves emptied a pair and how many
-    joined two components."""
+    brute-force oracle, and `changed` must name exactly the pairs whose
+    strength differs from before the move.  Returns how many moves emptied
+    a pair and how many joined two components."""
     weights = dict(weights)
     tree = StrengthTree(n, weights)
+    assert tree.changed == set(tree.strengths)
     emptied = joined = 0
     for src, dst in moves:
         before = dict(tree.strengths)
+        tree.changed.clear()
         weights[src] -= 1
         weights[dst] = weights.get(dst, 0) + 1
         emptied += weights[src] == 0
         joined += weights[dst] == 1 and dst not in before
         tree.shift(src, dst)
         assert tree.strengths == pair_strengths(n, weights), (src, dst)
+        after = tree.strengths
+        assert tree.changed == {p for p in before.keys() | after.keys()
+                                if before.get(p) != after.get(p)}, (src, dst)
         if n <= 7:
             g = mg(n, [(u, v, w) for (u, v), w in weights.items() if w])
             slow = {p: s for p, s in brute_force_strengths(g).items() if s}

@@ -1,17 +1,20 @@
 """Sampling plans, the sampler, and the weighted reduction."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import BATCH_INSTANCES
+from conftest import BALANCE_INSTANCES
+from hgsparse import sparsify
 from hgsparse import (
     Cut,
     HyperEdge,
     SamplingError,
+    SamplingPlan,
     SparsifierResult,
     WeightedHypergraph,
     copy_counts,
@@ -122,6 +125,40 @@ class TestSampleSparsifier:
         res = sample_sparsifier(h, plan, seed=1)
         for idx, e in zip(res.origin, res.hypergraph.edges):
             assert e.weight * plan.p[idx] == h.edges[idx].weight
+
+    def test_threshold_is_exact_at_the_boundary(self, monkeypatch):
+        # random() returns k/2^53: the last k below p * 2^53 keeps the copy
+        # and the first k at or above it drops the copy
+        p = Fraction(1, 3)
+        t = -(-(1 << 53) // 3)
+        assert Fraction(t - 1, 1 << 53) < p < Fraction(t, 1 << 53)
+        draws = iter([(t - 1) / 2**53, t / 2**53])
+        monkeypatch.setattr(sparsify.random, "Random",
+                            lambda seed: type("Stub", (), {"random": lambda _: next(draws)})())
+        h = WeightedHypergraph(2, (HyperEdge((1, 2)),) * 2)
+        plan = SamplingPlan(0.5, 2, 1, Fraction(1), 2, (Fraction(3),) * 2, (p,) * 2)
+        res = sample_sparsifier(h, plan, seed=0)
+        assert res.origin == (0,) and res.hypergraph.edges[0].weight == 3
+
+    @given(st.lists(st.tuples(st.fractions(Fraction(1, 10**20), 1), st.integers(1, 6),
+                              st.fractions(Fraction(1, 4), 4)), min_size=1, max_size=8),
+           st.integers(0, 2**32))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_per_copy_fraction_draws(self, runs, seed):
+        # runs of copies sharing one p object, as make_plan builds them, and
+        # p values with denominators far past 2^53
+        edges, p = [], []
+        for pe, count, w in runs:
+            edges += [HyperEdge((1, 2), w)] * count
+            p += [pe] * count
+        h = WeightedHypergraph(2, tuple(edges))
+        plan = SamplingPlan(0.5, 2, 1, Fraction(1), 2, tuple(p), tuple(p))
+        rng = random.Random(seed)
+        kept = [(idx, e if pe >= 1 else HyperEdge(e.vertices, e.weight / pe))
+                for idx, (e, pe) in enumerate(zip(edges, p)) if rng.random() < pe or pe >= 1]
+        res = sample_sparsifier(h, plan, seed)
+        assert list(zip(res.origin, res.hypergraph.edges)) == kept
+        assert res.sum_p == plan.sum_p() == sum(p)
 
     def test_plan_mismatch(self):
         h = gen_sunflower(2)
@@ -385,7 +422,7 @@ class TestKeepEveryEdgeShortcut:
             assert res.plan.kappa == slow.plan.kappa
 
     def test_no_strength_exceeds_copy_count(self):
-        for h in BATCH_INSTANCES:
+        for h in BALANCE_INSTANCES:
             assert max(run_balance(h).kappa_by_copy()) <= h.m
 
     def test_sunflower_skips_balancing(self):
