@@ -1,4 +1,4 @@
-"""Edge strengths on a small weighted multigraph.
+"""Edge strengths on a small weighted multigraph (a 2-uniform hypergraph).
 
 Two triangles joined by a single bridge.  The bridge can only ever sit in a
 subgraph whose minimum cut is the bridge itself, so its strength stays at its
@@ -8,15 +8,15 @@ answers agree exactly because all arithmetic is rational.
 """
 
 from hgsparse import (
-    MultiEdge,
-    WeightedMultigraph,
+    HyperEdge,
+    WeightedHypergraph,
     brute_force_strengths,
     edge_strengths,
     k_strong_components,
 )
 
 pairs = [(1, 2), (2, 3), (1, 3), (4, 5), (5, 6), (4, 6), (3, 4)]
-g = WeightedMultigraph(6, tuple(MultiEdge(u, v, 1) for u, v in pairs))
+g = WeightedHypergraph(6, tuple(HyperEdge((u, v)) for u, v in pairs))
 
 table = edge_strengths(g)
 brute = brute_force_strengths(g)

@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .balance import BalanceError, is_balanced, run_balance
-from .graph import strength_table_from_pairs
+from .graph import edge_strengths
 from .hypergraph import (
     ParseError,
     WeightedHypergraph,
@@ -296,11 +296,7 @@ def cmd_stream(args) -> int:
 def cmd_strengths(args) -> int:
     h = _read_hypergraph(args.input)
     if all(e.size == 2 for e in h.edges):
-        pairs: dict = {}
-        for e in h.edges:
-            p = (e.vertices[0], e.vertices[1])
-            pairs[p] = pairs.get(p, Fraction(0)) + e.weight
-        table = strength_table_from_pairs(h.n, pairs)
+        table = edge_strengths(h)
     elif h.is_unweighted():
         table = run_balance(h, args.gamma).strengths
     else:

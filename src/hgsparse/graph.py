@@ -1,4 +1,7 @@
-"""Weighted multigraphs, exact global min cuts, and edge strengths.
+"""Edge strengths of a weighted multigraph, and exact global min cuts.
+
+A weighted multigraph is a 2-uniform `WeightedHypergraph`; `collapse` sums
+its parallel edges into pair weights, the form everything here works on.
 
 The strength of an edge is the largest min-cut value among all induced
 subgraphs containing it.  It is computed by peeling: find a global min cut
@@ -28,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .hypergraph import as_weight
+from .hypergraph import WeightedHypergraph, as_weight
 
 
 class UnionFind:
@@ -70,60 +73,23 @@ class UnionFind:
         return sorted((frozenset(g) for g in out.values()), key=min)
 
 
-@dataclass(frozen=True)
-class MultiEdge:
-    u: int
-    v: int
-    weight: Fraction
-
-    def __post_init__(self):
-        if self.u == self.v:
-            raise ValueError("self loops are not allowed")
-        if not isinstance(self.weight, Fraction):
-            object.__setattr__(self, "weight", as_weight(self.weight))
-        if self.weight < 0:
-            raise ValueError("multigraph edge weight must be nonnegative")
-
-    def pair(self) -> tuple[int, int]:
-        return (self.u, self.v) if self.u < self.v else (self.v, self.u)
-
-
-@dataclass(frozen=True)
-class WeightedMultigraph:
-    n: int
-    edges: tuple[MultiEdge, ...]
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("vertex count must be at least 1")
-        if not isinstance(self.edges, tuple):
-            object.__setattr__(self, "edges", tuple(self.edges))
-        for e in self.edges:
-            if min(e.u, e.v) < 1 or max(e.u, e.v) > self.n:
-                raise ValueError(f"edge endpoint out of range [1,{self.n}]")
-
-
-@dataclass(frozen=True)
-class CollapsedGraph:
-    """Parallel edges summed per vertex pair; only positive totals kept."""
-
-    n: int
-    weights: Mapping[tuple[int, int], Fraction]
-
-    def adjacency(self) -> dict[int, dict[int, Fraction]]:
-        adj: dict[int, dict[int, Fraction]] = {v: {} for v in range(1, self.n + 1)}
-        for (u, v), w in self.weights.items():
-            adj[u][v] = w
-            adj[v][u] = w
-        return adj
-
-
-def collapse(g: WeightedMultigraph) -> CollapsedGraph:
+def collapse(h: WeightedHypergraph) -> dict[tuple[int, int], Fraction]:
+    """The pair weights of a 2-uniform hypergraph: parallel edges summed."""
     sums: dict[tuple[int, int], Fraction] = {}
-    for e in g.edges:
-        p = e.pair()
-        sums[p] = sums.get(p, Fraction(0)) + e.weight
-    return CollapsedGraph(g.n, {p: w for p, w in sums.items() if w > 0})
+    for e in h.edges:
+        if e.size != 2:
+            raise ValueError(f"a weighted multigraph needs 2-vertex edges, got {e.vertices}")
+        sums[e.vertices] = sums.get(e.vertices, Fraction(0)) + e.weight
+    return sums
+
+
+def _adjacency(n: int, pair_weights: Mapping[tuple[int, int], object]) -> dict[int, dict]:
+    """Symmetric adjacency rows of vertices 1..n over the positive pairs."""
+    adj: dict[int, dict] = {v: {} for v in range(1, n + 1)}
+    for (u, v), w in pair_weights.items():
+        if w > 0:
+            adj[u][v] = adj[v][u] = w
+    return adj
 
 
 def _stoer_wagner(vertices: Sequence[int], adj) -> tuple[object, frozenset[int]]:
@@ -188,24 +154,26 @@ def _stoer_wagner(vertices: Sequence[int], adj) -> tuple[object, frozenset[int]]
 
 
 def global_min_cut(
-    g: CollapsedGraph, subset: Optional[Iterable[int]] = None
+    h: WeightedHypergraph, subset: Optional[Iterable[int]] = None
 ) -> tuple[Fraction, frozenset[int]]:
-    """Minimum cut value and one achieving side of g restricted to `subset`.
+    """Minimum cut value and one achieving side of the 2-uniform h restricted
+    to `subset`.
 
     Value 0 with a smallest-vertex component as the side when disconnected.
     """
-    verts = sorted(subset) if subset is not None else list(range(1, g.n + 1))
+    weights = collapse(h)
+    verts = sorted(subset) if subset is not None else list(range(1, h.n + 1))
     if len(verts) < 2:
         raise ValueError("min cut needs at least 2 vertices")
     vset = set(verts)
     for v in verts:
-        if not 1 <= v <= g.n:
-            raise ValueError(f"vertex id {v} out of range [1,{g.n}]")
-    inner = (p for p in g.weights if p[0] in vset and p[1] in vset)
+        if not 1 <= v <= h.n:
+            raise ValueError(f"vertex id {v} out of range [1,{h.n}]")
+    inner = (p for p in weights if p[0] in vset and p[1] in vset)
     blocks = UnionFind(verts, inner).groups()
     if len(blocks) > 1:
         return Fraction(0), blocks[0]
-    val, side = _stoer_wagner(verts, g.adjacency())
+    val, side = _stoer_wagner(verts, _adjacency(h.n, weights))
     return Fraction(val), side
 
 
@@ -223,10 +191,7 @@ class StrengthTree:
     type, kept with their peel tree; `shift` updates them in place."""
 
     def __init__(self, n: int, pair_weights: Mapping[tuple[int, int], object]):
-        self.adj: dict[int, dict[int, object]] = {v: {} for v in range(1, n + 1)}
-        for (u, v), w in pair_weights.items():
-            if w > 0:
-                self.adj[u][v] = self.adj[v][u] = w
+        self.adj = _adjacency(n, pair_weights)
         self.strengths: dict[tuple[int, int], object] = {}
         self.changed: set[tuple[int, int]] = set()
         self._peel()
@@ -358,8 +323,9 @@ def strength_table_from_pairs(n: int, weights: Mapping[tuple[int, int], Fraction
     return StrengthTable(n, table, pos)
 
 
-def edge_strengths(g: WeightedMultigraph) -> StrengthTable:
-    return strength_table_from_pairs(g.n, dict(collapse(g).weights))
+def edge_strengths(h: WeightedHypergraph) -> StrengthTable:
+    """Pair strengths of the weighted multigraph given as the 2-uniform h."""
+    return strength_table_from_pairs(h.n, collapse(h))
 
 
 def k_strong_components(table: StrengthTable, k) -> list[frozenset[int]]:
@@ -400,15 +366,15 @@ def _brute_mincut_all_subsets(n: int, pairs: list[tuple[int, Fraction]]) -> dict
     return memo
 
 
-def brute_force_strengths(g: WeightedMultigraph) -> dict[tuple[int, int], Fraction]:
-    """All pair strengths by exhaustive subset and cut enumeration, n <= 16."""
-    if g.n > 16:
+def brute_force_strengths(h: WeightedHypergraph) -> dict[tuple[int, int], Fraction]:
+    """All pair strengths of the 2-uniform h by exhaustive subset and cut
+    enumeration, n <= 16."""
+    if h.n > 16:
         raise ValueError("brute force limited to n <= 16")
-    cg = collapse(g)
-    pairs = [((1 << (u - 1)) | (1 << (v - 1)), w) for (u, v), w in cg.weights.items()]
-    memo = _brute_mincut_all_subsets(g.n, pairs)
+    pairs = [((1 << (u - 1)) | (1 << (v - 1)), w) for (u, v), w in collapse(h).items()]
+    memo = _brute_mincut_all_subsets(h.n, pairs)
     out: dict[tuple[int, int], Fraction] = {}
-    for u, v in itertools.combinations(range(1, g.n + 1), 2):
+    for u, v in itertools.combinations(range(1, h.n + 1), 2):
         pm = (1 << (u - 1)) | (1 << (v - 1))
         best = Fraction(0)
         for xmask, val in memo.items():
@@ -418,16 +384,7 @@ def brute_force_strengths(g: WeightedMultigraph) -> dict[tuple[int, int], Fracti
     return out
 
 
-def brute_force_strength(g: WeightedMultigraph, u: int, v: int) -> Fraction:
-    if g.n > 16:
-        raise ValueError("brute force limited to n <= 16")
-    if u == v or min(u, v) < 1 or max(u, v) > g.n:
+def brute_force_strength(h: WeightedHypergraph, u: int, v: int) -> Fraction:
+    if u == v or min(u, v) < 1 or max(u, v) > h.n:
         raise ValueError("need two distinct in-range vertices")
-    cg = collapse(g)
-    pairs = [((1 << (a - 1)) | (1 << (b - 1)), w) for (a, b), w in cg.weights.items()]
-    pm = (1 << (u - 1)) | (1 << (v - 1))
-    best = Fraction(0)
-    for xmask, val in _brute_mincut_all_subsets(g.n, pairs).items():
-        if xmask & pm == pm and val > best:
-            best = val
-    return best
+    return brute_force_strengths(h)[(min(u, v), max(u, v))]

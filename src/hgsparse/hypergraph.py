@@ -122,12 +122,6 @@ class Cut:
         return Cut(self.n, ((1 << self.n) - 1) ^ self.mask)
 
 
-def crosses(edge_mask: int, cut_mask: int, n: int) -> bool:
-    """An edge crosses a cut iff it has vertices on both sides."""
-    full = (1 << n) - 1
-    return bool(edge_mask & cut_mask) and bool(edge_mask & (full ^ cut_mask))
-
-
 def cut_weight(h: WeightedHypergraph, cut: Cut) -> Fraction:
     if cut.n != h.n:
         raise ValueError("cut and hypergraph disagree on vertex count")

@@ -53,10 +53,11 @@ def bucket_by_weight(h: WeightedHypergraph, epsilon: float) -> WeightBuckets:
     if h.m == 0:
         return WeightBuckets(alpha, Fraction(0), {})
     w0 = min(e.weight for e in h.edges)
+    first_bound = w0 * alpha
     buckets: dict[int, list[int]] = {}
     for idx, e in enumerate(h.edges):
         i = 1
-        bound = w0 * alpha
+        bound = first_bound
         while e.weight >= bound:
             bound *= alpha
             i += 1

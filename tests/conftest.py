@@ -6,13 +6,13 @@ from fractions import Fraction
 
 import pytest
 
-from hgsparse import HyperEdge, MultiEdge, WeightedHypergraph, WeightedMultigraph
+from hgsparse import HyperEdge, WeightedHypergraph
 from hgsparse import sparsify
 
 
 def mg(n, triples):
-    """Multigraph from (u, v, w) triples."""
-    return WeightedMultigraph(n, tuple(MultiEdge(u, v, Fraction(w)) for u, v, w in triples))
+    """Multigraph, as a 2-uniform hypergraph, from (u, v, w) triples."""
+    return WeightedHypergraph(n, tuple(HyperEdge.of((u, v), w) for u, v, w in triples))
 
 
 def random_multigraph(n, m, seed, weighted=True):

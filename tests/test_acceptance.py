@@ -17,9 +17,7 @@ from conftest import random_multigraph
 from hgsparse import (
     Cut,
     HyperEdge,
-    MultiEdge,
     WeightedHypergraph,
-    WeightedMultigraph,
     all_cuts_report,
     brute_force_strengths,
     check_same_component,
@@ -87,7 +85,7 @@ def test_01_strength_matches_brute_force():
         g = random_multigraph(n, m, seed)
         table = edge_strengths(g)
         brute = brute_force_strengths(g)
-        for pair in collapse(g).weights:
+        for pair in collapse(g):
             assert table.strength(*pair) == brute[pair]
         instances += 1
     dt = time.monotonic() - t0
@@ -137,7 +135,7 @@ def test_03_strength_monotonicity_under_weight_increase():
         delta = Fraction(rng.randint(1, 8), rng.randint(1, 4))
         before = edge_strengths(g)
         after = edge_strengths(
-            WeightedMultigraph(n, g.edges + (MultiEdge(f[0], f[1], delta),)))
+            WeightedHypergraph(n, g.edges + (HyperEdge(f, delta),)))
         f_old = before.strength(*f)
         f_new = after.strength(*f)
         for a in range(1, n + 1):

@@ -16,9 +16,7 @@ from hypothesis import strategies as st
 from hgsparse import (
     BalanceError,
     HyperEdge,
-    MultiEdge,
     WeightedHypergraph,
-    WeightedMultigraph,
     edge_strengths,
     find_max_bad,
     format_trace_line,
@@ -57,8 +55,8 @@ def reference_balance(h, gamma=2):
         units.append([base + 1 if i < rem else base for i in range(len(s))])
 
     def strengths():
-        return edge_strengths(WeightedMultigraph(n, tuple(
-            MultiEdge(u, v, w)
+        return edge_strengths(WeightedHypergraph(n, tuple(
+            HyperEdge((u, v), w)
             for s, us in zip(slots, units) for (u, v), w in zip(s, us) if w)))
 
     table = strengths()

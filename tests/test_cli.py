@@ -1,6 +1,7 @@
 """Command-line surface: flags, exit codes, and frozen help text."""
 
 import io
+import itertools
 import shutil
 import subprocess
 from contextlib import redirect_stderr, redirect_stdout
@@ -13,7 +14,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hgsparse import (
+    HyperEdge,
     ParseError,
+    WeightedHypergraph,
+    edge_strengths,
     gen_footnote_graph,
     gen_random,
     gen_sunflower,
@@ -347,6 +351,22 @@ class TestStrengths:
         assert dispatch(["strengths", "-i", str(src)]) == 0
         out = capsys.readouterr().out
         assert "1 2 1 2\n" in out and "distinct_strengths=1" in out
+
+    @given(st.integers(2, 6), st.booleans(), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_2_uniform_prints_edge_strengths(self, n, weighted, data):
+        pairs = list(itertools.combinations(range(1, n + 1), 2))
+        weight = st.fractions(1, 12, max_denominator=4) if weighted else st.just(1)
+        edges = data.draw(st.lists(st.builds(HyperEdge, st.sampled_from(pairs), weight),
+                                   max_size=10))
+        text = serialize_hypergraph(WeightedHypergraph(n, tuple(edges)))
+        out = io.StringIO()
+        with mock.patch("sys.stdin", io.StringIO(text)), redirect_stdout(out):
+            assert dispatch(["strengths"]) == 0
+        rows = [line.split() for line in out.getvalue().splitlines() if line[0] != "%"]
+        printed = {(int(u), int(v)): (Fraction(w), Fraction(k)) for u, v, w, k in rows}
+        table = edge_strengths(parse_hypergraph(text))
+        assert printed == {p: (w, table.strength(*p)) for p, w in table.positive_pairs()}
 
     def test_unit_hypergraph_balanced(self, tmp_path, capsys):
         src = tmp_path / "he.hg"

@@ -1,4 +1,5 @@
-"""Multigraph collapse, min cuts, strengths, and the brute-force oracle."""
+"""Weighted multigraphs given as 2-uniform hypergraphs: collapse of parallel
+edges, min cuts, strengths, and the brute-force oracle."""
 
 import itertools
 from fractions import Fraction
@@ -8,9 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hgsparse import (
-    MultiEdge,
+    HyperEdge,
     UnionFind,
-    WeightedMultigraph,
+    WeightedHypergraph,
     brute_force_strength,
     brute_force_strengths,
     collapse,
@@ -31,61 +32,66 @@ BRIDGED = [(1, 2, 1), (2, 3, 1), (1, 3, 1), (4, 5, 1), (5, 6, 1), (4, 6, 1), (3,
 class TestCollapse:
     def test_parallel_sum(self):
         g = mg(2, [(1, 2, Fraction(1, 2)), (2, 1, Fraction(1, 2))])
-        assert collapse(g).weights == {(1, 2): Fraction(1)}
+        assert collapse(g) == {(1, 2): Fraction(1)}
 
     def test_zero_filtered(self):
-        g = WeightedMultigraph(2, (MultiEdge(1, 2, Fraction(0)),))
-        assert collapse(g).weights == {}
+        assert strength_table_from_pairs(2, {(1, 2): Fraction(0)}).pair_weight == {}
 
     def test_k3_thirds(self):
         g = mg(3, [(u, v, Fraction(1, 3)) for u, v, _ in TRIANGLE])
-        assert collapse(g).weights == {(1, 2): Fraction(1, 3), (2, 3): Fraction(1, 3),
-                                       (1, 3): Fraction(1, 3)}
+        assert collapse(g) == {(1, 2): Fraction(1, 3), (2, 3): Fraction(1, 3),
+                               (1, 3): Fraction(1, 3)}
 
     def test_self_loop_rejected(self):
         with pytest.raises(ValueError):
-            MultiEdge(2, 2, 1)
+            HyperEdge((2, 2))
+
+    @pytest.mark.parametrize("read", [collapse, edge_strengths, global_min_cut,
+                                      brute_force_strengths])
+    def test_hyperedge_rejected(self, read):
+        h = WeightedHypergraph(3, (HyperEdge((1, 2)), HyperEdge((1, 2, 3))))
+        with pytest.raises(ValueError, match="2-vertex edges"):
+            read(h)
 
 
 class TestGlobalMinCut:
     def test_path_bridge(self):
-        val, side = global_min_cut(collapse(mg(3, [(1, 2, 1), (2, 3, 1)])))
+        val, side = global_min_cut(mg(3, [(1, 2, 1), (2, 3, 1)]))
         assert val == 1
 
     def test_triangle(self):
-        val, _ = global_min_cut(collapse(mg(3, TRIANGLE)))
+        val, _ = global_min_cut(mg(3, TRIANGLE))
         assert val == 2
 
     def test_disconnected(self):
-        val, side = global_min_cut(collapse(WeightedMultigraph(2, ())))
+        val, side = global_min_cut(WeightedHypergraph(2, ()))
         assert val == 0 and side == frozenset({1})
 
     def test_too_small(self):
         with pytest.raises(ValueError):
-            global_min_cut(collapse(mg(3, TRIANGLE)), subset=[1])
+            global_min_cut(mg(3, TRIANGLE), subset=[1])
 
     def test_subset_restriction(self):
-        cg = collapse(mg(6, BRIDGED))
-        val, side = global_min_cut(cg, subset=[1, 2, 3])
+        val, side = global_min_cut(mg(6, BRIDGED), subset=[1, 2, 3])
         assert val == 2
 
     def test_deterministic_tiebreak(self):
         # C4: many cuts achieve 2; the contraction order pins one side
-        cg = collapse(mg(4, [(1, 2, 1), (2, 3, 1), (3, 4, 1), (1, 4, 1)]))
-        assert global_min_cut(cg) == (Fraction(2), frozenset({2, 3, 4}))
+        g = mg(4, [(1, 2, 1), (2, 3, 1), (3, 4, 1), (1, 4, 1)])
+        assert global_min_cut(g) == (Fraction(2), frozenset({2, 3, 4}))
 
     def test_exact_over_brute(self):
         for seed in range(10):
             g = random_multigraph(6, 10, seed)
-            cg = collapse(g)
-            val, side = global_min_cut(cg)
+            val, side = global_min_cut(g)
+            weights = collapse(g)
             # brute force over all proper subsets containing vertex 1
             best = None
             for r in range(1, 6):
                 for sub in itertools.combinations(range(2, 7), r):
                     s = {1, *sub} if r < 5 else set(sub)
                     total = Fraction(0)
-                    for (u, v), w in cg.weights.items():
+                    for (u, v), w in weights.items():
                         if (u in s) != (v in s):
                             total += w
                     best = total if best is None or total < best else best
@@ -109,12 +115,11 @@ class TestEdgeStrengths:
         assert t.strength(1, 2) == 5
 
     def test_zero_weight_edge_inherits_pair(self):
-        g = WeightedMultigraph(3, (MultiEdge(1, 2, Fraction(0)),
-                                   MultiEdge(1, 2, Fraction(3)),
-                                   MultiEdge(2, 3, Fraction(1))))
-        t = edge_strengths(g)
-        # the zero edge sits inside pair (1,2) whose collapsed weight is 3
+        t = strength_table_from_pairs(3, {(1, 2): Fraction(3), (1, 3): Fraction(0),
+                                          (2, 3): Fraction(1)})
+        # the zero pair carries no weight and leaves pair (1,2) at weight 3
         assert t.strength(1, 2) == 3
+        assert (1, 3) not in t.pair_weight
 
     def test_absent_pair_strength_zero(self):
         t = edge_strengths(mg(4, [(1, 2, 1)]))
@@ -125,7 +130,7 @@ class TestEdgeStrengths:
             g = random_multigraph(6, 9, seed)
             fast = edge_strengths(g)
             slow = brute_force_strengths(g)
-            for (u, v), w in collapse(g).weights.items():
+            for (u, v), w in collapse(g).items():
                 assert fast.strength(u, v) == slow[(u, v)], (seed, u, v)
 
     def test_brute_force_single(self):
@@ -135,7 +140,7 @@ class TestEdgeStrengths:
         with pytest.raises(ValueError):
             brute_force_strength(g, 1, 1)
         with pytest.raises(ValueError):
-            brute_force_strengths(WeightedMultigraph(17, ()))
+            brute_force_strengths(WeightedHypergraph(17, ()))
 
 
 class TestStrengthTable:
@@ -155,12 +160,12 @@ class TestStrengthTable:
     def test_strength_at_least_component_mincut(self):
         for seed in range(8):
             g = random_multigraph(6, 10, seed)
-            cg = collapse(g)
-            if not cg.weights:
+            weights = collapse(g)
+            if not weights:
                 continue
             t = edge_strengths(g)
-            val, _ = global_min_cut(cg)
-            for p in cg.weights:
+            val, _ = global_min_cut(g)
+            for p in weights:
                 assert t.strength(*p) >= val
 
     @given(st.integers(2, 7), st.data())
@@ -285,7 +290,7 @@ class TestWeightIncreaseMonotonicity:
         for seed in range(30):
             rng = _random.Random(seed)
             g = random_multigraph(6, 9, seed)
-            pairs = dict(collapse(g).weights)
+            pairs = collapse(g)
             if not pairs:
                 continue
             f = sorted(pairs)[rng.randrange(len(pairs))]

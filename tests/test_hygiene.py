@@ -1,5 +1,6 @@
-"""Source hygiene: every name a module imports is used in that module, and
-every module-level private function or class is used somewhere in the package."""
+"""Source hygiene: every name a module imports is used in that module, every
+module-level private function or class is used somewhere in the package, and
+every public export is read by some code."""
 
 import ast
 from collections import Counter
@@ -7,7 +8,8 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "hgsparse"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "hgsparse"
 # __init__.py imports names only to re-export them
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 PRIVATE_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
@@ -73,3 +75,28 @@ def test_detects_an_unused_private_definition():
         "b.py": "from .a import _Kept\nimport a\nx = _Kept()\ny = a._helper()\n",
     }
     assert unreferenced_privates(sources) == ["a.py: _dead", "a.py: _loop"]
+
+
+def names_loaded(source: str) -> set[str]:
+    """Names the code reads, bare or as an attribute; an import or a comment
+    alone reads nothing."""
+    return {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(ast.parse(source))
+            if isinstance(n, (ast.Name, ast.Attribute)) and isinstance(n.ctx, ast.Load)}
+
+
+def unloaded_exports(exported: list[str], sources: list[str]) -> list[str]:
+    loaded = set().union(*map(names_loaded, sources))
+    return sorted(set(exported) - loaded)
+
+
+def test_every_export_is_loaded():
+    import hgsparse
+
+    users = [p for d in ("tests", "demos", "perfbench") for p in sorted((ROOT / d).rglob("*.py"))]
+    sources = [p.read_text() for p in MODULES + users]
+    assert unloaded_exports(hgsparse.__all__, sources) == []
+
+
+def test_detects_an_unloaded_export():
+    sources = ["from pkg import a, b, c\n# c is only named here\nx = a()\nb = pkg.b\nc = 1\n"]
+    assert unloaded_exports(["a", "b", "c"], sources) == ["c"]
