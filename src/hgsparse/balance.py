@@ -373,12 +373,6 @@ class BalancedAssignment:
                     total[p] = total.get(p, 0) + agg
         return total
 
-    def weight_of(self, copy: int, pair: Pair) -> Fraction:
-        for g in self.groups:
-            if copy in g.copies and pair in g.slots:
-                return g.units_for(copy)[g.slots.index(pair)] * self.delta
-        raise KeyError((copy, pair))
-
     def kappa_by_group(self) -> dict[tuple[int, ...], Fraction]:
         """Weakest clique slot strength per group (all slots, zero or not)."""
         out = {}

@@ -305,7 +305,7 @@ def cmd_strengths(args) -> int:
             "hyperedges have no canonical clique weights before balancing"
         )
     lines = ["% u v weight strength"]
-    for (u, v), w in sorted(table.positive_pairs()):
+    for (u, v), w in sorted(table.pair_weight.items()):
         lines.append(f"{u} {v} {format_weight(w)} {format_weight(table.strength(u, v))}")
     lines.append(f"% distinct_strengths={table.distinct_strength_count()}"
                  f" weight_over_strength={format_weight(table.strength_weight_sum())}"

@@ -1,4 +1,5 @@
-"""Edge strengths of a weighted multigraph, and exact global min cuts.
+"""Edge strengths of a weighted multigraph, its strong components, and a
+brute-force strength oracle.
 
 A weighted multigraph is a 2-uniform `WeightedHypergraph`; `collapse` sums
 its parallel edges into pair weights, the form everything here works on.
@@ -29,7 +30,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .hypergraph import WeightedHypergraph, as_weight
 
@@ -151,30 +152,6 @@ def _stoer_wagner(vertices: Sequence[int], adj) -> tuple[object, frozenset[int]]
                 w[i][s] = ws[i]
         active.remove(t)
     return best_val, frozenset(best_side)
-
-
-def global_min_cut(
-    h: WeightedHypergraph, subset: Optional[Iterable[int]] = None
-) -> tuple[Fraction, frozenset[int]]:
-    """Minimum cut value and one achieving side of the 2-uniform h restricted
-    to `subset`.
-
-    Value 0 with a smallest-vertex component as the side when disconnected.
-    """
-    weights = collapse(h)
-    verts = sorted(subset) if subset is not None else list(range(1, h.n + 1))
-    if len(verts) < 2:
-        raise ValueError("min cut needs at least 2 vertices")
-    vset = set(verts)
-    for v in verts:
-        if not 1 <= v <= h.n:
-            raise ValueError(f"vertex id {v} out of range [1,{h.n}]")
-    inner = (p for p in weights if p[0] in vset and p[1] in vset)
-    blocks = UnionFind(verts, inner).groups()
-    if len(blocks) > 1:
-        return Fraction(0), blocks[0]
-    val, side = _stoer_wagner(verts, _adjacency(h.n, weights))
-    return Fraction(val), side
 
 
 class _Block:
@@ -302,9 +279,6 @@ class StrengthTable:
         p = (u, v) if u < v else (v, u)
         return self.pair_strength.get(p, Fraction(0))
 
-    def positive_pairs(self) -> Iterable[tuple[tuple[int, int], Fraction]]:
-        return self.pair_weight.items()
-
     def distinct_strength_count(self) -> int:
         return len({self.pair_strength[p] for p in self.pair_weight})
 
@@ -382,9 +356,3 @@ def brute_force_strengths(h: WeightedHypergraph) -> dict[tuple[int, int], Fracti
                 best = val
         out[(u, v)] = best
     return out
-
-
-def brute_force_strength(h: WeightedHypergraph, u: int, v: int) -> Fraction:
-    if u == v or min(u, v) < 1 or max(u, v) > h.n:
-        raise ValueError("need two distinct in-range vertices")
-    return brute_force_strengths(h)[(min(u, v), max(u, v))]

@@ -12,7 +12,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 Weight = Fraction
 
@@ -51,10 +51,6 @@ class HyperEdge:
         if self.weight <= 0:
             raise ValueError("hyperedge weight must be positive")
 
-    @classmethod
-    def of(cls, vertices: Iterable[int], weight=1) -> "HyperEdge":
-        return cls(tuple(sorted(set(vertices))), as_weight(weight))
-
     @property
     def size(self) -> int:
         return len(self.vertices)
@@ -90,9 +86,6 @@ class WeightedHypergraph:
     def is_unweighted(self) -> bool:
         return all(e.weight == 1 for e in self.edges)
 
-    def total_weight(self) -> Fraction:
-        return sum((e.weight for e in self.edges), Fraction(0))
-
 
 @dataclass(frozen=True)
 class Cut:
@@ -105,21 +98,6 @@ class Cut:
         full = (1 << self.n) - 1
         if self.mask <= 0 or self.mask >= full:
             raise ValueError("cut side must be a nonempty proper vertex subset")
-
-    @classmethod
-    def from_side(cls, vertices: Iterable[int], n: int) -> "Cut":
-        m = 0
-        for v in vertices:
-            if not 1 <= v <= n:
-                raise ValueError(f"vertex id {v} out of range [1,{n}]")
-            m |= 1 << (v - 1)
-        return cls(n, m)
-
-    def side(self) -> tuple[int, ...]:
-        return tuple(v for v in range(1, self.n + 1) if self.mask >> (v - 1) & 1)
-
-    def complement(self) -> "Cut":
-        return Cut(self.n, ((1 << self.n) - 1) ^ self.mask)
 
 
 def cut_weight(h: WeightedHypergraph, cut: Cut) -> Fraction:

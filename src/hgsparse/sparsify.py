@@ -235,10 +235,11 @@ def _sparsify_copies(
     weight 1/scale.  The kept copies of edge j fold back into one edge of
     weight sum(1/p) / scale; edges with no kept copy are dropped."""
     notes = {"rng": RNG_ID, **notes}
+    # checked before the empty return, so a bad rho raises on every input
+    rho, overridden = plan_rho(h.n, epsilon, gamma, d, rho_override)
     if h.m == 0:
         return SparsifierResult(h, None, seed, 0, 0, Fraction(0), (), notes)
     copies = sum(counts)
-    rho, overridden = plan_rho(h.n, epsilon, gamma, d, rho_override)
     # Every copy spreads weight 1 over its clique, so no strength exceeds the
     # total copy weight m' = copies: rho >= m' makes p = 1 on every copy, and
     # nothing needs expanding, balancing or drawing.

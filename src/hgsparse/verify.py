@@ -1,9 +1,9 @@
-"""Brute-force quality checks: exhaustive cut comparison and plan audits.
+"""Brute-force quality checks: every cut of a sparsifier against its input.
 
-Everything here recomputes from first principles: cut weights by direct
-enumeration, component structure from the weights actually stored on an
-assignment.  Errors are exact rationals; the only float is the infinity
-reported when a sparsifier invents weight on a cut the input does not have.
+Cut weights are recomputed by direct enumeration, over all cuts up to an
+exhaustive limit and over a seeded uniform sample above it.  Errors are exact
+rationals; the only float is the infinity reported when a sparsifier invents
+weight on a cut the input does not have.
 """
 
 from __future__ import annotations
@@ -15,11 +15,8 @@ from decimal import Decimal, localcontext
 from fractions import Fraction
 from typing import Optional
 
-from .balance import BalancedAssignment
-from .graph import UnionFind
 from .hypergraph import WeightedHypergraph
 from .seeds import child_seed
-from .sparsify import SamplingPlan, sparsify_unweighted, sparsify_weighted
 
 EXHAUSTIVE_LIMIT = 20
 
@@ -197,92 +194,3 @@ def report_csv(report: QualityReport) -> str:
     for r in report.records:
         lines.append(f"{r.cut_id},{r.true_w},{r.hat_w},{_err_str(r.rel_err)}")
     return "\n".join(lines) + "\n"
-
-
-def check_same_component(assignment: BalancedAssignment, plan: SamplingPlan) -> bool:
-    """For every threshold rho * 2^i with survivors, the strong pairs must
-    connect each surviving copy internally.
-
-    Survivors at level i are copies with kappa >= rho * 2^i; the pair graph
-    keeps positively weighted slots of strength >= the same threshold.  Each
-    surviving copy's vertex set has to land inside one component of that
-    graph, else sampling could disconnect what the plan treats as strongly
-    connected.
-    """
-    h = assignment.hypergraph
-    if h.m != len(plan.kappa):
-        raise ValueError("plan does not match the assignment's hypergraph")
-    table = assignment.strengths
-    positive = [p for p, u in assignment.collapsed_units().items() if u > 0]
-    kappa_top = max(plan.kappa, default=Fraction(0))
-    i = 0
-    while True:
-        threshold = plan.rho * (1 << i)
-        if threshold > kappa_top:
-            return True  # E_{>=i} empty here and for every larger i
-        survivors = [c for c in range(h.m) if plan.kappa[c] >= threshold]
-        if not survivors:
-            return True
-        uf = UnionFind(range(1, h.n + 1),
-                       (p for p in positive if table.strength(*p) >= threshold))
-        for c in survivors:
-            verts = h.edges[c].vertices
-            root = uf.find(verts[0])
-            if any(uf.find(v) != root for v in verts[1:]):
-                return False
-        i += 1
-
-
-def expected_size_check(plan: SamplingPlan) -> bool:
-    """Exact rational check that the expected kept-copy count stays under
-    rho * gamma * (n - 1)."""
-    return plan.sum_p() <= plan.size_budget()
-
-
-@dataclass(frozen=True)
-class ConcentrationSummary:
-    failure_count: int
-    reports: tuple[QualityReport, ...]
-
-
-def concentration_trial(
-    h: WeightedHypergraph,
-    epsilon: float,
-    d: int,
-    trials: int,
-    seed: int,
-    gamma: int = 2,
-    rho_override=None,
-) -> ConcentrationSummary:
-    """Sparsify end to end `trials` times under derived seeds and count the
-    runs whose worst cut error exceeds 2 * epsilon.
-
-    With the theoretical rho the per-run failure probability is O(n^-d), so
-    a desk-scale batch should come back clean; shrinking rho via the
-    override makes failures visible on purpose.
-    """
-    if trials < 0:
-        raise ValueError("trial count must be nonnegative")
-    reports: list[QualityReport] = []
-    failures = 0
-    target = 2 * epsilon
-    unweighted = h.is_unweighted()
-    for t in range(trials):
-        run_seed = child_seed(seed, "trial", t)
-        if unweighted:
-            res = sparsify_unweighted(
-                h, epsilon, gamma=gamma, d=d, seed=run_seed, rho_override=rho_override
-            )
-        else:
-            res = sparsify_weighted(
-                h, epsilon, d=d, seed=run_seed, gamma=gamma, rho_override=rho_override
-            )
-        rep = all_cuts_report(
-            h, res.hypergraph, target,
-            seed=run_seed,
-            rho=res.plan.rho if res.plan is not None else None,
-        )
-        reports.append(rep)
-        if not rep.passed:
-            failures += 1
-    return ConcentrationSummary(failures, tuple(reports))

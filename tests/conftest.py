@@ -11,8 +11,10 @@ from hgsparse import sparsify
 
 
 def mg(n, triples):
-    """Multigraph, as a 2-uniform hypergraph, from (u, v, w) triples."""
-    return WeightedHypergraph(n, tuple(HyperEdge.of((u, v), w) for u, v, w in triples))
+    """Multigraph, as a 2-uniform hypergraph, from (u, v, w) triples with
+    u and v in either order."""
+    edges = (HyperEdge((min(u, v), max(u, v)), w) for u, v, w in triples)
+    return WeightedHypergraph(n, tuple(edges))
 
 
 def random_multigraph(n, m, seed, weighted=True):

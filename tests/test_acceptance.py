@@ -20,11 +20,9 @@ from hgsparse import (
     WeightedHypergraph,
     all_cuts_report,
     brute_force_strengths,
-    check_same_component,
     child_seed,
     cut_weight,
     edge_strengths,
-    expected_size_check,
     gen_example,
     gen_footnote_graph,
     gen_random,
@@ -38,6 +36,7 @@ from hgsparse import (
     stream_sparsify,
     strength_table_from_pairs,
 )
+from oracles import check_same_component, mask_of
 from hgsparse.graph import collapse
 
 
@@ -167,7 +166,7 @@ def test_04_balance_terminates_and_invariants_hold():
         assert a.iterations == len(trace) <= h.m * a.ell * h.n * h.n
         assert is_balanced(a).ok
         k_top = a.k0 * 2 ** a.ell
-        for (u, v), w in a.strengths.positive_pairs():
+        for u, v in a.strengths.pair_weight:
             assert a.k0 <= a.strengths.strength(u, v) <= k_top
         for rec in trace:
             # hist indexes strengths into [K0, K0*gamma^ell]; building it
@@ -203,12 +202,12 @@ def test_05_expected_size_within_budget(balanced_corpus):
         for eps in (0.25, 1.0):
             for rho in overrides:
                 plan = make_plan(assignment, eps, 1, rho_override=rho)
-                assert expected_size_check(plan), (label, eps, rho)
+                assert plan.sum_p() <= plan.size_budget(), (label, eps, rho)
                 plans += 1
     for seed in range(5):
         h = gen_random(6, 10, 3, weighted=True, w_max=50, seed=seed)
         res = sparsify_weighted(h, 0.5, seed=seed, copy_cap=10**7)
-        assert expected_size_check(res.plan)
+        assert res.plan.sum_p() <= res.plan.size_budget()
         plans += 1
     print(f"[PASS] criterion 5: sum p <= rho*gamma*(n-1) exactly on "
           f"{plans} plans")
@@ -230,7 +229,7 @@ def test_06_sampled_cuts_concentrate_and_unbiased():
     kappas = make_plan(assignment, eps, 1).kappa
     plan = make_plan(assignment, eps, 1, rho_override=min(kappas) / 2)
     assert all(p < 1 for p in plan.p)
-    cut = Cut.from_side(range(1, 6), 10)
+    cut = Cut(10, mask_of(range(1, 6)))
     true_w = cut_weight(h, cut)
     assert true_w > 0
     n_trials = 10**4

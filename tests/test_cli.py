@@ -366,7 +366,7 @@ class TestStrengths:
         rows = [line.split() for line in out.getvalue().splitlines() if line[0] != "%"]
         printed = {(int(u), int(v)): (Fraction(w), Fraction(k)) for u, v, w, k in rows}
         table = edge_strengths(parse_hypergraph(text))
-        assert printed == {p: (w, table.strength(*p)) for p, w in table.positive_pairs()}
+        assert printed == {p: (w, table.strength(*p)) for p, w in table.pair_weight.items()}
 
     def test_unit_hypergraph_balanced(self, tmp_path, capsys):
         src = tmp_path / "he.hg"

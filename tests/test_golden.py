@@ -4,12 +4,16 @@
 (every copy has p = 1) and at `--rho-override 3` (balanced and sampled),
 plus one `pipeline` and one `stream` run.  Each case writes its output and
 `.meta` sidecar, which must match `tests/golden/<case>.hg{,.meta}` byte for
-byte.
+byte.  The stdout of each script in `demos/` must match
+`tests/golden/demo_<name>.txt`.
 
 A change that moves seeded outputs on purpose regenerates the files with
 `PYTHONPATH=src python tests/test_golden.py` and says so in CHANGES.md.
 """
 
+import contextlib
+import io
+import runpy
 from fractions import Fraction
 from pathlib import Path
 
@@ -20,6 +24,7 @@ from hgsparse.cli import dispatch
 from hgsparse.hypergraph import serialize_hypergraph
 
 GOLDEN = Path(__file__).parent / "golden"
+DEMOS = sorted((Path(__file__).parent.parent / "demos").glob("*.py"))
 
 WEIGHTED = gen_random(6, 12, 3, weighted=True, w_max=4, seed=3)
 INPUTS = {
@@ -65,6 +70,19 @@ def test_output_frozen(tmp_path, capsys, case, input_name, argv):
     assert Path(f"{out}.meta").read_bytes() == (GOLDEN / f"{case}.hg.meta").read_bytes()
 
 
+def demo_stdout(demo: Path) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        runpy.run_path(str(demo), run_name="__main__")
+    return out.getvalue()
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.stem)
+def test_demo_output_frozen(capsys, demo):
+    assert demo_stdout(demo) == (GOLDEN / f"demo_{demo.stem}.txt").read_text()
+    assert capsys.readouterr() == ("", "")
+
+
 def golden_meta(case: str) -> dict[str, str]:
     lines = (GOLDEN / f"{case}.hg.meta").read_text().splitlines()
     return dict(line.split("=", 1) for line in lines)
@@ -87,6 +105,8 @@ def regenerate() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         for case, input_name, argv in CASES:
             run_case(input_name, argv, Path(tmp), GOLDEN / f"{case}.hg")
+    for demo in DEMOS:
+        (GOLDEN / f"demo_{demo.stem}.txt").write_text(demo_stdout(demo))
 
 
 if __name__ == "__main__":

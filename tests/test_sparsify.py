@@ -19,7 +19,6 @@ from hgsparse import (
     WeightedHypergraph,
     copy_counts,
     cut_weight,
-    expected_size_check,
     gen_footnote_graph,
     gen_random,
     gen_sunflower,
@@ -34,6 +33,7 @@ from hgsparse import (
     sparsify_weighted,
     theoretical_rho,
 )
+from oracles import mask_of
 
 
 def edges_of(h):
@@ -172,7 +172,7 @@ class TestSampleSparsifier:
         h = WeightedHypergraph(2, (HyperEdge((1, 2)),) * 6)
         plan = make_plan(run_balance(h), 0.5, 1, rho_override=Fraction(3))
         assert set(plan.p) == {Fraction(1, 2)}
-        cut = Cut.from_side([1], 2)
+        cut = Cut(2, mask_of([1]))
         true = cut_weight(h, cut)
         n_trials = 2000
         total = Fraction(0)
@@ -326,7 +326,7 @@ class TestSizeBudget:
         h = gen_random(5, 20, 3, seed=1)
         for res in (sparsify_unweighted(h, 0.5, rho_override=1),
                     sparsify_weighted(h, 0.5, rho_override=1)):
-            assert expected_size_check(res.plan)
+            assert res.plan.sum_p() <= res.plan.size_budget()
         inflate_p()
         with pytest.raises(SamplingError, match="exceeds"):
             sparsify_unweighted(h, 0.5, rho_override=1)
@@ -442,18 +442,22 @@ class TestKeepEveryEdgeShortcut:
 
     @pytest.mark.parametrize("sparsify", [sparsify_unweighted, sparsify_weighted])
     def test_rho_override_still_checked(self, sparsify):
-        # at the theoretical rho, gen_sunflower(3) takes the shortcut
+        # at the theoretical rho, gen_sunflower(3) takes the shortcut; the
+        # empty input returns before any copy is planned
         assert took_shortcut(sparsify(gen_sunflower(3), 0.5))
-        for rho in (0, -1, Fraction(-1, 2)):
-            with pytest.raises(ValueError, match="rho override must be positive"):
-                sparsify(gen_sunflower(3), 0.5, rho_override=rho)
+        for h in (WeightedHypergraph(3, ()), gen_sunflower(3)):
+            for rho in (0, -1, Fraction(-1, 2)):
+                with pytest.raises(ValueError, match="rho override must be positive"):
+                    sparsify(h, 0.5, rho_override=rho)
+            with pytest.raises(ValueError, match="abc"):
+                sparsify(h, 0.5, rho_override="abc")
 
     @pytest.mark.parametrize("sparsify", [sparsify_unweighted, sparsify_weighted])
     def test_within_size_budget(self, sparsify):
         for h in (gen_sunflower(4), gen_random(6, 10, 3, seed=2)):
             res = sparsify(h, 0.5)
             assert took_shortcut(res)
-            assert expected_size_check(res.plan)
+            assert res.plan.sum_p() <= res.plan.size_budget()
 
 
 class TestResultSerialization:

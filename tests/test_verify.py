@@ -1,4 +1,5 @@
-"""Cut-enumeration reports and the plan audits built on them."""
+"""Cut-enumeration reports, and the test oracles built on them: the plan
+audits and the concentration batch."""
 
 import math
 from fractions import Fraction
@@ -13,9 +14,6 @@ from hgsparse import (
     StrengthTable,
     WeightedHypergraph,
     all_cuts_report,
-    check_same_component,
-    concentration_trial,
-    expected_size_check,
     gen_footnote_graph,
     gen_random,
     gen_sunflower,
@@ -24,6 +22,7 @@ from hgsparse import (
     report_text,
     run_balance,
 )
+from oracles import check_same_component, concentration_trial
 
 
 def doubled(h):
@@ -183,7 +182,7 @@ class TestExpectedSize:
         for seed in range(4):
             h = gen_random(7, 12, 3, seed=seed)
             plan = make_plan(run_balance(h), 0.5, 1)
-            assert expected_size_check(plan)
+            assert plan.sum_p() <= plan.size_budget()
 
     def test_fabricated_overrun_fails(self):
         plan = SamplingPlan(
@@ -191,7 +190,7 @@ class TestExpectedSize:
             kappa=(Fraction(1),) * 5, p=(Fraction(1),) * 5, overridden=True,
         )
         # sum_p = 5 but the budget is only gamma * rho * (n-1) = 1/50
-        assert not expected_size_check(plan)
+        assert plan.sum_p() > plan.size_budget()
 
 
 class TestConcentrationTrial:
