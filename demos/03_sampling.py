@@ -20,7 +20,7 @@ from hgsparse import (
 h = gen_random(8, 30, 3, seed=5)
 res = sparsify_unweighted(h, 0.5, d=1, seed=0)
 assignment = run_balance(h)
-kappas = make_plan(assignment, 0.5, 1).kappa
+kappas = assignment.kappa_by_copy()
 print(f"theoretical rho ~ {float(res.plan.rho):.0f}, "
       f"max strength {float(max(kappas)):.1f}")
 print(f"kept {res.m_out}/{res.m_in} edges (all p=1, output is the input)")
@@ -33,7 +33,7 @@ from hgsparse import sample_sparsifier
 sampled = sample_sparsifier(h, plan, seed=0)
 print(f"override rho={rho}: kept {sampled.m_out}/{sampled.m_in} "
       f"(expected {float(sampled.sum_p):.1f})")
-rep = all_cuts_report(h, sampled.hypergraph, 1.0, seed=0, rho=rho)
+rep = all_cuts_report(h, sampled.hypergraph, 1.0, seed=0)
 print(report_text(rep))
 
 flower = gen_sunflower(8)

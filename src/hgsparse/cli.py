@@ -32,7 +32,7 @@ from .hypergraph import (
     parse_hypergraph,
     serialize_hypergraph,
 )
-from .pipeline import PipelineError, StreamState, fast_sparsify
+from .pipeline import PipelineError, fast_sparsify, stream_sparsify
 from .sparsify import SamplingError, SparsifierResult, check_epsilon, save_result, sparsify_weighted
 from .verify import EXHAUSTIVE_LIMIT, all_cuts_report, report_csv, report_text
 
@@ -239,17 +239,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_edge_count(count: int, edge_cap: int) -> None:
+    if count > edge_cap:
+        raise ValueError(f"edge count {count} exceeds cap {edge_cap}")
+
+
 def cmd_gen(args) -> int:
-    fam = args.family
+    fam, n = args.family, args.n
+    # each family's own argument check runs first, so its message stays
     if fam == "sunflower":
-        h = gen_sunflower(args.n)
+        _check_edge_count(n, args.edge_cap)  # n > edge_cap >= 1 is a valid n
+        h = gen_sunflower(n)
     elif fam == "footnote":
-        h = gen_footnote_graph(args.n)
+        if n >= 3:  # below 3, gen_footnote_graph raises its own error
+            _check_edge_count(1 + n * (n - 1) // 2, args.edge_cap)
+        h = gen_footnote_graph(n)
     elif fam in ("example1", "example2"):
-        h = gen_example(fam, args.n, args.r, edge_cap=args.edge_cap)
+        h = gen_example(fam, n, args.r, edge_cap=args.edge_cap)
     else:
-        if args.m > args.edge_cap:
-            raise ValueError(f"edge count {args.m} exceeds cap {args.edge_cap}")
+        _check_edge_count(args.m, args.edge_cap)
         h = gen_random(args.n, args.m, args.r_max, weighted=args.weighted,
                        w_max=args.w_max, seed=args.seed)
     _write_text(serialize_hypergraph(h), args.output)
@@ -284,11 +292,10 @@ def cmd_stream(args) -> int:
     if rho is not None:
         raise ValueError("the streaming wrapper does not take a rho override")
     with _open_text(args.input) as fh:
-        state = StreamState(args.n, args.m_bound, args.epsilon, args.d, args.seed,
-                            args.capacity, copy_cap=args.edge_cap)
-        for lineno, toks in content_lines(fh):
-            state.push(parse_edge_line(lineno, toks, args.n, args.fmt))
-    res = state.finish()
+        edges = (parse_edge_line(lineno, toks, args.n, args.fmt)
+                 for lineno, toks in content_lines(fh))
+        res = stream_sparsify(edges, args.n, args.m_bound, args.epsilon, args.d, args.seed,
+                              args.capacity, copy_cap=args.edge_cap)
     _emit_result(res, args.output)
     return 0
 

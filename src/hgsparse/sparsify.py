@@ -7,10 +7,11 @@ rounded down to whole copies (the Benczur-Karger reduction), sampled at eps/3.
 Each copy is kept with probability p = min(1, rho/kappa_e), where kappa_e is
 its weakest clique slot strength under a gamma-balanced assignment and rho
 grows like gamma^2 log(n)/eps^2; the constant 0.38 in rho comes from the
-Chernoff bound used in the analysis.  When rho is at least the copy count m',
-p = 1 on every copy, and nothing is expanded, balanced or drawn.  The kept
-copies of edge j fold into one edge of weight sum(1/p)/scale, so every cut is
-preserved in expectation.
+Chernoff bound used in the analysis.  The draw is an exact Bernoulli(p) on
+the rational p, and a copy with p = 1 is kept without a draw.  When rho is at
+least the copy count m', p = 1 on every copy, and nothing is expanded,
+balanced or drawn.  The kept copies of edge j fold into one edge of weight
+sum(1/p)/scale, so every cut is preserved in expectation.
 """
 
 from __future__ import annotations
@@ -77,13 +78,13 @@ def plan_rho(
 
 @dataclass(frozen=True)
 class SamplingPlan:
-    """Per-copy strengths kappa and keep probabilities p = min(1, rho/kappa),
-    indexed by unit copy in the sampler core's copy order.
+    """Per-copy keep probabilities p = min(1, rho/kappa), indexed by unit
+    copy in the sampler core's copy order.
 
-    `make_plan` reads kappa off a balanced assignment.  When rho is at least
-    the copy count m', the core skips balancing: no strength can exceed the
-    total copy weight m', so p = 1 on every copy, and kappa holds that bound
-    m' rather than each copy's strength.
+    `make_plan` reads each copy's strength kappa off a balanced assignment;
+    the plan keeps only p.  When rho is at least the copy count m', the core
+    skips balancing: no strength can exceed the total copy weight m', so
+    p = 1 on every copy.
     """
 
     epsilon: float
@@ -91,7 +92,6 @@ class SamplingPlan:
     d: int
     rho: Fraction
     n: int
-    kappa: tuple[Fraction, ...]
     p: tuple[Fraction, ...]
     overridden: bool = False
 
@@ -124,50 +124,44 @@ def make_plan(
     d: int = 1,
     rho_override=None,
 ) -> SamplingPlan:
+    """p = min(1, rho/kappa) for every copy, where kappa is the weakest clique
+    slot strength of the copy's group.  All copies of a group share one p
+    object, which `SamplingPlan.sum_p` relies on."""
     check_epsilon(epsilon)
     check_d(d)
     n = assignment.hypergraph.n
     rho, overridden = plan_rho(n, epsilon, assignment.gamma, d, rho_override)
-    # kappa is shared by all copies of a group, so divide once per group
     one = Fraction(1)
     per_group = assignment.kappa_by_group()
-    p_group = {key: min(one, rho / k) for key, k in per_group.items()}
-    m = assignment.hypergraph.m
-    kappa = [Fraction(0)] * m
-    p = [Fraction(0)] * m
+    p = [one] * assignment.hypergraph.m
     for g in assignment.groups:
-        gk, gp = per_group[g.key], p_group[g.key]
+        gp = min(one, rho / per_group[g.key])
         for c in g.copies:
-            kappa[c] = gk
             p[c] = gp
-    return SamplingPlan(epsilon, assignment.gamma, d, rho, n, tuple(kappa), tuple(p), overridden)
+    return SamplingPlan(epsilon, assignment.gamma, d, rho, n, tuple(p), overridden)
 
 
 def sample_sparsifier(h: WeightedHypergraph, plan: SamplingPlan, seed: int) -> SparsifierResult:
-    """One independent draw per copy, in edge order; kept copies get weight
-    w/p.  Identical (hypergraph, plan, seed) gives identical output.
+    """Keep copy c with probability exactly p = plan.p[c]; a kept copy gets
+    weight w/p.  Identical (hypergraph, plan, seed) gives identical output.
 
-    `random()` returns k/2^53, so u < p iff u < ceil(p 2^53)/2^53, an exact
-    float for p < 1; it and 1/p are computed once per run of one p object."""
+    A copy with p < 1 is kept when `randrange(p.denominator)` falls below
+    `p.numerator`: one RNG call per such copy, in copy order.  A copy with
+    p = 1 is kept without touching the RNG."""
     if h.m != len(plan.p):
         raise ValueError("plan does not match the hypergraph edge count")
-    draw = random.Random(seed).random
+    draw = random.Random(seed).randrange
     kept: list[HyperEdge] = []
     origin: list[int] = []
-    last = None
     for idx, (e, pe) in enumerate(zip(h.edges, plan.p)):
-        if pe is not last:
-            last, certain = pe, pe >= 1
-            if not certain:
-                threshold = -(-(pe.numerator << 53) // pe.denominator) / 2**53
-                inv = 1 / pe if pe > 0 else None  # p <= 0 keeps nothing
-        u = draw()
-        if certain:
+        num, den = pe.numerator, pe.denominator
+        if num >= den:  # p >= 1; an int compare is half the cost of a Fraction one
             kept.append(e)
-            origin.append(idx)
-        elif u < threshold:
-            kept.append(HyperEdge(e.vertices, e.weight * inv))
-            origin.append(idx)
+        elif draw(den) < num:
+            kept.append(HyperEdge(e.vertices, e.weight / pe))
+        else:
+            continue
+        origin.append(idx)
     out = WeightedHypergraph(h.n, tuple(kept))
     return SparsifierResult(
         hypergraph=out,
@@ -265,11 +259,10 @@ def _sparsify_copies(
     out = WeightedHypergraph(h.n, tuple(
         HyperEdge(h.edges[j].vertices, w / scale) for j, w in sums.items()))
     if keep_all:
-        # after the output edges: built first, these m'-long tuples were
+        # after the output edges: built first, the m'-long p tuple would be
         # rescanned by the garbage collector all through the edge loop
         sum_p = Fraction(copies)
-        plan = SamplingPlan(epsilon, gamma, d, rho, h.n, (sum_p,) * copies,
-                            (Fraction(1),) * copies, overridden)
+        plan = SamplingPlan(epsilon, gamma, d, rho, h.n, (Fraction(1),) * copies, overridden)
     return SparsifierResult(out, plan, seed, h.m, out.m, sum_p, tuple(sums), notes)
 
 

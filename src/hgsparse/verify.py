@@ -44,7 +44,6 @@ class QualityReport:
     epsilon_target: float
     passed: bool
     seed: Optional[int] = None
-    rho: Optional[Fraction] = None
 
 
 def _canonical_cuts_exhaustive(n: int):
@@ -72,7 +71,6 @@ def all_cuts_report(
     sample_count: Optional[int] = None,
     record_cap: Optional[int] = None,
     seed: Optional[int] = None,
-    rho: Optional[Fraction] = None,
 ) -> QualityReport:
     """Compare every cut (or a uniform sample of cuts above the exhaustive
     limit) of h_hat against h.
@@ -150,7 +148,6 @@ def all_cuts_report(
         epsilon_target=epsilon_target,
         passed=passed,
         seed=seed,
-        rho=rho,
     )
 
 
@@ -184,8 +181,6 @@ def report_text(report: QualityReport) -> str:
     ]
     if report.seed is not None:
         lines.append(f"seed={report.seed}")
-    if report.rho is not None:
-        lines.append(f"rho={report.rho}")
     return "\n".join(lines) + "\n"
 
 

@@ -70,17 +70,18 @@ def check_same_component(assignment: BalancedAssignment, plan: SamplingPlan) -> 
     connected.
     """
     h = assignment.hypergraph
-    if h.m != len(plan.kappa):
+    if h.m != len(plan.p):
         raise ValueError("plan does not match the assignment's hypergraph")
     table = assignment.strengths
     positive = [p for p, u in assignment.collapsed_units().items() if u > 0]
-    kappa_top = max(plan.kappa, default=Fraction(0))
+    kappa = assignment.kappa_by_copy()
+    kappa_top = max(kappa, default=Fraction(0))
     i = 0
     while True:
         threshold = plan.rho * (1 << i)
         if threshold > kappa_top:
             return True  # E_{>=i} empty here and for every larger i
-        survivors = [c for c in range(h.m) if plan.kappa[c] >= threshold]
+        survivors = [c for c in range(h.m) if kappa[c] >= threshold]
         if not survivors:
             return True
         uf = UnionFind(range(1, h.n + 1),
@@ -131,11 +132,7 @@ def concentration_trial(
             res = sparsify_weighted(
                 h, epsilon, d=d, seed=run_seed, gamma=gamma, rho_override=rho_override
             )
-        rep = all_cuts_report(
-            h, res.hypergraph, target,
-            seed=run_seed,
-            rho=res.plan.rho if res.plan is not None else None,
-        )
+        rep = all_cuts_report(h, res.hypergraph, target, seed=run_seed)
         reports.append(rep)
         if not rep.passed:
             failures += 1

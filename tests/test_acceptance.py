@@ -197,7 +197,7 @@ def test_05_expected_size_within_budget(balanced_corpus):
     for label, h, assignment in balanced_corpus:
         if h.m == 0:
             continue
-        kappas = make_plan(assignment, 0.5, 1).kappa
+        kappas = assignment.kappa_by_copy()
         overrides = [None, min(kappas) / 2, Fraction(1, 3)]
         for eps in (0.25, 1.0):
             for rho in overrides:
@@ -226,7 +226,7 @@ def test_06_sampled_cuts_concentrate_and_unbiased():
     # keep probability strictly below one so the estimator actually varies
     h = gen_random(10, 30, 4, seed=1234)
     assignment = run_balance(h)
-    kappas = make_plan(assignment, eps, 1).kappa
+    kappas = assignment.kappa_by_copy()
     plan = make_plan(assignment, eps, 1, rho_override=min(kappas) / 2)
     assert all(p < 1 for p in plan.p)
     cut = Cut(10, mask_of(range(1, 6)))
@@ -373,7 +373,7 @@ def test_12_survivor_components_connected(balanced_corpus):
     for label, h, assignment in balanced_corpus:
         if h.m == 0:
             continue
-        kappas = make_plan(assignment, 0.5, 1).kappa
+        kappas = assignment.kappa_by_copy()
         for rho in (None, min(kappas), min(kappas) / 2):
             plan = make_plan(assignment, 0.5, 1, rho_override=rho)
             assert check_same_component(assignment, plan), (label, rho)

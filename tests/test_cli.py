@@ -70,9 +70,15 @@ class TestGen:
         assert "invalid choice" in capsys.readouterr().err
 
     def test_edge_cap(self, capsys):
-        assert dispatch(["gen", "random", "--n", "3", "--m", "20",
-                         "--edge-cap", "10"]) == 2
-        assert capsys.readouterr().err.startswith("error:")
+        for argv, count in ((["random", "--n", "3", "--m", "20"], 20),
+                            (["footnote", "--n", "10"], 46), (["sunflower", "--n", "10"], 10)):
+            assert dispatch(["gen"] + argv + ["--edge-cap", "5"]) == 2
+            assert capsys.readouterr() == ("", f"error: edge count {count} exceeds cap 5\n")
+        # a family's own argument check still comes first
+        for argv, message in ((["footnote", "--n", "2"], "footnote graph needs n >= 3"),
+                              (["sunflower", "--n", "0"], "sunflower needs n >= 1")):
+            assert dispatch(["gen"] + argv + ["--edge-cap", "1"]) == 2
+            assert capsys.readouterr().err == f"error: {message}\n"
 
 
 class TestSparsify:

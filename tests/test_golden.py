@@ -8,7 +8,8 @@ byte.  The stdout of each script in `demos/` must match
 `tests/golden/demo_<name>.txt`.
 
 A change that moves seeded outputs on purpose regenerates the files with
-`PYTHONPATH=src python tests/test_golden.py` and says so in CHANGES.md.
+`PYTHONPATH=src python tests/test_golden.py`, which prints the name of each
+file that changed, and says so in CHANGES.md.
 """
 
 import contextlib
@@ -100,13 +101,24 @@ def test_cases_cover_both_sampler_paths():
 
 
 def regenerate() -> None:
+    """Rewrite the golden files, printing the name of each one whose bytes
+    changed."""
     import tempfile
+
+    def put(name: str, data: bytes) -> None:
+        path = GOLDEN / name
+        if not path.exists() or path.read_bytes() != data:
+            path.write_bytes(data)
+            print(name)
 
     with tempfile.TemporaryDirectory() as tmp:
         for case, input_name, argv in CASES:
-            run_case(input_name, argv, Path(tmp), GOLDEN / f"{case}.hg")
+            out = Path(tmp) / f"{case}.hg"
+            run_case(input_name, argv, Path(tmp), out)
+            put(out.name, out.read_bytes())
+            put(f"{out.name}.meta", Path(f"{out}.meta").read_bytes())
     for demo in DEMOS:
-        (GOLDEN / f"demo_{demo.stem}.txt").write_text(demo_stdout(demo))
+        put(f"demo_{demo.stem}.txt", demo_stdout(demo).encode())
 
 
 if __name__ == "__main__":

@@ -1,8 +1,11 @@
 """Sampling plans, the sampler, and the weighted reduction."""
 
+import itertools
 import math
 import random
 from fractions import Fraction
+from types import SimpleNamespace
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -38,6 +41,19 @@ from oracles import mask_of
 
 def edges_of(h):
     return [(e.vertices, e.weight) for e in h.edges]
+
+
+class StubRandom:
+    """Stands in for `random.Random`: `randrange(k)` records k and returns
+    the next of the given outcomes."""
+
+    def __init__(self, outcomes):
+        self.outcomes = iter(outcomes)
+        self.calls = []
+
+    def randrange(self, k):
+        self.calls.append(k)
+        return next(self.outcomes)
 
 
 class TestTheoreticalRho:
@@ -126,25 +142,45 @@ class TestSampleSparsifier:
         for idx, e in zip(res.origin, res.hypergraph.edges):
             assert e.weight * plan.p[idx] == h.edges[idx].weight
 
-    def test_threshold_is_exact_at_the_boundary(self, monkeypatch):
-        # random() returns k/2^53: the last k below p * 2^53 keeps the copy
-        # and the first k at or above it drops the copy
-        p = Fraction(1, 3)
-        t = -(-(1 << 53) // 3)
-        assert Fraction(t - 1, 1 << 53) < p < Fraction(t, 1 << 53)
-        draws = iter([(t - 1) / 2**53, t / 2**53])
-        monkeypatch.setattr(sparsify.random, "Random",
-                            lambda seed: type("Stub", (), {"random": lambda _: next(draws)})())
-        h = WeightedHypergraph(2, (HyperEdge((1, 2)),) * 2)
-        plan = SamplingPlan(0.5, 2, 1, Fraction(1), 2, (Fraction(3),) * 2, (p,) * 2)
-        res = sample_sparsifier(h, plan, seed=0)
-        assert res.origin == (0,) and res.hypergraph.edges[0].weight == 3
+    @pytest.mark.parametrize("p", [Fraction(1, 3), Fraction(2, 7), Fraction(2**60 + 1, 2**61 + 3)],
+                             ids=["one_third", "two_sevenths", "denominator_past_2_53"])
+    def test_each_draw_outcome_keeps_below_the_numerator(self, monkeypatch, p):
+        # randrange(den) is uniform over 0..den-1, and exactly the outcomes
+        # below the numerator keep the copy, so it is kept with probability
+        # exactly p; a denominator past 2^53 is checked at its boundary
+        if p.denominator < 100:
+            outcomes = range(p.denominator)
+        else:
+            outcomes = (0, p.numerator - 1, p.numerator, p.denominator - 1)
+        stub = StubRandom(outcomes)
+        monkeypatch.setattr(sparsify, "random", SimpleNamespace(Random=lambda seed: stub))
+        h = WeightedHypergraph(2, (HyperEdge((1, 2), Fraction(3, 2)),))
+        plan = SamplingPlan(0.5, 2, 1, Fraction(1), 2, (p,))
+        kept = [u for u in outcomes if sample_sparsifier(h, plan, seed=0).m_out]
+        assert stub.calls == [p.denominator] * len(outcomes)
+        assert kept == [u for u in outcomes if u < p.numerator]
+        if p.denominator < 100:
+            assert len(kept) == p.numerator
+
+    def test_one_draw_per_copy_below_one(self, monkeypatch):
+        # one randrange per p < 1 copy, in copy order, each with its own
+        # denominator; p = 1 copies draw nothing; kept weights are exactly w/p
+        ps = (Fraction(1, 3), Fraction(1), Fraction(2, 7), Fraction(1), Fraction(5, 11),
+              Fraction(1, 3))
+        stub = StubRandom(itertools.repeat(0))  # every copy is kept
+        monkeypatch.setattr(sparsify, "random", SimpleNamespace(Random=lambda seed: stub))
+        h = WeightedHypergraph(3, tuple(HyperEdge((1, 2, 3), Fraction(k, 2)) for k in range(1, 7)))
+        res = sample_sparsifier(h, SamplingPlan(0.5, 2, 1, Fraction(1), 3, ps), seed=0)
+        assert stub.calls == [3, 7, 11, 3]
+        assert res.origin == tuple(range(6))
+        assert [e.weight for e in res.hypergraph.edges] == [
+            e.weight / pe for e, pe in zip(h.edges, ps)]
 
     @given(st.lists(st.tuples(st.fractions(Fraction(1, 10**20), 1), st.integers(1, 6),
                               st.fractions(Fraction(1, 4), 4)), min_size=1, max_size=8),
            st.integers(0, 2**32))
     @settings(max_examples=60, deadline=None)
-    def test_matches_per_copy_fraction_draws(self, runs, seed):
+    def test_matches_per_copy_randrange_draws(self, runs, seed):
         # runs of copies sharing one p object, as make_plan builds them, and
         # p values with denominators far past 2^53
         edges, p = [], []
@@ -152,10 +188,11 @@ class TestSampleSparsifier:
             edges += [HyperEdge((1, 2), w)] * count
             p += [pe] * count
         h = WeightedHypergraph(2, tuple(edges))
-        plan = SamplingPlan(0.5, 2, 1, Fraction(1), 2, tuple(p), tuple(p))
+        plan = SamplingPlan(0.5, 2, 1, Fraction(1), 2, tuple(p))
         rng = random.Random(seed)
         kept = [(idx, e if pe >= 1 else HyperEdge(e.vertices, e.weight / pe))
-                for idx, (e, pe) in enumerate(zip(edges, p)) if rng.random() < pe or pe >= 1]
+                for idx, (e, pe) in enumerate(zip(edges, p))
+                if pe >= 1 or rng.randrange(pe.denominator) < pe.numerator]
         res = sample_sparsifier(h, plan, seed)
         assert list(zip(res.origin, res.hypergraph.edges)) == kept
         assert res.sum_p == plan.sum_p() == sum(p)
@@ -356,10 +393,12 @@ def slow_weighted(h, epsilon, gamma, d, seed, rho_override):
             assignment)
 
 
-def took_shortcut(res):
-    """The shortcut's plan holds the copy count m' in every kappa slot."""
-    copies = len(res.plan.kappa)
-    return res.plan.kappa == (Fraction(copies),) * copies
+def balance_runs(sparsify_fn, *args, **kwargs):
+    """The result of sparsify_fn and how many times it ran the balance loop,
+    which the p = 1 shortcut skips."""
+    with mock.patch.object(sparsify, "run_balance", wraps=run_balance) as spy:
+        res = sparsify_fn(*args, **kwargs)
+    return res, spy.call_count
 
 
 @st.composite
@@ -383,7 +422,7 @@ class TestKeepEveryEdgeShortcut:
     def test_weighted_matches_slow_path(self, h, eps, which, seed):
         copies = sum(copy_counts(h, eps)[1])
         rho = {"theory": None, "m'": copies, "m'-1": copies - 1}[which]
-        res = sparsify_weighted(h, eps, seed=seed, rho_override=rho)
+        res, balanced = balance_runs(sparsify_weighted, h, eps, seed=seed, rho_override=rho)
         out, origin, sum_p, plan, assignment = slow_weighted(h, eps, 2, 1, seed, rho)
         assert res.hypergraph == out
         assert res.origin == origin
@@ -395,18 +434,16 @@ class TestKeepEveryEdgeShortcut:
         fired = plan.rho >= copies
         assert fired == (which != "m'-1")
         if fired:
-            assert res.notes["balance_iterations"] == 0
-            assert res.plan.kappa == (Fraction(copies),) * copies
+            assert res.notes["balance_iterations"] == 0 and balanced == 0
         else:
-            assert res.notes["balance_iterations"] == assignment.iterations
-            assert res.plan.kappa == plan.kappa
+            assert res.notes["balance_iterations"] == assignment.iterations and balanced == 1
 
     @given(small_hypergraphs(weighted=False), st.sampled_from([1.0, 0.5]),
            st.sampled_from(["theory", "m", "m-1"]), st.integers(0, 3))
     @settings(max_examples=40, deadline=None)
     def test_unweighted_matches_slow_path(self, h, eps, which, seed):
         rho = {"theory": None, "m": h.m, "m-1": h.m - 1}[which]
-        res = sparsify_unweighted(h, eps, seed=seed, rho_override=rho)
+        res, balanced = balance_runs(sparsify_unweighted, h, eps, seed=seed, rho_override=rho)
         slow, assignment = slow_unweighted(h, eps, 2, 1, seed, rho)
         assert max(assignment.kappa_by_copy()) <= h.m
         assert res.hypergraph == slow.hypergraph
@@ -415,19 +452,17 @@ class TestKeepEveryEdgeShortcut:
         assert (res.plan.rho, res.plan.p) == (slow.plan.rho, slow.plan.p)
         if slow.plan.rho >= h.m:
             assert res.hypergraph == h
-            assert res.notes["balance_iterations"] == 0
-            assert res.plan.kappa == (Fraction(h.m),) * h.m
+            assert res.notes["balance_iterations"] == 0 and balanced == 0
         else:
-            assert res.notes["balance_iterations"] == assignment.iterations
-            assert res.plan.kappa == slow.plan.kappa
+            assert res.notes["balance_iterations"] == assignment.iterations and balanced == 1
 
     def test_no_strength_exceeds_copy_count(self):
         for h in BALANCE_INSTANCES:
             assert max(run_balance(h).kappa_by_copy()) <= h.m
 
     def test_sunflower_skips_balancing(self):
-        res = sparsify_unweighted(gen_sunflower(5), 0.5)
-        assert took_shortcut(res) and res.notes["balance_iterations"] == 0
+        res, balanced = balance_runs(sparsify_unweighted, gen_sunflower(5), 0.5)
+        assert balanced == 0 and res.notes["balance_iterations"] == 0
         assert sample_sparsifier(gen_sunflower(5), res.plan, 0).hypergraph == res.hypergraph
 
     def test_copy_cap_still_checked(self):
@@ -444,7 +479,7 @@ class TestKeepEveryEdgeShortcut:
     def test_rho_override_still_checked(self, sparsify):
         # at the theoretical rho, gen_sunflower(3) takes the shortcut; the
         # empty input returns before any copy is planned
-        assert took_shortcut(sparsify(gen_sunflower(3), 0.5))
+        assert balance_runs(sparsify, gen_sunflower(3), 0.5)[1] == 0
         for h in (WeightedHypergraph(3, ()), gen_sunflower(3)):
             for rho in (0, -1, Fraction(-1, 2)):
                 with pytest.raises(ValueError, match="rho override must be positive"):
@@ -455,8 +490,8 @@ class TestKeepEveryEdgeShortcut:
     @pytest.mark.parametrize("sparsify", [sparsify_unweighted, sparsify_weighted])
     def test_within_size_budget(self, sparsify):
         for h in (gen_sunflower(4), gen_random(6, 10, 3, seed=2)):
-            res = sparsify(h, 0.5)
-            assert took_shortcut(res)
+            res, balanced = balance_runs(sparsify, h, 0.5)
+            assert balanced == 0
             assert res.plan.sum_p() <= res.plan.size_budget()
 
 

@@ -104,9 +104,9 @@ class TestReportFormats:
 
     def test_text_optional_lines(self):
         h = WeightedHypergraph(2, (HyperEdge((1, 2)),))
-        rep = all_cuts_report(h, h, 0.5, seed=7, rho=Fraction(3, 2))
+        rep = all_cuts_report(h, h, 0.5, seed=7)
         text = report_text(rep)
-        assert text.endswith("pass=1\nseed=7\nrho=3/2\n")
+        assert text.endswith("pass=1\nseed=7\n")
 
     def test_csv_frozen(self):
         h = WeightedHypergraph(2, (HyperEdge((1, 2)),))
@@ -142,7 +142,7 @@ class TestCheckSameComponent:
                 assert check_same_component(a, make_plan(a, 0.5, 1, rho_override=rho))
 
     def test_detects_disconnection(self):
-        # weight concentrated on one slot wrongly credited as strong: the
+        # every slot wrongly credited as strong, but weight on one slot: the
         # surviving copy spans {1,2,3} but the strong pairs only join {1,2}
         h = WeightedHypergraph(3, (HyperEdge((1, 2, 3)),))
         group = AssignmentGroup(
@@ -158,14 +158,15 @@ class TestCheckSameComponent:
             delta=Fraction(1, 9),
             units_per_copy=9,
             groups=(group,),
-            strengths=StrengthTable(3, {(1, 2): Fraction(4)}, {(1, 2): Fraction(1)}),
+            strengths=StrengthTable(3, dict.fromkeys(group.slots, Fraction(4)),
+                                    {(1, 2): Fraction(1)}),
             iterations=0,
             k0=Fraction(1, 3),
             ell=1,
         )
         plan = SamplingPlan(
             epsilon=0.5, gamma=2, d=1, rho=Fraction(1), n=3,
-            kappa=(Fraction(4),), p=(Fraction(1),), overridden=True,
+            p=(Fraction(1),), overridden=True,
         )
         assert check_same_component(bad, plan) is False
 
@@ -187,7 +188,7 @@ class TestExpectedSize:
     def test_fabricated_overrun_fails(self):
         plan = SamplingPlan(
             epsilon=0.5, gamma=2, d=1, rho=Fraction(1, 100), n=2,
-            kappa=(Fraction(1),) * 5, p=(Fraction(1),) * 5, overridden=True,
+            p=(Fraction(1),) * 5, overridden=True,
         )
         # sum_p = 5 but the budget is only gamma * rho * (n-1) = 1/50
         assert plan.sum_p() > plan.size_budget()
