@@ -271,10 +271,13 @@ def find_max_bad(state: BalanceState) -> Optional[BadEdge]:
 
 def transfer_step(state: BalanceState, copy: int, f_min: Pair, f_max: Pair) -> None:
     """Move one delta of the copy's weight from f_max to f_min.  The strength
-    tree shifts the same unit and updates `state.strengths` in place: only
-    blocks whose old min cut loses its certificate run Stoer-Wagner again, and
-    the whole graph is peeled again only when f_max empties or f_min joins two
-    components."""
+    tree shifts the same unit and updates `state.strengths` in place.  A block
+    keeps its old min cut when the cut's new value is at most the bound on
+    each class of its cuts: those crossing f_min only, those crossing f_max,
+    and those crossing neither, whose minimum is cached per block while the
+    loop keeps moving units between the same f_max and f_min.  Other blocks
+    run Stoer-Wagner again, and the whole graph is peeled again only when
+    f_max empties or f_min joins two components."""
     g = state.groups[state.hypergraph.edges[copy].vertices]
     i_min = g.slot_index[f_min]
     i_max = g.slot_index[f_max]

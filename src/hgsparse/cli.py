@@ -22,6 +22,7 @@ from .graph import edge_strengths
 from .hypergraph import (
     ParseError,
     WeightedHypergraph,
+    check_edge_count,
     content_lines,
     format_weight,
     gen_example,
@@ -239,27 +240,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _check_edge_count(count: int, edge_cap: int) -> None:
-    if count > edge_cap:
-        raise ValueError(f"edge count {count} exceeds cap {edge_cap}")
-
-
 def cmd_gen(args) -> int:
     fam, n = args.family, args.n
     # each family's own argument check runs first, so its message stays
     if fam == "sunflower":
-        _check_edge_count(n, args.edge_cap)  # n > edge_cap >= 1 is a valid n
+        check_edge_count(n, args.edge_cap)  # n > edge_cap >= 1 is a valid n
         h = gen_sunflower(n)
     elif fam == "footnote":
         if n >= 3:  # below 3, gen_footnote_graph raises its own error
-            _check_edge_count(1 + n * (n - 1) // 2, args.edge_cap)
+            check_edge_count(1 + n * (n - 1) // 2, args.edge_cap)
         h = gen_footnote_graph(n)
     elif fam in ("example1", "example2"):
         h = gen_example(fam, n, args.r, edge_cap=args.edge_cap)
     else:
-        _check_edge_count(args.m, args.edge_cap)
         h = gen_random(args.n, args.m, args.r_max, weighted=args.weighted,
-                       w_max=args.w_max, seed=args.seed)
+                       w_max=args.w_max, seed=args.seed, edge_cap=args.edge_cap)
     _write_text(serialize_hypergraph(h), args.output)
     return 0
 

@@ -11,14 +11,28 @@ pair's strength is the largest cut value on the chain of blocks from its
 component down to the block whose cut separates it.
 
 `StrengthTree` keeps the tree of blocks across the balance loop's unit
-moves.  A move changes each cut by at most 1, so a block's old min cut stays
-a min cut when its new value equals a lower bound on every new cut: the old
-value, or, if the pair that loses the unit lies in the block, the smaller of
-that and one less than the largest cut value on that pair's chain from the
-block down.  Otherwise Stoer-Wagner runs on the block again, and its subtree
-is peeled again if it finds a lighter cut.  The whole graph is peeled again
-when a pair empties or a new pair joins two components.  A brute-force oracle
-over all vertex subsets and all cuts backs the fast path at small n.
+moves.  A move takes one unit from pair src to pair dst, so each cut changes
+by at most 1, and the cuts of a block B whose stored min cut had value λ fall
+into three classes:
+
+- crossing dst only: they gain 1, so they are now at least λ+1;
+- crossing src (alone or with dst): each old one also cut every block below
+  B that holds src, so it weighed at least the largest cut value k on that
+  chain and is now at least k-1;
+- crossing neither pair: unchanged, so at least μ, the min cut of B with the
+  endpoints of each pair that lies inside B merged (none when the merge
+  leaves one vertex).
+
+The stored cut stays a min cut, with no new Stoer-Wagner run, when its new
+value is at most every bound that applies; μ is only needed when that value
+is λ+1.  μ is computed on demand and cached per block while consecutive moves
+keep the same (src, dst), since those moves leave the third class alone; the
+cache is dropped when the pair changes or the tree is peeled again, and child
+blocks made by a new peel start without one.  Otherwise Stoer-Wagner runs on
+the block again, and its subtree is peeled again if it finds a lighter cut.
+The whole graph is peeled again when a pair empties or a new pair joins two
+components.  A brute-force oracle over all vertex subsets and all cuts backs
+the fast path at small n.
 
 `StrengthTree.changed` collects the pairs whose strength took a new value or
 was dropped, until its owner clears it: exactly where the strengths differ
@@ -154,6 +168,22 @@ def _stoer_wagner(vertices: Sequence[int], adj) -> tuple[object, frozenset[int]]
     return best_val, frozenset(best_side)
 
 
+def _merged_min_cut(verts: frozenset[int], adj, pairs: Iterable[tuple[int, int]]):
+    """Min cut of the block `verts` over the cuts that separate no pair of
+    `pairs` lying inside it: Stoer-Wagner with each such pair's endpoints
+    merged.  None when the merge leaves one vertex, so there is no such cut."""
+    find = UnionFind(verts, [p for p in pairs if p[0] in verts and p[1] in verts]).find
+    merged: dict[int, dict] = {}
+    for u in verts:
+        ru = find(u)
+        row = merged.setdefault(ru, {})
+        for v, w in adj[u].items():
+            rv = find(v) if v in verts else ru
+            if rv != ru:
+                row[rv] = row.get(rv, 0) + w
+    return _stoer_wagner(merged, merged)[0] if len(merged) > 1 else None
+
+
 class _Block:
     """A peel-tree node: a connected block, one min cut, the child blocks."""
 
@@ -174,6 +204,8 @@ class StrengthTree:
         self._peel()
 
     def _peel(self) -> None:
+        # μ per block, for moves from _pair[0] to _pair[1]
+        self._pair, self._mu = None, {}
         # both sides of a min cut of a connected graph are connected, so only
         # the first split, into components, needs UnionFind
         pairs = ((u, v) for u, row in self.adj.items() for v, w in row.items() if u < v and w)
@@ -218,8 +250,10 @@ class StrengthTree:
             stack.extend((kid, top) for kid in node.kids)
 
     def shift(self, src: tuple[int, int], dst: tuple[int, int]) -> None:
-        """Move one unit of weight from pair src to pair dst, keeping each
-        block's cut that still meets the certificate in the module docstring."""
+        """Move one unit of weight from pair src to pair dst.  A block keeps
+        its stored cut, without Stoer-Wagner, when the cut's new value is at
+        most each class bound in the module docstring; μ is cached per block
+        until the pair changes or the tree is peeled again."""
         adj = self.adj
         (a, b), (c, d) = src, dst
         joins = not adj[c].get(d) and self.comp[c] != self.comp[d]
@@ -228,21 +262,21 @@ class StrengthTree:
         if joins or not adj[a][b]:
             self._peel()
             return
-        # Every old cut of a block B crossing src also cuts each block below
-        # B that holds src, so it weighed at least the largest cut value k
-        # among them: after the move no cut of B is below min(val, k - 1).
+        if self._pair != (src, dst):
+            self._pair, self._mu = (src, dst), {}
+        # the largest cut value k on each src-holding block's chain down to
+        # the block that separates src
         chain = [self.roots[self.comp[a]]]
         while (a in chain[-1].side) == (b in chain[-1].side):
             chain.append(next(kid for kid in chain[-1].kids if a in kid.verts))
-        bound, k = {}, 0
+        chain_k, k = {}, 0
         for node in reversed(chain):
-            k = max(k, node.val)
-            bound[node] = min(node.val, k - 1)
+            k = chain_k[node] = max(k, node.val)
         stack = [(self.roots[i], 0, 0) for i in {self.comp[a], self.comp[c]}]
         while stack:
             node, old_top, new_top = stack.pop()
             verts, side = node.verts, node.side
-            has_src = a in verts and b in verts
+            has_src = node in chain_k
             has_dst = c in verts and d in verts
             if not (has_src or has_dst):
                 if old_top != new_top:
@@ -251,7 +285,10 @@ class StrengthTree:
             old = node.val
             val = (old - (has_src and (a in side) != (b in side))
                    + (has_dst and (c in side) != (d in side)))
-            if val != bound.get(node, old):
+            # dst-only cuts are now >= old + 1 >= val, so only the src class
+            # (>= k - 1) and, when the cut gained, the neither class (>= μ) bind
+            if ((has_src and val >= chain_k[node])
+                    or (val > old and not self._neither_at_least(node, val))):
                 cut = _stoer_wagner(verts, adj)
                 if cut[0] != val:
                     self._grow(node, cut)
@@ -262,6 +299,14 @@ class StrengthTree:
             if old_top != new_top:
                 self._cross(node, new_top)
             stack.extend((kid, old_top, new_top) for kid in node.kids)
+
+    def _neither_at_least(self, node: _Block, val) -> bool:
+        """Whether every cut of node's block that crosses neither the current
+        src nor dst weighs at least val; computes and caches its minimum μ."""
+        if node not in self._mu:
+            self._mu[node] = _merged_min_cut(node.verts, self.adj, self._pair)
+        mu = self._mu[node]
+        return mu is None or val <= mu
 
 
 def pair_strengths(n: int, pair_weights: Mapping[tuple[int, int], object]) -> dict:

@@ -258,14 +258,19 @@ def gen_footnote_graph(n: int) -> WeightedHypergraph:
     return WeightedHypergraph(n, tuple(edges))
 
 
+def check_edge_count(count: int, edge_cap: int) -> None:
+    """Refuse to build a hypergraph of more than edge_cap edges."""
+    if count > edge_cap:
+        raise ValueError(f"edge count {count} exceeds cap {edge_cap}")
+
+
 def gen_example(which: str, n: int, r: int, edge_cap: int = 10**6) -> WeightedHypergraph:
     """Two structured families on 2n vertices used as sampling stress tests."""
     if which == "example1":
         if r < 2 or r - 1 > n or n < 1:
             raise ValueError(f"example1 needs 2 <= r <= n+1, got n={n} r={r}")
         count = n * math.comb(n, r - 1)
-        if count > edge_cap:
-            raise ValueError(f"edge count {count} exceeds cap {edge_cap}")
+        check_edge_count(count, edge_cap)
         second = range(n + 1, 2 * n + 1)
         edges = []
         for i in range(1, n + 1):
@@ -276,8 +281,7 @@ def gen_example(which: str, n: int, r: int, edge_cap: int = 10**6) -> WeightedHy
         if r < 1 or 4 * r > n:
             raise ValueError(f"example2 needs 1 <= r and 2r <= n/2, got n={n} r={r}")
         count = 2 + 2 * math.comb(n, 2 * r)
-        if count > edge_cap:
-            raise ValueError(f"edge count {count} exceeds cap {edge_cap}")
+        check_edge_count(count, edge_cap)
         e0 = HyperEdge(tuple(range(1, 2 * r)) + (n + 1,))
         e1 = HyperEdge(tuple(range(1, r + 1)) + tuple(range(n + 1, n + r + 1)))
         edges = [e0, e1]
@@ -295,6 +299,7 @@ def gen_random(
     weighted: bool = False,
     w_max: int = 1,
     seed: int = 0,
+    edge_cap: int = 10**6,
 ) -> WeightedHypergraph:
     """Random multi-hypergraph, deterministic in the seed."""
     if n < 2:
@@ -305,6 +310,7 @@ def gen_random(
         raise ValueError("r_max must be at least 2")
     if weighted and w_max < 1:
         raise ValueError("w_max must be at least 1")
+    check_edge_count(m, edge_cap)
     rng = random.Random(seed)
     top = min(r_max, n)
     edges = []

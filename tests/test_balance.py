@@ -7,6 +7,7 @@ it is bad and the loop has real work to do.
 """
 
 import itertools
+import sys
 from fractions import Fraction
 
 import pytest
@@ -471,6 +472,29 @@ class TestRunBalance:
         a = run_balance(h)
         assert a.iterations > 100
         assert len(calls) - 2 * built <= 2 * a.iterations
+        assert reference_balance(h) == (a.iterations, units_of(a))
+
+    def test_shift_certifies_phases_without_stoer_wagner(self, monkeypatch):
+        # light edges plus two heavy pairs: the loop moves long runs of units
+        # between the same two pairs, and each block's kept cut is certified
+        # by its class bounds, with the minimum over the cuts crossing neither
+        # pair computed once per block and run; re-running Stoer-Wagner to
+        # confirm the kept cut costs one call per transfer here
+        light = random_hypergraph(8, 30, 3, 1).edges
+        h = WeightedHypergraph(8, tuple(e for i, e in enumerate(light) for _ in range(i % 4 + 1))
+                               + (HyperEdge((1, 2)),) * 90 + (HyperEdge((3, 5)),) * 60)
+        calls = []
+        real = graph._stoer_wagner
+
+        def counted(*args):
+            calls.append(sys._getframe(1).f_code.co_name)
+            return real(*args)
+
+        monkeypatch.setattr(graph, "_stoer_wagner", counted)
+        a = run_balance(h)
+        assert a.iterations > 100
+        assert calls.count("shift") + calls.count("_merged_min_cut") <= a.iterations / 20
+        monkeypatch.undo()
         assert reference_balance(h) == (a.iterations, units_of(a))
 
     def test_pick_reexamines_few_groups(self, monkeypatch):

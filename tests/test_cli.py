@@ -76,7 +76,11 @@ class TestGen:
             assert capsys.readouterr() == ("", f"error: edge count {count} exceeds cap 5\n")
         # a family's own argument check still comes first
         for argv, message in ((["footnote", "--n", "2"], "footnote graph needs n >= 3"),
-                              (["sunflower", "--n", "0"], "sunflower needs n >= 1")):
+                              (["sunflower", "--n", "0"], "sunflower needs n >= 1"),
+                              (["random", "--n", "1", "--m", "20"],
+                               "random hypergraph needs n >= 2"),
+                              (["random", "--n", "3", "--m", "20", "--r-max", "1"],
+                               "r_max must be at least 2")):
             assert dispatch(["gen"] + argv + ["--edge-cap", "1"]) == 2
             assert capsys.readouterr().err == f"error: {message}\n"
 

@@ -19,7 +19,8 @@ from hgsparse import (
     pair_strengths,
     strength_table_from_pairs,
 )
-from hgsparse.graph import StrengthTree
+from hgsparse import graph
+from hgsparse.graph import StrengthTree, _merged_min_cut
 from conftest import mg, random_multigraph
 from oracles import global_min_cut
 
@@ -207,6 +208,33 @@ def shift_and_check(n, weights, moves):
     return emptied, joined
 
 
+def blocks_of(tree):
+    """Every block of the peel tree with a cut, parents before children."""
+    out, stack = [], [r for r in tree.roots if len(r.verts) > 1]
+    while stack:
+        node = stack.pop()
+        out.append(node)
+        stack.extend(node.kids)
+    return out
+
+
+def brute_neither_min(verts, adj, pairs):
+    """Least cut of the block `verts` that separates no pair of `pairs` lying
+    inside it, by enumerating its bipartitions; None when every one does."""
+    inside = [p for p in pairs if p[0] in verts and p[1] in verts]
+    first, *others = sorted(verts)
+    best = None
+    for r in range(len(others) + 1):
+        for side in map(set, itertools.combinations(others, r)):
+            rest = verts - side  # holds first, so neither side is empty
+            if not side or any((u in side) != (v in side) for u, v in inside):
+                continue
+            value = sum(adj[u].get(v, 0) for u in side for v in rest)
+            if best is None or value < best:
+                best = value
+    return best
+
+
 class TestStrengthTree:
     def test_construction_is_pair_strengths(self):
         weights = {(1, 2): 3, (2, 3): 1, (1, 3): 1, (4, 5): 2, (5, 6): 0}
@@ -240,6 +268,86 @@ class TestStrengthTree:
             weights[src] += 1
             weights[dst] -= 1
         shift_and_check(n, weights, moves)
+
+    @given(st.integers(3, 7), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_phase_runs_match_fresh_peel(self, n, data):
+        # the balance loop moves many units between one (src, dst) before the
+        # pair changes: runs of 1-10 equal moves reuse each block's cached
+        # minimum over the cuts crossing neither pair, and pair changes,
+        # empties and joins in between must drop it
+        pairs = list(itertools.combinations(range(1, n + 1), 2))
+        weights = {p: data.draw(st.integers(0, 4)) for p in pairs}
+        left, moves = dict(weights), []
+        for _ in range(data.draw(st.integers(1, 8))):
+            positive = [p for p in pairs if left[p] > 0]
+            if not positive:
+                break
+            src = data.draw(st.sampled_from(positive))
+            dst = data.draw(st.sampled_from([p for p in pairs if p != src]))
+            run = min(data.draw(st.integers(1, 10)), left[src])
+            left[src] -= run
+            left[dst] += run
+            moves += [(src, dst)] * run
+        shift_and_check(n, weights, moves)
+
+    def test_pair_change_drops_cached_mu(self):
+        # a star at 4.  The first move keeps the root's cut {3}, which
+        # crosses dst (2, 3), and caches 7 as the least cut crossing neither
+        # (1, 4) nor (2, 3).  For the next pair, cut {1} crosses neither and
+        # weighs 3, below the kept cut's new 4: a stale 7 would keep {3}
+        weights = {(1, 4): 4, (2, 4): 5, (3, 4): 2, (2, 3): 0}
+        shift_and_check(4, weights, [((1, 4), (2, 3)), ((2, 4), (3, 4))])
+
+    @given(st.integers(3, 7), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_merged_min_cut_is_brute_force(self, n, data):
+        # μ, the minimum over a block's cuts that cross neither the src nor
+        # the dst pair, on blocks holding dst alone and blocks holding both
+        pairs = list(itertools.combinations(range(1, n + 1), 2))
+        tree = StrengthTree(n, {p: data.draw(st.integers(0, 4)) for p in pairs})
+        blocks = blocks_of(tree)
+        if not blocks:
+            return
+        block = data.draw(st.sampled_from(blocks))
+        verts = block.verts
+        inside = [p for p in pairs if p[0] in verts and p[1] in verts]
+        dst = data.draw(st.sampled_from(inside))
+        both = data.draw(st.booleans())
+        srcs = [p for p in pairs if p != dst and (p in inside) == both]
+        if not srcs:
+            return
+        src = data.draw(st.sampled_from(srcs))
+        mu = _merged_min_cut(verts, tree.adj, (src, dst))
+        assert mu == brute_neither_min(verts, tree.adj, (src, dst))
+
+    def test_merged_min_cut_empty_class(self):
+        adj = StrengthTree(3, {(1, 2): 9, (1, 3): 1, (2, 3): 1}).adj
+        assert _merged_min_cut(frozenset({1, 2}), adj, [(1, 2), (1, 3)]) is None
+        assert _merged_min_cut(frozenset({1, 2, 3}), adj, [(1, 2), (1, 3)]) is None
+        assert _merged_min_cut(frozenset({1, 2, 3}), adj, [(1, 2), (4, 5)]) == 2
+
+    def test_empty_class_binds_nothing(self, monkeypatch):
+        # merging both pairs leaves the triangle one vertex, so no cut crosses
+        # neither: the stored cut {3}, which gains each unit moved onto
+        # (1, 3), stays certified by the heavy (1, 2) alone
+        calls = []
+        real = graph._stoer_wagner
+
+        def counted(*args):
+            calls.append(1)
+            return real(*args)
+
+        weights = {(1, 2): 9, (1, 3): 1, (2, 3): 1}
+        monkeypatch.setattr(graph, "_stoer_wagner", counted)
+        tree = StrengthTree(3, weights)
+        built = len(calls)
+        for _ in range(3):
+            tree.shift((1, 2), (1, 3))
+        assert len(calls) == built
+        monkeypatch.undo()
+        assert shift_and_check(3, weights, [((1, 2), (1, 3))] * 3) == (0, 0)
+        assert tree.strengths == {(1, 2): 6, (1, 3): 5, (2, 3): 5}
 
 
 class TestKStrongComponents:
