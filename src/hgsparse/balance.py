@@ -23,6 +23,18 @@ levels K_j alone.  So after a transfer only the group that moved the unit and
 the groups holding a pair whose strength changed can change verdict;
 `find_max_bad` re-examines just those and caches the rest, which gives
 exactly the pick of a scan over every group.
+
+A pick is repeated for many units in a row, so the loop moves them in one
+`transfer_step`.  While the tree certifies the moves (`StrengthTree.horizon`),
+every slot strength is a line in the number j of units moved, and so are the
+picked group's aggregate units on f_max (-1 per unit) and f_min (+1).  A
+verdict holds while each of its comparisons of two lines does: every other
+slot against f_min and against s_star, the held units of s_star against 0,
+k_max against K_{ind-1} and K_ind, and k_min against K_{ind-1}.  Each flips at
+most once, at a state read off in closed form.  The batch ends at the first
+state at which any group's verdict would flip, at the horizon plus one, or at
+the iteration cap, whichever comes first, so the iterations, the units of
+every copy and the strengths are those of moving one unit per pick.
 """
 
 from __future__ import annotations
@@ -33,7 +45,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional
 
-from .graph import StrengthTable, StrengthTree, pair_strengths
+from .graph import StrengthTable, StrengthTree, _first_fail, pair_strengths
 from .hypergraph import WeightedHypergraph
 
 Pair = tuple[int, int]
@@ -269,33 +281,91 @@ def find_max_bad(state: BalanceState) -> Optional[BadEdge]:
                    k_min, k_max)
 
 
-def transfer_step(state: BalanceState, copy: int, f_min: Pair, f_max: Pair) -> None:
-    """Move one delta of the copy's weight from f_max to f_min.  The strength
-    tree shifts the same unit and updates `state.strengths` in place.  A block
-    keeps its old min cut when the cut's new value is at most the bound on
-    each class of its cuts: those crossing f_min only, those crossing f_max,
-    and those crossing neither, whose minimum is cached per block while the
-    loop keeps moving units between the same f_max and f_min.  Other blocks
-    run Stoer-Wagner again, and the whole graph is peeled again only when
-    f_max empties or f_min joins two components."""
+def transfer_step(state: BalanceState, copy: int, f_min: Pair, f_max: Pair,
+                  units: int = 1) -> None:
+    """Move `units` deltas from f_max to f_min: from the copy, then from each
+    later copy of its group that holds weight on f_max, in copy order, which
+    are the copies the loop would pick one unit at a time.  The strength tree
+    shifts the same units in one call, which needs `units` at most its
+    certified horizon + 1, and updates `state.strengths` in place."""
     g = state.groups[state.hypergraph.edges[copy].vertices]
     i_min = g.slot_index[f_min]
     i_max = g.slot_index[f_max]
-    units = g.overrides.get(copy)
-    if units is None:
-        units = list(g.default_units)
-        g.overrides[copy] = units
-    if units[i_max] < 1:
+    if g.units_for(copy)[i_max] < 1:
         raise BalanceError(f"copy {copy} holds no weight on slot {f_max}")
-    units[i_max] -= 1
-    units[i_min] += 1
-    g.agg_units[i_max] -= 1
-    g.agg_units[i_min] += 1
-    state.pair_units[f_max] -= 1
-    state.pair_units[f_min] = state.pair_units.get(f_min, 0) + 1
-    state.iterations += 1
+    takes, left = [], units
+    for c in g.copies[g.copies.index(copy):]:
+        held = g.units_for(c)[i_max]
+        if held:
+            takes.append((c, min(held, left)))
+            left -= takes[-1][1]
+            if not left:
+                break
+    if left:
+        raise BalanceError(f"copies from {copy} on hold fewer than {units} units on slot {f_max}")
+    for c, take in takes:
+        own = g.overrides.get(c)
+        if own is None:
+            own = g.overrides[c] = list(g.default_units)
+        own[i_max] -= take
+        own[i_min] += take
+    g.agg_units[i_max] -= units
+    g.agg_units[i_min] += units
+    state.pair_units[f_max] -= units
+    state.pair_units[f_min] = state.pair_units.get(f_min, 0) + units
+    state.iterations += units
     state.dirty.add(g.key)
-    state.tree.shift(f_max, f_min)
+    state.tree.shift(f_max, f_min, units)
+
+
+def _batch_length(state: BalanceState, bad: BadEdge, room: int) -> int:
+    """How many units the loop moves for the pick `bad`: the first state
+    j >= 1 at which some group's verdict would differ from now, with at most
+    the tree's certified horizon + 1 and `room` units.  Only the picked group
+    and the groups holding a pair whose strength moves can change verdict."""
+    if room <= 1:
+        return 1
+    certified, slopes = state.tree.horizon(bad.f_max, bad.f_min)
+    units = min(certified + 1, room)
+    if units > 1:
+        keys = {bad.group_key}.union(*(state.groups_of.get(p, ()) for p in slopes))
+        for key in keys:
+            units = min(units, _verdict_lasts(state, state.groups[key], slopes, bad))
+    return units
+
+
+def _verdict_lasts(state: BalanceState, g: _Group, slopes: Mapping[Pair, int],
+                   bad: BadEdge):
+    """The first state j >= 1 at which g's verdict (bad or not, ind, f_min,
+    s_star, k_max in range) would differ from now, when each slot strength
+    moves by its slope per unit and the picked group moves units from f_max
+    to f_min; inf when it never does."""
+    strengths = state.strengths
+    line = [(strengths.get(p, 0), slopes.get(p, 0)) for p in g.slots]
+    agg = [(u, 0) for u in g.agg_units]
+    if g.key == bad.group_key:
+        i_min, i_max = g.slot_index[bad.f_min], g.slot_index[bad.f_max]
+        agg[i_max], agg[i_min] = (agg[i_max][0], -1), (agg[i_min][0], 1)
+    # find_max_bad's choices now: the first weakest slot, the first strongest
+    # held slot, each kept while every other slot stays on its side
+    f = min(range(len(line)), key=lambda i: line[i][0])
+    top = max((i for i, (u, _) in enumerate(agg) if u > 0), key=lambda i: line[i][0])
+    stays = [(*agg[top], True)]
+    for i, (v, s) in enumerate(line):
+        if i != f:
+            stays.append((v - line[f][0], s - line[f][1], i < f))
+        if i != top and (agg[i][0] > 0 or agg[i][1] > 0):
+            stays.append((line[top][0] - v, line[top][1] - s, i < top))
+    (k_min, s_min), (k_max, s_max) = line[f], line[top]
+    levels = state.K_units
+    ind = bisect_left(levels, k_max)
+    below = levels[max(ind - 1, 0)]
+    stays.append((levels[ind] - k_max, -s_max, False))
+    stays.append((k_max - below, s_max, ind > 0))
+    if ind > 0:
+        stays.append((below - k_min, -s_min, True) if k_min < below
+                     else (k_min - below, s_min, False))
+    return min(_first_fail(c, s, strict) for c, s, strict in stays)
 
 
 def run_balance(
@@ -306,9 +376,13 @@ def run_balance(
 ) -> "BalancedAssignment":
     """Run the transfer loop to a gamma-balanced assignment.
 
-    The loop provably needs at most m*ell*n^2 transfers; the default cap is
-    twice that, and hitting it raises since it would mean a logic error, not
-    an unlucky input.
+    Each pick moves `_batch_length` units in one `transfer_step`: as many as
+    the one-unit loop would move before any pick could change, so the
+    iterations and the final weights are those of moving one unit per pick.
+    A traced run moves one unit per pick and records each.  The loop
+    provably needs at most m*ell*n^2 transfers; the default cap is twice
+    that, and hitting it raises since it would mean a logic error, not an
+    unlucky input.
     """
     state = init_weights(h, gamma)
     if iteration_cap is None:
@@ -319,7 +393,9 @@ def run_balance(
             break
         if state.iterations >= iteration_cap:
             raise BalanceError(f"iteration cap {iteration_cap} exceeded")
-        transfer_step(state, bad.copy, bad.f_min, bad.f_max)
+        units = 1 if trace is not None else _batch_length(
+            state, bad, iteration_cap - state.iterations)
+        transfer_step(state, bad.copy, bad.f_min, bad.f_max, units)
         if trace is not None:
             trace.append(IterationRecord(
                 index=state.iterations,

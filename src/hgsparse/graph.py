@@ -34,6 +34,20 @@ The whole graph is peeled again when a pair empties or a new pair joins two
 components.  A brute-force oracle over all vertex subsets and all cuts backs
 the fast path at small n.
 
+Repeated moves between one (src, dst) make every value a line in the number
+j of units moved.  The stored cut of a block B moves by σ_B per unit: +1
+when it crosses dst only, -1 when it crosses src only, 0 otherwise.  So at
+state j its value is λ(j) = λ + σ_B·j, the chain bound is k(j), the max of
+the lines of the src-holding blocks from B down, and μ does not move.  The
+move from state j to j+1 keeps B's cut without Stoer-Wagner when
+λ(j+1) <= k(j) - 1 (B holds src and σ_B >= 0) and λ(j+1) <= μ (σ_B = +1);
+the dst-only bound λ(j) + 1 never binds.  A strength is the running max of
+the lines on its root-to-block path.  `StrengthTree.horizon` solves these
+comparisons of lines in closed form for T, the number of units that keep
+every kept cut certified and every strength on one line, with src never
+emptying; `shift(src, dst, units)` then moves units - 1 <= T of them along
+the lines at once and the last one as a single move.
+
 `StrengthTree.changed` collects the pairs whose strength took a new value or
 was dropped, until its owner clears it: exactly where the strengths differ
 from those at the last clear, so a caller can re-examine only what they feed.
@@ -42,6 +56,7 @@ from those at the last clear, so a caller can re-examine only what they feed.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
@@ -184,6 +199,46 @@ def _merged_min_cut(verts: frozenset[int], adj, pairs: Iterable[tuple[int, int]]
     return _stoer_wagner(merged, merged)[0] if len(merged) > 1 else None
 
 
+def _first_fail(c, s, strict: bool = False):
+    """The least state j >= 0 at which the line c + s·j is no longer >= 0
+    (> 0 when strict); inf when it never fails."""
+    if c < 0 or (strict and c == 0):
+        return 0
+    if s >= 0:
+        return math.inf
+    return -(c // s) if strict else c // -s + 1
+
+
+def _first_all_fail(lines):
+    """The least state j >= 0 at which no line c + s·j of `lines` is > 0.
+    Each line is > 0 on one run of states, from 0 when it falls and up to
+    the end when it rises, so the union has at most one gap."""
+    last_held, first_risen = -1, math.inf
+    for c, s in lines:
+        fail = _first_fail(c, s, strict=True)
+        if fail == math.inf:
+            return fail
+        last_held = max(last_held, fail - 1)
+        if s > 0:
+            first_risen = min(first_risen, -c // s + 1)
+    return last_held + 1 if last_held + 1 < first_risen else math.inf
+
+
+def _max_line(f, g):
+    """The larger of the lines f and g, each (value now, slope), just after
+    now, and the last state through which it stays the larger."""
+    if g > f:
+        f, g = g, f
+    if g[1] <= f[1]:
+        return f, math.inf
+    return f, (f[0] - g[0]) // (g[1] - f[1])
+
+
+def _across(node) -> list[tuple[int, int]]:
+    """The pairs that node's stored cut separates."""
+    return [(u, v) if u < v else (v, u) for u in node.side for v in node.rest]
+
+
 class _Block:
     """A peel-tree node: a connected block, one min cut, the child blocks."""
 
@@ -249,11 +304,36 @@ class StrengthTree:
             self._cross(node, top)
             stack.extend((kid, top) for kid in node.kids)
 
-    def shift(self, src: tuple[int, int], dst: tuple[int, int]) -> None:
-        """Move one unit of weight from pair src to pair dst.  A block keeps
-        its stored cut, without Stoer-Wagner, when the cut's new value is at
-        most each class bound in the module docstring; μ is cached per block
-        until the pair changes or the tree is peeled again."""
+    def shift(self, src: tuple[int, int], dst: tuple[int, int], units: int = 1) -> None:
+        """Move `units` units of weight from pair src to pair dst, at most
+        `horizon(src, dst)[0] + 1`.  All but the last move along the lines
+        the horizon certified; the last goes through `_step`.  A pair joins
+        `changed` only when its strength differs from before the call."""
+        if units == 1:
+            self._step(src, dst)
+            return
+        certified, moves, tops = self._lines(src, dst)
+        j = units - 1
+        if not 0 < j <= certified:
+            raise ValueError(f"cannot move {units} units: {certified + 1} are certified")
+        s, changed = self.strengths, self.changed
+        before = {p: s[p] for node, _ in tops for p in _across(node) if p not in changed}
+        adj = self.adj
+        (a, b), (c, d) = src, dst
+        adj[a][b] = adj[b][a] = adj[a][b] - j
+        adj[c][d] = adj[d][c] = adj[c].get(d, 0) + j
+        for node, sigma in moves:
+            node.val += sigma * j
+        for node, (top, slope) in tops:
+            self._cross(node, top + slope * j)
+        self._step(src, dst)
+        changed.difference_update(p for p, v in before.items() if s.get(p) == v)
+
+    def _step(self, src: tuple[int, int], dst: tuple[int, int]) -> None:
+        """Move one unit.  A block keeps its stored cut, without
+        Stoer-Wagner, when the cut's new value is at most each class bound in
+        the module docstring; μ is cached per block until the pair changes or
+        the tree is peeled again."""
         adj = self.adj
         (a, b), (c, d) = src, dst
         joins = not adj[c].get(d) and self.comp[c] != self.comp[d]
@@ -262,15 +342,11 @@ class StrengthTree:
         if joins or not adj[a][b]:
             self._peel()
             return
-        if self._pair != (src, dst):
-            self._pair, self._mu = (src, dst), {}
+        self._use_pair(src, dst)
         # the largest cut value k on each src-holding block's chain down to
         # the block that separates src
-        chain = [self.roots[self.comp[a]]]
-        while (a in chain[-1].side) == (b in chain[-1].side):
-            chain.append(next(kid for kid in chain[-1].kids if a in kid.verts))
         chain_k, k = {}, 0
-        for node in reversed(chain):
+        for node in reversed(self._chain(a, b)):
             k = chain_k[node] = max(k, node.val)
         stack = [(self.roots[i], 0, 0) for i in {self.comp[a], self.comp[c]}]
         while stack:
@@ -288,7 +364,7 @@ class StrengthTree:
             # dst-only cuts are now >= old + 1 >= val, so only the src class
             # (>= k - 1) and, when the cut gained, the neither class (>= μ) bind
             if ((has_src and val >= chain_k[node])
-                    or (val > old and not self._neither_at_least(node, val))):
+                    or (val > old and val > self._neither_min(node))):
                 cut = _stoer_wagner(verts, adj)
                 if cut[0] != val:
                     self._grow(node, cut)
@@ -300,13 +376,92 @@ class StrengthTree:
                 self._cross(node, new_top)
             stack.extend((kid, old_top, new_top) for kid in node.kids)
 
-    def _neither_at_least(self, node: _Block, val) -> bool:
-        """Whether every cut of node's block that crosses neither the current
-        src nor dst weighs at least val; computes and caches its minimum μ."""
+    def horizon(self, src: tuple[int, int], dst: tuple[int, int]) -> tuple[int, dict]:
+        """(T, slopes) for moves from pair src to pair dst: T successive unit
+        moves keep every stored cut without Stoer-Wagner and every strength
+        on one line, and after j <= T of them the strength of pair p is its
+        strength now plus slopes.get(p, 0) * j.  Integer weights."""
+        certified, _, tops = self._lines(src, dst)
+        return certified, {p: slope for node, (_, slope) in tops for p in _across(node)}
+
+    def _lines(self, src: tuple[int, int], dst: tuple[int, int]):
+        """`_step`'s walk over states j = 0, 1, ... of moves from src to dst,
+        with every value a line (value now, slope per unit).  Returns
+        (T, moves, tops): T as in `horizon`, (block, σ) for each block whose
+        cut value moves and (block, line) for each block whose cut's pairs
+        have a moving strength, all exact through state T."""
+        adj = self.adj
+        (a, b), (c, d) = src, dst
+        if not adj[c].get(d) and self.comp[c] != self.comp[d]:
+            return 0, [], []
+        chain = self._chain(a, b)
+        sigma = [int(c in n.verts and d in n.verts and (c in n.side) != (d in n.side))
+                 for n in chain]
+        sigma[-1] -= 1
+        # src must not empty, and each chain block whose cut does not lose
+        # needs the src class bound: k(j) - 1 >= val(j + 1), so some block at
+        # or below it must stay above its value + σ.  When that fails now,
+        # as `_step` tests it with the running max k, nothing is certified.
+        k, chain_k = 0, []
+        for node in reversed(chain):
+            k = max(k, node.val)
+            chain_k.append(k)
+        if any(s >= 0 and k <= node.val + s
+               for node, s, k in zip(chain, sigma, reversed(chain_k))):
+            return 0, [], []
+        certified = adj[a][b] - 1
+        for i, (node, s) in enumerate(zip(chain, sigma)):
+            if s >= 0 and certified:
+                certified = min(certified, _first_all_fail(
+                    [(kid.val - node.val - s, ks - s) for kid, ks in zip(chain[i:], sigma[i:])]))
+        if not certified:
+            return 0, [], []
+        self._use_pair(src, dst)
+        on_chain = {node: i for i, node in enumerate(chain)}
+        moves, tops = [], []
+        stack = [(self.roots[i], (0, 0)) for i in {self.comp[a], self.comp[c]}]
+        while stack and certified:
+            node, top = stack.pop()
+            i = on_chain.get(node)
+            if i is not None:
+                s = sigma[i]
+            elif c in node.verts and d in node.verts:
+                s = int((c in node.side) != (d in node.side))
+            elif top[1]:
+                s = 0
+            else:
+                continue
+            val = node.val
+            if s:
+                moves.append((node, s))
+            if s > 0:
+                certified = min(certified, self._neither_min(node) - val)
+            top, lasts = _max_line(top, (val, s))
+            certified = min(certified, lasts)
+            if top[1]:
+                tops.append((node, top))
+            stack.extend((kid, top) for kid in node.kids)
+        return (certified, moves, tops) if certified else (0, [], [])
+
+    def _chain(self, a: int, b: int) -> list[_Block]:
+        """The blocks holding both a and b, from the root down to the block
+        whose cut separates them."""
+        chain = [self.roots[self.comp[a]]]
+        while (a in chain[-1].side) == (b in chain[-1].side):
+            chain.append(next(kid for kid in chain[-1].kids if a in kid.verts))
+        return chain
+
+    def _use_pair(self, src: tuple[int, int], dst: tuple[int, int]) -> None:
+        if self._pair != (src, dst):
+            self._pair, self._mu = (src, dst), {}
+
+    def _neither_min(self, node: _Block):
+        """μ: the least cut of node's block that crosses neither the current
+        src nor dst (inf when there is none), computed once and cached."""
         if node not in self._mu:
-            self._mu[node] = _merged_min_cut(node.verts, self.adj, self._pair)
-        mu = self._mu[node]
-        return mu is None or val <= mu
+            mu = _merged_min_cut(node.verts, self.adj, self._pair)
+            self._mu[node] = math.inf if mu is None else mu
+        return self._mu[node]
 
 
 def pair_strengths(n: int, pair_weights: Mapping[tuple[int, int], object]) -> dict:

@@ -1,6 +1,6 @@
 """Slow oracles that only the tests read: an exact global min cut, the
 survivor-connectivity audit of a sampling plan, a seeded concentration batch,
-and a bitmask builder for `Cut`.
+a bitmask builder for `Cut`, and the heavy-core family of instances.
 
 The library keeps what its samplers, pipeline, CLI and demos run; these
 recompute from first principles and back the fast paths at small scale.
@@ -8,12 +8,14 @@ recompute from first principles and back the fast paths at small scale.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional
 
 from hgsparse import (
     BalancedAssignment,
+    HyperEdge,
     QualityReport,
     SamplingPlan,
     UnionFind,
@@ -33,6 +35,17 @@ def mask_of(vertices: Iterable[int]) -> int:
     for v in vertices:
         mask |= 1 << (v - 1)
     return mask
+
+
+def heavy_core(n: int) -> WeightedHypergraph:
+    """A core clique on C = n // 2 vertices with each of its pairs 3 times,
+    plus one hyperedge {v} + core for each other vertex v (rank C + 1).
+    Under uniform clique weights the sum of 1/kappa over copies grows like
+    n * r; balancing brings it under gamma * (n - 1)."""
+    core = tuple(range(1, n // 2 + 1))
+    edges = [HyperEdge(p) for p in itertools.combinations(core, 2) for _ in range(3)]
+    edges += [HyperEdge(core + (v,)) for v in range(len(core) + 1, n + 1)]
+    return WeightedHypergraph(n, tuple(edges))
 
 
 def global_min_cut(

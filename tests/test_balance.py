@@ -7,6 +7,7 @@ it is bad and the loop has real work to do.
 """
 
 import itertools
+import random
 import sys
 from fractions import Fraction
 
@@ -26,11 +27,13 @@ from hgsparse import (
     is_balanced,
     pair_strengths,
     run_balance,
+    sparsify_weighted,
     transfer_step,
 )
 from hgsparse import balance, graph
 from hgsparse.balance import AssignmentGroup, BadEdge, BalancedAssignment
 from conftest import BALANCE_INSTANCES, random_hypergraph, two_cluster
+from oracles import heavy_core
 
 
 def units_of(assignment):
@@ -88,6 +91,67 @@ def reference_balance(h, gamma=2):
         units[copy][i_min] += 1
         iterations += 1
         table = strengths()
+
+
+def outcome(assignment):
+    """What a balance run decides: its iterations, every copy's units, the
+    order in which each group's copies got their own units, and the
+    strengths."""
+    return (assignment.iterations, units_of(assignment),
+            [(g.key, list(g.overrides)) for g in assignment.groups],
+            assignment.strengths.pair_strength)
+
+
+def single_step_balance(h, gamma=2, iteration_cap=None):
+    """The loop one unit per pick: `find_max_bad`, then a `transfer_step` of
+    one unit of the picked copy.  Returns the run's `outcome`, or the message
+    of the BalanceError it raised and the iterations made by then."""
+    state = balance.init_weights(h, gamma)
+    if iteration_cap is None:
+        iteration_cap = 2 * state.m * state.ell * state.units_total
+    try:
+        while (bad := find_max_bad(state)) is not None:
+            if state.iterations >= iteration_cap:
+                raise BalanceError(f"iteration cap {iteration_cap} exceeded")
+            transfer_step(state, bad.copy, bad.f_min, bad.f_max)
+    except BalanceError as exc:
+        return str(exc), state.iterations
+    return outcome(state.snapshot())
+
+
+def batched_balance(h, gamma=2, iteration_cap=None):
+    """`run_balance`, reported as `single_step_balance` reports its run."""
+    states = []
+    init = balance.init_weights
+
+    def kept(*args):
+        states.append(init(*args))
+        return states[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(balance, "init_weights", kept)
+        try:
+            return outcome(run_balance(h, gamma, iteration_cap))
+        except BalanceError as exc:
+            return str(exc), states[0].iterations
+
+
+def record_batches(mp):
+    """Patch the transfer step to log each batch as (units, whether it drew
+    on more than one copy, whether src emptied, whether dst joined two
+    components)."""
+    log = []
+    transfer = balance.transfer_step
+
+    def logged(state, copy, f_min, f_max, units=1):
+        g, tree = state.groups[state.hypergraph.edges[copy].vertices], state.tree
+        spans = units > g.units_for(copy)[g.slot_index[f_max]]
+        joins = not state.pair_units.get(f_min) and tree.comp[f_min[0]] != tree.comp[f_min[1]]
+        transfer(state, copy, f_min, f_max, units)
+        log.append((units, spans, not state.pair_units[f_max], joins))
+
+    mp.setattr(balance, "transfer_step", logged)
+    return log
 
 
 def scan_max_bad(state):
@@ -503,8 +567,9 @@ class TestRunBalance:
         h = WeightedHypergraph(8, random_hypergraph(8, 40, 3, 1).edges
                                + (HyperEdge((1, 2)),) * 30 + (HyperEdge((3, 5)),) * 20)
         groups = len(init_weights(h).groups)
-        examined, picks = [], []
+        examined, picks, transfers = [], [], []
         real_index, real_pick = balance.BalanceState.interval_index, balance.find_max_bad
+        real_transfer = balance.transfer_step
 
         def counted_index(state, value):
             examined.append(1)
@@ -514,13 +579,166 @@ class TestRunBalance:
             picks.append(1)
             return real_pick(state)
 
+        def counted_transfer(*args):
+            transfers.append(1)
+            return real_transfer(*args)
+
         monkeypatch.setattr(balance.BalanceState, "interval_index", counted_index)
         monkeypatch.setattr(balance, "find_max_bad", counted_pick)
+        monkeypatch.setattr(balance, "transfer_step", counted_transfer)
         a = run_balance(h)
         assert groups >= 30 and a.iterations > 100
-        assert len(picks) == a.iterations + 1
+        assert len(picks) == len(transfers) + 1
         assert len(examined) <= len(picks) * groups / 2
         assert reference_balance(h) == (a.iterations, units_of(a))
+
+
+class TestBatches:
+    """`run_balance` moves all units of a pick in one `transfer_step`; the
+    single-step loop and `reference_balance` are its oracles."""
+
+    @given(st.integers(3, 6), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_matches_single_step_loop(self, n, data):
+        # parallel copies of a few hyperedges next to heavy pairs, with an
+        # iteration cap that can fall inside a batch
+        verts = st.integers(1, n)
+        edges = []
+        for _ in range(data.draw(st.integers(1, 5))):
+            size = data.draw(st.integers(2, n))
+            edge = HyperEdge(tuple(sorted(data.draw(st.sets(verts, min_size=size, max_size=size)))))
+            edges += [edge] * data.draw(st.integers(1, 4))
+        for _ in range(data.draw(st.integers(0, 2))):
+            pair = tuple(sorted(data.draw(st.sets(verts, min_size=2, max_size=2))))
+            edges += [HyperEdge(pair)] * data.draw(st.integers(3, 30))
+        h = WeightedHypergraph(n, tuple(data.draw(st.permutations(edges))))
+        cap = data.draw(st.none() | st.integers(0, 80))
+        slow = single_step_balance(h, iteration_cap=cap)
+        assert batched_balance(h, iteration_cap=cap) == slow
+        if cap is None:
+            assert reference_balance(h) == slow[:2]
+
+    def test_batches_span_holders_and_empty_src(self, monkeypatch):
+        # one batch drains several parallel copies; another empties its src
+        # pair on the last unit, which peels the tree again
+        spans = WeightedHypergraph(4, tuple(HyperEdge(e) for e in [
+            (2, 4), (1, 3, 4), (1, 4), (1, 3, 4), (1, 4)]))
+        empties = WeightedHypergraph(6, tuple(HyperEdge(e) for e in [
+            (3, 5), (1, 2, 3, 4, 6), (3, 5), (1, 2, 4, 5), (3, 5), (1, 2, 4, 5),
+            (3, 5), (1, 2, 4, 5), (3, 5), (3, 5)]))
+        for h, case in [(spans, 1), (empties, 2)]:
+            slow = single_step_balance(h)
+            log = record_batches(monkeypatch)
+            assert batched_balance(h) == slow
+            monkeypatch.undo()
+            assert any(batch[0] > 1 and batch[case] for batch in log), log
+            assert reference_balance(h) == slow[:2]
+
+    def test_batches_from_a_split_state(self, monkeypatch):
+        # vertex 3 cut off by moving every unit of (1, 3) and (2, 3) onto
+        # (1, 2): the first transfer joins two components again
+        real = balance.init_weights
+
+        def split(h, gamma):
+            state = real(h, gamma)
+            copy = len(h.edges) - 1
+            for f_max in [(1, 3)] * 3 + [(2, 3)] * 3:
+                transfer_step(state, copy, (1, 2), f_max)
+            return state
+
+        monkeypatch.setattr(balance, "init_weights", split)
+        h = two_cluster()
+        slow = single_step_balance(h)
+        log = record_batches(monkeypatch)
+        assert batched_balance(h) == slow
+        assert slow[0] > 6 and log[0] == (1, False, False, True)
+
+    def test_strongest_held_slot_changes_mid_pick(self):
+        # a group's strongest held slot is overtaken before any other part
+        # of its verdict flips, so only the s_star comparisons end the batch
+        h = WeightedHypergraph(8, tuple(HyperEdge(e) for e in [
+            (1, 6, 7), (1, 6), (1, 3, 4, 6, 8), (1, 3, 4, 6, 8), (1, 6, 7), (1, 3),
+            (1, 3, 4, 6, 8), (1, 3), (1, 6, 7), (1, 3, 4, 6, 8), (1, 3), (1, 6)]))
+        slow = single_step_balance(h)
+        assert batched_balance(h) == slow
+        assert reference_balance(h) == slow[:2]
+
+    def test_found_case_instance(self):
+        # blocks holding src whose stored cut crosses neither pair at k = λ
+        # certify no unit, so their picks move one unit each
+        h = WeightedHypergraph(8, random_hypergraph(8, 40, 3, 1).edges
+                               + (HyperEdge((1, 2)),) * 30 + (HyperEdge((3, 5)),) * 20)
+        slow = single_step_balance(h)
+        assert batched_balance(h) == slow and slow[0] == 242
+
+    def test_cap_inside_a_batch(self, monkeypatch):
+        light = random_hypergraph(8, 30, 3, 1).edges
+        h = WeightedHypergraph(8, light + (HyperEdge((1, 2)),) * 90 + (HyperEdge((3, 5)),) * 60)
+        log = record_batches(monkeypatch)
+        done = run_balance(h).iterations
+        monkeypatch.undo()
+        longest = max(range(len(log)), key=lambda i: log[i][0])
+        cap = sum(batch[0] for batch in log[:longest]) + log[longest][0] // 2
+        assert 0 < cap < done and log[longest][0] > 10
+        assert batched_balance(h, iteration_cap=cap) == single_step_balance(h, iteration_cap=cap) \
+            == (f"iteration cap {cap} exceeded", cap)
+
+    def test_strength_leaving_the_range_raises_alike(self, monkeypatch):
+        # levels rebuilt from the least k_max of any group, so a falling
+        # strong slot leaves the tracked range mid-run
+        real = balance.init_weights
+
+        def narrowed(h, gamma):
+            state = real(h, gamma)
+            tops = [max(state.strengths[p] for p, u in zip(g.slots, g.agg_units) if u > 0)
+                    for g in state.groups.values()]
+            state.K_units = [min(tops)]
+            while state.K_units[-1] < max(tops):
+                state.K_units.append(state.K_units[-1] * gamma)
+            state.k0_units, state.ell = state.K_units[0], len(state.K_units) - 1
+            return state
+
+        monkeypatch.setattr(balance, "init_weights", narrowed)
+        h = WeightedHypergraph(5, tuple(HyperEdge(e) for e in
+                                        [(1, 3, 4, 5)] * 4 + [(1, 4)] * 19 + [(1, 2)] * 8))
+        slow = single_step_balance(h)
+        log = record_batches(monkeypatch)
+        assert batched_balance(h) == slow == ("strength 50 left the tracked range [200, 800]", 16)
+        assert max(log)[0] > 1
+
+    def test_long_phases_take_few_transfers(self, monkeypatch):
+        # the shape of the benchmark's smoke `skewed`: light edges plus two
+        # heavy pairs, where the one-unit loop repeats each pick hundreds of
+        # times; batching that fell back to one unit per call would fail here
+        rng = random.Random("skewed/2")
+        edges = []
+        for sizes, weights, count in [((2, 3), (1, 4), 30), ((2, 2), (60, 120), 2)]:
+            for _ in range(count):
+                verts = tuple(sorted(rng.sample(range(1, 9), rng.randint(*sizes))))
+                edges.append(HyperEdge(verts, Fraction(rng.randint(*weights))))
+        h = WeightedHypergraph(8, tuple(edges))
+        calls = []
+        real = balance.transfer_step
+        monkeypatch.setattr(balance, "transfer_step", lambda *args: calls.append(1) or real(*args))
+        res = sparsify_weighted(h, 0.5, seed=5, rho_override=Fraction(5))
+        iterations = res.notes["balance_iterations"]
+        assert iterations > 500 and len(calls) <= iterations / 10
+
+    @pytest.mark.parametrize("n, transfers", [(10, 340), (14, 1029)])
+    def test_heavy_core_matches_single_step_loop(self, n, transfers):
+        h = heavy_core(n)
+        slow = single_step_balance(h)
+        assert batched_balance(h) == slow and slow[0] == transfers
+
+    @pytest.mark.parametrize("n", [14, 16])
+    def test_heavy_core_balancing_meets_the_size_budget(self, n):
+        # uniform clique weights overshoot gamma * (n - 1) copies' worth of
+        # 1/kappa; the balanced weights meet it (31.2 > 26 >= 10.5 at n = 14,
+        # 40.3 > 30 >= 12.0 at n = 16)
+        h = heavy_core(n)
+        uniform = sum(1 / k for k in init_weights(h).snapshot().kappa_by_copy())
+        balanced = sum(1 / k for k in run_balance(h).kappa_by_copy())
+        assert uniform > 2 * (n - 1) >= balanced
 
 
 class TestIsBalanced:

@@ -2,6 +2,7 @@
 edges, min cuts, strengths, and the brute-force oracle."""
 
 import itertools
+import sys
 from fractions import Fraction
 
 import pytest
@@ -290,6 +291,61 @@ class TestStrengthTree:
             left[dst] += run
             moves += [(src, dst)] * run
         shift_and_check(n, weights, moves)
+
+    @given(st.integers(3, 7), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_batched_shift_follows_the_horizon(self, n, data):
+        # after each j <= T units the strengths lie on the horizon's lines,
+        # as a fresh peel finds them, and each of those units keeps every
+        # stored cut without Stoer-Wagner; shift(src, dst, t) for t <= T + 1
+        # equals t single shifts and a fresh peel, with `changed` their diff
+        pairs = list(itertools.combinations(range(1, n + 1), 2))
+        top = data.draw(st.sampled_from([4, 20]))
+        weights = {p: data.draw(st.integers(0, top)) for p in pairs}
+        positive = [p for p in pairs if weights[p]]
+        if not positive:
+            return
+        src = data.draw(st.sampled_from(positive))
+        dst = data.draw(st.sampled_from([p for p in pairs if p != src]))
+        tree = StrengthTree(n, weights)
+        certified, slopes = tree.horizon(src, dst)
+        assert 0 <= certified < weights[src] and set(slopes) <= set(tree.strengths)
+        now, moved = dict(tree.strengths), dict(weights)
+        for j in range(certified + 1):
+            assert pair_strengths(n, moved) == {p: v + slopes.get(p, 0) * j for p, v in now.items()}
+            moved[src] -= 1
+            moved[dst] += 1
+        calls = []
+        real = graph._stoer_wagner
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(graph, "_stoer_wagner",
+                       lambda *args: calls.append(sys._getframe(1).f_code.co_name) or real(*args))
+            for _ in range(certified):
+                tree.shift(src, dst)
+        assert "_step" not in calls
+        for t in range(1, certified + 2):
+            batched, single = StrengthTree(n, weights), StrengthTree(n, weights)
+            batched.changed.clear()
+            batched.shift(src, dst, t)
+            for _ in range(t):
+                single.shift(src, dst)
+            moved = dict(weights)
+            moved[src] -= t
+            moved[dst] += t
+            assert batched.strengths == single.strengths == pair_strengths(n, moved)
+            assert batched.changed == {p for p in now.keys() | batched.strengths.keys()
+                                       if now.get(p) != batched.strengths.get(p)}
+
+    def test_horizon_ends_at_a_bend(self):
+        # (1, 3) and (2, 3) rise with the cut {3} until it meets the falling
+        # (1, 2) after 3 units; the 4th makes all three strengths 6
+        weights = {(1, 2): 9, (1, 3): 1, (2, 3): 1}
+        tree = StrengthTree(3, weights)
+        assert tree.horizon((1, 2), (1, 3)) == (3, {(1, 2): -1, (1, 3): 1, (2, 3): 1})
+        with pytest.raises(ValueError):
+            StrengthTree(3, weights).shift((1, 2), (1, 3), 5)
+        tree.shift((1, 2), (1, 3), 4)
+        assert tree.strengths == {(1, 2): 6, (1, 3): 6, (2, 3): 6}
 
     def test_pair_change_drops_cached_mu(self):
         # a star at 4.  The first move keeps the root's cut {3}, which
