@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -41,14 +42,18 @@ class HyperEdge:
     weight: Fraction = Fraction(1)
 
     def __post_init__(self):
+        # both checks run at C speed: a pairwise map, and an int compare (a
+        # Fraction's denominator is always positive)
         vs = self.vertices
         if len(vs) < 2:
             raise ValueError("hyperedge needs at least 2 distinct vertices")
-        if any(vs[i] >= vs[i + 1] for i in range(len(vs) - 1)):
+        if not all(map(operator.lt, vs, vs[1:])):
             raise ValueError("hyperedge vertices must be strictly increasing")
-        if not isinstance(self.weight, Fraction):
-            object.__setattr__(self, "weight", as_weight(self.weight))
-        if self.weight <= 0:
+        w = self.weight
+        if not isinstance(w, Fraction):
+            w = as_weight(w)
+            object.__setattr__(self, "weight", w)
+        if w.numerator <= 0:
             raise ValueError("hyperedge weight must be positive")
 
     @property
@@ -128,10 +133,8 @@ def format_weight(w: Fraction) -> str:
     if w.denominator == 1:
         return str(w.numerator)
     den = w.denominator
-    twos = 0
-    while den % 2 == 0:
-        den //= 2
-        twos += 1
+    twos = (den & -den).bit_length() - 1  # the lowest set bit
+    den >>= twos
     fives = 0
     while den % 5 == 0:
         den //= 5
@@ -195,7 +198,7 @@ def parse_edge_line(lineno: int, toks: Sequence[str], n: int, fmt: int) -> Hyper
             raise ParseError(lineno, f"vertex id {v} out of range [1,{n}]")
     if len(verts) < 2:
         raise ParseError(lineno, "hyperedge has fewer than 2 distinct vertices")
-    if w <= 0:
+    if w.numerator <= 0:
         raise ParseError(lineno, f"non-positive weight {toks[0]}")
     return HyperEdge(tuple(verts), w)
 

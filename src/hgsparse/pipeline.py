@@ -11,6 +11,13 @@ separating its endpoints already pays for much heavier contracted edges.
 The streaming wrapper buffers edges per level and re-sparsifies on overflow;
 each element passes through at most levels+1 sparsifications, so running the
 inner stages at eps/(2 log2(m/n)) keeps the composed error within eps.
+
+An edge passes through a stage as the same `HyperEdge` object whenever the
+stage leaves its vertex set and weight unchanged: contraction when its image
+is its own vertex set, the per-component relabel when the component is
+already supervertices 1..k, the restore when the sampler's edge already has
+the original vertex set, and the flush fold when no parallel edge joins it.
+So a flush builds new edges only for what it changes.
 """
 
 from __future__ import annotations
@@ -79,7 +86,8 @@ def contract_components(
 ) -> tuple[WeightedHypergraph, ContractionMap, tuple[int, ...]]:
     """Contract the connected components spanned by `higher` (isolated
     vertices stay their own component, numbered by smallest member) and map
-    `lower` through; edges collapsing into one supervertex are dropped.
+    `lower` through; edges collapsing into one supervertex are dropped, and
+    an edge whose image is its own vertex set is kept as the same object.
     Returns the contracted hypergraph, the map, and the surviving indices
     into `lower`.
     """
@@ -95,7 +103,7 @@ def contract_components(
         img = cmap.image(e.vertices)
         if len(img) < 2:
             continue
-        kept.append(HyperEdge(img, e.weight))
+        kept.append(e if img == e.vertices else HyperEdge(img, e.weight))
         origin.append(idx)
     return WeightedHypergraph(cmap.n_super, tuple(kept)), cmap, tuple(origin)
 
@@ -163,12 +171,15 @@ def sparsify_parity(
         for comp, edge_ids in zip(comps, comp_edges):
             if not edge_ids:
                 continue
-            relabel = {v: t for t, v in enumerate(sorted(comp), start=1)}
-            sub_edges = tuple(
-                HyperEdge(tuple(relabel[v] for v in contracted.edges[k].vertices),
-                          contracted.edges[k].weight)
-                for k in edge_ids
-            )
+            if max(comp) == len(comp):  # already supervertices 1..k
+                sub_edges = tuple(contracted.edges[k] for k in edge_ids)
+            else:
+                relabel = {v: t for t, v in enumerate(sorted(comp), start=1)}
+                sub_edges = tuple(
+                    HyperEdge(tuple(relabel[v] for v in contracted.edges[k].vertices),
+                              contracted.edges[k].weight)
+                    for k in edge_ids
+                )
             sub = WeightedHypergraph(len(comp), sub_edges)
             res = sparsify_weighted(
                 sub, epsilon / 2, d=d,
@@ -177,7 +188,8 @@ def sparsify_parity(
             )
             for pos, w_edge in zip(res.origin, res.hypergraph.edges):
                 orig_idx = bucket_origin[kept[edge_ids[pos]]]
-                out_edges.append(HyperEdge(h.edges[orig_idx].vertices, w_edge.weight))
+                vs = h.edges[orig_idx].vertices
+                out_edges.append(w_edge if w_edge.vertices == vs else HyperEdge(vs, w_edge.weight))
                 out_origin.append(orig_idx)
                 weight_out += w_edge.weight
         if weight_out > 3 * weight_in:
@@ -292,10 +304,11 @@ class StreamState:
             self.eps_inner, self.d, child_seed(self.seed, "flush", self.flushes),
             copy_cap=self.copy_cap,
         )
-        folded: dict[tuple[int, ...], Fraction] = {}
+        parallel: dict[tuple[int, ...], list[HyperEdge]] = {}
         for e in res.hypergraph.edges:
-            folded[e.vertices] = folded.get(e.vertices, Fraction(0)) + e.weight
-        out = [HyperEdge(vs, w) for vs, w in sorted(folded.items())]
+            parallel.setdefault(e.vertices, []).append(e)
+        out = [es[0] if len(es) == 1 else HyperEdge(vs, sum(e.weight for e in es))
+               for vs, es in sorted(parallel.items())]
         self.max_flush_out = max(self.max_flush_out, len(out))
         return out
 

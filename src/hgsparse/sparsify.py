@@ -190,7 +190,9 @@ def copy_counts(
     eps = as_weight(epsilon)
     w_min = min(e.weight for e in h.edges)
     scale = (3 / eps) / w_min
-    counts = [int(scale * e.weight) for e in h.edges]
+    # floor(scale * w) on integers: both terms are positive
+    sn, sd = scale.numerator, scale.denominator
+    counts = [sn * e.weight.numerator // (sd * e.weight.denominator) for e in h.edges]
     total = sum(counts)
     if total > copy_cap:
         raise ValueError(
@@ -239,7 +241,9 @@ def _sparsify_copies(
     # nothing needs expanding, balancing or drawing.
     keep_all = rho >= copies
     if keep_all:
-        sums = {j: Fraction(c) for j, c in enumerate(counts)}
+        # edge j keeps all counts[j] copies: weight counts[j] / scale
+        sn, sd = scale.numerator, scale.denominator
+        weights = {j: Fraction(c * sd, sn) for j, c in enumerate(counts)}
         notes["balance_iterations"] = 0
     else:
         unit, origin = reduce_weighted(h, counts)
@@ -256,14 +260,15 @@ def _sparsify_copies(
         sums = {}
         for c, e in zip(sample.origin, sample.hypergraph.edges):
             sums[origin[c]] = sums.get(origin[c], 0) + e.weight
+        weights = {j: w / scale for j, w in sums.items()}
     out = WeightedHypergraph(h.n, tuple(
-        HyperEdge(h.edges[j].vertices, w / scale) for j, w in sums.items()))
+        HyperEdge(h.edges[j].vertices, w) for j, w in weights.items()))
     if keep_all:
         # after the output edges: built first, the m'-long p tuple would be
         # rescanned by the garbage collector all through the edge loop
         sum_p = Fraction(copies)
         plan = SamplingPlan(epsilon, gamma, d, rho, h.n, (Fraction(1),) * copies, overridden)
-    return SparsifierResult(out, plan, seed, h.m, out.m, sum_p, tuple(sums), notes)
+    return SparsifierResult(out, plan, seed, h.m, out.m, sum_p, tuple(weights), notes)
 
 
 def sparsify_unweighted(

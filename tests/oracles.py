@@ -1,6 +1,8 @@
 """Slow oracles that only the tests read: an exact global min cut, the
 survivor-connectivity audit of a sampling plan, a seeded concentration batch,
-a bitmask builder for `Cut`, and the heavy-core family of instances.
+a contraction that rebuilds every edge, a weight formatter that strips
+factors of 2 one at a time, a bitmask builder for `Cut`, and the heavy-core
+family of instances.
 
 The library keeps what its samplers, pipeline, CLI and demos run; these
 recompute from first principles and back the fast paths at small scale.
@@ -11,10 +13,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 from hgsparse import (
     BalancedAssignment,
+    ContractionMap,
     HyperEdge,
     QualityReport,
     SamplingPlan,
@@ -150,3 +153,49 @@ def concentration_trial(
         if not rep.passed:
             failures += 1
     return ConcentrationSummary(failures, tuple(reports))
+
+
+def rebuild_contract_components(
+    n: int, higher: Sequence[HyperEdge], lower: Sequence[HyperEdge]
+) -> tuple[WeightedHypergraph, ContractionMap, tuple[int, ...]]:
+    """`pipeline.contract_components` as it was before it passed unchanged
+    edges through: every surviving edge of `lower` is built anew from its
+    image."""
+    groups = UnionFind(range(1, n + 1), (e.vertices for e in higher)).groups()
+    sv = [0] * n
+    for sid, grp in enumerate(groups, start=1):
+        for v in grp:
+            sv[v - 1] = sid
+    cmap = ContractionMap(tuple(sv), len(groups))
+    kept: list[HyperEdge] = []
+    origin: list[int] = []
+    for idx, e in enumerate(lower):
+        img = cmap.image(e.vertices)
+        if len(img) < 2:
+            continue
+        kept.append(HyperEdge(img, e.weight))
+        origin.append(idx)
+    return WeightedHypergraph(cmap.n_super, tuple(kept)), cmap, tuple(origin)
+
+
+def format_weight_loop(w: Fraction) -> str:
+    """`hypergraph.format_weight` with the factors of 2 divided out one at a
+    time, as it was before it read them off the lowest set bit."""
+    if w.denominator == 1:
+        return str(w.numerator)
+    den = w.denominator
+    twos = 0
+    while den % 2 == 0:
+        den //= 2
+        twos += 1
+    fives = 0
+    while den % 5 == 0:
+        den //= 5
+        fives += 1
+    if den != 1:
+        return f"{w.numerator}/{w.denominator}"
+    k = max(twos, fives)
+    scaled = w.numerator * 10**k // w.denominator
+    digits = str(abs(scaled)).rjust(k + 1, "0")
+    sign = "-" if scaled < 0 else ""
+    return f"{sign}{digits[:-k]}.{digits[-k:]}"

@@ -2,7 +2,10 @@
 
 `sparsify` runs at seeds 1 and 7 on three inputs, at the theoretical rho
 (every copy has p = 1) and at `--rho-override 3` (balanced and sampled),
-plus one `pipeline` and one `stream` run.  Each case writes its output and
+plus one `pipeline` run and two `stream` runs.  `pipeline_spread` puts two
+heavy pairs one bucket above random edges.  `stream_spread` streams light
+edges with heavy pairs two buckets above them, so that its flushes contract
+the pairs and relabel the light components.  Each case writes its output and
 `.meta` sidecar, which must match `tests/golden/<case>.hg{,.meta}` byte for
 byte.  The stdout of each script in `demos/` must match
 `tests/golden/demo_<name>.txt`.
@@ -28,6 +31,26 @@ GOLDEN = Path(__file__).parent / "golden"
 DEMOS = sorted((Path(__file__).parent.parent / "demos").glob("*.py"))
 
 WEIGHTED = gen_random(6, 12, 3, weighted=True, w_max=4, seed=3)
+
+
+def edge_lines(h: WeightedHypergraph) -> str:
+    """A stream input: the serialized edge lines without the header."""
+    return "".join(serialize_hypergraph(h).splitlines(keepends=True)[1:])
+
+
+def spread_stream() -> str:
+    """Light edges of weight below 10^-4, with a heavy pair of weight 10^5
+    after every second one.  At -e 1 each flush puts the pairs two buckets,
+    one parity step, above the light edges."""
+    light = gen_random(6, 16, 3, weighted=True, w_max=4, seed=5).edges
+    heavy = (HyperEdge((1, 2), Fraction(10**5)), HyperEdge((3, 4), Fraction(10**5)))
+    edges = []
+    for k, e in enumerate(light):
+        edges.append(HyperEdge(e.vertices, e.weight / 40000))
+        if k % 2:
+            edges.append(heavy[k // 2 % 2])
+    return edge_lines(WeightedHypergraph(6, tuple(edges)))
+
 INPUTS = {
     "sunflower": serialize_hypergraph(gen_sunflower(4)),
     "footnote": serialize_hypergraph(gen_footnote_graph(5)),
@@ -35,9 +58,8 @@ INPUTS = {
     # two heavy pairs put a second weight bucket above the random edges
     "spread": serialize_hypergraph(WeightedHypergraph(6, WEIGHTED.edges + (
         HyperEdge((1, 2), Fraction(10**5)), HyperEdge((3, 4), Fraction(10**5))))),
-    # stream input: edge lines without the header
-    "stream": "".join(serialize_hypergraph(gen_random(6, 40, 3, weighted=True, w_max=4, seed=5))
-                      .splitlines(keepends=True)[1:]),
+    "stream": edge_lines(gen_random(6, 40, 3, weighted=True, w_max=4, seed=5)),
+    "stream_spread": spread_stream(),
 }
 
 CASES = [
@@ -50,6 +72,8 @@ CASES = [
     ("pipeline_spread_seed1", "spread", ["pipeline", "-e", "0.5", "--seed", "1"]),
     ("stream_seed1", "stream",
      ["stream", "--n", "6", "--m-bound", "40", "--capacity", "8", "-e", "0.5", "--seed", "1"]),
+    ("stream_spread_seed1", "stream_spread",
+     ["stream", "--n", "6", "--m-bound", "24", "--capacity", "4", "-e", "1", "--seed", "1"]),
 ]
 
 

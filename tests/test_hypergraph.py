@@ -20,27 +20,38 @@ from hgsparse import (
     parse_hypergraph,
     serialize_hypergraph,
 )
-from oracles import mask_of
+from oracles import format_weight_loop, mask_of
+
+
+class SubFraction(Fraction):
+    """A Fraction subclass, which HyperEdge keeps without converting."""
 
 
 class TestHyperEdge:
     def test_sorted_distinct_required(self):
-        with pytest.raises(ValueError):
-            HyperEdge((2, 1))
-        with pytest.raises(ValueError):
-            HyperEdge((1, 1))
-        with pytest.raises(ValueError):
-            HyperEdge((3,))
+        for vertices, message in [
+            ((2, 1), "hyperedge vertices must be strictly increasing"),
+            ((1, 1), "hyperedge vertices must be strictly increasing"),
+            ((1, 3, 2), "hyperedge vertices must be strictly increasing"),
+            ((3,), "hyperedge needs at least 2 distinct vertices"),
+        ]:
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                HyperEdge(vertices)
+        # the vertex checks come first
+        with pytest.raises(ValueError, match="strictly increasing"):
+            HyperEdge((2, 1), 0)
 
     def test_positive_weight_required(self):
-        with pytest.raises(ValueError):
-            HyperEdge((1, 2), Fraction(0))
-        with pytest.raises(ValueError):
-            HyperEdge((1, 2), Fraction(-1))
+        for weight in (0, "0", Fraction(0, 7), -0.0, Fraction(-1, 3), "-2.5",
+                       SubFraction(-1, 3)):
+            with pytest.raises(ValueError, match="^hyperedge weight must be positive$"):
+                HyperEdge((1, 2), weight)
 
     def test_weight_made_exact(self):
         assert HyperEdge((2, 4), "2.5").weight == Fraction(5, 2)
         assert HyperEdge((2, 4), 0.5).weight == Fraction(1, 2)
+        w = SubFraction(1, 3)
+        assert HyperEdge((2, 4), w).weight is w
 
     def test_mask(self):
         assert HyperEdge((1, 3)).mask() == 0b101
@@ -63,6 +74,13 @@ class TestParse:
             parse_hypergraph("1 3 1\n1 2 5\n")
         assert ex.value.line == 2
         assert "vertex id 5 out of range [1,3]" in str(ex.value)
+
+    def test_nonpositive_weight_line(self):
+        for weight in ("0", "-1", "0/5", "-0.0", "-1/3"):
+            with pytest.raises(ParseError) as ex:
+                parse_hypergraph(f"2 3 1\n% comment\n1 1 2\n{weight} 2 3\n")
+            assert ex.value.line == 4
+            assert str(ex.value) == f"line 4: non-positive weight {weight}"
 
     def test_unweighted_format(self):
         h = parse_hypergraph("2 4 0\n1 2\n3 4 1\n")
@@ -136,6 +154,14 @@ class TestSerialize:
             edges.append(HyperEdge(verts, w))
         h = WeightedHypergraph(n, tuple(edges))
         assert parse_hypergraph(serialize_hypergraph(h)) == h
+
+    # k = 1 (a decimal weight, where the factor counts matter) most often
+    @given(st.integers(-10**12, 10**12).filter(bool), st.integers(0, 300),
+           st.integers(0, 40), st.sampled_from([1, 1, 1, 3, 7, 9, 11]))
+    def test_format_weight_matches_division_loop(self, num, twos, fives, k):
+        w = Fraction(num, 2**twos * 5**fives * k)
+        assert format_weight(w) == format_weight_loop(w)
+        assert Fraction(format_weight(w)) == w
 
     def test_format_weight_exact(self):
         assert format_weight(Fraction(5, 2)) == "2.5"

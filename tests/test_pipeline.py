@@ -3,6 +3,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from hgsparse import (
     Cut,
@@ -22,7 +24,15 @@ from hgsparse import (
     stream_sparsify,
 )
 from hgsparse.pipeline import EVEN, ODD
-from oracles import mask_of
+from oracles import mask_of, rebuild_contract_components
+
+
+@st.composite
+def edge_lists(draw, n: int, max_edges: int) -> list[HyperEdge]:
+    sets = st.sets(st.integers(1, n), min_size=2, max_size=min(n, 4))
+    weights = st.builds(Fraction, st.integers(1, 50), st.integers(1, 8))
+    return [HyperEdge(tuple(sorted(draw(sets))), draw(weights))
+            for _ in range(draw(st.integers(0, max_edges)))]
 
 
 def heavy_light(n=4, ratio=None):
@@ -79,6 +89,23 @@ class TestContractComponents:
         contracted, cmap, _ = contract_components(5, (HyperEdge((2, 4)),), ())
         assert cmap.supervertex == (1, 2, 3, 2, 4)
         assert contracted.n == 4
+
+    @pytest.mark.parametrize("with_higher", [False, True])
+    @given(data=st.data())
+    def test_matches_rebuilding_oracle(self, with_higher, data):
+        n = data.draw(st.integers(2, 8))
+        higher = data.draw(edge_lists(n, 4)) if with_higher else []
+        lower = data.draw(edge_lists(n, 10))
+        contracted, cmap, kept = contract_components(n, higher, lower)
+        want, want_cmap, want_kept = rebuild_contract_components(n, higher, lower)
+        assert (cmap, kept, contracted.n) == (want_cmap, want_kept, want.n)
+        assert [(e.vertices, e.weight) for e in contracted.edges] == \
+            [(e.vertices, e.weight) for e in want.edges]
+        # an edge whose vertex set maps to itself is passed through
+        for e, idx in zip(contracted.edges, kept):
+            assert (e is lower[idx]) == (e.vertices == lower[idx].vertices)
+        if not higher:
+            assert all(e is lower[idx] for e, idx in zip(contracted.edges, kept))
 
     def test_cut_weights_preserved_under_lifting(self):
         # every contracted cut lifts to an original cut of equal lower weight
