@@ -15,7 +15,8 @@ untouched copies plus overrides for touched ones, and badness is decided by
 inspecting only the strongest positively weighted slot of the group.
 
 Strengths live in one `StrengthTree`, built from the initial weights; each
-transfer shifts its unit there (see `transfer_step`).
+transfer shifts all of its units there in one `StrengthTree.shift`, a single
+walk of the tree's blocks (see `transfer_step`).
 
 A group's verdict (bad or not; its index, weakest and strongest slots) is a
 function of its slots' strengths, its aggregate slot units and the fixed

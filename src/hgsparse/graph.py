@@ -42,15 +42,19 @@ the lines of the src-holding blocks from B down, and μ does not move.  The
 move from state j to j+1 keeps B's cut without Stoer-Wagner when
 λ(j+1) <= k(j) - 1 (B holds src and σ_B >= 0) and λ(j+1) <= μ (σ_B = +1);
 the dst-only bound λ(j) + 1 never binds.  A strength is the running max of
-the lines on its root-to-block path.  `StrengthTree.horizon` solves these
-comparisons of lines in closed form for T, the number of units that keep
-every kept cut certified and every strength on one line, with src never
-emptying; `shift(src, dst, units)` then moves units - 1 <= T of them along
-the lines at once and the last one as a single move.
+the lines on its root-to-block path.  `StrengthTree.horizon` plans: it
+solves these comparisons of lines in closed form for T, the number of units
+that keep every kept cut certified and every strength on one line, with src
+never emptying.  `shift(src, dst, units)` with units - 1 <= T is one walk:
+it sets each cut to λ(units), tests the bounds only for the move from state
+units - 1, and writes each strength that moves from its old value to its
+new one.
 
 `StrengthTree.changed` collects the pairs whose strength took a new value or
-was dropped, until its owner clears it: exactly where the strengths differ
-from those at the last clear, so a caller can re-examine only what they feed.
+was dropped, until its owner clears it.  A strength is written only when it
+differs from the one stored, so after one shift from a clear set `changed`
+is exactly where the strengths differ, and a caller can re-examine only what
+they feed.
 """
 
 from __future__ import annotations
@@ -234,6 +238,14 @@ def _max_line(f, g):
     return f, (f[0] - g[0]) // (g[1] - f[1])
 
 
+def _sigma(node, src: tuple[int, int], dst: tuple[int, int]) -> int:
+    """σ: how much node's stored cut gains per unit moved from src to dst,
+    counting a pair only when both its ends are in the block."""
+    (a, b), (c, d), verts, side = src, dst, node.verts, node.side
+    return ((c in verts and d in verts and (c in side) != (d in side))
+            - (a in verts and b in verts and (a in side) != (b in side)))
+
+
 def _across(node) -> list[tuple[int, int]]:
     """The pairs that node's stored cut separates."""
     return [(u, v) if u < v else (v, u) for u in node.side for v in node.rest]
@@ -306,65 +318,45 @@ class StrengthTree:
 
     def shift(self, src: tuple[int, int], dst: tuple[int, int], units: int = 1) -> None:
         """Move `units` units of weight from pair src to pair dst, at most
-        `horizon(src, dst)[0] + 1`.  All but the last move along the lines
-        the horizon certified; the last goes through `_step`.  A pair joins
-        `changed` only when its strength differs from before the call."""
-        if units == 1:
-            self._step(src, dst)
-            return
-        certified, moves, tops = self._lines(src, dst)
-        j = units - 1
-        if not 0 < j <= certified:
-            raise ValueError(f"cannot move {units} units: {certified + 1} are certified")
-        s, changed = self.strengths, self.changed
-        before = {p: s[p] for node, _ in tops for p in _across(node) if p not in changed}
-        adj = self.adj
-        (a, b), (c, d) = src, dst
-        adj[a][b] = adj[b][a] = adj[a][b] - j
-        adj[c][d] = adj[d][c] = adj[c].get(d, 0) + j
-        for node, sigma in moves:
-            node.val += sigma * j
-        for node, (top, slope) in tops:
-            self._cross(node, top + slope * j)
-        self._step(src, dst)
-        changed.difference_update(p for p, v in before.items() if s.get(p) == v)
-
-    def _step(self, src: tuple[int, int], dst: tuple[int, int]) -> None:
-        """Move one unit.  A block keeps its stored cut, without
-        Stoer-Wagner, when the cut's new value is at most each class bound in
-        the module docstring; μ is cached per block until the pair changes or
-        the tree is peeled again."""
+        `horizon(src, dst)[0] + 1`, in one walk.  Each block's stored cut value
+        goes from λ to λ + σ·units.  The horizon certified the first units - 1
+        moves, so the class bounds in the module docstring are tested only for
+        the last: a block whose cut they cannot keep runs Stoer-Wagner again,
+        and its subtree is peeled again if that finds a lighter cut.  μ is
+        cached per block until the pair changes or the tree is peeled again.
+        Strengths go from their old values to their new ones directly, so a
+        pair joins `changed` only when its strength differs."""
+        if units < 1 or (units > 1 and units - 1 > self.horizon(src, dst)[0]):
+            raise ValueError(f"cannot move {units} units from {src} to {dst} in one shift")
         adj = self.adj
         (a, b), (c, d) = src, dst
         joins = not adj[c].get(d) and self.comp[c] != self.comp[d]
-        adj[a][b] = adj[b][a] = adj[a][b] - 1
-        adj[c][d] = adj[d][c] = adj[c].get(d, 0) + 1
+        adj[a][b] = adj[b][a] = adj[a][b] - units
+        adj[c][d] = adj[d][c] = adj[c].get(d, 0) + units
         if joins or not adj[a][b]:
             self._peel()
             return
         self._use_pair(src, dst)
-        # the largest cut value k on each src-holding block's chain down to
-        # the block that separates src
-        chain_k, k = {}, 0
+        # the largest cut value k(j) at state j = units - 1 on each
+        # src-holding block's chain down to the block that separates src
+        j, chain_k, k = units - 1, {}, 0
         for node in reversed(self._chain(a, b)):
-            k = chain_k[node] = max(k, node.val)
+            k = chain_k[node] = max(k, node.val + _sigma(node, src, dst) * j)
         stack = [(self.roots[i], 0, 0) for i in {self.comp[a], self.comp[c]}]
         while stack:
             node, old_top, new_top = stack.pop()
-            verts, side = node.verts, node.side
+            verts = node.verts
             has_src = node in chain_k
-            has_dst = c in verts and d in verts
-            if not (has_src or has_dst):
+            if not (has_src or (c in verts and d in verts)):
                 if old_top != new_top:
                     self._label(node, new_top)
                 continue
-            old = node.val
-            val = (old - (has_src and (a in side) != (b in side))
-                   + (has_dst and (c in side) != (d in side)))
-            # dst-only cuts are now >= old + 1 >= val, so only the src class
-            # (>= k - 1) and, when the cut gained, the neither class (>= μ) bind
+            old, sigma = node.val, _sigma(node, src, dst)
+            val = old + sigma * units
+            # dst-only cuts are now >= λ(j) + 1 >= val, so only the src class
+            # (>= k(j) - 1) and, when the cut gains, the neither class (>= μ) bind
             if ((has_src and val >= chain_k[node])
-                    or (val > old and val > self._neither_min(node))):
+                    or (sigma > 0 and val > self._neither_min(node))):
                 cut = _stoer_wagner(verts, adj)
                 if cut[0] != val:
                     self._grow(node, cut)
@@ -379,69 +371,53 @@ class StrengthTree:
     def horizon(self, src: tuple[int, int], dst: tuple[int, int]) -> tuple[int, dict]:
         """(T, slopes) for moves from pair src to pair dst: T successive unit
         moves keep every stored cut without Stoer-Wagner and every strength
-        on one line, and after j <= T of them the strength of pair p is its
-        strength now plus slopes.get(p, 0) * j.  Integer weights."""
-        certified, _, tops = self._lines(src, dst)
-        return certified, {p: slope for node, (_, slope) in tops for p in _across(node)}
-
-    def _lines(self, src: tuple[int, int], dst: tuple[int, int]):
-        """`_step`'s walk over states j = 0, 1, ... of moves from src to dst,
-        with every value a line (value now, slope per unit).  Returns
-        (T, moves, tops): T as in `horizon`, (block, σ) for each block whose
-        cut value moves and (block, line) for each block whose cut's pairs
-        have a moving strength, all exact through state T."""
+        on one line, with src never emptying, and after j <= T of them the
+        strength of pair p is its strength now plus slopes.get(p, 0) * j.
+        Integer weights."""
         adj = self.adj
         (a, b), (c, d) = src, dst
         if not adj[c].get(d) and self.comp[c] != self.comp[d]:
-            return 0, [], []
+            return 0, {}
         chain = self._chain(a, b)
-        sigma = [int(c in n.verts and d in n.verts and (c in n.side) != (d in n.side))
-                 for n in chain]
-        sigma[-1] -= 1
+        sigma = [_sigma(node, src, dst) for node in chain]
         # src must not empty, and each chain block whose cut does not lose
         # needs the src class bound: k(j) - 1 >= val(j + 1), so some block at
         # or below it must stay above its value + σ.  When that fails now,
-        # as `_step` tests it with the running max k, nothing is certified.
+        # as `shift` tests it with the running max k, nothing is certified.
         k, chain_k = 0, []
         for node in reversed(chain):
             k = max(k, node.val)
             chain_k.append(k)
         if any(s >= 0 and k <= node.val + s
                for node, s, k in zip(chain, sigma, reversed(chain_k))):
-            return 0, [], []
+            return 0, {}
         certified = adj[a][b] - 1
         for i, (node, s) in enumerate(zip(chain, sigma)):
             if s >= 0 and certified:
                 certified = min(certified, _first_all_fail(
                     [(kid.val - node.val - s, ks - s) for kid, ks in zip(chain[i:], sigma[i:])]))
         if not certified:
-            return 0, [], []
+            return 0, {}
         self._use_pair(src, dst)
-        on_chain = {node: i for i, node in enumerate(chain)}
-        moves, tops = [], []
+        on_chain = set(chain)
+        # (block, slope) for each block whose cut's pairs have a moving strength
+        moving = []
         stack = [(self.roots[i], (0, 0)) for i in {self.comp[a], self.comp[c]}]
         while stack and certified:
             node, top = stack.pop()
-            i = on_chain.get(node)
-            if i is not None:
-                s = sigma[i]
-            elif c in node.verts and d in node.verts:
-                s = int((c in node.side) != (d in node.side))
-            elif top[1]:
-                s = 0
-            else:
+            if not (top[1] or node in on_chain or (c in node.verts and d in node.verts)):
                 continue
-            val = node.val
-            if s:
-                moves.append((node, s))
+            val, s = node.val, _sigma(node, src, dst)
             if s > 0:
                 certified = min(certified, self._neither_min(node) - val)
             top, lasts = _max_line(top, (val, s))
             certified = min(certified, lasts)
             if top[1]:
-                tops.append((node, top))
+                moving.append((node, top[1]))
             stack.extend((kid, top) for kid in node.kids)
-        return (certified, moves, tops) if certified else (0, [], [])
+        if not certified:
+            return 0, {}
+        return certified, {p: slope for node, slope in moving for p in _across(node)}
 
     def _chain(self, a: int, b: int) -> list[_Block]:
         """The blocks holding both a and b, from the root down to the block

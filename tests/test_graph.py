@@ -21,7 +21,7 @@ from hgsparse import (
     strength_table_from_pairs,
 )
 from hgsparse import graph
-from hgsparse.graph import StrengthTree, _merged_min_cut
+from hgsparse.graph import StrengthTree, _merged_min_cut, _stoer_wagner
 from conftest import mg, random_multigraph
 from oracles import global_min_cut
 
@@ -183,9 +183,10 @@ class TestStrengthTable:
 def shift_and_check(n, weights, moves):
     """Apply unit moves (src, dst) to a StrengthTree of `weights`.  After
     every move its strengths must equal a fresh peel, and for n <= 7 the
-    brute-force oracle, and `changed` must name exactly the pairs whose
-    strength differs from before the move.  Returns how many moves emptied
-    a pair and how many joined two components."""
+    brute-force oracle, `changed` must name exactly the pairs whose
+    strength differs from before the move, and every block must pass
+    `check_blocks`.  Returns how many moves emptied a pair and how many
+    joined two components."""
     weights = dict(weights)
     tree = StrengthTree(n, weights)
     assert tree.changed == set(tree.strengths)
@@ -202,11 +203,25 @@ def shift_and_check(n, weights, moves):
         after = tree.strengths
         assert tree.changed == {p for p in before.keys() | after.keys()
                                 if before.get(p) != after.get(p)}, (src, dst)
+        check_blocks(tree)
         if n <= 7:
             g = mg(n, [(u, v, w) for (u, v), w in weights.items() if w])
             slow = {p: s for p, s in brute_force_strengths(g).items() if s}
             assert tree.strengths == slow, (src, dst)
     return emptied, joined
+
+
+def check_blocks(tree):
+    """Every block's stored value is the weight of its stored cut at the
+    tree's current weights and the block's min cut, and its kids are the
+    sides of that cut with more than one vertex."""
+    adj = tree.adj
+    for node in blocks_of(tree):
+        assert node.side | node.rest == node.verts and not node.side & node.rest
+        assert node.val == sum(adj[u].get(v, 0) for u in node.side for v in node.rest)
+        assert node.val == _stoer_wagner(node.verts, adj)[0]
+        assert [kid.verts for kid in node.kids] == [
+            part for part in (node.side, node.rest) if len(part) > 1]
 
 
 def blocks_of(tree):
@@ -315,20 +330,31 @@ class TestStrengthTree:
             assert pair_strengths(n, moved) == {p: v + slopes.get(p, 0) * j for p, v in now.items()}
             moved[src] -= 1
             moved[dst] += 1
-        calls = []
         real = graph._stoer_wagner
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(graph, "_stoer_wagner",
-                       lambda *args: calls.append(sys._getframe(1).f_code.co_name) or real(*args))
-            for _ in range(certified):
-                tree.shift(src, dst)
-        assert "_step" not in calls
+
+        def shift_callers(tree, units):
+            """tree.shift(src, dst, units), then the caller of each
+            Stoer-Wagner run it made and `check_blocks`."""
+            calls = []
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(graph, "_stoer_wagner",
+                           lambda *args: calls.append(sys._getframe(1).f_code.co_name) or real(*args))
+                tree.shift(src, dst, units)
+            check_blocks(tree)
+            return calls
+
+        # a certified move runs Stoer-Wagner only for μ, never on a block
+        for _ in range(certified):
+            assert "shift" not in shift_callers(tree, 1)
         for t in range(1, certified + 2):
             batched, single = StrengthTree(n, weights), StrengthTree(n, weights)
             batched.changed.clear()
-            batched.shift(src, dst, t)
+            callers = shift_callers(batched, t)
+            if t <= certified:
+                assert "shift" not in callers
             for _ in range(t):
                 single.shift(src, dst)
+            check_blocks(single)
             moved = dict(weights)
             moved[src] -= t
             moved[dst] += t
@@ -342,8 +368,9 @@ class TestStrengthTree:
         weights = {(1, 2): 9, (1, 3): 1, (2, 3): 1}
         tree = StrengthTree(3, weights)
         assert tree.horizon((1, 2), (1, 3)) == (3, {(1, 2): -1, (1, 3): 1, (2, 3): 1})
-        with pytest.raises(ValueError):
-            StrengthTree(3, weights).shift((1, 2), (1, 3), 5)
+        for units in (5, 0, -1):
+            with pytest.raises(ValueError):
+                StrengthTree(3, weights).shift((1, 2), (1, 3), units)
         tree.shift((1, 2), (1, 3), 4)
         assert tree.strengths == {(1, 2): 6, (1, 3): 6, (2, 3): 6}
 

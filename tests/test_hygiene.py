@@ -1,8 +1,8 @@
 """Source hygiene: every name a module imports is used in that module, every
-module-level private function or class is used somewhere in the package, and
-every public export, with each public method of an exported class, is read
-by the package, the demos or the benchmark; a read from the tests alone does
-not count."""
+module-level private function or class and every private method is used
+somewhere in the package, and every public export, with each public method
+of an exported class, is read by the package, the demos or the benchmark; a
+read from the tests alone does not count."""
 
 import ast
 from collections import Counter
@@ -51,17 +51,29 @@ def names_used(node) -> Counter:
                    if isinstance(n, (ast.Name, ast.Attribute)))
 
 
+def private_definitions(tree: ast.Module):
+    """(label, node) for each module-level `_private` function or class and
+    each `_private` method of a module-level class; dunders are not private."""
+    for node in tree.body:
+        if not isinstance(node, DEFS):
+            continue
+        members = node.body if isinstance(node, ast.ClassDef) else []
+        for label, item in [(node.name, node)] + [
+                (f"{node.name}.{m.name}", m) for m in members if isinstance(m, DEFS)]:
+            if item.name.startswith("_") and not item.name.startswith("__"):
+                yield label, item
+
+
 def unreferenced_privates(sources: dict[str, str]) -> list[str]:
-    """Module-level `_private` functions and classes that no code in
-    `sources` (module name -> text) uses outside their own body."""
+    """Private definitions, as `private_definitions` lists them, that no
+    code in `sources` (module name -> text) uses outside their own body.  A
+    method counts as used wherever an attribute of its name is read."""
     trees = {module: ast.parse(text) for module, text in sources.items()}
     used = sum((names_used(tree) for tree in trees.values()), Counter())
     return sorted(
-        f"{module}: {node.name}"
-        for module, tree in trees.items() for node in tree.body
-        if isinstance(node, DEFS) and node.name.startswith("_")
-        and not node.name.startswith("__")
-        and used[node.name] == names_used(node)[node.name]
+        f"{module}: {label}"
+        for module, tree in trees.items() for label, node in private_definitions(tree)
+        if used[node.name] == names_used(node)[node.name]
     )
 
 
@@ -73,10 +85,16 @@ def test_every_private_definition_is_used():
 def test_detects_an_unused_private_definition():
     sources = {
         "a.py": "def _dead():\n    pass\n\n\ndef _loop(n):\n    return _loop(n - 1)\n\n\n"
-                "class _Kept:\n    pass\n\n\ndef _helper():\n    return 1\n",
-        "b.py": "from .a import _Kept\nimport a\nx = _Kept()\ny = a._helper()\n",
+                "class _Kept:\n    def __init__(self):\n        self._walk()\n\n"
+                "    def _walk(self):\n        return 1\n\n"
+                "    def _spin(self, n):\n        return self._spin(n - 1)\n\n"
+                "    def _called(self):\n        return 2\n\n\n"
+                "class Open:\n    def _idle(self):\n        pass\n\n\n"
+                "def _helper():\n    return 1\n",
+        "b.py": "from .a import _Kept\nimport a\nx = _Kept()\ny = a._helper()\nz = x._called()\n",
     }
-    assert unreferenced_privates(sources) == ["a.py: _dead", "a.py: _loop"]
+    assert unreferenced_privates(sources) == [
+        "a.py: Open._idle", "a.py: _Kept._spin", "a.py: _dead", "a.py: _loop"]
 
 
 def names_loaded(node) -> set[str]:
