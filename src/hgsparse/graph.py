@@ -273,6 +273,8 @@ class StrengthTree:
     def _peel(self) -> None:
         # μ per block, for moves from _pair[0] to _pair[1]
         self._pair, self._mu = None, {}
+        # ((src, dst), horizon(src, dst)) until the next shift
+        self._planned = None
         # both sides of a min cut of a connected graph are connected, so only
         # the first split, into components, needs UnionFind
         pairs = ((u, v) for u, row in self.adj.items() for v, w in row.items() if u < v and w)
@@ -325,9 +327,11 @@ class StrengthTree:
         and its subtree is peeled again if that finds a lighter cut.  μ is
         cached per block until the pair changes or the tree is peeled again.
         Strengths go from their old values to their new ones directly, so a
-        pair joins `changed` only when its strength differs."""
+        pair joins `changed` only when its strength differs.  A batch reuses
+        the horizon its caller planned from this state."""
         if units < 1 or (units > 1 and units - 1 > self.horizon(src, dst)[0]):
             raise ValueError(f"cannot move {units} units from {src} to {dst} in one shift")
+        self._planned = None
         adj = self.adj
         (a, b), (c, d) = src, dst
         joins = not adj[c].get(d) and self.comp[c] != self.comp[d]
@@ -373,7 +377,13 @@ class StrengthTree:
         moves keep every stored cut without Stoer-Wagner and every strength
         on one line, with src never emptying, and after j <= T of them the
         strength of pair p is its strength now plus slopes.get(p, 0) * j.
-        Integer weights."""
+        Integer weights.  Planned once per state: the result is kept until
+        the next shift."""
+        if self._planned is None or self._planned[0] != (src, dst):
+            self._planned = ((src, dst), self._plan(src, dst))
+        return self._planned[1]
+
+    def _plan(self, src: tuple[int, int], dst: tuple[int, int]) -> tuple[int, dict]:
         adj = self.adj
         (a, b), (c, d) = src, dst
         if not adj[c].get(d) and self.comp[c] != self.comp[d]:

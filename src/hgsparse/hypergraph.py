@@ -13,7 +13,7 @@ import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 Weight = Fraction
 
@@ -34,6 +34,31 @@ def as_weight(value) -> Fraction:
     if isinstance(value, float):
         return Fraction(value)
     return Fraction(str(value)) if isinstance(value, str) else Fraction(value)
+
+
+def weight_sum(ws: Iterable[Fraction]) -> Fraction:
+    """sum(ws, Fraction(0)), exactly: the numerators of each denominator are
+    added as ints, then one Fraction per distinct denominator."""
+    by_den: dict[int, int] = {}
+    for w in ws:
+        d = w.denominator
+        by_den[d] = by_den.get(d, 0) + w.numerator
+    return sum((Fraction(n, d) for d, n in by_den.items()), Fraction(0))
+
+
+def min_weight(ws: Iterable[Fraction]) -> Fraction:
+    """min(ws): the least of each denominator by an int compare, then one
+    Fraction compare per distinct denominator.  Returns the same object as
+    min, and raises ValueError like min when ws is empty."""
+    by_den: dict[int, Fraction] = {}
+    for w in ws:
+        d = w.denominator
+        least = by_den.get(d)
+        if least is None or w.numerator < least.numerator:
+            by_den[d] = w
+    if not by_den:
+        raise ValueError("min_weight() arg is an empty sequence")
+    return min(by_den.values())
 
 
 @dataclass(frozen=True)

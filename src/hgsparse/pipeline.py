@@ -18,6 +18,14 @@ is its own vertex set, the per-component relabel when the component is
 already supervertices 1..k, the restore when the sampler's edge already has
 the original vertex set, and the flush fold when no parallel edge joins it.
 So a flush builds new edges only for what it changes.
+
+Weights are summed and compared as ints per denominator: `weight_sum` adds
+the numerators of each denominator and `min_weight` compares them, so the
+bucket weights, the flush fold and both minimum weights take one `Fraction`
+operation per distinct denominator, not one per edge; `bucket_by_weight`
+tests each bound by integer cross-multiplication.  At p = 1 the denominator
+of every output weight of one `sparsify_weighted` call divides the numerator
+of its scale, so a bucket holds few distinct denominators.
 """
 
 from __future__ import annotations
@@ -28,7 +36,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .graph import UnionFind
-from .hypergraph import HyperEdge, WeightedHypergraph, as_weight
+from .hypergraph import HyperEdge, WeightedHypergraph, as_weight, min_weight, weight_sum
 from .seeds import child_seed
 from .sparsify import SparsifierResult, check_d, check_epsilon, sparsify_weighted
 
@@ -53,22 +61,27 @@ class WeightBuckets:
 
 def bucket_by_weight(h: WeightedHypergraph, epsilon: float) -> WeightBuckets:
     """Partition edges by weight into half-open geometric buckets
-    [w0 alpha^(i-1), w0 alpha^i), i >= 1, with exact rational compares."""
+    [w0 alpha^(i-1), w0 alpha^i), i >= 1, with exact compares: w >= bn/bd
+    as the integer compare w.numerator * bd >= bn * w.denominator."""
     check_epsilon(epsilon)
     eps = as_weight(epsilon)
     alpha = Fraction(10 * h.n * h.n) / (eps * eps * eps)
     if h.m == 0:
         return WeightBuckets(alpha, Fraction(0), {})
-    w0 = min(e.weight for e in h.edges)
-    first_bound = w0 * alpha
+    w0 = min_weight(e.weight for e in h.edges)
+    an, ad = alpha.numerator, alpha.denominator
+    # bounds[i] = w0 alpha^(i+1) as an unreduced (numerator, denominator)
+    bounds = [(w0.numerator * an, w0.denominator * ad)]
     buckets: dict[int, list[int]] = {}
     for idx, e in enumerate(h.edges):
-        i = 1
-        bound = first_bound
-        while e.weight >= bound:
-            bound *= alpha
+        wn, wd = e.weight.numerator, e.weight.denominator
+        i = 0
+        while wn * bounds[i][1] >= bounds[i][0] * wd:
             i += 1
-        buckets.setdefault(i, []).append(idx)
+            if i == len(bounds):
+                bn, bd = bounds[-1]
+                bounds.append((bn * an, bd * ad))
+        buckets.setdefault(i + 1, []).append(idx)
     return WeightBuckets(alpha, w0, {i: tuple(v) for i, v in buckets.items()})
 
 
@@ -89,8 +102,12 @@ def contract_components(
     `lower` through; edges collapsing into one supervertex are dropped, and
     an edge whose image is its own vertex set is kept as the same object.
     Returns the contracted hypergraph, the map, and the surviving indices
-    into `lower`.
+    into `lower`.  With no `higher` edge the map is the identity, and `lower`
+    comes back whole.
     """
+    if not higher:
+        identity = ContractionMap(tuple(range(1, n + 1)), n)
+        return WeightedHypergraph(n, tuple(lower)), identity, tuple(range(len(lower)))
     groups = UnionFind(range(1, n + 1), (e.vertices for e in higher)).groups()
     sv = [0] * n
     for sid, grp in enumerate(groups, start=1):
@@ -162,8 +179,8 @@ def sparsify_parity(
         after = len(comps)
         delta = cmap.n_super - after
         total_delta += delta
-        weight_in = sum((e.weight for e in bucket_edges), Fraction(0))
-        weight_out = Fraction(0)
+        weight_in = weight_sum(e.weight for e in bucket_edges)
+        restored: list[Fraction] = []
         comp_of = {v: ci for ci, comp in enumerate(comps) for v in comp}
         comp_edges: list[list[int]] = [[] for _ in comps]
         for k, e in enumerate(contracted.edges):
@@ -191,7 +208,8 @@ def sparsify_parity(
                 vs = h.edges[orig_idx].vertices
                 out_edges.append(w_edge if w_edge.vertices == vs else HyperEdge(vs, w_edge.weight))
                 out_origin.append(orig_idx)
-                weight_out += w_edge.weight
+                restored.append(w_edge.weight)
+        weight_out = weight_sum(restored)
         if weight_out > 3 * weight_in:
             raise PipelineError(
                 f"bucket {i} restored weight {weight_out} exceeds 3x input {weight_in}"
@@ -271,13 +289,14 @@ class StreamState:
         self.capacity = capacity
         self.raw: list[HyperEdge] = []
         self.sketches: list[list[list[HyperEdge]]] = []
+        self.sketched = 0  # edges held in self.sketches, kept by _place
         self.edges_seen = 0
         self.flushes = 0
         self.max_flush_out = 0
         self.high_water = 0
 
     def _note_memory(self) -> None:
-        stored = len(self.raw) + sum(len(sk) for lvl in self.sketches for sk in lvl)
+        stored = len(self.raw) + self.sketched
         if stored > self.high_water:
             self.high_water = stored
             bound = self.memory_bound()
@@ -307,7 +326,7 @@ class StreamState:
         parallel: dict[tuple[int, ...], list[HyperEdge]] = {}
         for e in res.hypergraph.edges:
             parallel.setdefault(e.vertices, []).append(e)
-        out = [es[0] if len(es) == 1 else HyperEdge(vs, sum(e.weight for e in es))
+        out = [es[0] if len(es) == 1 else HyperEdge(vs, weight_sum(e.weight for e in es))
                for vs, es in sorted(parallel.items())]
         self.max_flush_out = max(self.max_flush_out, len(out))
         return out
@@ -318,11 +337,13 @@ class StreamState:
                 self.sketches.append([])
             slot = self.sketches[level - 1]
             slot.append(sketch)
+            self.sketched += len(sketch)
             self._note_memory()
             if len(slot) < 2:
                 return
             merged = slot[0] + slot[1]
             slot.clear()
+            self.sketched -= len(merged)
             sketch = self._sparsify_batch(merged)
             level += 1
 

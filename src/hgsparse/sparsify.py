@@ -24,7 +24,7 @@ from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
 from .balance import BalancedAssignment, check_gamma, check_unweighted, run_balance
-from .hypergraph import HyperEdge, WeightedHypergraph, as_weight, serialize_hypergraph
+from .hypergraph import HyperEdge, WeightedHypergraph, as_weight, min_weight, serialize_hypergraph
 from .seeds import RNG_ID
 
 CHERNOFF_CONSTANT = 0.38
@@ -188,7 +188,7 @@ def copy_counts(
     if h.m == 0:
         return Fraction(1), []
     eps = as_weight(epsilon)
-    w_min = min(e.weight for e in h.edges)
+    w_min = min_weight(e.weight for e in h.edges)
     scale = (3 / eps) / w_min
     # floor(scale * w) on integers: both terms are positive
     sn, sd = scale.numerator, scale.denominator

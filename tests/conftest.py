@@ -5,8 +5,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import strategies as st
 
-from hgsparse import HyperEdge, WeightedHypergraph
+from hgsparse import HyperEdge, WeightedHypergraph, as_weight
 from hgsparse import sparsify
 
 
@@ -58,6 +59,30 @@ BALANCE_INSTANCES = [
                                 + [HyperEdge((3, 4))] * 9
                                 + [HyperEdge((1, 2, 3, 4))] * 2)),
 ] + [random_hypergraph(6, 12, 4, s) for s in range(6)]
+
+
+@st.composite
+def bucket_cases(draw) -> tuple[WeightedHypergraph, float]:
+    """(h, epsilon) whose weights are integers, fractions over many distinct
+    large denominators, or the least weight w0 with the bucket bounds
+    w0 alpha^k and their neighbours 1/q away, alpha = 10 n^2 / eps^3."""
+    n = draw(st.integers(2, 6))
+    eps = draw(st.sampled_from([1.0, 0.5, 0.3, 0.25]))
+    kind = draw(st.sampled_from(["int", "large_den", "bound"]))
+    if kind == "int":
+        weights = draw(st.lists(st.builds(Fraction, st.integers(1, 10**12)), max_size=12))
+    elif kind == "large_den":
+        weights = draw(st.lists(st.builds(Fraction, st.integers(1, 2**90),
+                                          st.integers(2**40, 2**100)), max_size=12))
+    else:
+        alpha = Fraction(10 * n * n) / as_weight(eps) ** 3
+        w0 = Fraction(draw(st.integers(1, 10**6)), draw(st.integers(1, 10**6)))
+        weights = [w0]
+        for _ in range(draw(st.integers(0, 11))):
+            bound = w0 * alpha ** draw(st.integers(1, 4))
+            weights.append(bound + draw(st.sampled_from([-1, 0, 1])) * Fraction(1, 10**30))
+        weights = draw(st.permutations(weights))
+    return WeightedHypergraph(n, tuple(HyperEdge((1, 2), w) for w in weights)), eps
 
 
 @pytest.fixture

@@ -1,8 +1,9 @@
 """Slow oracles that only the tests read: an exact global min cut, the
 survivor-connectivity audit of a sampling plan, a seeded concentration batch,
 a contraction that rebuilds every edge, a weight formatter that strips
-factors of 2 one at a time, a bitmask builder for `Cut`, and the heavy-core
-family of instances.
+factors of 2 one at a time, weight bucketing and copy counts by `Fraction`
+compares, a bitmask builder for `Cut`, and the heavy-core family of
+instances.
 
 The library keeps what its samplers, pipeline, CLI and demos run; these
 recompute from first principles and back the fast paths at small scale.
@@ -22,14 +23,17 @@ from hgsparse import (
     QualityReport,
     SamplingPlan,
     UnionFind,
+    WeightBuckets,
     WeightedHypergraph,
     all_cuts_report,
+    as_weight,
     child_seed,
     collapse,
     sparsify_unweighted,
     sparsify_weighted,
 )
 from hgsparse.graph import _adjacency, _stoer_wagner
+from hgsparse.sparsify import check_epsilon
 
 
 def mask_of(vertices: Iterable[int]) -> int:
@@ -199,3 +203,45 @@ def format_weight_loop(w: Fraction) -> str:
     digits = str(abs(scaled)).rjust(k + 1, "0")
     sign = "-" if scaled < 0 else ""
     return f"{sign}{digits[:-k]}.{digits[-k:]}"
+
+
+def bucket_by_weight_loop(h: WeightedHypergraph, epsilon: float) -> WeightBuckets:
+    """`pipeline.bucket_by_weight` as it was before it compared on integers:
+    `min` over the weights, and a `Fraction` bound multiplied by alpha until
+    it passes each edge's weight."""
+    check_epsilon(epsilon)
+    eps = as_weight(epsilon)
+    alpha = Fraction(10 * h.n * h.n) / (eps * eps * eps)
+    if h.m == 0:
+        return WeightBuckets(alpha, Fraction(0), {})
+    w0 = min(e.weight for e in h.edges)
+    first_bound = w0 * alpha
+    buckets: dict[int, list[int]] = {}
+    for idx, e in enumerate(h.edges):
+        i = 1
+        bound = first_bound
+        while e.weight >= bound:
+            bound *= alpha
+            i += 1
+        buckets.setdefault(i, []).append(idx)
+    return WeightBuckets(alpha, w0, {i: tuple(v) for i, v in buckets.items()})
+
+
+def copy_counts_loop(
+    h: WeightedHypergraph, epsilon: float, copy_cap: int = 10**6
+) -> tuple[Fraction, list[int]]:
+    """`sparsify.copy_counts` by `Fraction` arithmetic: `min` over the
+    weights, then each count as the floor of the `Fraction` scale * w."""
+    if h.m == 0:
+        return Fraction(1), []
+    eps = as_weight(epsilon)
+    w_min = min(e.weight for e in h.edges)
+    scale = (3 / eps) / w_min
+    counts = [int(scale * e.weight) for e in h.edges]
+    total = sum(counts)
+    if total > copy_cap:
+        raise ValueError(
+            f"reduction needs {total} copies, over the cap {copy_cap}; "
+            "the weight spread is too large for direct reduction, use the bucketed pipeline"
+        )
+    return scale, counts

@@ -724,6 +724,30 @@ class TestBatches:
         iterations = res.notes["balance_iterations"]
         assert iterations > 500 and len(calls) <= iterations / 10
 
+    def test_a_batched_pick_plans_once(self, monkeypatch):
+        # `_batch_length` plans each pick with `horizon`; the shift that
+        # moves the batch checks its length against that plan, not a new one
+        light = random_hypergraph(8, 30, 3, 1).edges
+        h = WeightedHypergraph(8, light + (HyperEdge((1, 2)),) * 90 + (HyperEdge((3, 5)),) * 60)
+        plans, log = [], []
+        real_plan, real_transfer = graph.StrengthTree._plan, balance.transfer_step
+
+        def counted_plan(tree, src, dst):
+            plans.append((src, dst))
+            return real_plan(tree, src, dst)
+
+        def logged_transfer(state, copy, f_min, f_max, units=1):
+            real_transfer(state, copy, f_min, f_max, units)
+            log.append((units, tuple(plans), (f_max, f_min)))
+            plans.clear()
+
+        monkeypatch.setattr(graph.StrengthTree, "_plan", counted_plan)
+        monkeypatch.setattr(balance, "transfer_step", logged_transfer)
+        run_balance(h)
+        batched = [(planned, pick) for units, planned, pick in log if units > 1]
+        assert len(batched) > 5 and all(planned == (pick,) for planned, pick in batched)
+        assert all(len(planned) <= 1 for _, planned, _ in log)
+
     @pytest.mark.parametrize("n, transfers", [(10, 340), (14, 1029)])
     def test_heavy_core_matches_single_step_loop(self, n, transfers):
         h = heavy_core(n)

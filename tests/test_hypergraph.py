@@ -20,11 +20,35 @@ from hgsparse import (
     parse_hypergraph,
     serialize_hypergraph,
 )
+from hgsparse.hypergraph import min_weight, weight_sum
 from oracles import format_weight_loop, mask_of
 
 
 class SubFraction(Fraction):
     """A Fraction subclass, which HyperEdge keeps without converting."""
+
+
+# a few shared denominators next to many distinct large ones, and integers
+WEIGHT_LISTS = st.lists(st.builds(
+    Fraction, st.integers(1, 10**30),
+    st.sampled_from([1, 3, 2**64 + 13]) | st.integers(1, 2**100)), max_size=30)
+
+
+class TestWeightArithmetic:
+    @given(WEIGHT_LISTS)
+    def test_sum_matches_fraction_sum(self, ws):
+        total = weight_sum(iter(ws))
+        assert type(total) is Fraction and total == sum(ws, Fraction(0))
+
+    @given(WEIGHT_LISTS.filter(bool))
+    def test_min_is_the_same_object_as_min(self, ws):
+        assert min_weight(iter(ws)) is min(ws)
+
+    def test_empty(self):
+        assert weight_sum([]) == 0 and type(weight_sum([])) is Fraction
+        for least in (min, min_weight):
+            with pytest.raises(ValueError, match="empty sequence"):
+                least([])
 
 
 class TestHyperEdge:

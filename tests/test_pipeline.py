@@ -1,12 +1,16 @@
 """Weight buckets, contraction, the parity pipeline, and streaming."""
 
+import dataclasses
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import bucket_cases
 from hgsparse import (
+    ContractionMap,
     Cut,
     HyperEdge,
     PipelineError,
@@ -23,8 +27,9 @@ from hgsparse import (
     sparsify_weighted,
     stream_sparsify,
 )
+from hgsparse import pipeline
 from hgsparse.pipeline import EVEN, ODD
-from oracles import mask_of, rebuild_contract_components
+from oracles import bucket_by_weight_loop, mask_of, rebuild_contract_components
 
 
 @st.composite
@@ -67,6 +72,12 @@ class TestBucketByWeight:
         assert bucket_by_weight(WeightedHypergraph(2, ()), 0.5).buckets == {}
         with pytest.raises(ValueError):
             bucket_by_weight(WeightedHypergraph(2, ()), 0.0)
+
+    @given(bucket_cases())
+    def test_matches_fraction_loop(self, case):
+        # alpha, w0 and every bucket, on weights at and 1/q beside w0 alpha^k
+        h, eps = case
+        assert bucket_by_weight(h, eps) == bucket_by_weight_loop(h, eps)
 
 
 class TestContractComponents:
@@ -196,6 +207,35 @@ class TestFastSparsify:
         assert res.notes["alpha"] == Fraction(10 * 16) / Fraction(1, 8)
 
 
+class TestHardChecks:
+    """The pipeline's bounds raise, with their messages, when broken."""
+
+    def test_restored_weight_over_3x_raises(self, monkeypatch):
+        real = pipeline.sparsify_weighted
+
+        def heavier(sub, *args, **kwargs):
+            res = real(sub, *args, **kwargs)
+            edges = tuple(HyperEdge(e.vertices, 4 * e.weight) for e in res.hypergraph.edges)
+            return dataclasses.replace(res, hypergraph=WeightedHypergraph(sub.n, edges))
+
+        monkeypatch.setattr(pipeline, "sparsify_weighted", heavier)
+        h = WeightedHypergraph(3, (HyperEdge((1, 2)), HyperEdge((2, 3)), HyperEdge((1, 3))))
+        with pytest.raises(PipelineError, match=r"^bucket 1 restored weight 12 exceeds 3x input 3$"):
+            fast_sparsify(h, 0.5)
+
+    def test_shrink_past_n_minus_1_raises(self, monkeypatch):
+        real = pipeline.contract_components
+
+        def padded(n, higher, lower):
+            contracted, cmap, kept = real(n, higher, lower)
+            return contracted, ContractionMap(cmap.supervertex, cmap.n_super + n), kept
+
+        monkeypatch.setattr(pipeline, "contract_components", padded)
+        h = WeightedHypergraph(3, (HyperEdge((1, 2)), HyperEdge((2, 3))))
+        with pytest.raises(PipelineError, match=r"^supervertex shrink 5 exceeds n-1$"):
+            fast_sparsify(h, 0.5)
+
+
 class TestStreaming:
     def test_short_stream_equals_one_shot(self):
         h = gen_random(5, 10, 3, seed=4)
@@ -267,3 +307,61 @@ class TestStreamMemoryCheck:
         with pytest.raises(PipelineError, match="over the budget 2.5"):
             s.push(HyperEdge((1, 3)))
         assert s.edges_seen == 3 and s.high_water == 3
+
+
+class RecountingState(StreamState):
+    """A stream state that recounts its stored edges at every memory check."""
+
+    recount_max = 0
+
+    def _note_memory(self):
+        recount = sum(len(sk) for lvl in self.sketches for sk in lvl)
+        assert self.sketched == recount
+        self.recount_max = max(self.recount_max, len(self.raw) + recount)
+        super()._note_memory()
+
+
+class TestStoredCount:
+    def test_running_count_matches_a_recount(self):
+        h = gen_random(6, 120, 3, seed=12)
+        s = RecountingState(6, 120, 0.5, seed=9, capacity=16)
+        for e in h.edges:
+            s.push(e)
+            assert s.sketched == sum(len(sk) for lvl in s.sketches for sk in lvl)
+        assert s.flushes > 2 and len(s.sketches) >= 2
+        assert s.high_water == s.recount_max
+
+
+FRACTION_OPS = ("__add__", "__radd__", "__lt__", "__le__", "__gt__", "__ge__", "__eq__")
+
+
+def fraction_op_counts(monkeypatch, call) -> Counter:
+    """How often `call()` runs each of FRACTION_OPS."""
+    counts: Counter = Counter()
+    for name in FRACTION_OPS:
+        def counted(*args, _name=name, _real=getattr(Fraction, name)):
+            counts[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(Fraction, name, counted)
+    try:
+        call()
+    finally:
+        monkeypatch.undo()
+    return counts
+
+
+class TestFractionOps:
+    def test_fast_sparsify_ops_do_not_grow_with_edges(self, monkeypatch):
+        # weights over the denominators 1, 3 and 7 in two components and
+        # three buckets; doubling every edge keeps the denominators, so the
+        # Fraction adds and compares must stay as they are
+        w = Fraction(10 * 16) / Fraction(1, 8) + 1
+        light = [((1, 2), 1), ((1, 2), Fraction(4, 3)), ((2, 3), Fraction(9, 7)),
+                 ((3, 4), Fraction(5, 3)), ((1, 3, 4), 2)]
+        heavy = [((1, 2), w), ((3, 4), w * Fraction(4, 3)), ((2, 3), w * w)]
+        h = WeightedHypergraph(4, tuple(HyperEdge(vs, x) for vs, x in light + heavy))
+        base = fraction_op_counts(monkeypatch, lambda: fast_sparsify(h, 0.5))
+        twice = WeightedHypergraph(4, h.edges * 2)
+        doubled = fraction_op_counts(monkeypatch, lambda: fast_sparsify(twice, 0.5))
+        assert len(fast_sparsify(h, 0.5).notes["bucket_reports"]) == 3
+        assert base["__add__"] > 0 and doubled == base

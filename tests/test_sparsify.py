@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import BALANCE_INSTANCES
+from conftest import BALANCE_INSTANCES, bucket_cases
 from hgsparse import sparsify
 from hgsparse import (
     Cut,
@@ -36,7 +36,7 @@ from hgsparse import (
     sparsify_weighted,
     theoretical_rho,
 )
-from oracles import mask_of
+from oracles import copy_counts_loop, mask_of
 
 
 def edges_of(h):
@@ -260,6 +260,19 @@ class TestReduceWeighted:
         assert copy_counts(h, 0.5) == (1, [])
         reduced, origin = reduce_weighted(h, [])
         assert reduced.m == 0 and origin == ()
+
+    @given(bucket_cases(), st.sampled_from([100, 10**6, 10**40]))
+    def test_matches_fraction_loop(self, case, cap):
+        # scale and every count, or the same cap error
+        h, eps = case
+
+        def outcome(counter):
+            try:
+                return counter(h, eps, cap)
+            except ValueError as err:
+                return str(err)
+
+        assert outcome(copy_counts) == outcome(copy_counts_loop)
 
 
 class TestSparsifyUnweighted:
