@@ -10,33 +10,46 @@ at a time from the strong slot to a weak one.  Three transfers suffice.
 from hgsparse import (
     HyperEdge,
     WeightedHypergraph,
-    format_trace_line,
+    find_max_bad,
+    init_weights,
     is_balanced,
-    run_balance,
+    transfer_step,
 )
 
 h = WeightedHypergraph(
     3, tuple(HyperEdge((1, 2)) for _ in range(12)) + (HyperEdge((1, 2, 3)),))
 
-trace = []
-a = run_balance(h, gamma=2, trace=trace)
-
-print(f"n={h.n} m={h.m} grid delta={a.delta} levels ell={a.ell} K0={a.k0}")
+# the loop one unit per pick: find a worst bad copy, move one delta from its
+# strongest positively weighted slot to its weakest slot
+state = init_weights(h, gamma=2)
+print(f"n={h.n} m={h.m} grid delta={state.delta} levels ell={state.ell} "
+      f"K0={state.k0_units * state.delta}")
 print()
-for rec in trace:
-    print(format_trace_line(rec))
+while (bad := find_max_bad(state)) is not None:
+    transfer_step(state, bad.copy, bad.f_min, bad.f_max)
+    # positively weighted pairs per strength interval (K_{j-1}, K_j]
+    hist = [0] * (state.ell + 1)
+    for pair, units in state.pair_units.items():
+        if units > 0:
+            hist[state.interval_index(state.strengths[pair])] += 1
+    print(f"iter={state.iterations} group={bad.group_key} copy={bad.copy} "
+          f"ind={bad.ind} fmin={bad.f_min} fmax={bad.f_max} "
+          f"hist=[{','.join(f'{j}:{c}' for j, c in enumerate(hist))}]")
 print()
 
-spanning = a.group_for((1, 2, 3))
+a = state.snapshot()
+spanning = next(g for g in a.groups if g.key == (1, 2, 3))
+units = spanning.units_for(spanning.copies[0])
 print("final clique weights of the spanning edge:")
-for pair, units in zip(spanning.slots, spanning.units_for(spanning.copies[0])):
-    print(f"  slot {pair}: {units} units = {units * a.delta}")
+for pair, u in zip(spanning.slots, units):
+    print(f"  slot {pair}: {u} units = {u * a.delta}")
 
 report = is_balanced(a)
-kappas = a.kappa_by_copy()
-kmaxes = a.kappa_max_by_copy()
+kappa = a.kappa_by_group()[spanning.key]
+kappa_max = max(a.strengths.strength(*pair)
+                for pair, u in zip(spanning.slots, units) if u > 0)
 print()
 print(f"balanced={report.ok} checked={report.checked_copies} "
       f"violations={len(report.violations)}")
-print(f"spanning copy: kappa={kappas[-1]} kappa_max={kmaxes[-1]} "
+print(f"spanning copy: kappa={kappa} kappa_max={kappa_max} "
       f"ratio within gamma={a.gamma}")

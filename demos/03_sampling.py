@@ -20,7 +20,7 @@ from hgsparse import (
 h = gen_random(8, 30, 3, seed=5)
 res = sparsify_unweighted(h, 0.5, d=1, seed=0)
 assignment = run_balance(h)
-kappas = assignment.kappa_by_copy()
+kappas = assignment.kappa_by_group().values()
 print(f"theoretical rho ~ {float(res.plan.rho):.0f}, "
       f"max strength {float(max(kappas)):.1f}")
 print(f"kept {res.m_out}/{res.m_in} edges (all p=1, output is the input)")

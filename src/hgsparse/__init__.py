@@ -15,9 +15,7 @@ from .balance import (
     BalanceReport,
     BalancedAssignment,
     AssignmentGroup,
-    IterationRecord,
     find_max_bad,
-    format_trace_line,
     init_weights,
     is_balanced,
     run_balance,
@@ -95,7 +93,6 @@ __all__ = [
     "Cut",
     "CutRecord",
     "HyperEdge",
-    "IterationRecord",
     "ParseError",
     "PipelineError",
     "QualityReport",
@@ -120,7 +117,6 @@ __all__ = [
     "edge_strengths",
     "fast_sparsify",
     "find_max_bad",
-    "format_trace_line",
     "format_weight",
     "gen_example",
     "gen_footnote_graph",

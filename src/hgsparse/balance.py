@@ -96,24 +96,6 @@ class BadEdge:
     k_max: int
 
 
-@dataclass(frozen=True)
-class IterationRecord:
-    index: int
-    group_key: tuple[int, ...]
-    copy: int
-    ind: int
-    f_min: Pair
-    f_max: Pair
-    hist: tuple[int, ...]
-    weight_gt: tuple[int, ...]
-
-
-def format_trace_line(rec: IterationRecord) -> str:
-    hist = ",".join(f"{j}:{c}" for j, c in enumerate(rec.hist))
-    return (f"iter={rec.index} group={rec.group_key} copy={rec.copy} ind={rec.ind} "
-            f"fmin={rec.f_min} fmax={rec.f_max} hist=[{hist}]")
-
-
 def check_gamma(gamma: int) -> None:
     if not isinstance(gamma, int) or gamma < 2:
         raise ValueError("gamma must be an integer >= 2")
@@ -183,24 +165,6 @@ class BalanceState:
                 f"[{self.k0_units}, {self.K_units[-1]}]"
             )
         return bisect_left(self.K_units, value)
-
-    def strength_histogram(self) -> tuple[int, ...]:
-        hist = [0] * (self.ell + 1)
-        for p, u in self.pair_units.items():
-            if u > 0:
-                hist[self.interval_index(self.strengths[p])] += 1
-        return tuple(hist)
-
-    def weight_above(self) -> tuple[int, ...]:
-        """Per level j, total units on pairs with strength > K_j."""
-        out = []
-        for kj in self.K_units:
-            total = 0
-            for p, u in self.pair_units.items():
-                if u > 0 and self.strengths[p] > kj:
-                    total += u
-            out.append(total)
-        return tuple(out)
 
     def snapshot(self) -> "BalancedAssignment":
         groups = tuple(
@@ -373,17 +337,16 @@ def run_balance(
     h: WeightedHypergraph,
     gamma: int = 2,
     iteration_cap: Optional[int] = None,
-    trace: Optional[list] = None,
 ) -> "BalancedAssignment":
     """Run the transfer loop to a gamma-balanced assignment.
 
     Each pick moves `_batch_length` units in one `transfer_step`: as many as
     the one-unit loop would move before any pick could change, so the
     iterations and the final weights are those of moving one unit per pick.
-    A traced run moves one unit per pick and records each.  The loop
-    provably needs at most m*ell*n^2 transfers; the default cap is twice
-    that, and hitting it raises since it would mean a logic error, not an
-    unlucky input.
+    To step one unit at a time, call `find_max_bad` and `transfer_step` on
+    an `init_weights` state.  The loop provably needs at most m*ell*n^2
+    transfers; the default cap is twice that, and hitting it raises since it
+    would mean a logic error, not an unlucky input.
     """
     state = init_weights(h, gamma)
     if iteration_cap is None:
@@ -394,20 +357,8 @@ def run_balance(
             break
         if state.iterations >= iteration_cap:
             raise BalanceError(f"iteration cap {iteration_cap} exceeded")
-        units = 1 if trace is not None else _batch_length(
-            state, bad, iteration_cap - state.iterations)
+        units = _batch_length(state, bad, iteration_cap - state.iterations)
         transfer_step(state, bad.copy, bad.f_min, bad.f_max, units)
-        if trace is not None:
-            trace.append(IterationRecord(
-                index=state.iterations,
-                group_key=bad.group_key,
-                copy=bad.copy,
-                ind=bad.ind,
-                f_min=bad.f_min,
-                f_max=bad.f_max,
-                hist=state.strength_histogram(),
-                weight_gt=state.weight_above(),
-            ))
     return state.snapshot()
 
 
@@ -435,12 +386,6 @@ class BalancedAssignment:
     k0: Fraction
     ell: int
 
-    def group_for(self, key: tuple[int, ...]) -> AssignmentGroup:
-        for g in self.groups:
-            if g.key == key:
-                return g
-        raise KeyError(key)
-
     def collapsed_units(self) -> dict[Pair, int]:
         total: dict[Pair, int] = {}
         for g in self.groups:
@@ -458,28 +403,6 @@ class BalancedAssignment:
         out = {}
         for g in self.groups:
             out[g.key] = min(self.strengths.strength(u, v) for u, v in g.slots)
-        return out
-
-    def kappa_by_copy(self) -> list[Fraction]:
-        per_group = self.kappa_by_group()
-        out = [Fraction(0)] * self.hypergraph.m
-        for g in self.groups:
-            for c in g.copies:
-                out[c] = per_group[g.key]
-        return out
-
-    def kappa_max_by_copy(self) -> list[Fraction]:
-        """Strongest positively weighted slot per copy."""
-        out = [Fraction(0)] * self.hypergraph.m
-        for g in self.groups:
-            slot_strengths = [self.strengths.strength(u, v) for u, v in g.slots]
-            default_max = max(s for s, u in zip(slot_strengths, g.default_units) if u > 0)
-            for c in g.copies:
-                units = g.overrides.get(c)
-                if units is None:
-                    out[c] = default_max
-                else:
-                    out[c] = max(s for s, u in zip(slot_strengths, units) if u > 0)
         return out
 
 

@@ -38,12 +38,16 @@ def as_weight(value) -> Fraction:
 
 def weight_sum(ws: Iterable[Fraction]) -> Fraction:
     """sum(ws, Fraction(0)), exactly: the numerators of each denominator are
-    added as ints, then one Fraction per distinct denominator."""
+    added as ints, then the Fractions of the distinct denominators, starting
+    from the first, so one denominator takes no Fraction add."""
     by_den: dict[int, int] = {}
     for w in ws:
         d = w.denominator
         by_den[d] = by_den.get(d, 0) + w.numerator
-    return sum((Fraction(n, d) for d, n in by_den.items()), Fraction(0))
+    if not by_den:
+        return Fraction(0)
+    first, *rest = (Fraction(n, d) for d, n in by_den.items())
+    return sum(rest, first)
 
 
 def min_weight(ws: Iterable[Fraction]) -> Fraction:

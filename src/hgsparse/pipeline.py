@@ -309,6 +309,11 @@ class StreamState:
     def push(self, edge: HyperEdge) -> None:
         if self.edges_seen >= self.m_bound:
             raise ValueError(f"stream exceeds the declared bound m={self.m_bound}")
+        # checked here, not at the flush, which would lose the whole batch
+        vs = edge.vertices
+        if vs[0] < 1 or vs[-1] > self.n:
+            raise ValueError(
+                f"vertex id {vs[0] if vs[0] < 1 else vs[-1]} out of range [1,{self.n}]")
         self.edges_seen += 1
         self.raw.append(edge)
         self._note_memory()

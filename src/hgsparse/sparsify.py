@@ -241,9 +241,11 @@ def _sparsify_copies(
     # nothing needs expanding, balancing or drawing.
     keep_all = rho >= copies
     if keep_all:
-        # edge j keeps all counts[j] copies: weight counts[j] / scale
+        # edge j keeps all counts[j] copies: weight counts[j] / scale, one
+        # Fraction per distinct count
         sn, sd = scale.numerator, scale.denominator
-        weights = {j: Fraction(c * sd, sn) for j, c in enumerate(counts)}
+        per_count = {c: Fraction(c * sd, sn) for c in set(counts)}
+        weights = {j: per_count[c] for j, c in enumerate(counts)}
         notes["balance_iterations"] = 0
     else:
         unit, origin = reduce_weighted(h, counts)

@@ -2,8 +2,9 @@
 survivor-connectivity audit of a sampling plan, a seeded concentration batch,
 a contraction that rebuilds every edge, a weight formatter that strips
 factors of 2 one at a time, weight bucketing and copy counts by `Fraction`
-compares, a bitmask builder for `Cut`, and the heavy-core family of
-instances.
+compares, a bitmask builder for `Cut`, the heavy-core family of
+instances, the balance loop one unit per pick with its per-iteration record,
+and the per-copy strength views of a balanced assignment.
 
 The library keeps what its samplers, pipeline, CLI and demos run; these
 recompute from first principles and back the fast paths at small scale.
@@ -14,9 +15,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from hgsparse import (
+    BalanceError,
     BalancedAssignment,
     ContractionMap,
     HyperEdge,
@@ -29,9 +31,13 @@ from hgsparse import (
     as_weight,
     child_seed,
     collapse,
+    find_max_bad,
+    init_weights,
     sparsify_unweighted,
     sparsify_weighted,
+    transfer_step,
 )
+from hgsparse.balance import BadEdge, BalanceState
 from hgsparse.graph import _adjacency, _stoer_wagner
 from hgsparse.sparsify import check_epsilon
 
@@ -53,6 +59,71 @@ def heavy_core(n: int) -> WeightedHypergraph:
     edges = [HyperEdge(p) for p in itertools.combinations(core, 2) for _ in range(3)]
     edges += [HyperEdge(core + (v,)) for v in range(len(core) + 1, n + 1)]
     return WeightedHypergraph(n, tuple(edges))
+
+
+def single_steps(state: BalanceState, iteration_cap: Optional[int] = None
+                 ) -> Iterator[BadEdge]:
+    """The balance loop one unit per pick, as the paper states it: each
+    `find_max_bad` pick moves one delta of the picked copy in a
+    `transfer_step`.  Yields each pick after its transfer, and raises
+    BalanceError past `run_balance`'s default cap of 2 m ell n^2."""
+    if iteration_cap is None:
+        iteration_cap = 2 * state.m * state.ell * state.units_total
+    while (bad := find_max_bad(state)) is not None:
+        if state.iterations >= iteration_cap:
+            raise BalanceError(f"iteration cap {iteration_cap} exceeded")
+        transfer_step(state, bad.copy, bad.f_min, bad.f_max)
+        yield bad
+
+
+def strength_histogram(state: BalanceState) -> tuple[int, ...]:
+    """Per interval j, the positively weighted pairs with strength in
+    (K_{j-1}, K_j]; raises BalanceError on a strength outside [K_0, K_ell]."""
+    hist = [0] * (state.ell + 1)
+    for p, u in state.pair_units.items():
+        if u > 0:
+            hist[state.interval_index(state.strengths[p])] += 1
+    return tuple(hist)
+
+
+def weight_above(state: BalanceState) -> tuple[int, ...]:
+    """Per level j, the units on pairs with strength > K_j."""
+    return tuple(sum(u for p, u in state.pair_units.items()
+                     if u > 0 and state.strengths[p] > kj)
+                 for kj in state.K_units)
+
+
+def traced_balance(h: WeightedHypergraph, gamma: int = 2
+                   ) -> tuple[BalancedAssignment, list[tuple]]:
+    """The one-unit loop to a gamma-balanced assignment, with a record
+    (ind, hist, weight_gt) after each transfer: the pick's interval index,
+    `strength_histogram` and `weight_above`.  The potential argument says
+    that once a pick has index <= i, weight_gt[i - 1] never increases."""
+    state = init_weights(h, gamma)
+    records = [(bad.ind, strength_histogram(state), weight_above(state))
+               for bad in single_steps(state)]
+    return state.snapshot(), records
+
+
+def kappa_by_copy(assignment: BalancedAssignment) -> list[Fraction]:
+    """Weakest clique slot strength per copy: its group's."""
+    per_group = assignment.kappa_by_group()
+    out = [Fraction(0)] * assignment.hypergraph.m
+    for g in assignment.groups:
+        for c in g.copies:
+            out[c] = per_group[g.key]
+    return out
+
+
+def kappa_max_by_copy(assignment: BalancedAssignment) -> list[Fraction]:
+    """Strongest positively weighted slot strength per copy."""
+    table = assignment.strengths
+    out = [Fraction(0)] * assignment.hypergraph.m
+    for g in assignment.groups:
+        slot_strengths = [table.strength(u, v) for u, v in g.slots]
+        for c in g.copies:
+            out[c] = max(s for s, u in zip(slot_strengths, g.units_for(c)) if u > 0)
+    return out
 
 
 def global_min_cut(
@@ -94,7 +165,7 @@ def check_same_component(assignment: BalancedAssignment, plan: SamplingPlan) -> 
         raise ValueError("plan does not match the assignment's hypergraph")
     table = assignment.strengths
     positive = [p for p, u in assignment.collapsed_units().items() if u > 0]
-    kappa = assignment.kappa_by_copy()
+    kappa = kappa_by_copy(assignment)
     kappa_top = max(kappa, default=Fraction(0))
     i = 0
     while True:

@@ -36,7 +36,7 @@ from hgsparse import (
     stream_sparsify,
     strength_table_from_pairs,
 )
-from oracles import check_same_component, mask_of
+from oracles import check_same_component, mask_of, traced_balance
 from hgsparse.graph import collapse
 
 
@@ -161,25 +161,25 @@ def test_04_balance_terminates_and_invariants_hold():
             h = gen_random(4 + seed % 7, 8 + (5 * seed) % 33,
                            2 + seed % 3, seed=seed)
         assert h.n <= 10 and h.m <= 40
-        trace = []
-        a = run_balance(h, gamma=2, trace=trace)
-        assert a.iterations == len(trace) <= h.m * a.ell * h.n * h.n
+        a, records = traced_balance(h, gamma=2)
+        assert run_balance(h, gamma=2) == a
+        assert a.iterations == len(records) <= h.m * a.ell * h.n * h.n
         assert is_balanced(a).ok
         k_top = a.k0 * 2 ** a.ell
         for u, v in a.strengths.pair_weight:
             assert a.k0 <= a.strengths.strength(u, v) <= k_top
-        for rec in trace:
+        for _, hist, _ in records:
             # hist indexes strengths into [K0, K0*gamma^ell]; building it
             # would have raised on any strength outside that range
-            assert len(rec.hist) == a.ell + 1 and sum(rec.hist) >= 1
+            assert len(hist) == a.ell + 1 and sum(hist) >= 1
         for i in range(1, a.ell + 1):
             started = False
             prev = None
-            for rec in trace:
-                if not started and rec.ind <= i:
+            for ind, _, weight_gt in records:
+                if not started and ind <= i:
                     started = True
                 if started:
-                    w = rec.weight_gt[i - 1]
+                    w = weight_gt[i - 1]
                     assert prev is None or w <= prev
                     prev = w
         total_iters += a.iterations
@@ -197,7 +197,7 @@ def test_05_expected_size_within_budget(balanced_corpus):
     for label, h, assignment in balanced_corpus:
         if h.m == 0:
             continue
-        kappas = assignment.kappa_by_copy()
+        kappas = assignment.kappa_by_group().values()
         overrides = [None, min(kappas) / 2, Fraction(1, 3)]
         for eps in (0.25, 1.0):
             for rho in overrides:
@@ -226,7 +226,7 @@ def test_06_sampled_cuts_concentrate_and_unbiased():
     # keep probability strictly below one so the estimator actually varies
     h = gen_random(10, 30, 4, seed=1234)
     assignment = run_balance(h)
-    kappas = assignment.kappa_by_copy()
+    kappas = assignment.kappa_by_group().values()
     plan = make_plan(assignment, eps, 1, rho_override=min(kappas) / 2)
     assert all(p < 1 for p in plan.p)
     cut = Cut(10, mask_of(range(1, 6)))
@@ -373,7 +373,7 @@ def test_12_survivor_components_connected(balanced_corpus):
     for label, h, assignment in balanced_corpus:
         if h.m == 0:
             continue
-        kappas = assignment.kappa_by_copy()
+        kappas = assignment.kappa_by_group().values()
         for rho in (None, min(kappas), min(kappas) / 2):
             plan = make_plan(assignment, 0.5, 1, rho_override=rho)
             assert check_same_component(assignment, plan), (label, rho)

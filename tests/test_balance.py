@@ -21,7 +21,6 @@ from hgsparse import (
     WeightedHypergraph,
     edge_strengths,
     find_max_bad,
-    format_trace_line,
     gen_sunflower,
     init_weights,
     is_balanced,
@@ -33,7 +32,8 @@ from hgsparse import (
 from hgsparse import balance, graph
 from hgsparse.balance import AssignmentGroup, BadEdge, BalancedAssignment
 from conftest import BALANCE_INSTANCES, random_hypergraph, two_cluster
-from oracles import heavy_core
+from oracles import (heavy_core, kappa_by_copy, kappa_max_by_copy, single_steps,
+                     traced_balance)
 
 
 def units_of(assignment):
@@ -103,17 +103,13 @@ def outcome(assignment):
 
 
 def single_step_balance(h, gamma=2, iteration_cap=None):
-    """The loop one unit per pick: `find_max_bad`, then a `transfer_step` of
-    one unit of the picked copy.  Returns the run's `outcome`, or the message
-    of the BalanceError it raised and the iterations made by then."""
+    """The loop one unit per pick (`oracles.single_steps`).  Returns the
+    run's `outcome`, or the message of the BalanceError it raised and the
+    iterations made by then."""
     state = balance.init_weights(h, gamma)
-    if iteration_cap is None:
-        iteration_cap = 2 * state.m * state.ell * state.units_total
     try:
-        while (bad := find_max_bad(state)) is not None:
-            if state.iterations >= iteration_cap:
-                raise BalanceError(f"iteration cap {iteration_cap} exceeded")
-            transfer_step(state, bad.copy, bad.f_min, bad.f_max)
+        for _ in single_steps(state, iteration_cap):
+            pass
     except BalanceError as exc:
         return str(exc), state.iterations
     return outcome(state.snapshot())
@@ -392,9 +388,7 @@ class TestRunBalance:
         h = WeightedHypergraph(4, (HyperEdge((1, 2, 3)),) * 4)
         a = run_balance(h)
         assert a.iterations == 0
-        kappas = a.kappa_by_copy()
-        kmaxes = a.kappa_max_by_copy()
-        assert kappas == kmaxes
+        assert kappa_by_copy(a) == kappa_max_by_copy(a)
 
     def test_two_cluster_run(self):
         a = run_balance(two_cluster())
@@ -432,45 +426,28 @@ class TestRunBalance:
         a = run_balance(WeightedHypergraph(3, ()))
         assert a.iterations == 0 and a.groups == ()
 
-    def test_trace_records(self):
-        trace = []
-        a = run_balance(two_cluster(), trace=trace)
-        assert len(trace) == a.iterations == 3
-        assert [r.index for r in trace] == [1, 2, 3]
-        for r in trace:
-            assert len(r.hist) == a.ell + 1
-            assert len(r.weight_gt) == a.ell + 1
-            line = format_trace_line(r)
-            assert f"iter={r.index}" in line and "fmax=" in line
-
     def test_monotone_weight_above(self):
         # once an iteration picks ind <= i, units on pairs stronger than
         # K_{i-1} never increase again
         for h in [two_cluster(), two_cluster(20), random_hypergraph(7, 16, 4, 11)]:
-            trace = []
-            a = run_balance(h, trace=trace)
+            a, records = traced_balance(h)
+            assert len(records) == a.iterations
             for i in range(1, a.ell + 1):
                 started = False
                 prev = None
-                for rec in trace:
-                    if not started and rec.ind <= i:
+                for ind, _, weight_gt in records:
+                    if not started and ind <= i:
                         started = True
                     if started:
-                        w = rec.weight_gt[i - 1]
+                        w = weight_gt[i - 1]
                         assert prev is None or w <= prev
                         prev = w
 
     def test_trace_does_not_change_result(self):
-        # a traced run records one pick per transfer; recording must not
-        # change where the loop ends
+        # run_balance ends where stepping one unit per pick, as a trace of
+        # the paper's loop does, ends
         for h in BALANCE_INSTANCES:
-            fast = run_balance(h)
-            trace = []
-            slow = run_balance(h, trace=trace)
-            assert fast.iterations == slow.iterations == len(trace)
-            assert units_of(fast) == units_of(slow)
-            assert fast.strengths.pair_strength == slow.strengths.pair_strength
-            assert fast.k0 == slow.k0 and fast.ell == slow.ell
+            assert batched_balance(h) == single_step_balance(h)
 
     def test_matches_reference_loop(self):
         drained = False
@@ -760,8 +737,8 @@ class TestBatches:
         # 1/kappa; the balanced weights meet it (31.2 > 26 >= 10.5 at n = 14,
         # 40.3 > 30 >= 12.0 at n = 16)
         h = heavy_core(n)
-        uniform = sum(1 / k for k in init_weights(h).snapshot().kappa_by_copy())
-        balanced = sum(1 / k for k in run_balance(h).kappa_by_copy())
+        uniform = sum(1 / k for k in kappa_by_copy(init_weights(h).snapshot()))
+        balanced = sum(1 / k for k in kappa_by_copy(run_balance(h)))
         assert uniform > 2 * (n - 1) >= balanced
 
 
@@ -804,18 +781,12 @@ class TestAssignmentViews:
         total = a.collapsed_units()
         assert sum(total.values()) == a.hypergraph.m * a.units_per_copy
 
-    def test_group_for(self):
-        a = run_balance(two_cluster())
-        assert a.group_for((1, 2)).key == (1, 2)
-        with pytest.raises(KeyError):
-            a.group_for((1, 3))
-
     def test_kappa_views(self):
         a = run_balance(two_cluster())
         per_group = a.kappa_by_group()
-        per_copy = a.kappa_by_copy()
+        per_copy = kappa_by_copy(a)
         for g in a.groups:
             for c in g.copies:
                 assert per_copy[c] == per_group[g.key]
-        for lo, hi in zip(per_copy, a.kappa_max_by_copy()):
+        for lo, hi in zip(per_copy, kappa_max_by_copy(a)):
             assert lo <= hi <= a.gamma * lo

@@ -44,6 +44,17 @@ class TestWeightArithmetic:
     def test_min_is_the_same_object_as_min(self, ws):
         assert min_weight(iter(ws)) is min(ws)
 
+    def test_one_fraction_add_per_extra_denominator(self, monkeypatch):
+        adds = []
+        for name in ("__add__", "__radd__"):
+            def counted(*args, _real=getattr(Fraction, name)):
+                adds.append(args)
+                return _real(*args)
+            monkeypatch.setattr(Fraction, name, counted)
+        thirds = [Fraction(1, 3), Fraction(2, 3), Fraction(4, 3)]
+        assert weight_sum(thirds) == Fraction(7, 3) and adds == []
+        assert weight_sum(thirds + [Fraction(1, 2)]) == Fraction(17, 6) and len(adds) == 1
+
     def test_empty(self):
         assert weight_sum([]) == 0 and type(weight_sum([])) is Fraction
         for least in (min, min_weight):

@@ -309,6 +309,19 @@ class TestStreamMemoryCheck:
         assert s.edges_seen == 3 and s.high_water == 3
 
 
+class TestStreamPush:
+    def test_out_of_range_vertex_raises_at_the_push(self):
+        s = StreamState(3, 100, 0.5, capacity=8)
+        s.push(HyperEdge((1, 2)))
+        with pytest.raises(ValueError, match=r"^vertex id 5 out of range \[1,3\]$"):
+            s.push(HyperEdge((1, 5)))
+        assert s.edges_seen == 1 and s.raw == [HyperEdge((1, 2))]
+        # the batch is intact: the next pushes fill it and flush it
+        for _ in range(7):
+            s.push(HyperEdge((2, 3)))
+        assert s.flushes == 1 and s.raw == [] and s.edges_seen == 8
+
+
 class RecountingState(StreamState):
     """A stream state that recounts its stored edges at every memory check."""
 
@@ -350,6 +363,22 @@ def fraction_op_counts(monkeypatch, call) -> Counter:
     return counts
 
 
+def fraction_builds(monkeypatch, call) -> int:
+    """How many Fractions `call()` constructs, arithmetic results included."""
+    count = 0
+
+    def counted(*args, _real=Fraction.__new__, **kwargs):
+        nonlocal count
+        count += 1
+        return _real(*args, **kwargs)
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counted))
+    try:
+        call()
+    finally:
+        monkeypatch.undo()
+    return count
+
+
 class TestFractionOps:
     def test_fast_sparsify_ops_do_not_grow_with_edges(self, monkeypatch):
         # weights over the denominators 1, 3 and 7 in two components and
@@ -365,3 +394,16 @@ class TestFractionOps:
         doubled = fraction_op_counts(monkeypatch, lambda: fast_sparsify(twice, 0.5))
         assert len(fast_sparsify(h, 0.5).notes["bucket_reports"]) == 3
         assert base["__add__"] > 0 and doubled == base
+
+    def test_keep_all_weights_do_not_grow_with_edges(self, monkeypatch):
+        # at the theoretical rho every copy is kept and edge j's weight is
+        # counts[j] / scale; doubling the edges at the same weights keeps the
+        # distinct counts, so the Fractions built must stay as they are
+        light = [((1, 2), 1), ((2, 3), Fraction(5, 3)), ((1, 3, 4), 2), ((3, 4), Fraction(7, 2))]
+        h = WeightedHypergraph(4, tuple(HyperEdge(vs, Fraction(x)) for vs, x in light))
+        twice = WeightedHypergraph(4, h.edges * 2)
+        res = sparsify_weighted(twice, 0.5)
+        assert res.plan.rho >= res.notes["reduced_copies"] and res.hypergraph == twice
+        built = [fraction_builds(monkeypatch, lambda g=g: sparsify_weighted(g, 0.5))
+                 for g in (h, twice)]
+        assert 0 < built[0] == built[1]

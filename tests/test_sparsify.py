@@ -443,7 +443,7 @@ class TestKeepEveryEdgeShortcut:
         assert res.sum_p == sum_p
         assert (res.plan.rho, res.plan.p) == (plan.rho, plan.p)
         assert res.notes["reduced_copies"] == copies
-        assert max(assignment.kappa_by_copy()) <= copies
+        assert max(assignment.kappa_by_group().values()) <= copies
         fired = plan.rho >= copies
         assert fired == (which != "m'-1")
         if fired:
@@ -458,7 +458,7 @@ class TestKeepEveryEdgeShortcut:
         rho = {"theory": None, "m": h.m, "m-1": h.m - 1}[which]
         res, balanced = balance_runs(sparsify_unweighted, h, eps, seed=seed, rho_override=rho)
         slow, assignment = slow_unweighted(h, eps, 2, 1, seed, rho)
-        assert max(assignment.kappa_by_copy()) <= h.m
+        assert max(assignment.kappa_by_group().values()) <= h.m
         assert res.hypergraph == slow.hypergraph
         assert res.origin == slow.origin
         assert (res.m_in, res.m_out, res.sum_p) == (slow.m_in, slow.m_out, slow.sum_p)
@@ -471,7 +471,7 @@ class TestKeepEveryEdgeShortcut:
 
     def test_no_strength_exceeds_copy_count(self):
         for h in BALANCE_INSTANCES:
-            assert max(run_balance(h).kappa_by_copy()) <= h.m
+            assert max(run_balance(h).kappa_by_group().values()) <= h.m
 
     def test_sunflower_skips_balancing(self):
         res, balanced = balance_runs(sparsify_unweighted, gen_sunflower(5), 0.5)
