@@ -12,7 +12,9 @@ terminates by a potential argument rather than by tolerance.
 Copies with the same vertex set behave identically up to which slots are
 positive, so they are grouped: per group we keep one shared slot vector for
 untouched copies plus overrides for touched ones, and badness is decided by
-inspecting only the strongest positively weighted slot of the group.
+inspecting only the strongest positively weighted slot of the group.  The
+grouping walks runs of consecutive copies that are one edge object, as the
+weighted reduction emits them: one weight check and one extend per run.
 
 Strengths live in one `StrengthTree`, built from the initial weights; each
 transfer shifts all of its units there in one `StrengthTree.shift`, a single
@@ -47,7 +49,7 @@ from fractions import Fraction
 from typing import Mapping, Optional
 
 from .graph import StrengthTable, StrengthTree, _first_fail, pair_strengths
-from .hypergraph import WeightedHypergraph
+from .hypergraph import WeightedHypergraph, identity_runs
 
 Pair = tuple[int, int]
 
@@ -101,9 +103,12 @@ def check_gamma(gamma: int) -> None:
         raise ValueError("gamma must be an integer >= 2")
 
 
+UNWEIGHTED_ONLY = "balancing expects an unweighted multi-hypergraph"
+
+
 def check_unweighted(h: WeightedHypergraph) -> None:
     if not h.is_unweighted():
-        raise ValueError("balancing expects an unweighted multi-hypergraph")
+        raise ValueError(UNWEIGHTED_ONLY)
 
 
 class BalanceState:
@@ -111,7 +116,6 @@ class BalanceState:
 
     def __init__(self, h: WeightedHypergraph, gamma: int):
         check_gamma(gamma)
-        check_unweighted(h)
         self.hypergraph = h
         self.n = h.n
         self.m = h.m
@@ -120,9 +124,13 @@ class BalanceState:
         self.delta = Fraction(1, self.units_total)
         self.iterations = 0
 
+        edges = h.edges
         per_key: dict[tuple[int, ...], list[int]] = {}
-        for idx, e in enumerate(h.edges):
-            per_key.setdefault(e.vertices, []).append(idx)
+        for start, stop in identity_runs(edges):
+            e = edges[start]
+            if e.weight != 1:
+                raise ValueError(UNWEIGHTED_ONLY)
+            per_key.setdefault(e.vertices, []).extend(range(start, stop))
         self.groups: dict[tuple[int, ...], _Group] = {
             key: _Group(key, self.units_total, copies) for key, copies in per_key.items()
         }

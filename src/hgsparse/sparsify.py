@@ -8,23 +8,40 @@ Each copy is kept with probability p = min(1, rho/kappa_e), where kappa_e is
 its weakest clique slot strength under a gamma-balanced assignment and rho
 grows like gamma^2 log(n)/eps^2; the constant 0.38 in rho comes from the
 Chernoff bound used in the analysis.  The draw is an exact Bernoulli(p) on
-the rational p, and a copy with p = 1 is kept without a draw.  When rho is at
-least the copy count m', p = 1 on every copy, and nothing is expanded,
-balanced or drawn.  The kept copies of edge j fold into one edge of weight
-sum(1/p)/scale, so every cut is preserved in expectation.
+the rational p = a/D: the first `getrandbits(D.bit_length())` below D, the
+stream of `randrange(D)`, compared with the numerator a.  A copy with p = 1
+is kept without a draw.  When rho is at least the copy count m', p = 1 on
+every copy, and nothing is expanded, balanced or drawn.  The kept copies of
+edge j fold into one edge of weight sum(1/p)/scale, so every cut is
+preserved in expectation.
+
+The copies of one input edge are one object, and all copies of a group share
+one p object, so the draws and the sum of p walk runs of copies that share
+an edge and a p, found by identity, and the fold weighs an edge's kept
+copies by their count.
 """
 
 from __future__ import annotations
 
+import collections
+import functools
 import itertools
 import math
+import operator
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
 from .balance import BalancedAssignment, check_gamma, check_unweighted, run_balance
-from .hypergraph import HyperEdge, WeightedHypergraph, as_weight, min_weight, serialize_hypergraph
+from .hypergraph import (
+    HyperEdge,
+    WeightedHypergraph,
+    as_weight,
+    identity_runs,
+    min_weight,
+    serialize_hypergraph,
+)
 from .seeds import RNG_ID
 
 CHERNOFF_CONSTANT = 0.38
@@ -97,9 +114,9 @@ class SamplingPlan:
 
     def sum_p(self) -> Fraction:
         # make_plan shares one p object per group of parallel copies, so sum
-        # by run length rather than hashing every copy's Fraction
-        runs = (list(run) for _, run in itertools.groupby(self.p, id))
-        return sum((run[0] * len(run) for run in runs), Fraction(0))
+        # by runs of one object: one Fraction product per run
+        p = self.p
+        return sum((p[start] * (stop - start) for start, stop in identity_runs(p)), Fraction(0))
 
     def size_budget(self) -> Fraction:
         """Exact upper bound rho * gamma * (n - 1) on the expected size."""
@@ -135,9 +152,17 @@ def make_plan(
     per_group = assignment.kappa_by_group()
     p = [one] * assignment.hypergraph.m
     for g in assignment.groups:
-        gp = min(one, rho / per_group[g.key])
-        for c in g.copies:
-            p[c] = gp
+        gp = rho / per_group[g.key]
+        if gp.numerator >= gp.denominator:  # min(1, rho/kappa) by an int compare
+            gp = one
+        first, last = g.copies[0], g.copies[-1]
+        if last - first == len(g.copies) - 1:
+            # ascending distinct copies this far apart are all of first..last;
+            # a scan for runs elsewhere would cost more than the loop saves
+            p[first:last + 1] = [gp] * len(g.copies)
+        else:
+            for c in g.copies:
+                p[c] = gp
     return SamplingPlan(epsilon, assignment.gamma, d, rho, n, tuple(p), overridden)
 
 
@@ -145,23 +170,35 @@ def sample_sparsifier(h: WeightedHypergraph, plan: SamplingPlan, seed: int) -> S
     """Keep copy c with probability exactly p = plan.p[c]; a kept copy gets
     weight w/p.  Identical (hypergraph, plan, seed) gives identical output.
 
-    A copy with p < 1 is kept when `randrange(p.denominator)` falls below
-    `p.numerator`: one RNG call per such copy, in copy order.  A copy with
-    p = 1 is kept without touching the RNG."""
+    A copy with p = a/D < 1 draws `getrandbits(D.bit_length())` until the
+    draw falls below D, and is kept when that draw is below a: the RNG stream
+    of `randrange(D) < a`, one accepted draw per such copy, in copy order.  A
+    copy with p = 1 is kept without touching the RNG.  Copies are walked in
+    runs that share one edge and one p object, and the kept copies of a run
+    share one edge of weight w/p."""
     if h.m != len(plan.p):
         raise ValueError("plan does not match the hypergraph edge count")
-    draw = random.Random(seed).randrange
+    getrandbits = random.Random(seed).getrandbits
+    edges, p = h.edges, plan.p
     kept: list[HyperEdge] = []
     origin: list[int] = []
-    for idx, (e, pe) in enumerate(zip(h.edges, plan.p)):
+    for start, stop in identity_runs(edges, p):
+        e, pe = edges[start], p[start]
         num, den = pe.numerator, pe.denominator
         if num >= den:  # p >= 1; an int compare is half the cost of a Fraction one
-            kept.append(e)
-        elif draw(den) < num:
-            kept.append(HyperEdge(e.vertices, e.weight / pe))
-        else:
+            kept += itertools.repeat(e, stop - start)
+            origin += range(start, stop)
             continue
-        origin.append(idx)
+        # each copy's first draw below den, drawn lazily so that none is made
+        # past the run's last copy; the copy is kept when it is below num
+        draws = map(getrandbits, itertools.repeat(den.bit_length()))
+        accepted = itertools.islice(filter(functools.partial(operator.gt, den), draws),
+                                    stop - start)
+        before = len(origin)
+        origin += itertools.compress(range(start, stop),
+                                     map(operator.gt, itertools.repeat(num), accepted))
+        if len(origin) > before:
+            kept += itertools.repeat(HyperEdge(e.vertices, e.weight / pe), len(origin) - before)
     out = WeightedHypergraph(h.n, tuple(kept))
     return SparsifierResult(
         hypergraph=out,
@@ -258,11 +295,13 @@ def _sparsify_copies(
             raise SamplingError(f"expected size {sum_p} exceeds rho*gamma*(n-1) = "
                                 f"{plan.size_budget()}")
         notes["balance_iterations"] = assignment.iterations
-        # copies are in edge order, so the sums are too
-        sums = {}
-        for c, e in zip(sample.origin, sample.hypergraph.edges):
-            sums[origin[c]] = sums.get(origin[c], 0) + e.weight
-        weights = {j: w / scale for j, w in sums.items()}
+        # the kept copies of edge j all weigh 1/p for its group's p, so edge j
+        # weighs their count times one of them; copies are in edge order, so
+        # the weights are too
+        kept_from = list(map(origin.__getitem__, sample.origin))
+        one_kept = dict(zip(kept_from, sample.hypergraph.edges))
+        weights = {j: c * one_kept[j].weight / scale
+                   for j, c in collections.Counter(kept_from).items()}
     out = WeightedHypergraph(h.n, tuple(
         HyperEdge(h.edges[j].vertices, w) for j, w in weights.items()))
     if keep_all:

@@ -2,6 +2,7 @@
 
 import dataclasses
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -108,3 +109,37 @@ def inflate_p(monkeypatch):
         return dataclasses.replace(plan, p=(Fraction(1),) * len(plan.p))
 
     return lambda: monkeypatch.setattr(sparsify, "make_plan", inflated)
+
+
+FRACTION_OPS = ("__add__", "__radd__", "__lt__", "__le__", "__gt__", "__ge__", "__eq__")
+
+
+def fraction_op_counts(monkeypatch, call) -> Counter:
+    """How often `call()` runs each of FRACTION_OPS."""
+    counts: Counter = Counter()
+    for name in FRACTION_OPS:
+        def counted(*args, _name=name, _real=getattr(Fraction, name)):
+            counts[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(Fraction, name, counted)
+    try:
+        call()
+    finally:
+        monkeypatch.undo()
+    return counts
+
+
+def fraction_builds(monkeypatch, call) -> int:
+    """How many Fractions `call()` constructs, arithmetic results included."""
+    count = 0
+
+    def counted(*args, _real=Fraction.__new__, **kwargs):
+        nonlocal count
+        count += 1
+        return _real(*args, **kwargs)
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counted))
+    try:
+        call()
+    finally:
+        monkeypatch.undo()
+    return count

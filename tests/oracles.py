@@ -4,7 +4,8 @@ a contraction that rebuilds every edge, a weight formatter that strips
 factors of 2 one at a time, weight bucketing and copy counts by `Fraction`
 compares, a bitmask builder for `Cut`, the heavy-core family of
 instances, the balance loop one unit per pick with its per-iteration record,
-and the per-copy strength views of a balanced assignment.
+the balance state's grouping one copy at a time, and the per-copy strength
+views of a balanced assignment.
 
 The library keeps what its samplers, pipeline, CLI and demos run; these
 recompute from first principles and back the fast paths at small scale.
@@ -103,6 +104,27 @@ def traced_balance(h: WeightedHypergraph, gamma: int = 2
     records = [(bad.ind, strength_histogram(state), weight_above(state))
                for bad in single_steps(state)]
     return state.snapshot(), records
+
+
+def group_copies_loop(h: WeightedHypergraph
+                      ) -> dict[tuple[int, ...], tuple[list[int], list[int], list[int]]]:
+    """`BalanceState`'s groups one copy at a time: per vertex set, in
+    first-seen order, its copies, the slot units of a copy at init (n^2 // q
+    per slot for q slots, at least 2, and one more on the first n^2 % q
+    slots), and those units summed copy by copy.  Checks each copy's weight,
+    raising `check_unweighted`'s ValueError on the first that is not 1."""
+    groups: dict[tuple[int, ...], tuple[list[int], list[int], list[int]]] = {}
+    total = h.n * h.n
+    for idx, e in enumerate(h.edges):
+        if e.weight != 1:
+            raise ValueError("balancing expects an unweighted multi-hypergraph")
+        q = len(e.vertices) * (len(e.vertices) - 1) // 2
+        base = max(2, total // q)
+        units = [base + 1 if i < total - q * base else base for i in range(q)]
+        copies, _, agg = groups.setdefault(e.vertices, ([], units, [0] * q))
+        copies.append(idx)
+        agg[:] = [a + u for a, u in zip(agg, units)]
+    return groups
 
 
 def kappa_by_copy(assignment: BalancedAssignment) -> list[Fraction]:

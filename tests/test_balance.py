@@ -8,11 +8,12 @@ it is bad and the loop has real work to do.
 
 import itertools
 import random
+import re
 import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hgsparse import (
@@ -32,8 +33,8 @@ from hgsparse import (
 from hgsparse import balance, graph
 from hgsparse.balance import AssignmentGroup, BadEdge, BalancedAssignment
 from conftest import BALANCE_INSTANCES, random_hypergraph, two_cluster
-from oracles import (heavy_core, kappa_by_copy, kappa_max_by_copy, single_steps,
-                     traced_balance)
+from oracles import (group_copies_loop, heavy_core, kappa_by_copy, kappa_max_by_copy,
+                     single_steps, traced_balance)
 
 
 def units_of(assignment):
@@ -211,6 +212,31 @@ def drains_parallel_copy(assignment):
                for u in g.overrides.values())
 
 
+@st.composite
+def copy_runs(draw):
+    """A multi-hypergraph as runs of copies, each one shared `HyperEdge` or
+    equal but distinct ones, whose vertex sets recur in runs that need not be
+    adjacent; now and then one copy of weight 2 sits inside a run."""
+    n = draw(st.integers(2, 5))
+    vertex_set = st.lists(st.integers(1, n), min_size=2, unique=True).map(
+        lambda vs: tuple(sorted(vs)))
+    sets = draw(st.lists(vertex_set, min_size=1, max_size=3))
+    edges = []
+    for _ in range(draw(st.integers(0, 6))):
+        vs, count = draw(st.sampled_from(sets)), draw(st.integers(1, 4))
+        if draw(st.booleans()):
+            edges += [HyperEdge(vs)] * count
+        else:
+            edges += [HyperEdge(vs) for _ in range(count)]
+    if edges and draw(st.integers(0, 3)) == 0:
+        at = draw(st.integers(0, len(edges) - 1))
+        edges.insert(at, HyperEdge(edges[at].vertices, Fraction(2)))
+    return WeightedHypergraph(n, tuple(edges))
+
+
+E12, E13 = HyperEdge((1, 2)), HyperEdge((1, 3))
+
+
 class TestInit:
     def test_uniform_when_divisible(self):
         st = init_weights(WeightedHypergraph(3, (HyperEdge((1, 2, 3)),)))
@@ -246,6 +272,25 @@ class TestInit:
         h = WeightedHypergraph(2, (HyperEdge((1, 2), Fraction(1, 2)),))
         with pytest.raises(ValueError):
             init_weights(h, 2)
+
+    @given(copy_runs())
+    @example(WeightedHypergraph(3, (E12, E12, E13, E12)))  # parallel copies apart
+    @example(WeightedHypergraph(3, tuple(HyperEdge((1, 2, 3)) for _ in range(3))))  # equal, distinct
+    @example(WeightedHypergraph(3, (E12, E12, HyperEdge((1, 2), Fraction(2)), E12)))  # weight 2
+    @settings(max_examples=80, deadline=None)
+    def test_groups_match_the_per_copy_loop(self, h):
+        # the state groups a run of one edge object at a time; it must give
+        # the groups, copies and units of grouping copy by copy, and reject
+        # a copy of weight other than 1 wherever it sits, with the same text
+        try:
+            want = group_copies_loop(h)
+        except ValueError as err:
+            with pytest.raises(ValueError, match=f"^{re.escape(str(err))}$"):
+                init_weights(h)
+            return
+        state = init_weights(h)
+        got = {key: (g.copies, g.default_units, g.agg_units) for key, g in state.groups.items()}
+        assert list(got.items()) == list(want.items())
 
 
 class TestFindMaxBad:

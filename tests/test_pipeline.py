@@ -1,14 +1,13 @@
 """Weight buckets, contraction, the parity pipeline, and streaming."""
 
 import dataclasses
-from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import bucket_cases
+from conftest import bucket_cases, fraction_builds, fraction_op_counts
 from hgsparse import (
     ContractionMap,
     Cut,
@@ -343,40 +342,6 @@ class TestStoredCount:
             assert s.sketched == sum(len(sk) for lvl in s.sketches for sk in lvl)
         assert s.flushes > 2 and len(s.sketches) >= 2
         assert s.high_water == s.recount_max
-
-
-FRACTION_OPS = ("__add__", "__radd__", "__lt__", "__le__", "__gt__", "__ge__", "__eq__")
-
-
-def fraction_op_counts(monkeypatch, call) -> Counter:
-    """How often `call()` runs each of FRACTION_OPS."""
-    counts: Counter = Counter()
-    for name in FRACTION_OPS:
-        def counted(*args, _name=name, _real=getattr(Fraction, name)):
-            counts[_name] += 1
-            return _real(*args)
-        monkeypatch.setattr(Fraction, name, counted)
-    try:
-        call()
-    finally:
-        monkeypatch.undo()
-    return counts
-
-
-def fraction_builds(monkeypatch, call) -> int:
-    """How many Fractions `call()` constructs, arithmetic results included."""
-    count = 0
-
-    def counted(*args, _real=Fraction.__new__, **kwargs):
-        nonlocal count
-        count += 1
-        return _real(*args, **kwargs)
-    monkeypatch.setattr(Fraction, "__new__", staticmethod(counted))
-    try:
-        call()
-    finally:
-        monkeypatch.undo()
-    return count
 
 
 class TestFractionOps:

@@ -1,6 +1,5 @@
 """Sampling plans, the sampler, and the weighted reduction."""
 
-import itertools
 import math
 import random
 from fractions import Fraction
@@ -11,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import BALANCE_INSTANCES, bucket_cases
+from conftest import BALANCE_INSTANCES, bucket_cases, fraction_builds
 from hgsparse import sparsify
 from hgsparse import (
     Cut,
@@ -36,7 +35,7 @@ from hgsparse import (
     sparsify_weighted,
     theoretical_rho,
 )
-from oracles import copy_counts_loop, mask_of
+from oracles import copy_counts_loop, kappa_by_copy, mask_of
 
 
 def edges_of(h):
@@ -44,14 +43,14 @@ def edges_of(h):
 
 
 class StubRandom:
-    """Stands in for `random.Random`: `randrange(k)` records k and returns
+    """Stands in for `random.Random`: `getrandbits(k)` records k and returns
     the next of the given outcomes."""
 
     def __init__(self, outcomes):
         self.outcomes = iter(outcomes)
         self.calls = []
 
-    def randrange(self, k):
+    def getrandbits(self, k):
         self.calls.append(k)
         return next(self.outcomes)
 
@@ -107,6 +106,18 @@ class TestMakePlan:
         with pytest.raises(ValueError):
             make_plan(a, 0.5, 1, rho_override=0)
 
+    @pytest.mark.parametrize("h", BALANCE_INSTANCES + [
+        WeightedHypergraph(3, (HyperEdge((1, 2)),) * 3 + (HyperEdge((1, 3)), HyperEdge((1, 2))))])
+    def test_matches_per_copy_kappa(self, h):
+        # groups whose copies are one stretch of indices and groups whose
+        # copies lie apart; each copy gets min(1, rho/kappa) of its group,
+        # one shared object per group
+        a = run_balance(h)
+        for rho in (None, Fraction(1, 2), min(a.kappa_by_group().values()) * 3):
+            plan = make_plan(a, 0.5, 1, rho_override=rho)
+            assert plan.p == tuple(min(1, plan.rho / k) for k in kappa_by_copy(a))
+            assert all(len({id(plan.p[c]) for c in g.copies}) == 1 for g in a.groups)
+
     def test_size_budget_inequality(self):
         for seed in range(6):
             h = gen_random(7, 15, 4, seed=seed)
@@ -145,33 +156,43 @@ class TestSampleSparsifier:
     @pytest.mark.parametrize("p", [Fraction(1, 3), Fraction(2, 7), Fraction(2**60 + 1, 2**61 + 3)],
                              ids=["one_third", "two_sevenths", "denominator_past_2_53"])
     def test_each_draw_outcome_keeps_below_the_numerator(self, monkeypatch, p):
-        # randrange(den) is uniform over 0..den-1, and exactly the outcomes
-        # below the numerator keep the copy, so it is kept with probability
-        # exactly p; a denominator past 2^53 is checked at its boundary
+        # a copy draws getrandbits(k), k = den.bit_length(), until the draw
+        # falls below den, as randrange(den) does, so its accepted draw is
+        # uniform over 0..den-1; exactly the draws below the numerator keep
+        # it, so it is kept with probability exactly p.  A draw of den or
+        # more is redrawn and decides nothing.  A denominator past 2^53 is
+        # checked at its boundary
+        k = p.denominator.bit_length()
         if p.denominator < 100:
-            outcomes = range(p.denominator)
+            outcomes = list(range(p.denominator))
         else:
-            outcomes = (0, p.numerator - 1, p.numerator, p.denominator - 1)
-        stub = StubRandom(outcomes)
+            outcomes = [0, p.numerator - 1, p.numerator, p.denominator - 1]
+        rejected = sorted({p.denominator, 2**k - 1})
+        stub = StubRandom(rejected + outcomes)
         monkeypatch.setattr(sparsify, "random", SimpleNamespace(Random=lambda seed: stub))
         h = WeightedHypergraph(2, (HyperEdge((1, 2), Fraction(3, 2)),))
         plan = SamplingPlan(0.5, 2, 1, Fraction(1), 2, (p,))
         kept = [u for u in outcomes if sample_sparsifier(h, plan, seed=0).m_out]
-        assert stub.calls == [p.denominator] * len(outcomes)
+        # the first copy drew the rejected outcomes and then outcomes[0], and
+        # every outcome was drawn
+        assert stub.calls == [k] * (len(rejected) + len(outcomes))
+        assert next(stub.outcomes, None) is None
         assert kept == [u for u in outcomes if u < p.numerator]
         if p.denominator < 100:
             assert len(kept) == p.numerator
 
     def test_one_draw_per_copy_below_one(self, monkeypatch):
-        # one randrange per p < 1 copy, in copy order, each with its own
-        # denominator; p = 1 copies draw nothing; kept weights are exactly w/p
+        # one accepted draw per p < 1 copy, in copy order, each of its own
+        # denominator's bit length; a draw at or past the denominator is
+        # redrawn for the same copy; p = 1 copies draw nothing; kept weights
+        # are exactly w/p
         ps = (Fraction(1, 3), Fraction(1), Fraction(2, 7), Fraction(1), Fraction(5, 11),
               Fraction(1, 3))
-        stub = StubRandom(itertools.repeat(0))  # every copy is kept
+        stub = StubRandom([0, 7, 0, 15, 0, 0])  # every copy is kept
         monkeypatch.setattr(sparsify, "random", SimpleNamespace(Random=lambda seed: stub))
         h = WeightedHypergraph(3, tuple(HyperEdge((1, 2, 3), Fraction(k, 2)) for k in range(1, 7)))
         res = sample_sparsifier(h, SamplingPlan(0.5, 2, 1, Fraction(1), 3, ps), seed=0)
-        assert stub.calls == [3, 7, 11, 3]
+        assert stub.calls == [2, 3, 3, 4, 4, 2]
         assert res.origin == tuple(range(6))
         assert [e.weight for e in res.hypergraph.edges] == [
             e.weight / pe for e, pe in zip(h.edges, ps)]
@@ -222,6 +243,52 @@ class TestSampleSparsifier:
         var = sq / n_trials - mean * mean
         se = math.sqrt(float(var) / n_trials)
         assert abs(float(mean - true)) <= 3 * se + 1e-12
+
+
+def hyperedge_builds(monkeypatch, call) -> int:
+    """How many `HyperEdge`s `call()` constructs."""
+    count = 0
+    real = HyperEdge.__post_init__
+
+    def counted(self):
+        nonlocal count
+        count += 1
+        real(self)
+    monkeypatch.setattr(HyperEdge, "__post_init__", counted)
+    try:
+        call()
+    finally:
+        monkeypatch.undo()
+    return count
+
+
+class TestSamplerOps:
+    @pytest.mark.parametrize("seed", [0, 5])
+    def test_work_per_run_does_not_grow_with_copies(self, monkeypatch, seed):
+        # runs of copies sharing one edge and one p object, as reduce_weighted
+        # and make_plan build them, three with p < 1 and one with p = 1; the
+        # kept copies of a run share one edge, and doubling every run's copy
+        # count keeps the Fractions built as they are
+        ps = (Fraction(9, 10), Fraction(5, 7), Fraction(1), Fraction(3, 4))
+
+        def runs_of(copies):
+            edges, p = [], []
+            for i, pe in enumerate(ps):
+                edges += [HyperEdge((1, i + 2), Fraction(1, i + 1))] * copies
+                p += [pe] * copies
+            return (WeightedHypergraph(5, tuple(edges)),
+                    SamplingPlan(0.5, 2, 1, Fraction(1), 5, tuple(p)))
+
+        built = []
+        for copies in (8, 16):
+            h, plan = runs_of(copies)
+            res = sample_sparsifier(h, plan, seed)
+            # every run keeps a copy, so both sizes build one edge per p < 1 run
+            assert {c // copies for c in res.origin} == {0, 1, 2, 3}
+            assert len(res.origin) < h.m
+            assert hyperedge_builds(monkeypatch, lambda: sample_sparsifier(h, plan, seed)) == 3
+            built.append(fraction_builds(monkeypatch, lambda: sample_sparsifier(h, plan, seed)))
+        assert 0 < built[0] == built[1]
 
 
 class TestReduceWeighted:
@@ -351,6 +418,31 @@ class TestSparsifyWeighted:
             j = 0 if idx < reduced.m // 2 else 1
             merged[j] = merged.get(j, 0) + 1
         assert res.m_out == len(merged)
+
+    def test_fold_matches_per_copy_sums_on_shared_edges(self):
+        # adjacent input edges that are one object reduce to one run of
+        # copies; each input edge still weighs its own kept copies' summed
+        # weight, as it does when the inputs are equal but distinct objects
+        e, f = HyperEdge((1, 2)), HyperEdge((2, 3), Fraction(3, 2))
+        shared = WeightedHypergraph(3, (e, e, f, f, e))
+        distinct = WeightedHypergraph(3, tuple(HyperEdge(x.vertices, x.weight)
+                                               for x in shared.edges))
+        scale, counts = copy_counts(shared, 0.5)
+        unit, origin = reduce_weighted(shared, counts)
+        plan = make_plan(run_balance(unit), 0.5 / 3, rho_override=Fraction(2))
+        assert all(p < 1 for p in plan.p)
+        dropped = set()
+        for seed in range(6):
+            res = sparsify_weighted(shared, 0.5, seed=seed, rho_override=Fraction(2))
+            assert res == sparsify_weighted(distinct, 0.5, seed=seed, rho_override=Fraction(2))
+            sample = sample_sparsifier(unit, plan, seed)
+            sums = {}
+            for c, kept in zip(sample.origin, sample.hypergraph.edges):
+                sums[origin[c]] = sums.get(origin[c], 0) + kept.weight
+            assert [(e.vertices, e.weight) for e in res.hypergraph.edges] == [
+                (shared.edges[j].vertices, w / scale) for j, w in sums.items()]
+            dropped |= set(range(shared.m)) - set(res.origin)
+        assert dropped
 
     def test_cap_propagates(self):
         h = WeightedHypergraph(2, (HyperEdge((1, 2), 10**6), HyperEdge((1, 2), 1)))
