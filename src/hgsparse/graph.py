@@ -65,7 +65,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .hypergraph import WeightedHypergraph, as_weight
+from .hypergraph import WeightedHypergraph, as_weight, weight_sum
 
 
 class UnionFind:
@@ -394,6 +394,10 @@ class StrengthTree:
         # needs the src class bound: k(j) - 1 >= val(j + 1), so some block at
         # or below it must stay above its value + σ.  When that fails now,
         # as `shift` tests it with the running max k, nothing is certified.
+        # This exit is the j = 0 case of the `_first_all_fail` loop below, so
+        # it changes no result.  It stays as a fast exit: balancing the
+        # heavy-core instance at n = 20 ends 2,692 of its 2,792 plans here,
+        # before that loop builds its lines.
         k, chain_k = 0, []
         for node in reversed(chain):
             k = max(k, node.val)
@@ -470,10 +474,8 @@ class StrengthTable:
 
     def strength_weight_sum(self) -> Fraction:
         """Sum of weight/strength over positive pairs; at most n-1."""
-        total = Fraction(0)
-        for p, w in self.pair_weight.items():
-            total += Fraction(w, 1) / self.pair_strength[p]
-        return total
+        return weight_sum(Fraction(w, 1) / self.pair_strength[p]
+                          for p, w in self.pair_weight.items())
 
 
 def strength_table_from_pairs(n: int, weights: Mapping[tuple[int, int], Fraction]) -> StrengthTable:
@@ -515,10 +517,7 @@ def _brute_mincut_all_subsets(n: int, pairs: list[tuple[int, Fraction]]) -> dict
         while s:
             if s & low and s != xmask:
                 inv = xmask ^ s
-                total = Fraction(0)
-                for pm, w in inside:
-                    if pm & s and pm & inv:
-                        total += w
+                total = weight_sum(w for pm, w in inside if pm & s and pm & inv)
                 if best is None or total < best:
                     best = total
             s = (s - 1) & xmask

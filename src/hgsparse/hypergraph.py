@@ -15,8 +15,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
-Weight = Fraction
-
 
 class ParseError(ValueError):
     """Raised on malformed hypergraph files; carries a 1-based line number."""
@@ -24,7 +22,6 @@ class ParseError(ValueError):
     def __init__(self, line: int, message: str):
         super().__init__(f"line {line}: {message}")
         self.line = line
-        self.reason = message
 
 
 def as_weight(value) -> Fraction:
@@ -153,14 +150,8 @@ class Cut:
 def cut_weight(h: WeightedHypergraph, cut: Cut) -> Fraction:
     if cut.n != h.n:
         raise ValueError("cut and hypergraph disagree on vertex count")
-    full = (1 << h.n) - 1
-    inv = full ^ cut.mask
-    total = Fraction(0)
-    for e in h.edges:
-        em = e.mask()
-        if em & cut.mask and em & inv:
-            total += e.weight
-    return total
+    inv = ((1 << h.n) - 1) ^ cut.mask
+    return weight_sum(e.weight for e in h.edges if (em := e.mask()) & cut.mask and em & inv)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,10 @@
 """Brute-force quality checks: every cut of a sparsifier against its input.
 
 Cut weights are recomputed by direct enumeration, over all cuts up to an
-exhaustive limit and over a seeded uniform sample above it.  Errors are exact
-rationals; the only float is the infinity reported when a sparsifier invents
-weight on a cut the input does not have.
+exhaustive limit and over a seeded uniform sample above it.  The weights of a
+cut's crossing edges are summed by `weight_sum`, as ints per denominator.
+Errors are exact rationals; the only float is the infinity reported when a
+sparsifier invents weight on a cut the input does not have.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from decimal import Decimal, localcontext
 from fractions import Fraction
 from typing import Optional
 
-from .hypergraph import WeightedHypergraph
+from .hypergraph import WeightedHypergraph, weight_sum
 from .seeds import child_seed
 
 EXHAUSTIVE_LIMIT = 20
@@ -44,13 +45,6 @@ class QualityReport:
     epsilon_target: float
     passed: bool
     seed: Optional[int] = None
-
-
-def _canonical_cuts_exhaustive(n: int):
-    # every unordered 2-cut exactly once: side containing vertex 1, proper
-    full = (1 << n) - 1
-    for mask in range(1, full, 2):
-        yield mask
 
 
 def _canonical_cuts_sampled(n: int, count: int, seed: int):
@@ -85,8 +79,10 @@ def all_cuts_report(
     if not epsilon_target >= 0:  # also rejects NaN
         raise ValueError("epsilon target must be nonnegative")
     n = h.n
+    full = (1 << n) - 1
     if n <= exhaustive_limit:
-        cuts = _canonical_cuts_exhaustive(n)
+        # every unordered 2-cut exactly once: side containing vertex 1, proper
+        cuts = range(1, full, 2)
         exhaustive = True
     else:
         if sample_count is None or sample_count < 1:
@@ -99,7 +95,6 @@ def all_cuts_report(
 
     true_pairs = [(e.mask(), e.weight) for e in h.edges]
     hat_pairs = [(e.mask(), e.weight) for e in h_hat.edges]
-    full = (1 << n) - 1
     zero = Fraction(0)
 
     records: list[CutRecord] = []
@@ -109,14 +104,8 @@ def all_cuts_report(
     saw_inf = False
     for mask in cuts:
         inv = full ^ mask
-        tw = zero
-        for em, w in true_pairs:
-            if em & mask and em & inv:
-                tw += w
-        hw = zero
-        for em, w in hat_pairs:
-            if em & mask and em & inv:
-                hw += w
+        tw = weight_sum(w for em, w in true_pairs if em & mask and em & inv)
+        hw = weight_sum(w for em, w in hat_pairs if em & mask and em & inv)
         if tw == 0:
             err = zero if hw == 0 else math.inf
         else:

@@ -1,11 +1,11 @@
 """Slow oracles that only the tests read: an exact global min cut, the
 survivor-connectivity audit of a sampling plan, a seeded concentration batch,
-a contraction that rebuilds every edge, a weight formatter that strips
-factors of 2 one at a time, weight bucketing and copy counts by `Fraction`
-compares, a bitmask builder for `Cut`, the heavy-core family of
-instances, the balance loop one unit per pick with its per-iteration record,
-the balance state's grouping one copy at a time, and the per-copy strength
-views of a balanced assignment.
+a contraction that rebuilds every edge, cut weights by a per-edge `Fraction`
+loop, a weight formatter that strips factors of 2 one at a time, weight
+bucketing and copy counts by `Fraction` compares, a bitmask builder for
+`Cut`, the heavy-core family of instances, the balance loop one unit per pick
+with its per-iteration record, the balance state's grouping one copy at a
+time, and the per-copy strength views of a balanced assignment.
 
 The library keeps what its samplers, pipeline, CLI and demos run; these
 recompute from first principles and back the fast paths at small scale.
@@ -22,6 +22,7 @@ from hgsparse import (
     BalanceError,
     BalancedAssignment,
     ContractionMap,
+    Cut,
     HyperEdge,
     QualityReport,
     SamplingPlan,
@@ -273,6 +274,20 @@ def rebuild_contract_components(
         kept.append(HyperEdge(img, e.weight))
         origin.append(idx)
     return WeightedHypergraph(cmap.n_super, tuple(kept)), cmap, tuple(origin)
+
+
+def cut_weight_loop(h: WeightedHypergraph, cut: Cut) -> Fraction:
+    """`hypergraph.cut_weight` by one `Fraction` add per crossing edge, as
+    it was before it summed through `weight_sum`."""
+    if cut.n != h.n:
+        raise ValueError("cut and hypergraph disagree on vertex count")
+    inv = ((1 << h.n) - 1) ^ cut.mask
+    total = Fraction(0)
+    for e in h.edges:
+        em = e.mask()
+        if em & cut.mask and em & inv:
+            total += e.weight
+    return total
 
 
 def format_weight_loop(w: Fraction) -> str:

@@ -1,8 +1,9 @@
 """Source hygiene: every name a module imports is used in that module, every
 module-level private function or class and every private method is used
 somewhere in the package, and every public export, with each public method
-of an exported class, is read by the package, the demos or the benchmark; a
-read from the tests alone does not count."""
+of an exported class, and every name a module assigns at module level is
+read by the package, the demos or the benchmark; a read from the tests alone
+does not count."""
 
 import ast
 from collections import Counter
@@ -167,3 +168,36 @@ def test_detects_a_method_only_a_test_reads(tmp_path):
         "tests/test_mod.py": "from pkg import K\nK().tested()\n",
     })
     assert unloaded_exports(["K"], running_sources(tmp_path)) == ["K.tested"]
+
+
+def unread_assignments(root: Path) -> list[str]:
+    """`module: name` for each name that a module-level assignment in a
+    package module but `__init__.py` binds and no running source reads.
+    Dunders are read by Python itself and are not counted."""
+    loaded = set().union(*(names_loaded(ast.parse(text)) for text in running_sources(root)))
+    paths = sorted(p for p in (root / "src" / "hgsparse").glob("*.py") if p.name != "__init__.py")
+    return sorted(
+        f"{path.name}: {target.id}"
+        for path in paths for node in ast.parse(path.read_text()).body
+        if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign))
+        for target in ast.walk(node)
+        if isinstance(target, ast.Name) and isinstance(target.ctx, ast.Store)
+        and not target.id.startswith("__") and target.id not in loaded
+    )
+
+
+def test_every_module_assignment_is_read():
+    assert unread_assignments(ROOT) == []
+
+
+def test_detects_an_unread_assignment(tmp_path):
+    write_tree(tmp_path, {
+        "src/hgsparse/__init__.py": "VERSION = '1'\n",
+        "src/hgsparse/mod.py": "LIMIT = 3\nDEAD = Alias = int\n_cache: dict = {}\n"
+                               "first, rest = 1, 2\nTESTED = 4\n__all__ = []\n\n\n"
+                               "def f():\n    return LIMIT, _cache\n",
+        "demos/demo.py": "import mod\nprint(mod.rest)\n",
+        "tests/test_mod.py": "from mod import TESTED\nassert TESTED\n",
+    })
+    assert unread_assignments(tmp_path) == [
+        "mod.py: Alias", "mod.py: DEAD", "mod.py: TESTED", "mod.py: first"]

@@ -5,15 +5,21 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import fraction_op_counts
 from hgsparse import (
     AssignmentGroup,
     BalancedAssignment,
+    Cut,
     HyperEdge,
     SamplingPlan,
     StrengthTable,
     WeightedHypergraph,
     all_cuts_report,
+    cut_weight,
+    edge_strengths,
     gen_footnote_graph,
     gen_random,
     gen_sunflower,
@@ -22,7 +28,7 @@ from hgsparse import (
     report_text,
     run_balance,
 )
-from oracles import check_same_component, concentration_trial
+from oracles import check_same_component, concentration_trial, cut_weight_loop
 
 
 def doubled(h):
@@ -91,6 +97,53 @@ class TestAllCutsReport:
         assert rep.cuts_checked == 7 and len(rep.records) == 3
         assert [r.cut_id for r in rep.records] == [1, 3, 5]
         assert rep.max_rel_error == 1
+
+
+@st.composite
+def mixed_denominator_pairs(draw) -> tuple[WeightedHypergraph, WeightedHypergraph]:
+    """(h, h_hat) on n <= 8 vertices, each edge weighted k/d with d one of 1,
+    2, 3, 7 and 12, so a cut's crossing weights mix denominators."""
+    n = draw(st.integers(2, 8))
+    vertices = st.lists(st.integers(1, n), min_size=2, max_size=n, unique=True)
+    weight = st.builds(Fraction, st.integers(1, 40), st.sampled_from([1, 2, 3, 7, 12]))
+    edge = st.builds(HyperEdge, vertices.map(lambda vs: tuple(sorted(vs))), weight)
+    h, h_hat = (WeightedHypergraph(n, tuple(draw(st.lists(edge, max_size=12))))
+                for _ in range(2))
+    return h, h_hat
+
+
+class TestExactSums:
+    @settings(max_examples=60, deadline=None)
+    @given(mixed_denominator_pairs())
+    def test_sums_equal_the_fraction_loop(self, pair):
+        h, h_hat = pair
+        rep = all_cuts_report(h, h_hat, 1.0)
+        assert len(rep.records) == 2 ** (h.n - 1) - 1
+        for r in rep.records:
+            cut = Cut(h.n, r.cut_id)
+            assert cut_weight(h, cut) == r.true_w == cut_weight_loop(h, cut)
+            assert cut_weight(h_hat, cut) == r.hat_w == cut_weight_loop(h_hat, cut)
+        # each edge cut down to its first two vertices: a multigraph with
+        # the same mixed weights
+        g = WeightedHypergraph(h.n, tuple(HyperEdge(e.vertices[:2], e.weight) for e in h.edges))
+        table = edge_strengths(g)
+        loop = Fraction(0)
+        for p, w in table.pair_weight.items():
+            loop += w / table.pair_strength[p]
+        assert table.strength_weight_sum() == loop
+
+    def test_adds_do_not_grow_with_edges(self, monkeypatch):
+        # weights over the denominators 1, 3 and 7; doubling every edge of
+        # both hypergraphs keeps the denominators and every relative error,
+        # so the Fraction adds and compares must stay as they are
+        edges = [((1, 2), 1), ((2, 3), Fraction(4, 3)), ((3, 4, 5), Fraction(9, 7)),
+                 ((1, 5), Fraction(5, 3)), ((1, 3, 4), 2), ((2, 4), Fraction(3, 7))]
+        h = WeightedHypergraph(5, tuple(HyperEdge(vs, w) for vs, w in edges))
+        h_hat = doubled(WeightedHypergraph(5, h.edges[::2]))
+        base = fraction_op_counts(monkeypatch, lambda: all_cuts_report(h, h_hat, 1.0))
+        twice = [WeightedHypergraph(5, g.edges * 2) for g in (h, h_hat)]
+        again = fraction_op_counts(monkeypatch, lambda: all_cuts_report(*twice, 1.0))
+        assert base["__add__"] > 0 and again == base
 
 
 class TestReportFormats:
