@@ -11,19 +11,17 @@ Chernoff bound used in the analysis.  The draw is an exact Bernoulli(p) on
 the rational p = a/D: the first `getrandbits(D.bit_length())` below D, the
 stream of `randrange(D)`, compared with the numerator a.  A copy with p = 1
 is kept without a draw.  When rho is at least the copy count m', p = 1 on
-every copy, and nothing is expanded, balanced or drawn.  The kept copies of
-edge j fold into one edge of weight sum(1/p)/scale, so every cut is
-preserved in expectation.
+every copy, and nothing is expanded, balanced or drawn.
 
-The copies of one input edge are one object, and all copies of a group share
-one p object, so the draws and the sum of p walk runs of copies that share
-an edge and a p, found by identity, and the fold weighs an edge's kept
-copies by their count.
+Balancing runs on the expanded copies, but the plan and the sampler work per
+input edge: all copies of edge j lie in one group, so the plan holds
+counts[j] and one p per edge, and the sampler draws edge j's copies in a row
+and emits one edge of weight k/(p * scale) for its k kept copies, so every
+cut is preserved in expectation.
 """
 
 from __future__ import annotations
 
-import collections
 import functools
 import itertools
 import math
@@ -38,9 +36,9 @@ from .hypergraph import (
     HyperEdge,
     WeightedHypergraph,
     as_weight,
-    identity_runs,
     min_weight,
     serialize_hypergraph,
+    weight_sum,
 )
 from .seeds import RNG_ID
 
@@ -95,10 +93,10 @@ def plan_rho(
 
 @dataclass(frozen=True)
 class SamplingPlan:
-    """Per-copy keep probabilities p = min(1, rho/kappa), indexed by unit
-    copy in the sampler core's copy order.
+    """Input edge j stands for counts[j] unit copies, each kept with
+    probability p[j] = min(1, rho/kappa).
 
-    `make_plan` reads each copy's strength kappa off a balanced assignment;
+    `make_plan` reads each edge's strength kappa off a balanced assignment;
     the plan keeps only p.  When rho is at least the copy count m', the core
     skips balancing: no strength can exceed the total copy weight m', so
     p = 1 on every copy.
@@ -109,14 +107,13 @@ class SamplingPlan:
     d: int
     rho: Fraction
     n: int
+    counts: tuple[int, ...]
     p: tuple[Fraction, ...]
     overridden: bool = False
 
     def sum_p(self) -> Fraction:
-        # make_plan shares one p object per group of parallel copies, so sum
-        # by runs of one object: one Fraction product per run
-        p = self.p
-        return sum((p[start] * (stop - start) for start, stop in identity_runs(p)), Fraction(0))
+        """The expected number of kept copies, sum(counts[j] * p[j])."""
+        return weight_sum(map(operator.mul, self.counts, self.p))
 
     def size_budget(self) -> Fraction:
         """Exact upper bound rho * gamma * (n - 1) on the expected size."""
@@ -140,65 +137,61 @@ def make_plan(
     epsilon: float,
     d: int = 1,
     rho_override=None,
+    counts: Optional[Sequence[int]] = None,
 ) -> SamplingPlan:
-    """p = min(1, rho/kappa) for every copy, where kappa is the weakest clique
-    slot strength of the copy's group.  All copies of a group share one p
-    object, which `SamplingPlan.sum_p` relies on."""
+    """p = min(1, rho/kappa) per input edge, where input edge j stands for
+    the next counts[j] copies of the assignment's hypergraph (by default one
+    copy each) and kappa is the weakest clique slot strength of their group.
+    All edges of a group share one p object."""
     check_epsilon(epsilon)
     check_d(d)
+    copies = assignment.hypergraph.edges
+    counts = (1,) * len(copies) if counts is None else tuple(counts)
+    if sum(counts) != len(copies) or min(counts, default=1) < 1:
+        raise ValueError("counts must be positive and sum to the copy count")
     n = assignment.hypergraph.n
     rho, overridden = plan_rho(n, epsilon, assignment.gamma, d, rho_override)
     one = Fraction(1)
-    per_group = assignment.kappa_by_group()
-    p = [one] * assignment.hypergraph.m
-    for g in assignment.groups:
-        gp = rho / per_group[g.key]
-        if gp.numerator >= gp.denominator:  # min(1, rho/kappa) by an int compare
-            gp = one
-        first, last = g.copies[0], g.copies[-1]
-        if last - first == len(g.copies) - 1:
-            # ascending distinct copies this far apart are all of first..last;
-            # a scan for runs elsewhere would cost more than the loop saves
-            p[first:last + 1] = [gp] * len(g.copies)
-        else:
-            for c in g.copies:
-                p[c] = gp
-    return SamplingPlan(epsilon, assignment.gamma, d, rho, n, tuple(p), overridden)
+    per_group = {}
+    for key, kappa in assignment.kappa_by_group().items():
+        gp = rho / kappa
+        # min(1, rho/kappa) by an int compare
+        per_group[key] = one if gp.numerator >= gp.denominator else gp
+    # a group is keyed by its vertex set, which every copy of an edge shares
+    starts = itertools.accumulate(counts, initial=0)
+    p = tuple(per_group[copies[start].vertices] for start, _ in zip(starts, counts))
+    return SamplingPlan(epsilon, assignment.gamma, d, rho, n, counts, p, overridden)
 
 
 def sample_sparsifier(h: WeightedHypergraph, plan: SamplingPlan, seed: int) -> SparsifierResult:
-    """Keep copy c with probability exactly p = plan.p[c]; a kept copy gets
-    weight w/p.  Identical (hypergraph, plan, seed) gives identical output.
+    """Edge j of h stands for plan.counts[j] copies of itself, each kept with
+    probability exactly p = plan.p[j]; its k kept copies become one edge of
+    weight k * w / p, and an edge with none is dropped.  Identical
+    (hypergraph, plan, seed) gives identical output.
 
     A copy with p = a/D < 1 draws `getrandbits(D.bit_length())` until the
     draw falls below D, and is kept when that draw is below a: the RNG stream
-    of `randrange(D) < a`, one accepted draw per such copy, in copy order.  A
-    copy with p = 1 is kept without touching the RNG.  Copies are walked in
-    runs that share one edge and one p object, and the kept copies of a run
-    share one edge of weight w/p."""
-    if h.m != len(plan.p):
+    of `randrange(D) < a`, one accepted draw per such copy, in edge order.  A
+    copy with p = 1 is kept without touching the RNG."""
+    if not h.m == len(plan.p) == len(plan.counts):
         raise ValueError("plan does not match the hypergraph edge count")
     getrandbits = random.Random(seed).getrandbits
-    edges, p = h.edges, plan.p
     kept: list[HyperEdge] = []
     origin: list[int] = []
-    for start, stop in identity_runs(edges, p):
-        e, pe = edges[start], p[start]
+    for j, (e, count, pe) in enumerate(zip(h.edges, plan.counts, plan.p)):
         num, den = pe.numerator, pe.denominator
         if num >= den:  # p >= 1; an int compare is half the cost of a Fraction one
-            kept += itertools.repeat(e, stop - start)
-            origin += range(start, stop)
+            kept.append(HyperEdge(e.vertices, count * e.weight))
+            origin.append(j)
             continue
         # each copy's first draw below den, drawn lazily so that none is made
-        # past the run's last copy; the copy is kept when it is below num
+        # past the edge's last copy; the copy is kept when it is below num
         draws = map(getrandbits, itertools.repeat(den.bit_length()))
-        accepted = itertools.islice(filter(functools.partial(operator.gt, den), draws),
-                                    stop - start)
-        before = len(origin)
-        origin += itertools.compress(range(start, stop),
-                                     map(operator.gt, itertools.repeat(num), accepted))
-        if len(origin) > before:
-            kept += itertools.repeat(HyperEdge(e.vertices, e.weight / pe), len(origin) - before)
+        accepted = itertools.islice(filter(functools.partial(operator.gt, den), draws), count)
+        k = sum(map(operator.gt, itertools.repeat(num), accepted))
+        if k:
+            kept.append(HyperEdge(e.vertices, k * e.weight / pe))
+            origin.append(j)
     out = WeightedHypergraph(h.n, tuple(kept))
     return SparsifierResult(
         hypergraph=out,
@@ -265,8 +258,8 @@ def _sparsify_copies(
     notes: Mapping[str, object],
 ) -> SparsifierResult:
     """The sampler core: edge j of h stands for counts[j] unit copies of
-    weight 1/scale.  The kept copies of edge j fold back into one edge of
-    weight sum(1/p) / scale; edges with no kept copy are dropped."""
+    weight 1/scale.  The k kept copies of edge j become one edge of weight
+    k / (p * scale); edges with no kept copy are dropped."""
     notes = {"rng": RNG_ID, **notes}
     # checked before the empty return, so a bad rho raises on every input
     rho, overridden = plan_rho(h.n, epsilon, gamma, d, rho_override)
@@ -276,40 +269,31 @@ def _sparsify_copies(
     # Every copy spreads weight 1 over its clique, so no strength exceeds the
     # total copy weight m' = copies: rho >= m' makes p = 1 on every copy, and
     # nothing needs expanding, balancing or drawing.
-    keep_all = rho >= copies
-    if keep_all:
+    if rho >= copies:
         # edge j keeps all counts[j] copies: weight counts[j] / scale, one
         # Fraction per distinct count
         sn, sd = scale.numerator, scale.denominator
         per_count = {c: Fraction(c * sd, sn) for c in set(counts)}
-        weights = {j: per_count[c] for j, c in enumerate(counts)}
+        out = WeightedHypergraph(h.n, tuple(
+            HyperEdge(e.vertices, per_count[c]) for e, c in zip(h.edges, counts)))
+        plan = SamplingPlan(epsilon, gamma, d, rho, h.n, tuple(counts),
+                            (Fraction(1),) * h.m, overridden)
         notes["balance_iterations"] = 0
-    else:
-        unit, origin = reduce_weighted(h, counts)
-        assignment = run_balance(unit, gamma)
-        plan = make_plan(assignment, epsilon, d, rho_override)
-        sample = sample_sparsifier(unit, plan, seed)
-        sum_p = sample.sum_p
-        # p <= rho/kappa and sum(1/kappa) <= gamma (n-1) on a balanced assignment
-        if sum_p > plan.size_budget():
-            raise SamplingError(f"expected size {sum_p} exceeds rho*gamma*(n-1) = "
-                                f"{plan.size_budget()}")
-        notes["balance_iterations"] = assignment.iterations
-        # the kept copies of edge j all weigh 1/p for its group's p, so edge j
-        # weighs their count times one of them; copies are in edge order, so
-        # the weights are too
-        kept_from = list(map(origin.__getitem__, sample.origin))
-        one_kept = dict(zip(kept_from, sample.hypergraph.edges))
-        weights = {j: c * one_kept[j].weight / scale
-                   for j, c in collections.Counter(kept_from).items()}
-    out = WeightedHypergraph(h.n, tuple(
-        HyperEdge(h.edges[j].vertices, w) for j, w in weights.items()))
-    if keep_all:
-        # after the output edges: built first, the m'-long p tuple would be
-        # rescanned by the garbage collector all through the edge loop
-        sum_p = Fraction(copies)
-        plan = SamplingPlan(epsilon, gamma, d, rho, h.n, (Fraction(1),) * copies, overridden)
-    return SparsifierResult(out, plan, seed, h.m, out.m, sum_p, tuple(weights), notes)
+        return SparsifierResult(out, plan, seed, h.m, out.m, Fraction(copies),
+                                tuple(range(h.m)), notes)
+    unit, _ = reduce_weighted(h, counts)
+    assignment = run_balance(unit, gamma)
+    plan = make_plan(assignment, epsilon, d, rho_override, counts)
+    copy_weight = 1 / scale
+    sample = sample_sparsifier(WeightedHypergraph(h.n, tuple(
+        HyperEdge(e.vertices, copy_weight) for e in h.edges)), plan, seed)
+    # p <= rho/kappa and sum(1/kappa) <= gamma (n-1) on a balanced assignment
+    if sample.sum_p > plan.size_budget():
+        raise SamplingError(f"expected size {sample.sum_p} exceeds rho*gamma*(n-1) = "
+                            f"{plan.size_budget()}")
+    notes["balance_iterations"] = assignment.iterations
+    return SparsifierResult(sample.hypergraph, plan, seed, h.m, sample.m_out, sample.sum_p,
+                            sample.origin, notes)
 
 
 def sparsify_unweighted(

@@ -3,7 +3,8 @@
 Cut weights are recomputed by direct enumeration, over all cuts up to an
 exhaustive limit and over a seeded uniform sample above it.  The weights of a
 cut's crossing edges are summed by `weight_sum`, as ints per denominator.
-Errors are exact rationals; the only float is the infinity reported when a
+Errors are exact rationals, and the mean adds them pairwise, since they
+rarely share a denominator; the only float is the infinity reported when a
 sparsifier invents weight on a cut the input does not have.
 """
 
@@ -100,7 +101,10 @@ def all_cuts_report(
     records: list[CutRecord] = []
     checked = 0
     max_err = zero
-    err_sum = zero
+    # (terms, sum) of partial sums of the finite errors, terms strictly
+    # decreasing: equal-sized partials merge, so operands grow together and
+    # no running denominator grows with every cut
+    partials: list[tuple[int, Fraction]] = []
     saw_inf = False
     for mask in cuts:
         inv = full ^ mask
@@ -113,9 +117,13 @@ def all_cuts_report(
         checked += 1
         if err == math.inf:
             saw_inf = True
-        elif err > max_err:
-            max_err = err
-        err_sum += 0 if err == math.inf else err
+        else:
+            if err > max_err:
+                max_err = err
+            terms, total = 1, err
+            while partials and partials[-1][0] == terms:
+                terms, total = 2 * terms, partials.pop()[1] + total
+            partials.append((terms, total))
         if record_cap is None or len(records) < record_cap:
             records.append(CutRecord(mask, tw, hw, err))
 
@@ -123,7 +131,7 @@ def all_cuts_report(
         max_err = math.inf
         mean = math.inf
     else:
-        mean = err_sum / checked if checked else zero
+        mean = sum((t for _, t in partials), zero) / checked if checked else zero
     passed = (not saw_inf) and max_err <= epsilon_target
     return QualityReport(
         n=n,

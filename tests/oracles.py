@@ -5,7 +5,8 @@ loop, a weight formatter that strips factors of 2 one at a time, weight
 bucketing and copy counts by `Fraction` compares, a bitmask builder for
 `Cut`, the heavy-core family of instances, the balance loop one unit per pick
 with its per-iteration record, the balance state's grouping one copy at a
-time, and the per-copy strength views of a balanced assignment.
+time, the per-copy strength views of a balanced assignment, the sampler one
+unit copy at a time, and the mean cut error by a running sum.
 
 The library keeps what its samplers, pipeline, CLI and demos run; these
 recompute from first principles and back the fast paths at small scale.
@@ -14,6 +15,8 @@ recompute from first principles and back the fast paths at small scale.
 from __future__ import annotations
 
 import itertools
+import math
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional, Sequence
@@ -184,7 +187,7 @@ def check_same_component(assignment: BalancedAssignment, plan: SamplingPlan) -> 
     connected.
     """
     h = assignment.hypergraph
-    if h.m != len(plan.p):
+    if h.m != sum(plan.counts):
         raise ValueError("plan does not match the assignment's hypergraph")
     table = assignment.strengths
     positive = [p for p, u in assignment.collapsed_units().items() if u > 0]
@@ -353,3 +356,37 @@ def copy_counts_loop(
             "the weight spread is too large for direct reduction, use the bucketed pipeline"
         )
     return scale, counts
+
+
+def sample_per_copy(
+    h: WeightedHypergraph, plan: SamplingPlan, seed: int
+) -> list[tuple[int, HyperEdge]]:
+    """`sparsify.sample_sparsifier` one unit copy at a time, as it was before
+    it walked input edges: edge j expands to plan.counts[j] copies, each
+    holding p = plan.p[j]; a copy with p = a/D < 1 is kept when
+    `randrange(D) < a`, a kept copy weighs w/p (w when p = 1), and the kept
+    copies of each input edge are folded by one `Fraction` add per copy.
+    Returns (input edge, folded edge) per input edge with a kept copy."""
+    rng = random.Random(seed)
+    copies = [(j, e, pe) for j, (e, count, pe) in enumerate(zip(h.edges, plan.counts, plan.p))
+              for _ in range(count)]
+    kept = [(j, e if pe >= 1 else HyperEdge(e.vertices, e.weight / pe))
+            for j, e, pe in copies
+            if pe >= 1 or rng.randrange(pe.denominator) < pe.numerator]
+    folded: dict[int, Fraction] = {}
+    for j, e in kept:
+        folded[j] = folded.get(j, Fraction(0)) + e.weight
+    return [(j, HyperEdge(h.edges[j].vertices, w)) for j, w in folded.items()]
+
+
+def mean_rel_error_loop(report: QualityReport):
+    """The mean of a report's per-cut errors by one running `Fraction` sum,
+    as `verify.all_cuts_report` took it before it summed pairwise.  Needs
+    every record (no record cap)."""
+    errs = [r.rel_err for r in report.records]
+    if math.inf in errs:
+        return math.inf
+    total = Fraction(0)
+    for err in errs:
+        total += err
+    return total / len(errs) if errs else Fraction(0)

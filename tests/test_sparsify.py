@@ -35,7 +35,7 @@ from hgsparse import (
     sparsify_weighted,
     theoretical_rho,
 )
-from oracles import copy_counts_loop, kappa_by_copy, mask_of
+from oracles import copy_counts_loop, kappa_by_copy, mask_of, sample_per_copy
 
 
 def edges_of(h):
@@ -118,6 +118,23 @@ class TestMakePlan:
             assert plan.p == tuple(min(1, plan.rho / k) for k in kappa_by_copy(a))
             assert all(len({id(plan.p[c]) for c in g.copies}) == 1 for g in a.groups)
 
+    def test_counts_map_input_edges_to_groups(self):
+        # an input edge's p is its copies' p, and the expected sizes agree
+        for seed in range(4):
+            h = gen_random(6, 8, 3, weighted=True, w_max=5, seed=seed)
+            counts = copy_counts(h, 0.5)[1]
+            a = run_balance(reduce_weighted(h, counts)[0])
+            for rho in (None, Fraction(2)):
+                per_copy = make_plan(a, 0.5, 1, rho_override=rho)
+                plan = make_plan(a, 0.5, 1, rho_override=rho, counts=counts)
+                starts = [sum(counts[:j]) for j in range(h.m)]
+                assert plan.counts == tuple(counts)
+                assert plan.p == tuple(per_copy.p[c] for c in starts)
+                assert plan.sum_p() == per_copy.sum_p()
+        for bad in ([], [2] * a.hypergraph.m, [0, a.hypergraph.m]):
+            with pytest.raises(ValueError, match="counts must be positive"):
+                make_plan(a, 0.5, 1, counts=bad)
+
     def test_size_budget_inequality(self):
         for seed in range(6):
             h = gen_random(7, 15, 4, seed=seed)
@@ -171,7 +188,7 @@ class TestSampleSparsifier:
         stub = StubRandom(rejected + outcomes)
         monkeypatch.setattr(sparsify, "random", SimpleNamespace(Random=lambda seed: stub))
         h = WeightedHypergraph(2, (HyperEdge((1, 2), Fraction(3, 2)),))
-        plan = SamplingPlan(0.5, 2, 1, Fraction(1), 2, (p,))
+        plan = SamplingPlan(0.5, 2, 1, Fraction(1), 2, (1,), (p,))
         kept = [u for u in outcomes if sample_sparsifier(h, plan, seed=0).m_out]
         # the first copy drew the rejected outcomes and then outcomes[0], and
         # every outcome was drawn
@@ -182,41 +199,42 @@ class TestSampleSparsifier:
             assert len(kept) == p.numerator
 
     def test_one_draw_per_copy_below_one(self, monkeypatch):
-        # one accepted draw per p < 1 copy, in copy order, each of its own
+        # one accepted draw per p < 1 copy, in edge order, each of its own
         # denominator's bit length; a draw at or past the denominator is
-        # redrawn for the same copy; p = 1 copies draw nothing; kept weights
-        # are exactly w/p
+        # redrawn for the same copy; p = 1 edges draw nothing; an edge's k
+        # kept copies weigh exactly k * w / p, and an edge that keeps none
+        # is dropped
         ps = (Fraction(1, 3), Fraction(1), Fraction(2, 7), Fraction(1), Fraction(5, 11),
               Fraction(1, 3))
-        stub = StubRandom([0, 7, 0, 15, 0, 0])  # every copy is kept
+        counts = (2, 3, 1, 1, 2, 1)
+        # edge 0 keeps both copies, edge 2 one after a redraw, edge 4 one of
+        # two after a redraw, and edge 5 none
+        stub = StubRandom([0, 0, 7, 0, 15, 0, 5, 1])
         monkeypatch.setattr(sparsify, "random", SimpleNamespace(Random=lambda seed: stub))
         h = WeightedHypergraph(3, tuple(HyperEdge((1, 2, 3), Fraction(k, 2)) for k in range(1, 7)))
-        res = sample_sparsifier(h, SamplingPlan(0.5, 2, 1, Fraction(1), 3, ps), seed=0)
-        assert stub.calls == [2, 3, 3, 4, 4, 2]
-        assert res.origin == tuple(range(6))
+        res = sample_sparsifier(h, SamplingPlan(0.5, 2, 1, Fraction(1), 3, counts, ps), seed=0)
+        assert stub.calls == [2, 2, 3, 3, 4, 4, 4, 2]
+        assert res.origin == (0, 1, 2, 3, 4)
+        assert (res.m_in, res.m_out) == (6, 5)
         assert [e.weight for e in res.hypergraph.edges] == [
-            e.weight / pe for e, pe in zip(h.edges, ps)]
+            k * e.weight / pe for k, e, pe in zip((2, 3, 1, 1, 1), h.edges, ps)]
 
     @given(st.lists(st.tuples(st.fractions(Fraction(1, 10**20), 1), st.integers(1, 6),
                               st.fractions(Fraction(1, 4), 4)), min_size=1, max_size=8),
            st.integers(0, 2**32))
     @settings(max_examples=60, deadline=None)
     def test_matches_per_copy_randrange_draws(self, runs, seed):
-        # runs of copies sharing one p object, as make_plan builds them, and
-        # p values with denominators far past 2^53
-        edges, p = [], []
-        for pe, count, w in runs:
-            edges += [HyperEdge((1, 2), w)] * count
-            p += [pe] * count
-        h = WeightedHypergraph(2, tuple(edges))
-        plan = SamplingPlan(0.5, 2, 1, Fraction(1), 2, tuple(p))
-        rng = random.Random(seed)
-        kept = [(idx, e if pe >= 1 else HyperEdge(e.vertices, e.weight / pe))
-                for idx, (e, pe) in enumerate(zip(edges, p))
-                if pe >= 1 or rng.randrange(pe.denominator) < pe.numerator]
-        res = sample_sparsifier(h, plan, seed)
-        assert list(zip(res.origin, res.hypergraph.edges)) == kept
-        assert res.sum_p == plan.sum_p() == sum(p)
+        # (p, count, w) per input edge, with p denominators far past 2^53:
+        # the oracle expands every edge into its copies, draws each with
+        # randrange and folds the kept copies of each edge by Fraction adds
+        ps, counts, weights = zip(*runs)
+        h = WeightedHypergraph(2, tuple(HyperEdge((1, 2), w) for w in weights))
+        plan = SamplingPlan(0.5, 2, 1, Fraction(1), 2, counts, ps)
+        res = sample_per_copy(h, plan, seed)
+        out = sample_sparsifier(h, plan, seed)
+        assert list(zip(out.origin, out.hypergraph.edges)) == res
+        assert (out.m_in, out.m_out) == (h.m, len(res))
+        assert out.sum_p == plan.sum_p() == sum(c * pe for c, pe in zip(counts, ps))
 
     def test_plan_mismatch(self):
         h = gen_sunflower(2)
@@ -265,28 +283,22 @@ def hyperedge_builds(monkeypatch, call) -> int:
 class TestSamplerOps:
     @pytest.mark.parametrize("seed", [0, 5])
     def test_work_per_run_does_not_grow_with_copies(self, monkeypatch, seed):
-        # runs of copies sharing one edge and one p object, as reduce_weighted
-        # and make_plan build them, three with p < 1 and one with p = 1; the
-        # kept copies of a run share one edge, and doubling every run's copy
-        # count keeps the Fractions built as they are
+        # four input edges, three with p < 1 and one with p = 1; each edge's
+        # kept copies become one edge, so doubling every edge's copy count
+        # keeps the HyperEdges and Fractions built as they are
         ps = (Fraction(9, 10), Fraction(5, 7), Fraction(1), Fraction(3, 4))
-
-        def runs_of(copies):
-            edges, p = [], []
-            for i, pe in enumerate(ps):
-                edges += [HyperEdge((1, i + 2), Fraction(1, i + 1))] * copies
-                p += [pe] * copies
-            return (WeightedHypergraph(5, tuple(edges)),
-                    SamplingPlan(0.5, 2, 1, Fraction(1), 5, tuple(p)))
-
+        h = WeightedHypergraph(5, tuple(HyperEdge((1, i + 2), Fraction(1, i + 1))
+                                        for i in range(len(ps))))
         built = []
         for copies in (8, 16):
-            h, plan = runs_of(copies)
+            plan = SamplingPlan(0.5, 2, 1, Fraction(1), 5, (copies,) * len(ps), ps)
             res = sample_sparsifier(h, plan, seed)
-            # every run keeps a copy, so both sizes build one edge per p < 1 run
-            assert {c // copies for c in res.origin} == {0, 1, 2, 3}
-            assert len(res.origin) < h.m
-            assert hyperedge_builds(monkeypatch, lambda: sample_sparsifier(h, plan, seed)) == 3
+            assert list(zip(res.origin, res.hypergraph.edges)) == sample_per_copy(h, plan, seed)
+            # every edge keeps a copy, and some copy is dropped
+            assert res.origin == (0, 1, 2, 3)
+            assert sum(e.weight * pe / f.weight
+                       for e, pe, f in zip(res.hypergraph.edges, ps, h.edges)) < sum(plan.counts)
+            assert hyperedge_builds(monkeypatch, lambda: sample_sparsifier(h, plan, seed)) == 4
             built.append(fraction_builds(monkeypatch, lambda: sample_sparsifier(h, plan, seed)))
         assert 0 < built[0] == built[1]
 
@@ -485,17 +497,16 @@ def slow_unweighted(h, epsilon, gamma, d, seed, rho_override):
 
 def slow_weighted(h, epsilon, gamma, d, seed, rho_override):
     """sparsify_weighted without the p = 1 shortcut: expand, balance, plan,
-    sample, then fold the kept copies of each input edge."""
+    then sample every unit copy of weight 1/scale on its own and fold the
+    kept copies of each input edge."""
     scale, counts = copy_counts(h, epsilon)
-    reduced, origin = reduce_weighted(h, counts)
-    inner, assignment = slow_unweighted(reduced, epsilon / 3, gamma, d, seed, rho_override)
-    kept = {}
-    for idx in inner.origin:
-        j = origin[idx]
-        kept[j] = kept.get(j, 0) + Fraction(1) / inner.plan.p[idx]
-    edges = tuple(HyperEdge(h.edges[j].vertices, w / scale) for j, w in sorted(kept.items()))
-    return (WeightedHypergraph(h.n, edges), tuple(sorted(kept)), inner.sum_p, inner.plan,
-            assignment)
+    reduced, _ = reduce_weighted(h, counts)
+    assignment = run_balance(reduced, gamma)
+    plan = make_plan(assignment, epsilon / 3, d, rho_override, counts)
+    units = WeightedHypergraph(h.n, tuple(HyperEdge(e.vertices, 1 / scale) for e in h.edges))
+    kept = sample_per_copy(units, plan, seed)
+    out = WeightedHypergraph(h.n, tuple(e for _, e in kept))
+    return out, tuple(j for j, _ in kept), plan.sum_p(), plan, assignment
 
 
 def balance_runs(sparsify_fn, *args, **kwargs):
@@ -533,7 +544,7 @@ class TestKeepEveryEdgeShortcut:
         assert res.origin == origin
         assert (res.m_in, res.m_out) == (h.m, len(origin))
         assert res.sum_p == sum_p
-        assert (res.plan.rho, res.plan.p) == (plan.rho, plan.p)
+        assert (res.plan.rho, res.plan.counts, res.plan.p) == (plan.rho, plan.counts, plan.p)
         assert res.notes["reduced_copies"] == copies
         assert max(assignment.kappa_by_group().values()) <= copies
         fired = plan.rho >= copies
@@ -554,12 +565,21 @@ class TestKeepEveryEdgeShortcut:
         assert res.hypergraph == slow.hypergraph
         assert res.origin == slow.origin
         assert (res.m_in, res.m_out, res.sum_p) == (slow.m_in, slow.m_out, slow.sum_p)
-        assert (res.plan.rho, res.plan.p) == (slow.plan.rho, slow.plan.p)
+        assert (res.plan.rho, res.plan.counts, res.plan.p) == (
+            slow.plan.rho, slow.plan.counts, slow.plan.p)
         if slow.plan.rho >= h.m:
             assert res.hypergraph == h
             assert res.notes["balance_iterations"] == 0 and balanced == 0
         else:
             assert res.notes["balance_iterations"] == assignment.iterations and balanced == 1
+
+    def test_plan_holds_one_entry_per_input_edge(self):
+        # 6,006 unit copies of two input edges, all kept
+        h = WeightedHypergraph(3, (HyperEdge((1, 2), 1000), HyperEdge((2, 3), 1)))
+        res, balanced = balance_runs(sparsify_weighted, h, 0.5)
+        assert balanced == 0 and res.notes["reduced_copies"] == 6006
+        assert res.plan.counts == (6000, 6) and res.plan.p == (1, 1)
+        assert res.sum_p == res.plan.sum_p() == 6006
 
     def test_no_strength_exceeds_copy_count(self):
         for h in BALANCE_INSTANCES:

@@ -28,7 +28,12 @@ from hgsparse import (
     report_text,
     run_balance,
 )
-from oracles import check_same_component, concentration_trial, cut_weight_loop
+from oracles import (
+    check_same_component,
+    concentration_trial,
+    cut_weight_loop,
+    mean_rel_error_loop,
+)
 
 
 def doubled(h):
@@ -132,6 +137,20 @@ class TestExactSums:
             loop += w / table.pair_strength[p]
         assert table.strength_weight_sum() == loop
 
+    @settings(max_examples=60, deadline=None)
+    @given(mixed_denominator_pairs(), st.data())
+    def test_mean_equals_the_running_sum(self, pair, data):
+        # a reweighted subset of h's edges has only finite cut errors; the
+        # pair's unrelated h_hat often has an infinite one
+        h, other = pair
+        factor = st.sampled_from([Fraction(1, 2), 1, Fraction(5, 3), 3])
+        subset = WeightedHypergraph(h.n, tuple(
+            HyperEdge(e.vertices, e.weight * data.draw(factor))
+            for e in h.edges if data.draw(st.booleans())))
+        for h_hat in (subset, other):
+            rep = all_cuts_report(h, h_hat, 1.0)
+            assert rep.mean_rel_error == mean_rel_error_loop(rep)
+
     def test_adds_do_not_grow_with_edges(self, monkeypatch):
         # weights over the denominators 1, 3 and 7; doubling every edge of
         # both hypergraphs keeps the denominators and every relative error,
@@ -219,7 +238,7 @@ class TestCheckSameComponent:
         )
         plan = SamplingPlan(
             epsilon=0.5, gamma=2, d=1, rho=Fraction(1), n=3,
-            p=(Fraction(1),), overridden=True,
+            counts=(1,), p=(Fraction(1),), overridden=True,
         )
         assert check_same_component(bad, plan) is False
 
@@ -241,7 +260,7 @@ class TestExpectedSize:
     def test_fabricated_overrun_fails(self):
         plan = SamplingPlan(
             epsilon=0.5, gamma=2, d=1, rho=Fraction(1, 100), n=2,
-            p=(Fraction(1),) * 5, overridden=True,
+            counts=(5,), p=(Fraction(1),), overridden=True,
         )
         # sum_p = 5 but the budget is only gamma * rho * (n-1) = 1/50
         assert plan.sum_p() > plan.size_budget()
