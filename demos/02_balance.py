@@ -39,7 +39,7 @@ print()
 
 a = state.snapshot()
 spanning = next(g for g in a.groups if g.key == (1, 2, 3))
-units = spanning.units_for(spanning.copies[0])
+((_, units),) = spanning.runs  # the spanning edge is one copy
 print("final clique weights of the spanning edge:")
 for pair, u in zip(spanning.slots, units):
     print(f"  slot {pair}: {u} units = {u * a.delta}")

@@ -9,12 +9,14 @@ factor gamma.  All arithmetic is exact: weights are integer multiples of
 delta and strengths of integer-weight graphs are integers, so the loop
 terminates by a potential argument rather than by tolerance.
 
-Copies with the same vertex set behave identically up to which slots are
-positive, so they are grouped: per group we keep one shared slot vector for
-untouched copies plus overrides for touched ones, and badness is decided by
-inspecting only the strongest positively weighted slot of the group.  The
-grouping walks runs of consecutive copies that are one edge object, as the
-weighted reduction emits them: one weight check and one extend per run.
+Edge j of the input stands for counts[j] copies (one by default), numbered
+from sum(counts[:j]).  Copies with the same vertex set behave identically up
+to which slots are positive, so they are grouped: a group keeps its copies'
+slot vectors as runs (count, units) in copy order, the maximal stretches of
+copies with equal units.  A group starts as one run of the init units, and
+a transfer splits at most the runs it drains.  So the state grows with the
+groups and the transfers, not with the copies, and badness is decided by
+inspecting only the strongest positively weighted slot of the group.
 
 Strengths live in one `StrengthTree`, built from the initial weights; each
 transfer shifts all of its units there in one `StrengthTree.shift`, a single
@@ -43,13 +45,13 @@ every copy and the strengths are those of moving one unit per pick.
 from __future__ import annotations
 
 import itertools
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Optional
+from typing import Mapping, Optional, Sequence
 
 from .graph import StrengthTable, StrengthTree, _first_fail, pair_strengths
-from .hypergraph import WeightedHypergraph, identity_runs
+from .hypergraph import WeightedHypergraph
 
 Pair = tuple[int, int]
 
@@ -59,32 +61,53 @@ class BalanceError(RuntimeError):
 
 
 class _Group:
-    __slots__ = ("key", "slots", "slot_index", "copies", "default_units",
-                 "overrides", "agg_units")
+    __slots__ = ("key", "slots", "slot_index", "spans", "runs", "agg_units")
 
-    def __init__(self, key: tuple[int, ...], units_total: int, copies: list[int]):
+    def __init__(self, key: tuple[int, ...], units_total: int, spans: list[range]):
         self.key = key
         self.slots = list(itertools.combinations(key, 2))
         self.slot_index = {p: i for i, p in enumerate(self.slots)}
-        self.copies = copies
+        self.spans = spans  # the group's copy ids, as ranges in copy order
         q = len(self.slots)
         base = max(2, units_total // q)
         rem = units_total - q * base
         if rem < 0:
             raise BalanceError(f"slot count {q} too large for the delta grid")
-        self.default_units = [base + 1 if i < rem else base for i in range(q)]
-        self.overrides: dict[int, list[int]] = {}
-        self.agg_units = [u * len(copies) for u in self.default_units]
+        units = [base + 1 if i < rem else base for i in range(q)]
+        copies = sum(map(len, spans))
+        self.runs = [[copies, units]]  # [count, units] in copy order
+        self.agg_units = [u * copies for u in units]
 
-    def units_for(self, copy: int) -> list[int]:
-        got = self.overrides.get(copy)
-        return got if got is not None else self.default_units
+    def position(self, copy: int) -> int:
+        """The number of the group's copies before `copy`."""
+        pos = 0
+        for span in self.spans:
+            if copy in span:
+                return pos + copy - span.start
+            pos += len(span)
+        raise BalanceError(f"copy {copy} is not in group {self.key}")
 
-    def smallest_positive_holder(self, slot_i: int) -> int:
-        for c in self.copies:
-            if self.units_for(c)[slot_i] > 0:
-                return c
+    def holder(self, slot_i: int) -> int:
+        """The first copy holding weight on the slot: the first of the first
+        run that does."""
+        pos = 0
+        for count, units in self.runs:
+            if units[slot_i] > 0:
+                return _copy_at(self.spans, pos)
+            pos += count
         raise BalanceError("slot has positive total weight but no holder")
+
+
+def _copy_at(spans, pos: int) -> int:
+    """The copy id at position pos of a group whose copy ids are `spans`."""
+    for span in spans:
+        if pos < len(span):
+            return span[pos]
+        pos -= len(span)
+
+
+def _moved(units: list[int], i_from: int, i_to: int, k: int) -> list[int]:
+    return [u - k * (i == i_from) + k * (i == i_to) for i, u in enumerate(units)]
 
 
 @dataclass(frozen=True)
@@ -103,36 +126,37 @@ def check_gamma(gamma: int) -> None:
         raise ValueError("gamma must be an integer >= 2")
 
 
-UNWEIGHTED_ONLY = "balancing expects an unweighted multi-hypergraph"
-
-
 def check_unweighted(h: WeightedHypergraph) -> None:
     if not h.is_unweighted():
-        raise ValueError(UNWEIGHTED_ONLY)
+        raise ValueError("balancing expects an unweighted multi-hypergraph")
 
 
 class BalanceState:
     """Mutable loop state; all weights live on the integer delta grid."""
 
-    def __init__(self, h: WeightedHypergraph, gamma: int):
+    def __init__(self, h: WeightedHypergraph, gamma: int,
+                 counts: Optional[Sequence[int]] = None):
         check_gamma(gamma)
+        check_unweighted(h)
+        counts = (1,) * h.m if counts is None else tuple(counts)
+        if len(counts) != h.m or min(counts, default=1) < 1:
+            raise ValueError("counts must give each edge a count of at least 1")
         self.hypergraph = h
+        self.counts = counts
         self.n = h.n
-        self.m = h.m
         self.gamma = gamma
         self.units_total = h.n * h.n
         self.delta = Fraction(1, self.units_total)
         self.iterations = 0
 
-        edges = h.edges
-        per_key: dict[tuple[int, ...], list[int]] = {}
-        for start, stop in identity_runs(edges):
-            e = edges[start]
-            if e.weight != 1:
-                raise ValueError(UNWEIGHTED_ONLY)
-            per_key.setdefault(e.vertices, []).extend(range(start, stop))
+        # starts[j] is edge j's first copy id; the last entry is the copy count
+        self.starts = list(itertools.accumulate(counts, initial=0))
+        self.copies = self.starts[-1]
+        spans: dict[tuple[int, ...], list[range]] = {}
+        for e, start, stop in zip(h.edges, self.starts, self.starts[1:]):
+            spans.setdefault(e.vertices, []).append(range(start, stop))
         self.groups: dict[tuple[int, ...], _Group] = {
-            key: _Group(key, self.units_total, copies) for key, copies in per_key.items()
+            key: _Group(key, self.units_total, own) for key, own in spans.items()
         }
         self.sorted_keys = sorted(self.groups)
 
@@ -150,7 +174,7 @@ class BalanceState:
         self.dirty = set(self.groups)
         self.bad: dict[tuple[int, ...], tuple] = {}
 
-        if self.m == 0:
+        if not self.groups:
             self.k0_units = 0
             self.ell = 0
             self.K_units = [0]
@@ -176,13 +200,8 @@ class BalanceState:
 
     def snapshot(self) -> "BalancedAssignment":
         groups = tuple(
-            AssignmentGroup(
-                key=g.key,
-                slots=tuple(g.slots),
-                copies=tuple(g.copies),
-                default_units=tuple(g.default_units),
-                overrides={c: tuple(u) for c, u in g.overrides.items()},
-            )
+            AssignmentGroup(g.key, tuple(g.slots), tuple(g.spans),
+                            tuple((count, tuple(units)) for count, units in g.runs))
             for g in (self.groups[k] for k in self.sorted_keys)
         )
         d = self.delta
@@ -193,6 +212,7 @@ class BalanceState:
         )
         return BalancedAssignment(
             hypergraph=self.hypergraph,
+            counts=self.counts,
             gamma=self.gamma,
             delta=d,
             units_per_copy=self.units_total,
@@ -204,13 +224,15 @@ class BalanceState:
         )
 
 
-def init_weights(h: WeightedHypergraph, gamma: int = 2) -> BalanceState:
-    """Spread each copy's unit weight nearly uniformly over its clique slots.
+def init_weights(h: WeightedHypergraph, gamma: int = 2,
+                 counts: Optional[Sequence[int]] = None) -> BalanceState:
+    """Spread each copy's unit weight nearly uniformly over its clique slots,
+    reading edge j of h as counts[j] copies (one each by default).
 
     Every slot gets at least 2 delta so that a single transfer can never
     make a freshly initialized slot negative or empty.
     """
-    return BalanceState(h, gamma)
+    return BalanceState(h, gamma, counts)
 
 
 def find_max_bad(state: BalanceState) -> Optional[BadEdge]:
@@ -250,7 +272,7 @@ def find_max_bad(state: BalanceState) -> Optional[BadEdge]:
     key = min(bad, key=lambda k: (-bad[k][0], k))
     ind, f_min, s_star, k_min, k_max = bad[key]
     g = state.groups[key]
-    return BadEdge(g.smallest_positive_holder(s_star), key, ind, f_min, g.slots[s_star],
+    return BadEdge(g.holder(s_star), key, ind, f_min, g.slots[s_star],
                    k_min, k_max)
 
 
@@ -258,30 +280,32 @@ def transfer_step(state: BalanceState, copy: int, f_min: Pair, f_max: Pair,
                   units: int = 1) -> None:
     """Move `units` deltas from f_max to f_min: from the copy, then from each
     later copy of its group that holds weight on f_max, in copy order, which
-    are the copies the loop would pick one unit at a time.  The strength tree
-    shifts the same units in one call, which needs `units` at most its
-    certified horizon + 1, and updates `state.strengths` in place."""
-    g = state.groups[state.hypergraph.edges[copy].vertices]
-    i_min = g.slot_index[f_min]
-    i_max = g.slot_index[f_max]
-    if g.units_for(copy)[i_max] < 1:
-        raise BalanceError(f"copy {copy} holds no weight on slot {f_max}")
-    takes, left = [], units
-    for c in g.copies[g.copies.index(copy):]:
-        held = g.units_for(c)[i_max]
-        if held:
-            takes.append((c, min(held, left)))
-            left -= takes[-1][1]
-            if not left:
-                break
+    are the copies the loop would pick one unit at a time.  A run of copies
+    with equal units gives held * count at once, and is split only where the
+    move starts or ends in it; the group's runs are rebuilt with equal
+    neighbours merged.  The strength tree shifts the same units in one call,
+    which needs `units` at most its certified horizon + 1, and updates
+    `state.strengths` in place."""
+    g = state.groups[state.hypergraph.edges[bisect_right(state.starts, copy) - 1].vertices]
+    i_min, i_max = g.slot_index[f_min], g.slot_index[f_max]
+    pos, left, pieces = g.position(copy), units, []
+    for count, u in g.runs:
+        if 0 <= pos < count and u[i_max] < 1:
+            raise BalanceError(f"copy {copy} holds no weight on slot {f_max}")
+        # the run's copies before the copy keep their units; of the rest,
+        # `whole` give all they hold on f_max and the next gives `part`
+        before, held = min(max(pos, 0), count), u[i_max]
+        pos -= count
+        whole, part = (divmod(left, held) if held * (count - before) > left
+                       else (count - before, 0))
+        some = int(part > 0)
+        pieces += [[before, u], [whole, _moved(u, i_max, i_min, held)],
+                   [some, _moved(u, i_max, i_min, part)], [count - before - whole - some, u]]
+        left -= whole * held + part
     if left:
         raise BalanceError(f"copies from {copy} on hold fewer than {units} units on slot {f_max}")
-    for c, take in takes:
-        own = g.overrides.get(c)
-        if own is None:
-            own = g.overrides[c] = list(g.default_units)
-        own[i_max] -= take
-        own[i_min] += take
+    g.runs = [[sum(count for count, _ in same), u] for u, same in
+              itertools.groupby((run for run in pieces if run[0]), key=lambda run: run[1])]
     g.agg_units[i_max] -= units
     g.agg_units[i_min] += units
     state.pair_units[f_max] -= units
@@ -345,20 +369,22 @@ def run_balance(
     h: WeightedHypergraph,
     gamma: int = 2,
     iteration_cap: Optional[int] = None,
+    counts: Optional[Sequence[int]] = None,
 ) -> "BalancedAssignment":
-    """Run the transfer loop to a gamma-balanced assignment.
+    """Run the transfer loop to a gamma-balanced assignment, reading edge j
+    of h as counts[j] copies (one each by default).
 
     Each pick moves `_batch_length` units in one `transfer_step`: as many as
     the one-unit loop would move before any pick could change, so the
     iterations and the final weights are those of moving one unit per pick.
     To step one unit at a time, call `find_max_bad` and `transfer_step` on
     an `init_weights` state.  The loop provably needs at most m*ell*n^2
-    transfers; the default cap is twice that, and hitting it raises since it
-    would mean a logic error, not an unlucky input.
+    transfers, m the copy count; the default cap is twice that, and hitting
+    it raises since it would mean a logic error, not an unlucky input.
     """
-    state = init_weights(h, gamma)
+    state = init_weights(h, gamma, counts)
     if iteration_cap is None:
-        iteration_cap = 2 * state.m * state.ell * state.units_total
+        iteration_cap = 2 * state.copies * state.ell * state.units_total
     while True:
         bad = find_max_bad(state)
         if bad is None:
@@ -372,19 +398,19 @@ def run_balance(
 
 @dataclass(frozen=True)
 class AssignmentGroup:
+    """The copies of one vertex set: their ids as ranges (`spans`) and their
+    slot units as runs (count, units), both in copy order."""
     key: tuple[int, ...]
     slots: tuple[Pair, ...]
-    copies: tuple[int, ...]
-    default_units: tuple[int, ...]
-    overrides: Mapping[int, tuple[int, ...]]
-
-    def units_for(self, copy: int) -> tuple[int, ...]:
-        return self.overrides.get(copy, self.default_units)
+    spans: tuple[range, ...]
+    runs: tuple[tuple[int, tuple[int, ...]], ...]
 
 
 @dataclass(frozen=True)
 class BalancedAssignment:
+    """Edge j of `hypergraph` stands for counts[j] copies."""
     hypergraph: WeightedHypergraph
+    counts: tuple[int, ...]
     gamma: int
     delta: Fraction
     units_per_copy: int
@@ -397,11 +423,8 @@ class BalancedAssignment:
     def collapsed_units(self) -> dict[Pair, int]:
         total: dict[Pair, int] = {}
         for g in self.groups:
-            shared = len(g.copies) - len(g.overrides)
             for i, p in enumerate(g.slots):
-                agg = shared * g.default_units[i]
-                for units in g.overrides.values():
-                    agg += units[i]
+                agg = sum(count * units[i] for count, units in g.runs)
                 if agg:
                     total[p] = total.get(p, 0) + agg
         return total
@@ -416,11 +439,13 @@ class BalancedAssignment:
 
 @dataclass(frozen=True)
 class Violation:
+    """A condition broken by the `count` copies of a run, from `copy` on."""
     copy: int
     kind: str
     kappa: Fraction
     kappa_max: Fraction
     weight_sum: Fraction
+    count: int
 
 
 @dataclass(frozen=True)
@@ -433,7 +458,8 @@ class BalanceReport:
 def is_balanced(assignment: BalancedAssignment, gamma: Optional[int] = None) -> BalanceReport:
     """Re-derive strengths from the stored weights and check both conditions:
     each copy's slots sum to exactly 1, and its strength spread is within
-    gamma.  Does not trust the strengths cached on the assignment.
+    gamma.  Does not trust the strengths cached on the assignment.  A run of
+    copies with equal units is checked once and weighs its count.
     """
     if gamma is None:
         gamma = assignment.gamma
@@ -446,21 +472,16 @@ def is_balanced(assignment: BalancedAssignment, gamma: Optional[int] = None) -> 
     for g in assignment.groups:
         slot_strengths = [fresh.get(p, 0) for p in g.slots]
         kappa = min(slot_strengths)
-        default_sum = sum(g.default_units)
-        default_max = max(
-            (s for s, u in zip(slot_strengths, g.default_units) if u > 0), default=0
-        )
-        for c in g.copies:
-            checked += 1
-            units = g.overrides.get(c)
-            if units is None:
-                total, kmax = default_sum, default_max
-            else:
-                total = sum(units)
-                kmax = max((s for s, u in zip(slot_strengths, units) if u > 0), default=0)
-            if total != units_total:
-                violations.append(Violation(c, "weight-sum", kappa * d, kmax * d, total * d))
-            if kmax > gamma * kappa:
-                violations.append(Violation(c, "gamma-ratio", kappa * d, kmax * d, total * d))
+        pos = 0
+        for count, units in g.runs:
+            total = sum(units)
+            kmax = max((s for s, u in zip(slot_strengths, units) if u > 0), default=0)
+            for kind, broken in (("weight-sum", total != units_total),
+                                 ("gamma-ratio", kmax > gamma * kappa)):
+                if broken:
+                    violations.append(Violation(_copy_at(g.spans, pos), kind, kappa * d,
+                                                kmax * d, total * d, count))
+            pos += count
+        checked += pos
     violations.sort(key=lambda v: (v.copy, v.kind))
     return BalanceReport(not violations, tuple(violations), checked)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import itertools
 import sys
 from fractions import Fraction
 from typing import Optional
@@ -328,11 +329,12 @@ def cmd_balance(args) -> int:
     for g in assignment.groups:
         slots = ";".join(f"{u},{v}" for u, v in g.slots)
         lines.append(f"group={','.join(map(str, g.key))} slots={slots}")
-        for c in g.copies:
-            units = ",".join(map(str, g.units_for(c)))
-            lines.append(f"copy={c} units={units}")
+        copies = itertools.chain.from_iterable(g.spans)
+        for count, units in g.runs:  # one line per copy, in copy order
+            text = ",".join(map(str, units))
+            lines += [f"copy={c} units={text}" for c in itertools.islice(copies, count)]
     lines.append(f"balanced={int(report.ok)} checked={report.checked_copies}"
-                 f" violations={len(report.violations)}")
+                 f" violations={sum(v.count for v in report.violations)}")
     _write_text("\n".join(lines) + "\n", args.output)
     return 0 if report.ok else 1
 

@@ -62,17 +62,6 @@ def min_weight(ws: Iterable[Fraction]) -> Fraction:
     return min(by_den.values())
 
 
-def identity_runs(seq: Sequence) -> list[tuple[int, int]]:
-    """(start, stop) of each maximal run of positions of seq that hold one
-    and the same object.  Runs are found by identity at C speed, so equal but
-    distinct objects pay no __eq__: they only start runs of their own."""
-    if not seq:
-        return []
-    changed = map(operator.is_not, seq, itertools.islice(seq, 1, None))
-    bounds = [0, *itertools.compress(itertools.count(1), changed), len(seq)]
-    return list(itertools.pairwise(bounds))
-
-
 @dataclass(frozen=True)
 class HyperEdge:
     vertices: tuple[int, ...]

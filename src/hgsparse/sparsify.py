@@ -13,11 +13,12 @@ stream of `randrange(D)`, compared with the numerator a.  A copy with p = 1
 is kept without a draw.  When rho is at least the copy count m', p = 1 on
 every copy, and nothing is expanded, balanced or drawn.
 
-Balancing runs on the expanded copies, but the plan and the sampler work per
-input edge: all copies of edge j lie in one group, so the plan holds
-counts[j] and one p per edge, and the sampler draws edge j's copies in a row
-and emits one edge of weight k/(p * scale) for its k kept copies, so every
-cut is preserved in expectation.
+Nothing is expanded per copy: balancing reads edge j as counts[j] copies
+(its groups keep runs of copies with equal units), all copies of edge j lie
+in one group, so the plan holds counts[j] and one p per edge, and the
+sampler draws edge j's copies in a row and emits one edge of weight
+k/(p * scale) for its k kept copies, so every cut is preserved in
+expectation.
 """
 
 from __future__ import annotations
@@ -137,30 +138,24 @@ def make_plan(
     epsilon: float,
     d: int = 1,
     rho_override=None,
-    counts: Optional[Sequence[int]] = None,
 ) -> SamplingPlan:
-    """p = min(1, rho/kappa) per input edge, where input edge j stands for
-    the next counts[j] copies of the assignment's hypergraph (by default one
-    copy each) and kappa is the weakest clique slot strength of their group.
-    All edges of a group share one p object."""
+    """p = min(1, rho/kappa) per edge j of the assignment's hypergraph, which
+    stands for assignment.counts[j] copies, where kappa is the weakest clique
+    slot strength of the edge's group.  All edges of a group share one p
+    object."""
     check_epsilon(epsilon)
     check_d(d)
-    copies = assignment.hypergraph.edges
-    counts = (1,) * len(copies) if counts is None else tuple(counts)
-    if sum(counts) != len(copies) or min(counts, default=1) < 1:
-        raise ValueError("counts must be positive and sum to the copy count")
-    n = assignment.hypergraph.n
-    rho, overridden = plan_rho(n, epsilon, assignment.gamma, d, rho_override)
+    h = assignment.hypergraph
+    rho, overridden = plan_rho(h.n, epsilon, assignment.gamma, d, rho_override)
     one = Fraction(1)
     per_group = {}
     for key, kappa in assignment.kappa_by_group().items():
         gp = rho / kappa
         # min(1, rho/kappa) by an int compare
         per_group[key] = one if gp.numerator >= gp.denominator else gp
-    # a group is keyed by its vertex set, which every copy of an edge shares
-    starts = itertools.accumulate(counts, initial=0)
-    p = tuple(per_group[copies[start].vertices] for start, _ in zip(starts, counts))
-    return SamplingPlan(epsilon, assignment.gamma, d, rho, n, counts, p, overridden)
+    p = tuple(per_group[e.vertices] for e in h.edges)
+    return SamplingPlan(epsilon, assignment.gamma, d, rho, h.n, assignment.counts, p,
+                        overridden)
 
 
 def sample_sparsifier(h: WeightedHypergraph, plan: SamplingPlan, seed: int) -> SparsifierResult:
@@ -232,18 +227,11 @@ def copy_counts(
     return scale, counts
 
 
-def reduce_weighted(
-    h: WeightedHypergraph, counts: Sequence[int]
-) -> tuple[WeightedHypergraph, tuple[int, ...]]:
-    """Expand edge j of h into counts[j] unit-weight copies, in edge order.
-    Returns the copies and, per copy, the index of its input edge."""
-    edges: list[HyperEdge] = []
-    origin: list[int] = []
-    for j, (e, c) in enumerate(zip(h.edges, counts)):
-        unit = e if e.weight == 1 else HyperEdge(e.vertices, Fraction(1))
-        edges.extend([unit] * c)
-        origin.extend([j] * c)
-    return WeightedHypergraph(h.n, tuple(edges)), tuple(origin)
+def reduce_weighted(h: WeightedHypergraph) -> WeightedHypergraph:
+    """Each edge of h at unit weight, in edge order: the unit copy that
+    `run_balance(..., counts=counts)` reads counts[j] times for edge j."""
+    return WeightedHypergraph(h.n, tuple(
+        e if e.weight == 1 else HyperEdge(e.vertices) for e in h.edges))
 
 
 def _sparsify_copies(
@@ -281,9 +269,8 @@ def _sparsify_copies(
         notes["balance_iterations"] = 0
         return SparsifierResult(out, plan, seed, h.m, out.m, Fraction(copies),
                                 tuple(range(h.m)), notes)
-    unit, _ = reduce_weighted(h, counts)
-    assignment = run_balance(unit, gamma)
-    plan = make_plan(assignment, epsilon, d, rho_override, counts)
+    assignment = run_balance(reduce_weighted(h), gamma, counts=counts)
+    plan = make_plan(assignment, epsilon, d, rho_override)
     copy_weight = 1 / scale
     sample = sample_sparsifier(WeightedHypergraph(h.n, tuple(
         HyperEdge(e.vertices, copy_weight) for e in h.edges)), plan, seed)

@@ -5,8 +5,9 @@ loop, a weight formatter that strips factors of 2 one at a time, weight
 bucketing and copy counts by `Fraction` compares, a bitmask builder for
 `Cut`, the heavy-core family of instances, the balance loop one unit per pick
 with its per-iteration record, the balance state's grouping one copy at a
-time, the per-copy strength views of a balanced assignment, the sampler one
-unit copy at a time, and the mean cut error by a running sum.
+time, the per-copy strength views of a balanced assignment, the weighted
+reduction expanded into its unit copies, the sampler one unit copy at a
+time, and the mean cut error by a running sum.
 
 The library keeps what its samplers, pipeline, CLI and demos run; these
 recompute from first principles and back the fast paths at small scale.
@@ -22,6 +23,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Optional, Sequence
 
 from hgsparse import (
+    AssignmentGroup,
     BalanceError,
     BalancedAssignment,
     ContractionMap,
@@ -71,9 +73,10 @@ def single_steps(state: BalanceState, iteration_cap: Optional[int] = None
     """The balance loop one unit per pick, as the paper states it: each
     `find_max_bad` pick moves one delta of the picked copy in a
     `transfer_step`.  Yields each pick after its transfer, and raises
-    BalanceError past `run_balance`'s default cap of 2 m ell n^2."""
+    BalanceError past `run_balance`'s default cap of 2 m ell n^2, m the copy
+    count."""
     if iteration_cap is None:
-        iteration_cap = 2 * state.m * state.ell * state.units_total
+        iteration_cap = 2 * state.copies * state.ell * state.units_total
     while (bad := find_max_bad(state)) is not None:
         if state.iterations >= iteration_cap:
             raise BalanceError(f"iteration cap {iteration_cap} exceeded")
@@ -131,12 +134,24 @@ def group_copies_loop(h: WeightedHypergraph
     return groups
 
 
+def group_copy_units(g: AssignmentGroup) -> Iterator[tuple[int, tuple[int, ...]]]:
+    """(copy, units) for each copy of a group: its runs expanded, in copy
+    order."""
+    units = itertools.chain.from_iterable(itertools.repeat(u, count) for count, u in g.runs)
+    return zip(itertools.chain.from_iterable(g.spans), units)
+
+
+def copy_units(assignment: BalancedAssignment) -> dict[int, tuple[int, ...]]:
+    """Every copy's slot units, the assignment's runs expanded."""
+    return dict(itertools.chain.from_iterable(map(group_copy_units, assignment.groups)))
+
+
 def kappa_by_copy(assignment: BalancedAssignment) -> list[Fraction]:
     """Weakest clique slot strength per copy: its group's."""
     per_group = assignment.kappa_by_group()
-    out = [Fraction(0)] * assignment.hypergraph.m
+    out = [Fraction(0)] * sum(assignment.counts)
     for g in assignment.groups:
-        for c in g.copies:
+        for c, _ in group_copy_units(g):
             out[c] = per_group[g.key]
     return out
 
@@ -144,11 +159,11 @@ def kappa_by_copy(assignment: BalancedAssignment) -> list[Fraction]:
 def kappa_max_by_copy(assignment: BalancedAssignment) -> list[Fraction]:
     """Strongest positively weighted slot strength per copy."""
     table = assignment.strengths
-    out = [Fraction(0)] * assignment.hypergraph.m
+    out = [Fraction(0)] * sum(assignment.counts)
     for g in assignment.groups:
         slot_strengths = [table.strength(u, v) for u, v in g.slots]
-        for c in g.copies:
-            out[c] = max(s for s, u in zip(slot_strengths, g.units_for(c)) if u > 0)
+        for c, units in group_copy_units(g):
+            out[c] = max(s for s, u in zip(slot_strengths, units) if u > 0)
     return out
 
 
@@ -180,31 +195,32 @@ def check_same_component(assignment: BalancedAssignment, plan: SamplingPlan) -> 
     """For every threshold rho * 2^i with survivors, the strong pairs must
     connect each surviving copy internally.
 
-    Survivors at level i are copies with kappa >= rho * 2^i; the pair graph
-    keeps positively weighted slots of strength >= the same threshold.  Each
-    surviving copy's vertex set has to land inside one component of that
-    graph, else sampling could disconnect what the plan treats as strongly
-    connected.
+    Survivors at level i are copies with kappa >= rho * 2^i, taken per input
+    edge, whose copies share one group; the pair graph keeps positively
+    weighted slots of strength >= the same threshold.  Each surviving copy's
+    vertex set has to land inside one component of that graph, else
+    sampling could disconnect what the plan treats as strongly connected.
     """
     h = assignment.hypergraph
-    if h.m != sum(plan.counts):
+    if assignment.counts != plan.counts:
         raise ValueError("plan does not match the assignment's hypergraph")
     table = assignment.strengths
     positive = [p for p, u in assignment.collapsed_units().items() if u > 0]
-    kappa = kappa_by_copy(assignment)
+    per_group = assignment.kappa_by_group()
+    kappa = [per_group[e.vertices] for e in h.edges]
     kappa_top = max(kappa, default=Fraction(0))
     i = 0
     while True:
         threshold = plan.rho * (1 << i)
         if threshold > kappa_top:
             return True  # E_{>=i} empty here and for every larger i
-        survivors = [c for c in range(h.m) if kappa[c] >= threshold]
+        survivors = [j for j in range(h.m) if kappa[j] >= threshold]
         if not survivors:
             return True
         uf = UnionFind(range(1, h.n + 1),
                        (p for p in positive if table.strength(*p) >= threshold))
-        for c in survivors:
-            verts = h.edges[c].vertices
+        for j in survivors:
+            verts = h.edges[j].vertices
             root = uf.find(verts[0])
             if any(uf.find(v) != root for v in verts[1:]):
                 return False
@@ -356,6 +372,21 @@ def copy_counts_loop(
             "the weight spread is too large for direct reduction, use the bucketed pipeline"
         )
     return scale, counts
+
+
+def expand_copies(
+    h: WeightedHypergraph, counts: Sequence[int]
+) -> tuple[WeightedHypergraph, tuple[int, ...]]:
+    """Edge j of h as counts[j] unit-weight copies, in edge order, as the
+    weighted reduction built them before balancing read counts.  Returns the
+    copies and, per copy, the index of its input edge."""
+    edges: list[HyperEdge] = []
+    origin: list[int] = []
+    for j, (e, c) in enumerate(zip(h.edges, counts)):
+        unit = e if e.weight == 1 else HyperEdge(e.vertices, Fraction(1))
+        edges.extend([unit] * c)
+        origin.extend([j] * c)
+    return WeightedHypergraph(h.n, tuple(edges)), tuple(origin)
 
 
 def sample_per_copy(

@@ -20,6 +20,7 @@ from hgsparse import (
     BalanceError,
     HyperEdge,
     WeightedHypergraph,
+    copy_counts,
     edge_strengths,
     find_max_bad,
     gen_sunflower,
@@ -33,16 +34,22 @@ from hgsparse import (
 from hgsparse import balance, graph
 from hgsparse.balance import AssignmentGroup, BadEdge, BalancedAssignment
 from conftest import BALANCE_INSTANCES, random_hypergraph, two_cluster
-from oracles import (group_copies_loop, heavy_core, kappa_by_copy, kappa_max_by_copy,
-                     single_steps, traced_balance)
+from oracles import (copy_units, expand_copies, group_copies_loop, group_copy_units, heavy_core,
+                     kappa_by_copy, kappa_max_by_copy, single_steps, traced_balance)
 
 
 def units_of(assignment):
-    return {
-        (g.key, c): tuple(g.units_for(c))
-        for g in assignment.groups
-        for c in g.copies
-    }
+    return {(g.key, c): units for g in assignment.groups for c, units in group_copy_units(g)}
+
+
+def state_copy(state, copy):
+    """The group of one copy of a balance state, and the copy's units."""
+    g = next(g for g in state.groups.values() if any(copy in span for span in g.spans))
+    pos = g.position(copy)
+    for count, units in g.runs:
+        if pos < count:
+            return g, units
+        pos -= count
 
 
 def reference_balance(h, gamma=2):
@@ -95,11 +102,10 @@ def reference_balance(h, gamma=2):
 
 
 def outcome(assignment):
-    """What a balance run decides: its iterations, every copy's units, the
-    order in which each group's copies got their own units, and the
-    strengths."""
+    """What a balance run decides: its iterations, every copy's units, each
+    group's runs, and the strengths."""
     return (assignment.iterations, units_of(assignment),
-            [(g.key, list(g.overrides)) for g in assignment.groups],
+            [(g.key, g.runs) for g in assignment.groups],
             assignment.strengths.pair_strength)
 
 
@@ -141,8 +147,8 @@ def record_batches(mp):
     transfer = balance.transfer_step
 
     def logged(state, copy, f_min, f_max, units=1):
-        g, tree = state.groups[state.hypergraph.edges[copy].vertices], state.tree
-        spans = units > g.units_for(copy)[g.slot_index[f_max]]
+        (g, held), tree = state_copy(state, copy), state.tree
+        spans = units > held[g.slot_index[f_max]]
         joins = not state.pair_units.get(f_min) and tree.comp[f_min[0]] != tree.comp[f_min[1]]
         transfer(state, copy, f_min, f_max, units)
         log.append((units, spans, not state.pair_units[f_max], joins))
@@ -170,7 +176,7 @@ def scan_max_bad(state):
             continue
         if best is not None and ind <= best.ind:
             continue
-        copy = g.smallest_positive_holder(s_star)
+        copy = g.holder(s_star)
         best = BadEdge(copy, key, ind, f_min, g.slots[s_star], k_min, k_max)
     return best
 
@@ -198,8 +204,8 @@ def drive_against_scan(h, data, steps):
             g = st_.groups[key]
             if len(g.slots) < 2:
                 continue
-            copy = data.draw(st.sampled_from(g.copies))
-            units = g.units_for(copy)
+            copy = data.draw(st.sampled_from(list(itertools.chain.from_iterable(g.spans))))
+            units = state_copy(st_, copy)[1]
             i_max = data.draw(st.sampled_from([i for i, u in enumerate(units) if u > 0]))
             i_min = data.draw(st.sampled_from([i for i in range(len(units)) if i != i_max]))
             transfer_step(st_, copy, g.slots[i_min], g.slots[i_max])
@@ -208,30 +214,25 @@ def drive_against_scan(h, data, steps):
 
 def drains_parallel_copy(assignment):
     """Some copy with a parallel twin holds zero units on a slot."""
-    return any(0 in u for g in assignment.groups if len(g.copies) > 1
-               for u in g.overrides.values())
+    return any(0 in u for g in assignment.groups if sum(map(len, g.spans)) > 1
+               for _, u in g.runs)
 
 
 @st.composite
-def copy_runs(draw):
-    """A multi-hypergraph as runs of copies, each one shared `HyperEdge` or
-    equal but distinct ones, whose vertex sets recur in runs that need not be
-    adjacent; now and then one copy of weight 2 sits inside a run."""
+def counted_edges(draw):
+    """A multi-hypergraph and a copy count per edge, with vertex sets that
+    recur, not always next to each other; now and then one edge of weight 2
+    sits among them."""
     n = draw(st.integers(2, 5))
     vertex_set = st.lists(st.integers(1, n), min_size=2, unique=True).map(
         lambda vs: tuple(sorted(vs)))
     sets = draw(st.lists(vertex_set, min_size=1, max_size=3))
-    edges = []
-    for _ in range(draw(st.integers(0, 6))):
-        vs, count = draw(st.sampled_from(sets)), draw(st.integers(1, 4))
-        if draw(st.booleans()):
-            edges += [HyperEdge(vs)] * count
-        else:
-            edges += [HyperEdge(vs) for _ in range(count)]
+    edges = [HyperEdge(draw(st.sampled_from(sets))) for _ in range(draw(st.integers(0, 6)))]
     if edges and draw(st.integers(0, 3)) == 0:
         at = draw(st.integers(0, len(edges) - 1))
         edges.insert(at, HyperEdge(edges[at].vertices, Fraction(2)))
-    return WeightedHypergraph(n, tuple(edges))
+    counts = draw(st.lists(st.integers(1, 4), min_size=len(edges), max_size=len(edges)))
+    return WeightedHypergraph(n, tuple(edges)), counts
 
 
 E12, E13 = HyperEdge((1, 2)), HyperEdge((1, 3))
@@ -240,19 +241,19 @@ E12, E13 = HyperEdge((1, 2)), HyperEdge((1, 3))
 class TestInit:
     def test_uniform_when_divisible(self):
         st = init_weights(WeightedHypergraph(3, (HyperEdge((1, 2, 3)),)))
-        assert st.groups[(1, 2, 3)].default_units == [3, 3, 3]
+        assert st.groups[(1, 2, 3)].runs == [[1, [3, 3, 3]]]
         assert st.delta == Fraction(1, 9)
 
     def test_remainder_to_first_slots(self):
         st = init_weights(WeightedHypergraph(4, (HyperEdge((1, 2, 3)),)))
-        assert st.groups[(1, 2, 3)].default_units == [6, 5, 5]
+        assert st.groups[(1, 2, 3)].runs == [[1, [6, 5, 5]]]
 
     def test_slot_sums_and_floor(self):
         for n, key in [(5, (1, 2, 3, 4)), (6, (1, 3, 5)), (4, (1, 2))]:
             st = init_weights(WeightedHypergraph(n, (HyperEdge(key),)))
-            g = st.groups[key]
-            assert sum(g.default_units) == n * n
-            assert all(u >= 2 for u in g.default_units)
+            ((_, units),) = st.groups[key].runs
+            assert sum(units) == n * n
+            assert all(u >= 2 for u in units)
 
     def test_k0_and_ell_single_triangle(self):
         st = init_weights(WeightedHypergraph(3, (HyperEdge((1, 2, 3)),)))
@@ -273,24 +274,36 @@ class TestInit:
         with pytest.raises(ValueError):
             init_weights(h, 2)
 
-    @given(copy_runs())
-    @example(WeightedHypergraph(3, (E12, E12, E13, E12)))  # parallel copies apart
-    @example(WeightedHypergraph(3, tuple(HyperEdge((1, 2, 3)) for _ in range(3))))  # equal, distinct
-    @example(WeightedHypergraph(3, (E12, E12, HyperEdge((1, 2), Fraction(2)), E12)))  # weight 2
+    @given(counted_edges())
+    @example((WeightedHypergraph(3, (E12, E12, E13, E12)), [1, 2, 1, 3]))  # parallel copies apart
+    @example((WeightedHypergraph(3, (E12, HyperEdge((1, 2), Fraction(2)), E12)), [2, 1, 1]))
     @settings(max_examples=80, deadline=None)
-    def test_groups_match_the_per_copy_loop(self, h):
-        # the state groups a run of one edge object at a time; it must give
-        # the groups, copies and units of grouping copy by copy, and reject
-        # a copy of weight other than 1 wherever it sits, with the same text
+    def test_groups_match_the_per_copy_loop(self, case):
+        # the state groups edge j as counts[j] copies; it must give the
+        # groups, copies and units of grouping the expanded copies one by
+        # one, each group one run, and reject an edge of weight other than 1
+        # wherever it sits, with the same text
+        h, counts = case
+        copies = WeightedHypergraph(h.n, tuple(
+            e for e, count in zip(h.edges, counts) for _ in range(count)))
         try:
-            want = group_copies_loop(h)
+            want = group_copies_loop(copies)
         except ValueError as err:
             with pytest.raises(ValueError, match=f"^{re.escape(str(err))}$"):
-                init_weights(h)
+                init_weights(h, counts=counts)
             return
-        state = init_weights(h)
-        got = {key: (g.copies, g.default_units, g.agg_units) for key, g in state.groups.items()}
-        assert list(got.items()) == list(want.items())
+        state = init_weights(h, counts=counts)
+        got = {key: (list(itertools.chain.from_iterable(g.spans)), g.runs, g.agg_units)
+               for key, g in state.groups.items()}
+        assert list(got.items()) == [(key, (ids, [[len(ids), units]], agg))
+                                     for key, (ids, units, agg) in want.items()]
+
+    @pytest.mark.parametrize("counts", [[1, 0], [2, -1], [1], [1, 1, 1]],
+                             ids=["zero", "negative", "short", "long"])
+    def test_counts_checked(self, counts):
+        h = WeightedHypergraph(3, (E12, E13))
+        with pytest.raises(ValueError, match="counts must give each edge a count of at least 1"):
+            init_weights(h, counts=counts)
 
 
 class TestFindMaxBad:
@@ -378,11 +391,38 @@ class TestTransferStep:
     def test_moves_one_unit(self):
         st = init_weights(WeightedHypergraph(4, (HyperEdge((1, 2, 3)),)))
         g = st.groups[(1, 2, 3)]
-        assert g.units_for(0) == [6, 5, 5]
+        assert g.runs == [[1, [6, 5, 5]]]
         transfer_step(st, 0, (1, 3), (1, 2))
-        assert g.units_for(0) == [5, 6, 5]
-        assert sum(g.units_for(0)) == 16
+        assert g.runs == [[1, [5, 6, 5]]]
         assert st.iterations == 1
+
+    @given(st.lists(st.integers(1, 5), min_size=3, max_size=3), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_runs_match_moving_copy_by_copy(self, counts, data):
+        # transfers from any copy, one inside a run included, of up to all
+        # the units the copies from it on hold: the runs, expanded, must be
+        # the units of taking from the copy and then each later copy of its
+        # group in turn
+        h = WeightedHypergraph(4, (HyperEdge((1, 2, 3)), HyperEdge((1, 2)), HyperEdge((1, 2, 3))))
+        state = init_weights(h, counts=counts)
+        g = state.groups[(1, 2, 3)]
+        ids = list(itertools.chain.from_iterable(g.spans))
+        model = {c: list(u) for c, u in copy_units(state.snapshot()).items()}
+        for _ in range(data.draw(st.integers(1, 6))):
+            later = ids[ids.index(data.draw(st.sampled_from(ids))):]
+            held = [i for i, u in enumerate(model[later[0]]) if u > 0]
+            i_max = data.draw(st.sampled_from(held))
+            i_min = data.draw(st.sampled_from([i for i in range(3) if i != i_max]))
+            f_min, f_max = g.slots[i_min], g.slots[i_max]
+            most = min(sum(model[c][i_max] for c in later), state.tree.horizon(f_max, f_min)[0] + 1)
+            left = units = data.draw(st.integers(1, most))
+            transfer_step(state, later[0], f_min, f_max, units)
+            for c in later:
+                take = min(model[c][i_max], left)
+                model[c][i_max] -= take
+                model[c][i_min] += take
+                left -= take
+            assert copy_units(state.snapshot()) == {c: tuple(u) for c, u in model.items()}
 
     def test_conservation_and_floor(self):
         st = init_weights(two_cluster())
@@ -661,8 +701,8 @@ class TestBatches:
         # (1, 2): the first transfer joins two components again
         real = balance.init_weights
 
-        def split(h, gamma):
-            state = real(h, gamma)
+        def split(h, gamma, counts=None):
+            state = real(h, gamma, counts)
             copy = len(h.edges) - 1
             for f_max in [(1, 3)] * 3 + [(2, 3)] * 3:
                 transfer_step(state, copy, (1, 2), f_max)
@@ -710,8 +750,8 @@ class TestBatches:
         # strong slot leaves the tracked range mid-run
         real = balance.init_weights
 
-        def narrowed(h, gamma):
-            state = real(h, gamma)
+        def narrowed(h, gamma, counts=None):
+            state = real(h, gamma, counts)
             tops = [max(state.strengths[p] for p, u in zip(g.slots, g.agg_units) if u > 0)
                     for g in state.groups.values()]
             state.K_units = [min(tops)]
@@ -787,6 +827,63 @@ class TestBatches:
         assert uniform > 2 * (n - 1) >= balanced
 
 
+class TestCounts:
+    """`run_balance(h, counts=c)` reads edge j as c[j] copies; the oracle is
+    the same loop on `expand_copies(h, c)`, one edge per copy."""
+
+    @given(st.integers(3, 7), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_the_expanded_copies(self, n, data):
+        # a hyperedge twice, at places apart, next to one of its pairs with
+        # up to 20 copies, so the loop drains the hyperedge's copies in part
+        # and whole, across input edges; plus a few other edges
+        verts = st.integers(1, n)
+        key = tuple(sorted(data.draw(st.sets(verts, min_size=3, max_size=5))))
+        pair = tuple(sorted(data.draw(st.sets(st.sampled_from(key), min_size=2, max_size=2))))
+        others = data.draw(st.lists(st.sets(verts, min_size=2, max_size=4).map(
+            lambda vs: tuple(sorted(vs))), max_size=3))
+        extra = data.draw(st.lists(st.sampled_from([key, pair, *others]), max_size=4))
+        edges = data.draw(st.permutations([key, pair, key, *extra]))
+        h = WeightedHypergraph(n, tuple(HyperEdge(vs) for vs in edges))
+        counts = [data.draw(st.integers(4, 20) if vs == pair else st.integers(1, 4))
+                  for vs in edges]
+        copies = expand_copies(h, counts)[0]
+        got, want = run_balance(h, counts=counts), run_balance(copies)
+        assert got.counts == tuple(counts) and want.counts == (1,) * sum(counts)
+        assert copy_units(got) == copy_units(want)
+        assert (got.iterations, got.k0, got.ell, got.strengths) == (
+            want.iterations, want.k0, want.ell, want.strengths)
+        assert is_balanced(got) == is_balanced(want)
+        assert is_balanced(got).checked_copies == sum(counts)
+        assert list(single_steps(init_weights(h, counts=counts))) == list(
+            single_steps(init_weights(copies)))
+
+    def test_state_does_not_grow_with_copies(self, monkeypatch):
+        # the shape of the benchmark's `skewed`: light edges plus heavy pairs,
+        # whose picks do not depend on the scale of the counts; a million
+        # times the copies takes the same transfers and leaves the same runs
+        rng = random.Random("skewed/3")
+        edges = []
+        for sizes, weights, count in [((2, 3), (1, 4), 80), ((2, 2), (500, 1000), 3)]:
+            for _ in range(count):
+                verts = tuple(sorted(rng.sample(range(1, 11), rng.randint(*sizes))))
+                edges.append(HyperEdge(verts, Fraction(rng.randint(*weights))))
+        h = WeightedHypergraph(10, tuple(edges))
+        unit = WeightedHypergraph(10, tuple(HyperEdge(e.vertices) for e in edges))
+        counts = copy_counts(h, 0.5)[1]
+        calls = []
+        real = balance.transfer_step
+        monkeypatch.setattr(balance, "transfer_step", lambda *args: calls.append(1) or real(*args))
+        seen = []
+        for scale in (1, 10**6):
+            calls.clear()
+            a = run_balance(unit, counts=[c * scale for c in counts])
+            runs = sum(len(g.runs) for g in a.groups)
+            assert runs <= len(a.groups) + 2 * len(calls)
+            seen.append((runs, len(calls)))
+        assert seen[0] == seen[1] and seen[0][1] > 5
+
+
 class TestIsBalanced:
     def test_two_cluster_init_flagged(self):
         st = init_weights(two_cluster())
@@ -799,13 +896,13 @@ class TestIsBalanced:
     def test_weight_sum_violation(self):
         a = run_balance(WeightedHypergraph(3, (HyperEdge((1, 2, 3)),)))
         g = a.groups[0]
+        ((count, units),) = g.runs
         broken = AssignmentGroup(
-            key=g.key, slots=g.slots, copies=g.copies,
-            default_units=(g.default_units[0] - 1,) + g.default_units[1:],
-            overrides={},
+            key=g.key, slots=g.slots, spans=g.spans,
+            runs=((count, (units[0] - 1,) + units[1:]),),
         )
         fake = BalancedAssignment(
-            hypergraph=a.hypergraph, gamma=a.gamma, delta=a.delta,
+            hypergraph=a.hypergraph, counts=a.counts, gamma=a.gamma, delta=a.delta,
             units_per_copy=a.units_per_copy, groups=(broken,),
             strengths=a.strengths, iterations=a.iterations, k0=a.k0, ell=a.ell,
         )
@@ -831,7 +928,7 @@ class TestAssignmentViews:
         per_group = a.kappa_by_group()
         per_copy = kappa_by_copy(a)
         for g in a.groups:
-            for c in g.copies:
+            for c, _ in group_copy_units(g):
                 assert per_copy[c] == per_group[g.key]
         for lo, hi in zip(per_copy, kappa_max_by_copy(a)):
             assert lo <= hi <= a.gamma * lo

@@ -1,9 +1,9 @@
 """Source hygiene: every name a module imports is used in that module, every
 module-level private function or class and every private method is used
-somewhere in the package, and every public export, with each public method
-of an exported class, and every name a module assigns at module level is
-read by the package, the demos or the benchmark; a read from the tests alone
-does not count."""
+somewhere in the package, and every public export, every public module-level
+function or class, with each public method of those classes, and every name
+a module assigns at module level is read by the package, the demos or the
+benchmark; a read from the tests alone does not count."""
 
 import ast
 from collections import Counter
@@ -142,6 +142,20 @@ def test_every_export_is_loaded():
     assert unloaded_exports(hgsparse.__all__, running_sources(ROOT)) == []
 
 
+def public_definitions(root: Path) -> list[str]:
+    """The public module-level functions and classes of the package modules
+    but `__init__.py`, exported or not."""
+    paths = sorted((root / "src" / "hgsparse").glob("*.py"))
+    return [node.name for path in paths if path.name != "__init__.py"
+            for node in ast.parse(path.read_text()).body
+            if isinstance(node, DEFS) and not node.name.startswith("_")]
+
+
+def test_every_public_definition_is_loaded():
+    # an export dropped from __all__ must not leave its code behind
+    assert unloaded_exports(public_definitions(ROOT), running_sources(ROOT)) == []
+
+
 def write_tree(root: Path, files: dict[str, str]) -> None:
     for name, text in files.items():
         (root / name).parent.mkdir(parents=True, exist_ok=True)
@@ -201,3 +215,20 @@ def test_detects_an_unread_assignment(tmp_path):
     })
     assert unread_assignments(tmp_path) == [
         "mod.py: Alias", "mod.py: DEAD", "mod.py: TESTED", "mod.py: first"]
+
+
+def test_detects_an_unloaded_public_definition(tmp_path):
+    write_tree(tmp_path, {
+        "src/hgsparse/__init__.py": "from .mod import run\n__all__ = ['run']\n",
+        "src/hgsparse/mod.py": "def run():\n    return helper()\n\n\n"
+                               "def helper():\n    return 1\n\n\n"
+                               "def dropped():\n    return Gone()\n\n\n"
+                               "class Gone:\n    pass\n\n\n"
+                               "def _private():\n    return 2\n",
+        "demos/demo.py": "from pkg import run\nrun()\n",
+        "tests/test_mod.py": "from pkg.mod import dropped\ndropped()\n",
+    })
+    # dropped is read by a test only, and Gone only by dropped
+    assert public_definitions(tmp_path) == ["run", "helper", "dropped", "Gone"]
+    assert unloaded_exports(public_definitions(tmp_path), running_sources(tmp_path)) == [
+        "Gone", "dropped"]

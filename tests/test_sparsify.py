@@ -1,5 +1,7 @@
 """Sampling plans, the sampler, and the weighted reduction."""
 
+import dataclasses
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -35,7 +37,7 @@ from hgsparse import (
     sparsify_weighted,
     theoretical_rho,
 )
-from oracles import copy_counts_loop, kappa_by_copy, mask_of, sample_per_copy
+from oracles import copy_counts_loop, expand_copies, kappa_by_copy, mask_of, sample_per_copy
 
 
 def edges_of(h):
@@ -116,24 +118,24 @@ class TestMakePlan:
         for rho in (None, Fraction(1, 2), min(a.kappa_by_group().values()) * 3):
             plan = make_plan(a, 0.5, 1, rho_override=rho)
             assert plan.p == tuple(min(1, plan.rho / k) for k in kappa_by_copy(a))
-            assert all(len({id(plan.p[c]) for c in g.copies}) == 1 for g in a.groups)
+            assert all(len({id(plan.p[c]) for c in itertools.chain.from_iterable(g.spans)}) == 1
+                       for g in a.groups)
 
     def test_counts_map_input_edges_to_groups(self):
-        # an input edge's p is its copies' p, and the expected sizes agree
+        # an input edge's p is its copies' p on the expanded copies, and the
+        # expected sizes agree
         for seed in range(4):
             h = gen_random(6, 8, 3, weighted=True, w_max=5, seed=seed)
             counts = copy_counts(h, 0.5)[1]
-            a = run_balance(reduce_weighted(h, counts)[0])
+            a = run_balance(reduce_weighted(h), counts=counts)
+            expanded = run_balance(expand_copies(h, counts)[0])
             for rho in (None, Fraction(2)):
-                per_copy = make_plan(a, 0.5, 1, rho_override=rho)
-                plan = make_plan(a, 0.5, 1, rho_override=rho, counts=counts)
+                per_copy = make_plan(expanded, 0.5, 1, rho_override=rho)
+                plan = make_plan(a, 0.5, 1, rho_override=rho)
                 starts = [sum(counts[:j]) for j in range(h.m)]
                 assert plan.counts == tuple(counts)
                 assert plan.p == tuple(per_copy.p[c] for c in starts)
                 assert plan.sum_p() == per_copy.sum_p()
-        for bad in ([], [2] * a.hypergraph.m, [0, a.hypergraph.m]):
-            with pytest.raises(ValueError, match="counts must be positive"):
-                make_plan(a, 0.5, 1, counts=bad)
 
     def test_size_budget_inequality(self):
         for seed in range(6):
@@ -304,17 +306,27 @@ class TestSamplerOps:
 
 
 class TestReduceWeighted:
+    """`copy_counts`, and the unit copies it stands for, expanded by
+    `expand_copies`; `reduce_weighted` keeps one unit edge per input edge."""
+
+    def test_one_unit_edge_per_input_edge(self):
+        e = HyperEdge((1, 2))
+        h = WeightedHypergraph(3, (e, HyperEdge((2, 3), Fraction(7, 2)), e))
+        unit = reduce_weighted(h)
+        assert [f.vertices for f in unit.edges] == [f.vertices for f in h.edges]
+        assert unit.is_unweighted() and unit.edges[0] is unit.edges[2] is e
+
     def test_single_edge(self):
         h = WeightedHypergraph(2, (HyperEdge((1, 2), 7),))
         scale, counts = copy_counts(h, 1.0)
-        reduced, origin = reduce_weighted(h, counts)
+        reduced, origin = expand_copies(h, counts)
         assert scale == Fraction(3, 7)
         assert reduced.m == 3 and origin == (0, 0, 0)
         assert reduced.is_unweighted()
 
     def test_equal_weights_equal_copies(self):
         h = WeightedHypergraph(3, (HyperEdge((1, 2), 5), HyperEdge((2, 3), 5)))
-        reduced, origin = reduce_weighted(h, copy_counts(h, 0.5)[1])
+        reduced, origin = expand_copies(h, copy_counts(h, 0.5)[1])
         assert origin.count(0) == origin.count(1) == 6
 
     def test_copy_count_within_band(self):
@@ -322,7 +334,7 @@ class TestReduceWeighted:
             h = gen_random(6, 8, 3, weighted=True, w_max=40, seed=seed)
             eps = 0.5
             scale, counts = copy_counts(h, eps)
-            reduced, origin = reduce_weighted(h, counts)
+            reduced, origin = expand_copies(h, counts)
             eps_f = Fraction(1, 2)
             for j, e in enumerate(h.edges):
                 c = origin.count(j)
@@ -337,8 +349,9 @@ class TestReduceWeighted:
     def test_empty(self):
         h = WeightedHypergraph(3, ())
         assert copy_counts(h, 0.5) == (1, [])
-        reduced, origin = reduce_weighted(h, [])
+        reduced, origin = expand_copies(h, [])
         assert reduced.m == 0 and origin == ()
+        assert reduce_weighted(h) == h
 
     @given(bucket_cases(), st.sampled_from([100, 10**6, 10**40]))
     def test_matches_fraction_loop(self, case, cap):
@@ -423,7 +436,7 @@ class TestSparsifyWeighted:
         # parallel-copy unweighted instance up to the 1/scale reweighting
         h = WeightedHypergraph(3, (HyperEdge((1, 2), 2), HyperEdge((2, 3), 2)))
         res = sparsify_weighted(h, 0.5, seed=5)
-        reduced, _ = reduce_weighted(h, copy_counts(h, 0.5)[1])
+        reduced, _ = expand_copies(h, copy_counts(h, 0.5)[1])
         inner = sparsify_unweighted(reduced, 0.5 / 3, seed=5)
         merged = {}
         for idx in inner.origin:
@@ -440,7 +453,7 @@ class TestSparsifyWeighted:
         distinct = WeightedHypergraph(3, tuple(HyperEdge(x.vertices, x.weight)
                                                for x in shared.edges))
         scale, counts = copy_counts(shared, 0.5)
-        unit, origin = reduce_weighted(shared, counts)
+        unit, origin = expand_copies(shared, counts)
         plan = make_plan(run_balance(unit), 0.5 / 3, rho_override=Fraction(2))
         assert all(p < 1 for p in plan.p)
         dropped = set()
@@ -468,7 +481,7 @@ class TestSparsifyWeighted:
         res = sparsify_weighted(h, 0.5, seed=0)
         assert res.plan is not None and all(p == 1 for p in res.plan.p)
         scale, counts = copy_counts(h, 0.5)
-        reduced, origin = reduce_weighted(h, counts)
+        reduced, origin = expand_copies(h, counts)
         for (verts, w), e in zip(edges_of(res.hypergraph), h.edges):
             count = sum(1 for j in origin if h.edges[j].vertices == verts)
             assert w == Fraction(count) / scale
@@ -496,13 +509,17 @@ def slow_unweighted(h, epsilon, gamma, d, seed, rho_override):
 
 
 def slow_weighted(h, epsilon, gamma, d, seed, rho_override):
-    """sparsify_weighted without the p = 1 shortcut: expand, balance, plan,
+    """sparsify_weighted without the p = 1 shortcut: expand into unit
+    copies, balance and plan them, give each input edge its first copy's p,
     then sample every unit copy of weight 1/scale on its own and fold the
     kept copies of each input edge."""
     scale, counts = copy_counts(h, epsilon)
-    reduced, _ = reduce_weighted(h, counts)
+    reduced, _ = expand_copies(h, counts)
     assignment = run_balance(reduced, gamma)
-    plan = make_plan(assignment, epsilon / 3, d, rho_override, counts)
+    per_copy = make_plan(assignment, epsilon / 3, d, rho_override)
+    starts = itertools.accumulate(counts, initial=0)
+    plan = dataclasses.replace(per_copy, counts=tuple(counts),
+                               p=tuple(per_copy.p[s] for s, _ in zip(starts, counts)))
     units = WeightedHypergraph(h.n, tuple(HyperEdge(e.vertices, 1 / scale) for e in h.edges))
     kept = sample_per_copy(units, plan, seed)
     out = WeightedHypergraph(h.n, tuple(e for _, e in kept))

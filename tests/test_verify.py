@@ -220,12 +220,12 @@ class TestCheckSameComponent:
         group = AssignmentGroup(
             key=(1, 2, 3),
             slots=((1, 2), (1, 3), (2, 3)),
-            copies=(0,),
-            default_units=(9, 0, 0),
-            overrides={},
+            spans=(range(1),),
+            runs=((1, (9, 0, 0)),),
         )
         bad = BalancedAssignment(
             hypergraph=h,
+            counts=(1,),
             gamma=2,
             delta=Fraction(1, 9),
             units_per_copy=9,
