@@ -19,14 +19,14 @@ from hgsparse import (
 h = WeightedHypergraph(
     3, tuple(HyperEdge((1, 2)) for _ in range(12)) + (HyperEdge((1, 2, 3)),))
 
-# the loop one unit per pick: find a worst bad copy, move one delta from its
+# the loop one unit per pick: find a worst bad group, move one delta from its
 # strongest positively weighted slot to its weakest slot
 state = init_weights(h, gamma=2)
 print(f"n={h.n} m={h.m} grid delta={state.delta} levels ell={state.ell} "
       f"K0={state.k0_units * state.delta}")
 print()
 while (bad := find_max_bad(state)) is not None:
-    transfer_step(state, bad.copy, bad.f_min, bad.f_max)
+    transfer_step(state, bad.group_key, bad.f_min, bad.f_max)
     # positively weighted pairs per strength interval (K_{j-1}, K_j]
     hist = [0] * (state.ell + 1)
     for pair, units in state.pair_units.items():

@@ -11,16 +11,20 @@ terminates by a potential argument rather than by tolerance.
 
 Edge j of the input stands for counts[j] copies (one by default), numbered
 from sum(counts[:j]).  Copies with the same vertex set behave identically up
-to which slots are positive, so they are grouped: a group keeps its copies'
-slot vectors as runs (count, units) in copy order, the maximal stretches of
-copies with equal units.  A group starts as one run of the init units, and
-a transfer splits at most the runs it drains.  So the state grows with the
-groups and the transfers, not with the copies, and badness is decided by
-inspecting only the strongest positively weighted slot of the group.
+to which slots are positive, so they are grouped, and the loop works by
+group: a group keeps its copies' slot vectors as runs (count, units) in copy
+order, the maximal stretches of copies with equal units.  A group starts as
+one run of the init units, and a transfer takes from the group's copies in
+copy order, splitting at most the runs it drains.  So the state grows with
+the groups and the transfers, not with the copies, and badness is decided by
+inspecting only the strongest positively weighted slot of the group.  Copy
+ids only label output: the first holder of a pick (`BadEdge.copy`) and the
+copies of a violation.
 
-Strengths live in one `StrengthTree`, built from the initial weights; each
-transfer shifts all of its units there in one `StrengthTree.shift`, a single
-walk of the tree's blocks (see `transfer_step`).
+Strengths live in one `StrengthTree`, built from the initial weights, which
+also keeps the units of each pair; each transfer shifts all of its units
+there in one `StrengthTree.shift`, a single walk of the tree's blocks (see
+`transfer_step`).
 
 A group's verdict (bad or not; its index, weakest and strongest slots) is a
 function of its slots' strengths, its aggregate slot units and the fixed
@@ -45,12 +49,12 @@ every copy and the strengths are those of moving one unit per pick.
 from __future__ import annotations
 
 import itertools
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
-from .graph import StrengthTable, StrengthTree, _first_fail, pair_strengths
+from .graph import StrengthTable, StrengthTree, first_fail, pair_strengths
 from .hypergraph import WeightedHypergraph
 
 Pair = tuple[int, int]
@@ -78,15 +82,6 @@ class _Group:
         self.runs = [[copies, units]]  # [count, units] in copy order
         self.agg_units = [u * copies for u in units]
 
-    def position(self, copy: int) -> int:
-        """The number of the group's copies before `copy`."""
-        pos = 0
-        for span in self.spans:
-            if copy in span:
-                return pos + copy - span.start
-            pos += len(span)
-        raise BalanceError(f"copy {copy} is not in group {self.key}")
-
     def holder(self, slot_i: int) -> int:
         """The first copy holding weight on the slot: the first of the first
         run that does."""
@@ -96,6 +91,19 @@ class _Group:
                 return _copy_at(self.spans, pos)
             pos += count
         raise BalanceError("slot has positive total weight but no holder")
+
+    def extremes(self, strengths: Mapping[Pair, int]) -> tuple[int, int, int, int]:
+        """The slot choice of the verdict, in one pass: (i_min, k_min, i_max,
+        k_max) for the first weakest slot and the first strongest slot the
+        group holds units on."""
+        k_min = k_max = i_min = i_max = None
+        for i, (p, u) in enumerate(zip(self.slots, self.agg_units)):
+            s = strengths.get(p, 0)
+            if k_min is None or s < k_min:
+                k_min, i_min = s, i
+            if u > 0 and (k_max is None or s > k_max):
+                k_max, i_max = s, i
+        return i_min, k_min, i_max, k_max
 
 
 def _copy_at(spans, pos: int) -> int:
@@ -112,6 +120,9 @@ def _moved(units: list[int], i_from: int, i_to: int, k: int) -> list[int]:
 
 @dataclass(frozen=True)
 class BadEdge:
+    """A pick: the bad group `group_key` of interval index `ind`, its weakest
+    slot f_min and its strongest held slot f_max with their strengths; `copy`
+    labels the group's first copy holding units on f_max."""
     copy: int
     group_key: tuple[int, ...]
     ind: int
@@ -149,27 +160,24 @@ class BalanceState:
         self.delta = Fraction(1, self.units_total)
         self.iterations = 0
 
-        # starts[j] is edge j's first copy id; the last entry is the copy count
-        self.starts = list(itertools.accumulate(counts, initial=0))
-        self.copies = self.starts[-1]
+        starts = list(itertools.accumulate(counts, initial=0))
+        self.copies = starts[-1]
         spans: dict[tuple[int, ...], list[range]] = {}
-        for e, start, stop in zip(h.edges, self.starts, self.starts[1:]):
+        for e, start, stop in zip(h.edges, starts, starts[1:]):
             spans.setdefault(e.vertices, []).append(range(start, stop))
+        # in key order, the order of the snapshot's groups
         self.groups: dict[tuple[int, ...], _Group] = {
-            key: _Group(key, self.units_total, own) for key, own in spans.items()
+            key: _Group(key, self.units_total, spans[key]) for key in sorted(spans)
         }
-        self.sorted_keys = sorted(self.groups)
 
-        self.pair_units: dict[Pair, int] = {}
-        for g in self.groups.values():
-            for p, agg in zip(g.slots, g.agg_units):
-                self.pair_units[p] = self.pair_units.get(p, 0) + agg
-        self.tree = StrengthTree(self.n, self.pair_units)
-        self.strengths: dict[Pair, int] = self.tree.strengths
+        pair_units: dict[Pair, int] = {}
         self.groups_of: dict[Pair, list[tuple[int, ...]]] = {}
-        for key in self.sorted_keys:
-            for p in self.groups[key].slots:
+        for key, g in self.groups.items():
+            for p, agg in zip(g.slots, g.agg_units):
+                pair_units[p] = pair_units.get(p, 0) + agg
                 self.groups_of.setdefault(p, []).append(key)
+        self.tree = StrengthTree(self.n, pair_units)
+        self.strengths: dict[Pair, int] = self.tree.strengths
         # find_max_bad's cache: groups to re-examine, and the bad verdicts
         self.dirty = set(self.groups)
         self.bad: dict[tuple[int, ...], tuple] = {}
@@ -189,6 +197,11 @@ class BalanceState:
             self.ell += 1
         self.K_units = [self.k0_units * gamma**j for j in range(self.ell + 1)]
 
+    @property
+    def pair_units(self) -> dict[Pair, int]:
+        """The units on each pair that ever held some, read off the tree."""
+        return {(u, v): w for u, row in self.tree.adj.items() for v, w in row.items() if u < v}
+
     def interval_index(self, value: int) -> int:
         """0 for value == K_0, else the j with K_{j-1} < value <= K_j."""
         if value < self.k0_units or value > self.K_units[-1]:
@@ -202,7 +215,7 @@ class BalanceState:
         groups = tuple(
             AssignmentGroup(g.key, tuple(g.slots), tuple(g.spans),
                             tuple((count, tuple(units)) for count, units in g.runs))
-            for g in (self.groups[k] for k in self.sorted_keys)
+            for g in self.groups.values()
         )
         d = self.delta
         table = StrengthTable(
@@ -236,36 +249,29 @@ def init_weights(h: WeightedHypergraph, gamma: int = 2,
 
 
 def find_max_bad(state: BalanceState) -> Optional[BadEdge]:
-    """A bad copy of maximal interval index, or None when balanced.
+    """A bad group of maximal interval index, or None when balanced.
 
     Per group only the strongest positively weighted slot needs checking:
-    the weakest slot is shared by all copies of the group, and the copy
-    holding weight on the strongest slot realizes the group's largest index.
-    Ties go to the smallest group key, then the smallest copy index holding
-    the inspected slot.
+    the weakest slot is shared by all copies of the group, and the copies
+    holding weight on the strongest slot realize the group's largest index.
+    Ties go to the smallest group key.
 
     Only dirty groups are examined: those a transfer moved a unit in, and
     those holding a pair in the tree's `changed` set.  Every other group's
     inputs, so its cached verdict, are as at its last examination.
     """
-    strengths, dirty, bad = state.strengths, state.dirty, state.bad
+    dirty, bad = state.dirty, state.bad
     for p in state.tree.changed:
         dirty.update(state.groups_of.get(p, ()))
     state.tree.changed.clear()
     for key in sorted(dirty):
         g = state.groups[key]
-        k_min = f_min = k_max = s_star = None
-        for i, p in enumerate(g.slots):
-            s = strengths.get(p, 0)
-            if k_min is None or s < k_min:
-                k_min, f_min = s, p
-            if g.agg_units[i] > 0 and (k_max is None or s > k_max):
-                k_max, s_star = s, i
+        i_min, k_min, s_star, k_max = g.extremes(state.strengths)
         ind = state.interval_index(k_max)
         if ind == 0 or k_min >= state.K_units[ind - 1]:
             bad.pop(key, None)
         else:
-            bad[key] = (ind, f_min, s_star, k_min, k_max)
+            bad[key] = (ind, g.slots[i_min], s_star, k_min, k_max)
     dirty.clear()
     if not bad:
         return None
@@ -276,42 +282,35 @@ def find_max_bad(state: BalanceState) -> Optional[BadEdge]:
                    k_min, k_max)
 
 
-def transfer_step(state: BalanceState, copy: int, f_min: Pair, f_max: Pair,
+def transfer_step(state: BalanceState, key: tuple[int, ...], f_min: Pair, f_max: Pair,
                   units: int = 1) -> None:
-    """Move `units` deltas from f_max to f_min: from the copy, then from each
-    later copy of its group that holds weight on f_max, in copy order, which
-    are the copies the loop would pick one unit at a time.  A run of copies
-    with equal units gives held * count at once, and is split only where the
-    move starts or ends in it; the group's runs are rebuilt with equal
-    neighbours merged.  The strength tree shifts the same units in one call,
-    which needs `units` at most its certified horizon + 1, and updates
-    `state.strengths` in place."""
-    g = state.groups[state.hypergraph.edges[bisect_right(state.starts, copy) - 1].vertices]
+    """Move `units` deltas from f_max to f_min within group `key`: from its
+    copies in copy order, each giving what it holds on f_max, which are the
+    copies the loop would pick one unit at a time.  A run of copies with
+    equal units gives held * count at once, and only the run where the move
+    ends is split; the group's runs are rebuilt with equal neighbours merged.
+    The strength tree shifts the same units in one call, which needs `units`
+    at most its certified horizon + 1, and updates `state.strengths` in
+    place."""
+    g = state.groups[key]
     i_min, i_max = g.slot_index[f_min], g.slot_index[f_max]
-    pos, left, pieces = g.position(copy), units, []
+    left, pieces = units, []
     for count, u in g.runs:
-        if 0 <= pos < count and u[i_max] < 1:
-            raise BalanceError(f"copy {copy} holds no weight on slot {f_max}")
-        # the run's copies before the copy keep their units; of the rest,
-        # `whole` give all they hold on f_max and the next gives `part`
-        before, held = min(max(pos, 0), count), u[i_max]
-        pos -= count
-        whole, part = (divmod(left, held) if held * (count - before) > left
-                       else (count - before, 0))
+        # `whole` copies give all they hold on f_max and the next gives `part`
+        held = u[i_max]
+        whole, part = divmod(left, held) if held * count > left else (count, 0)
         some = int(part > 0)
-        pieces += [[before, u], [whole, _moved(u, i_max, i_min, held)],
-                   [some, _moved(u, i_max, i_min, part)], [count - before - whole - some, u]]
+        pieces += [[whole, _moved(u, i_max, i_min, held)],
+                   [some, _moved(u, i_max, i_min, part)], [count - whole - some, u]]
         left -= whole * held + part
     if left:
-        raise BalanceError(f"copies from {copy} on hold fewer than {units} units on slot {f_max}")
+        raise BalanceError(f"group {key} holds fewer than {units} units on slot {f_max}")
     g.runs = [[sum(count for count, _ in same), u] for u, same in
               itertools.groupby((run for run in pieces if run[0]), key=lambda run: run[1])]
     g.agg_units[i_max] -= units
     g.agg_units[i_min] += units
-    state.pair_units[f_max] -= units
-    state.pair_units[f_min] = state.pair_units.get(f_min, 0) + units
     state.iterations += units
-    state.dirty.add(g.key)
+    state.dirty.add(key)
     state.tree.shift(f_max, f_min, units)
 
 
@@ -320,8 +319,6 @@ def _batch_length(state: BalanceState, bad: BadEdge, room: int) -> int:
     j >= 1 at which some group's verdict would differ from now, with at most
     the tree's certified horizon + 1 and `room` units.  Only the picked group
     and the groups holding a pair whose strength moves can change verdict."""
-    if room <= 1:
-        return 1
     certified, slopes = state.tree.horizon(bad.f_max, bad.f_min)
     units = min(certified + 1, room)
     if units > 1:
@@ -343,26 +340,25 @@ def _verdict_lasts(state: BalanceState, g: _Group, slopes: Mapping[Pair, int],
     if g.key == bad.group_key:
         i_min, i_max = g.slot_index[bad.f_min], g.slot_index[bad.f_max]
         agg[i_max], agg[i_min] = (agg[i_max][0], -1), (agg[i_min][0], 1)
-    # find_max_bad's choices now: the first weakest slot, the first strongest
-    # held slot, each kept while every other slot stays on its side
-    f = min(range(len(line)), key=lambda i: line[i][0])
-    top = max((i for i, (u, _) in enumerate(agg) if u > 0), key=lambda i: line[i][0])
+    # find_max_bad's choices now, each kept while every other slot stays on
+    # its side
+    f, k_min, top, k_max = g.extremes(strengths)
+    s_min, s_max = line[f][1], line[top][1]
     stays = [(*agg[top], True)]
     for i, (v, s) in enumerate(line):
         if i != f:
-            stays.append((v - line[f][0], s - line[f][1], i < f))
+            stays.append((v - k_min, s - s_min, i < f))
         if i != top and (agg[i][0] > 0 or agg[i][1] > 0):
-            stays.append((line[top][0] - v, line[top][1] - s, i < top))
-    (k_min, s_min), (k_max, s_max) = line[f], line[top]
+            stays.append((k_max - v, s_max - s, i < top))
     levels = state.K_units
-    ind = bisect_left(levels, k_max)
+    ind = state.interval_index(k_max)
     below = levels[max(ind - 1, 0)]
     stays.append((levels[ind] - k_max, -s_max, False))
     stays.append((k_max - below, s_max, ind > 0))
     if ind > 0:
         stays.append((below - k_min, -s_min, True) if k_min < below
                      else (k_min - below, s_min, False))
-    return min(_first_fail(c, s, strict) for c, s, strict in stays)
+    return min(first_fail(c, s, strict) for c, s, strict in stays)
 
 
 def run_balance(
@@ -392,7 +388,7 @@ def run_balance(
         if state.iterations >= iteration_cap:
             raise BalanceError(f"iteration cap {iteration_cap} exceeded")
         units = _batch_length(state, bad, iteration_cap - state.iterations)
-        transfer_step(state, bad.copy, bad.f_min, bad.f_max, units)
+        transfer_step(state, bad.group_key, bad.f_min, bad.f_max, units)
     return state.snapshot()
 
 

@@ -41,7 +41,9 @@ state j its value is λ(j) = λ + σ_B·j, the chain bound is k(j), the max of
 the lines of the src-holding blocks from B down, and μ does not move.  The
 move from state j to j+1 keeps B's cut without Stoer-Wagner when
 λ(j+1) <= k(j) - 1 (B holds src and σ_B >= 0) and λ(j+1) <= μ (σ_B = +1);
-the dst-only bound λ(j) + 1 never binds.  A strength is the running max of
+the dst-only bound λ(j) + 1 never binds.  The src-class bound is defined
+once, in `_src_class`, as lines in j: it holds while some src-holding block
+K from B down has λ_K(j) - λ_B(j+1) > 0.  A strength is the running max of
 the lines on its root-to-block path.  `StrengthTree.horizon` plans: it
 solves these comparisons of lines in closed form for T, the number of units
 that keep every kept cut certified and every strength on one line, with src
@@ -203,7 +205,7 @@ def _merged_min_cut(verts: frozenset[int], adj, pairs: Iterable[tuple[int, int]]
     return _stoer_wagner(merged, merged)[0] if len(merged) > 1 else None
 
 
-def _first_fail(c, s, strict: bool = False):
+def first_fail(c, s, strict: bool = False):
     """The least state j >= 0 at which the line c + s·j is no longer >= 0
     (> 0 when strict); inf when it never fails."""
     if c < 0 or (strict and c == 0):
@@ -219,7 +221,7 @@ def _first_all_fail(lines):
     the end when it rises, so the union has at most one gap."""
     last_held, first_risen = -1, math.inf
     for c, s in lines:
-        fail = _first_fail(c, s, strict=True)
+        fail = first_fail(c, s, strict=True)
         if fail == math.inf:
             return fail
         last_held = max(last_held, fail - 1)
@@ -244,6 +246,21 @@ def _sigma(node, src: tuple[int, int], dst: tuple[int, int]) -> int:
     (a, b), (c, d), verts, side = src, dst, node.verts, node.side
     return ((c in verts and d in verts and (c in side) != (d in side))
             - (a in verts and b in verts and (a in side) != (b in side)))
+
+
+def _src_class(chain: list[_Block], src: tuple[int, int], dst: tuple[int, int]):
+    """The src-class bound of moves from src to dst, as (block, lines) for
+    each block of src's `chain` whose cut does not lose (σ >= 0): the move
+    from state j to j + 1 keeps the block's cut, against the cuts crossing
+    src, while some line c + s·j of its lines is > 0, that is while some
+    block at or below it on the chain has λ_kid(j) > λ(j + 1).  Blocks come
+    from the bottom of the chain up, since the bound of a bottom block whose
+    cut crosses both pairs never holds, and a plan can stop there."""
+    lam = [(node.val, _sigma(node, src, dst)) for node in chain]
+    for i in reversed(range(len(chain))):
+        val, s = lam[i]
+        if s >= 0:
+            yield chain[i], [(v - val - s, t - s) for v, t in lam[i:]]
 
 
 def _across(node) -> list[tuple[int, int]]:
@@ -341,25 +358,21 @@ class StrengthTree:
             self._peel()
             return
         self._use_pair(src, dst)
-        # the largest cut value k(j) at state j = units - 1 on each
-        # src-holding block's chain down to the block that separates src
-        j, chain_k, k = units - 1, {}, 0
-        for node in reversed(self._chain(a, b)):
-            k = chain_k[node] = max(k, node.val + _sigma(node, src, dst) * j)
+        # the src-class bound of the last move, from state j = units - 1
+        j, src_class = units - 1, dict(_src_class(self._chain(a, b), src, dst))
         stack = [(self.roots[i], 0, 0) for i in {self.comp[a], self.comp[c]}]
         while stack:
             node, old_top, new_top = stack.pop()
             verts = node.verts
-            has_src = node in chain_k
-            if not (has_src or (c in verts and d in verts)):
+            if not ((a in verts and b in verts) or (c in verts and d in verts)):
                 if old_top != new_top:
                     self._label(node, new_top)
                 continue
             old, sigma = node.val, _sigma(node, src, dst)
             val = old + sigma * units
             # dst-only cuts are now >= λ(j) + 1 >= val, so only the src class
-            # (>= k(j) - 1) and, when the cut gains, the neither class (>= μ) bind
-            if ((has_src and val >= chain_k[node])
+            # and, when the cut gains, the neither class (>= μ) bind
+            if ((node in src_class and all(k + s * j <= 0 for k, s in src_class[node]))
                     or (sigma > 0 and val > self._neither_min(node))):
                 cut = _stoer_wagner(verts, adj)
                 if cut[0] != val:
@@ -389,27 +402,13 @@ class StrengthTree:
         if not adj[c].get(d) and self.comp[c] != self.comp[d]:
             return 0, {}
         chain = self._chain(a, b)
-        sigma = [_sigma(node, src, dst) for node in chain]
         # src must not empty, and each chain block whose cut does not lose
-        # needs the src class bound: k(j) - 1 >= val(j + 1), so some block at
-        # or below it must stay above its value + σ.  When that fails now,
-        # as `shift` tests it with the running max k, nothing is certified.
-        # This exit is the j = 0 case of the `_first_all_fail` loop below, so
-        # it changes no result.  It stays as a fast exit: balancing the
-        # heavy-core instance at n = 20 ends 2,692 of its 2,792 plans here,
-        # before that loop builds its lines.
-        k, chain_k = 0, []
-        for node in reversed(chain):
-            k = max(k, node.val)
-            chain_k.append(k)
-        if any(s >= 0 and k <= node.val + s
-               for node, s, k in zip(chain, sigma, reversed(chain_k))):
-            return 0, {}
+        # must keep its src-class bound
         certified = adj[a][b] - 1
-        for i, (node, s) in enumerate(zip(chain, sigma)):
-            if s >= 0 and certified:
-                certified = min(certified, _first_all_fail(
-                    [(kid.val - node.val - s, ks - s) for kid, ks in zip(chain[i:], sigma[i:])]))
+        for _, lines in _src_class(chain, src, dst):
+            if not certified:
+                break
+            certified = min(certified, _first_all_fail(lines))
         if not certified:
             return 0, {}
         self._use_pair(src, dst)

@@ -26,11 +26,7 @@ class ParseError(ValueError):
 
 def as_weight(value) -> Fraction:
     """Convert ints, floats, strings, or Fractions to an exact Fraction."""
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, float):
-        return Fraction(value)
-    return Fraction(str(value)) if isinstance(value, str) else Fraction(value)
+    return value if isinstance(value, Fraction) else Fraction(value)
 
 
 def weight_sum(ws: Iterable[Fraction]) -> Fraction:

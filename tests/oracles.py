@@ -4,7 +4,8 @@ a contraction that rebuilds every edge, cut weights by a per-edge `Fraction`
 loop, a weight formatter that strips factors of 2 one at a time, weight
 bucketing and copy counts by `Fraction` compares, a bitmask builder for
 `Cut`, the heavy-core family of instances, the balance loop one unit per pick
-with its per-iteration record, the balance state's grouping one copy at a
+with its per-iteration record, the src-class bound of a peel tree by a
+running max, the balance state's grouping one copy at a
 time, the per-copy strength views of a balanced assignment, the weighted
 reduction expanded into its unit copies, the sampler one unit copy at a
 time, and the mean cut error by a running sum.
@@ -45,7 +46,7 @@ from hgsparse import (
     transfer_step,
 )
 from hgsparse.balance import BadEdge, BalanceState
-from hgsparse.graph import _adjacency, _stoer_wagner
+from hgsparse.graph import _adjacency, _sigma, _stoer_wagner
 from hgsparse.sparsify import check_epsilon
 
 
@@ -71,7 +72,7 @@ def heavy_core(n: int) -> WeightedHypergraph:
 def single_steps(state: BalanceState, iteration_cap: Optional[int] = None
                  ) -> Iterator[BadEdge]:
     """The balance loop one unit per pick, as the paper states it: each
-    `find_max_bad` pick moves one delta of the picked copy in a
+    `find_max_bad` pick moves one delta of the picked group in a
     `transfer_step`.  Yields each pick after its transfer, and raises
     BalanceError past `run_balance`'s default cap of 2 m ell n^2, m the copy
     count."""
@@ -80,8 +81,21 @@ def single_steps(state: BalanceState, iteration_cap: Optional[int] = None
     while (bad := find_max_bad(state)) is not None:
         if state.iterations >= iteration_cap:
             raise BalanceError(f"iteration cap {iteration_cap} exceeded")
-        transfer_step(state, bad.copy, bad.f_min, bad.f_max)
+        transfer_step(state, bad.group_key, bad.f_min, bad.f_max)
         yield bad
+
+
+def src_class_fails(chain, src: tuple[int, int], dst: tuple[int, int], j: int) -> dict:
+    """Per block of src's chain, whether the src-class bound fails for the
+    move from state j to j + 1, by the running max `StrengthTree.shift` used
+    before the bound had one definition: the block's new value λ(j + 1)
+    reaches k(j), the largest λ_K(j) of the blocks K from it down."""
+    fails, k = {}, 0
+    for node in reversed(chain):
+        sigma = _sigma(node, src, dst)
+        k = max(k, node.val + sigma * j)
+        fails[node] = node.val + sigma * (j + 1) >= k
+    return fails
 
 
 def strength_histogram(state: BalanceState) -> tuple[int, ...]:

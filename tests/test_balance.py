@@ -42,14 +42,11 @@ def units_of(assignment):
     return {(g.key, c): units for g in assignment.groups for c, units in group_copy_units(g)}
 
 
-def state_copy(state, copy):
-    """The group of one copy of a balance state, and the copy's units."""
-    g = next(g for g in state.groups.values() if any(copy in span for span in g.spans))
-    pos = g.position(copy)
-    for count, units in g.runs:
-        if pos < count:
-            return g, units
-        pos -= count
+def first_holder_units(g, slot):
+    """The units on `slot` of the first copy of a balance state's group `g`
+    that holds some, the copy a pick of that slot starts at."""
+    i = g.slot_index[slot]
+    return next(units[i] for _, units in g.runs if units[i] > 0)
 
 
 def reference_balance(h, gamma=2):
@@ -146,11 +143,11 @@ def record_batches(mp):
     log = []
     transfer = balance.transfer_step
 
-    def logged(state, copy, f_min, f_max, units=1):
-        (g, held), tree = state_copy(state, copy), state.tree
-        spans = units > held[g.slot_index[f_max]]
+    def logged(state, key, f_min, f_max, units=1):
+        g, tree = state.groups[key], state.tree
+        spans = units > first_holder_units(g, f_max)
         joins = not state.pair_units.get(f_min) and tree.comp[f_min[0]] != tree.comp[f_min[1]]
-        transfer(state, copy, f_min, f_max, units)
+        transfer(state, key, f_min, f_max, units)
         log.append((units, spans, not state.pair_units[f_max], joins))
 
     mp.setattr(balance, "transfer_step", logged)
@@ -159,10 +156,10 @@ def record_batches(mp):
 
 def scan_max_bad(state):
     """`find_max_bad` as a scan over every group, with no cached verdicts:
-    the bad copy of highest index, ties to the smallest group key, then to
-    the smallest copy holding the group's strongest positive slot."""
+    the bad group of highest index, ties to the smallest group key, labelled
+    by the smallest copy holding the group's strongest positive slot."""
     best = None
-    for key in state.sorted_keys:
+    for key in sorted(state.groups):
         g = state.groups[key]
         k_min = f_min = k_max = s_star = None
         for i, p in enumerate(g.slots):
@@ -190,25 +187,24 @@ def pick_outcome(pick, state):
 
 
 def drive_against_scan(h, data, steps):
-    """Transfers chosen by the loop's own pick or, when the data says so, any
-    unit move of any copy (which can empty a pair or join two components).
-    After every transfer the cached pick must equal the full scan."""
+    """Transfers chosen by the loop's own pick or, when the data says so, a
+    unit move of any group from any slot it holds units on to any other
+    (which can empty a pair or join two components).  After every transfer
+    the cached pick must equal the full scan."""
     st_ = init_weights(h)
     assert find_max_bad(st_) == scan_max_bad(st_)
     for _ in range(steps):
         bad = pick_outcome(scan_max_bad, st_)
         if isinstance(bad, BadEdge) and data.draw(st.booleans()):
-            transfer_step(st_, bad.copy, bad.f_min, bad.f_max)
+            transfer_step(st_, bad.group_key, bad.f_min, bad.f_max)
         else:
-            key = data.draw(st.sampled_from(st_.sorted_keys))
+            key = data.draw(st.sampled_from(list(st_.groups)))
             g = st_.groups[key]
             if len(g.slots) < 2:
                 continue
-            copy = data.draw(st.sampled_from(list(itertools.chain.from_iterable(g.spans))))
-            units = state_copy(st_, copy)[1]
-            i_max = data.draw(st.sampled_from([i for i, u in enumerate(units) if u > 0]))
-            i_min = data.draw(st.sampled_from([i for i in range(len(units)) if i != i_max]))
-            transfer_step(st_, copy, g.slots[i_min], g.slots[i_max])
+            i_max = data.draw(st.sampled_from([i for i, u in enumerate(g.agg_units) if u > 0]))
+            i_min = data.draw(st.sampled_from([i for i in range(len(g.slots)) if i != i_max]))
+            transfer_step(st_, key, g.slots[i_min], g.slots[i_max])
         assert pick_outcome(scan_max_bad, st_) == pick_outcome(find_max_bad, st_)
 
 
@@ -281,8 +277,8 @@ class TestInit:
     def test_groups_match_the_per_copy_loop(self, case):
         # the state groups edge j as counts[j] copies; it must give the
         # groups, copies and units of grouping the expanded copies one by
-        # one, each group one run, and reject an edge of weight other than 1
-        # wherever it sits, with the same text
+        # one, in key order, each group one run, and reject an edge of weight
+        # other than 1 wherever it sits, with the same text
         h, counts = case
         copies = WeightedHypergraph(h.n, tuple(
             e for e, count in zip(h.edges, counts) for _ in range(count)))
@@ -296,7 +292,7 @@ class TestInit:
         got = {key: (list(itertools.chain.from_iterable(g.spans)), g.runs, g.agg_units)
                for key, g in state.groups.items()}
         assert list(got.items()) == [(key, (ids, [[len(ids), units]], agg))
-                                     for key, (ids, units, agg) in want.items()]
+                                     for key, (ids, units, agg) in sorted(want.items())]
 
     @pytest.mark.parametrize("counts", [[1, 0], [2, -1], [1], [1, 1, 1]],
                              ids=["zero", "negative", "short", "long"])
@@ -364,7 +360,7 @@ class TestFindMaxBad:
         st_ = init_weights(h)
         moves = [((1, 3), (1, 2))] * 3 + [((2, 3), (1, 2))] * 3 + [((1, 2), (1, 3))]
         for src, dst in moves:
-            transfer_step(st_, 0, dst, src)
+            transfer_step(st_, (1, 2, 3), dst, src)
             assert find_max_bad(st_) == scan_max_bad(st_)
             if st_.iterations == 6:
                 assert (1, 3) not in st_.strengths and (2, 3) not in st_.strengths
@@ -381,7 +377,7 @@ class TestFindMaxBad:
         before = dict(st_.strengths)
         assert find_max_bad(st_).f_max == (1, 2)
         for _ in range(3):
-            transfer_step(st_, 0, (1, 3), (1, 2))
+            transfer_step(st_, (1, 2, 3, 4), (1, 3), (1, 2))
             assert st_.tree.changed == set() and st_.strengths == before
             assert find_max_bad(st_) == scan_max_bad(st_)
         assert find_max_bad(st_).f_max == (1, 3)
@@ -392,37 +388,46 @@ class TestTransferStep:
         st = init_weights(WeightedHypergraph(4, (HyperEdge((1, 2, 3)),)))
         g = st.groups[(1, 2, 3)]
         assert g.runs == [[1, [6, 5, 5]]]
-        transfer_step(st, 0, (1, 3), (1, 2))
+        transfer_step(st, (1, 2, 3), (1, 3), (1, 2))
         assert g.runs == [[1, [5, 6, 5]]]
         assert st.iterations == 1
 
     @given(st.lists(st.integers(1, 5), min_size=3, max_size=3), st.data())
     @settings(max_examples=60, deadline=None)
     def test_runs_match_moving_copy_by_copy(self, counts, data):
-        # transfers from any copy, one inside a run included, of up to all
-        # the units the copies from it on hold: the runs, expanded, must be
-        # the units of taking from the copy and then each later copy of its
-        # group in turn
+        # transfers of up to all the units a group holds on a slot: one
+        # transfer of `units` must leave the runs, pair units and strengths
+        # of `units` one-unit transfers, and the runs, expanded, must be the
+        # units of taking from the group's copies in copy order
         h = WeightedHypergraph(4, (HyperEdge((1, 2, 3)), HyperEdge((1, 2)), HyperEdge((1, 2, 3))))
-        state = init_weights(h, counts=counts)
-        g = state.groups[(1, 2, 3)]
+        key = (1, 2, 3)
+        batched, stepped = init_weights(h, counts=counts), init_weights(h, counts=counts)
+        g = batched.groups[key]
         ids = list(itertools.chain.from_iterable(g.spans))
-        model = {c: list(u) for c, u in copy_units(state.snapshot()).items()}
+        model = {c: list(u) for c, u in copy_units(batched.snapshot()).items()}
         for _ in range(data.draw(st.integers(1, 6))):
-            later = ids[ids.index(data.draw(st.sampled_from(ids))):]
-            held = [i for i, u in enumerate(model[later[0]]) if u > 0]
-            i_max = data.draw(st.sampled_from(held))
+            i_max = data.draw(st.sampled_from([i for i, u in enumerate(g.agg_units) if u > 0]))
             i_min = data.draw(st.sampled_from([i for i in range(3) if i != i_max]))
             f_min, f_max = g.slots[i_min], g.slots[i_max]
-            most = min(sum(model[c][i_max] for c in later), state.tree.horizon(f_max, f_min)[0] + 1)
+            most = min(g.agg_units[i_max], batched.tree.horizon(f_max, f_min)[0] + 1)
             left = units = data.draw(st.integers(1, most))
-            transfer_step(state, later[0], f_min, f_max, units)
-            for c in later:
+            transfer_step(batched, key, f_min, f_max, units)
+            for _ in range(units):
+                transfer_step(stepped, key, f_min, f_max)
+            for c in ids:
                 take = min(model[c][i_max], left)
                 model[c][i_max] -= take
                 model[c][i_min] += take
                 left -= take
-            assert copy_units(state.snapshot()) == {c: tuple(u) for c, u in model.items()}
+            assert outcome(batched.snapshot()) == outcome(stepped.snapshot())
+            assert batched.pair_units == stepped.pair_units
+            assert copy_units(batched.snapshot()) == {c: tuple(u) for c, u in model.items()}
+
+    def test_moving_more_than_the_group_holds_raises(self):
+        state = init_weights(WeightedHypergraph(4, (HyperEdge((1, 2, 3)),) * 2))
+        assert state.groups[(1, 2, 3)].agg_units == [12, 10, 10]
+        with pytest.raises(BalanceError, match=r"^group \(1, 2, 3\) holds fewer than 13 units"):
+            transfer_step(state, (1, 2, 3), (1, 3), (1, 2), 13)
 
     def test_conservation_and_floor(self):
         st = init_weights(two_cluster())
@@ -432,7 +437,7 @@ class TestTransferStep:
             bad = find_max_bad(st)
             if bad is None:
                 break
-            transfer_step(st, bad.copy, bad.f_min, bad.f_max)
+            transfer_step(st, bad.group_key, bad.f_min, bad.f_max)
             seen += 1
             assert sum(st.pair_units.values()) == total_before
             # no positive pair ever drops below K0
@@ -452,7 +457,7 @@ class TestTransferStep:
                 if bad is None:
                     break
                 before = dict(st.strengths)
-                transfer_step(st, bad.copy, bad.f_min, bad.f_max)
+                transfer_step(st, bad.group_key, bad.f_min, bad.f_max)
                 for p, v in st.strengths.items():
                     if v > before.get(p, 0):
                         assert st.interval_index(v) < bad.ind, (h.m, p)
@@ -703,9 +708,8 @@ class TestBatches:
 
         def split(h, gamma, counts=None):
             state = real(h, gamma, counts)
-            copy = len(h.edges) - 1
             for f_max in [(1, 3)] * 3 + [(2, 3)] * 3:
-                transfer_step(state, copy, (1, 2), f_max)
+                transfer_step(state, h.edges[-1].vertices, (1, 2), f_max)
             return state
 
         monkeypatch.setattr(balance, "init_weights", split)

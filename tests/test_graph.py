@@ -18,12 +18,13 @@ from hgsparse import (
     edge_strengths,
     k_strong_components,
     pair_strengths,
+    run_balance,
     strength_table_from_pairs,
 )
-from hgsparse import graph
+from hgsparse import balance, graph
 from hgsparse.graph import StrengthTree, _merged_min_cut, _stoer_wagner
-from conftest import mg, random_multigraph
-from oracles import global_min_cut
+from conftest import mg, random_hypergraph, random_multigraph
+from oracles import global_min_cut, heavy_core, src_class_fails
 
 TRIANGLE = [(1, 2, 1), (2, 3, 1), (1, 3, 1)]
 # two unit triangles joined by one bridge edge
@@ -431,6 +432,37 @@ class TestStrengthTree:
         monkeypatch.undo()
         assert shift_and_check(3, weights, [((1, 2), (1, 3))] * 3) == (0, 0)
         assert tree.strengths == {(1, 2): 6, (1, 3): 5, (2, 3): 5}
+
+
+    @given(st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_src_class_lines_match_the_running_max(self, data):
+        # at every transfer of a balance run, and at any state j of its
+        # moves, the src-class lines fail on exactly the chain blocks where
+        # the running max does
+        heavy = data.draw(st.booleans())
+        if heavy:
+            h = heavy_core(data.draw(st.integers(6, 12)))
+        else:
+            h = random_hypergraph(data.draw(st.integers(4, 8)), data.draw(st.integers(6, 24)),
+                                  4, data.draw(st.integers(0, 10**6)))
+        js = data.draw(st.lists(st.integers(0, 40), min_size=1, max_size=4))
+        real, transfers = balance.transfer_step, []
+
+        def checked(state, key, f_min, f_max, units=1):
+            chain = state.tree._chain(*f_max)
+            lines = dict(graph._src_class(chain, f_max, f_min))
+            for j in js + [units - 1]:
+                assert src_class_fails(chain, f_max, f_min, j) == {
+                    node: node in lines and all(c + s * j <= 0 for c, s in lines[node])
+                    for node in chain}
+            transfers.append(units)
+            real(state, key, f_min, f_max, units)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(balance, "transfer_step", checked)
+            run_balance(h)
+        assert transfers or not heavy
 
 
 class TestKStrongComponents:

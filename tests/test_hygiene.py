@@ -1,4 +1,5 @@
-"""Source hygiene: every name a module imports is used in that module, every
+"""Source hygiene: every name a module imports is used in that module, no
+module imports another module's private name, every
 module-level private function or class and every private method is used
 somewhere in the package, and every public export, every public module-level
 function or class, with each public method of those classes, and every name
@@ -45,6 +46,25 @@ def test_every_import_is_used(path):
 def test_detects_an_unused_import():
     source = "import math\nfrom typing import Iterable, Optional\nx: Optional[int] = None\n"
     assert unused_imports(source) == ["line 1: math", "line 2: Iterable"]
+
+
+def private_imports(source: str) -> list[str]:
+    """`line N: name` for each private name imported from another module;
+    dunders such as `__future__` are not private."""
+    return sorted(f"line {node.lineno}: {alias.name}" for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.ImportFrom) for alias in node.names
+                  if alias.name.startswith("_") and not alias.name.startswith("__"))
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_private_name_is_imported(path):
+    assert private_imports(path.read_text()) == []
+
+
+def test_detects_a_private_import():
+    source = ("from __future__ import annotations\n"
+              "from .graph import StrengthTree, _first_fail\nfrom . import _impl as impl\n")
+    assert private_imports(source) == ["line 2: _first_fail", "line 3: _impl"]
 
 
 def names_used(node) -> Counter:

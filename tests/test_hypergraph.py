@@ -11,6 +11,7 @@ from hgsparse import (
     HyperEdge,
     ParseError,
     WeightedHypergraph,
+    as_weight,
     cut_weight,
     format_weight,
     gen_example,
@@ -54,6 +55,15 @@ class TestWeightArithmetic:
         thirds = [Fraction(1, 3), Fraction(2, 3), Fraction(4, 3)]
         assert weight_sum(thirds) == Fraction(7, 3) and adds == []
         assert weight_sum(thirds + [Fraction(1, 2)]) == Fraction(17, 6) and len(adds) == 1
+
+    @pytest.mark.parametrize("text, want", [
+        ("0.1", Fraction(1, 10)), ("-2.50", Fraction(-5, 2)), ("1e-3", Fraction(1, 1000)),
+        ("3/4", Fraction(3, 4)), (" 7/14 ", Fraction(1, 2)), ("-6/4", Fraction(-3, 2)),
+        ("12", Fraction(12)), ("123456789.000000000123", Fraction(123456789000000000123, 10**12)),
+    ])
+    def test_strings_parse_exactly(self, text, want):
+        got = as_weight(text)
+        assert type(got) is Fraction and got == want == Fraction(str(text))
 
     def test_empty(self):
         assert weight_sum([]) == 0 and type(weight_sum([])) is Fraction
