@@ -49,8 +49,8 @@ solves these comparisons of lines in closed form for T, the number of units
 that keep every kept cut certified and every strength on one line, with src
 never emptying.  `shift(src, dst, units)` with units - 1 <= T is one walk:
 it sets each cut to λ(units), tests the bounds only for the move from state
-units - 1, and writes each strength that moves from its old value to its
-new one.
+units - 1, by a running max of the lines down the chain, and writes each
+strength that moves from its old value to its new one.
 
 `StrengthTree.changed` collects the pairs whose strength took a new value or
 was dropped, until its owner clears it.  A strength is written only when it
@@ -358,8 +358,11 @@ class StrengthTree:
             self._peel()
             return
         self._use_pair(src, dst)
-        # the src-class bound of the last move, from state j = units - 1
-        j, src_class = units - 1, dict(_src_class(self._chain(a, b), src, dst))
+        # the chain blocks whose `_src_class` lines are all <= 0 at units - 1
+        chain = self._chain(a, b)[::-1]
+        sigmas = [_sigma(node, src, dst) for node in chain]
+        ks = itertools.accumulate((n.val + s * (units - 1) for n, s in zip(chain, sigmas)), max)
+        src_fails = {n for n, s, k in zip(chain, sigmas, ks) if s >= 0 and n.val + s * units >= k}
         stack = [(self.roots[i], 0, 0) for i in {self.comp[a], self.comp[c]}]
         while stack:
             node, old_top, new_top = stack.pop()
@@ -372,8 +375,7 @@ class StrengthTree:
             val = old + sigma * units
             # dst-only cuts are now >= λ(j) + 1 >= val, so only the src class
             # and, when the cut gains, the neither class (>= μ) bind
-            if ((node in src_class and all(k + s * j <= 0 for k, s in src_class[node]))
-                    or (sigma > 0 and val > self._neither_min(node))):
+            if node in src_fails or (sigma > 0 and val > self._neither_min(node)):
                 cut = _stoer_wagner(verts, adj)
                 if cut[0] != val:
                     self._grow(node, cut)

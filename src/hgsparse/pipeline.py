@@ -1,12 +1,12 @@
 """Arbitrary-ratio weights and streaming, by bucketing and merge-and-reduce.
 
-The direct weighted sparsifier expands edges into unit copies, which is
-hopeless when weights span many orders of magnitude.  Here edges are split
-into geometric weight buckets (ratio alpha = 10 n^2 / eps^3), buckets of the
-same parity are far enough apart that each can be handled with the ones
-above it contracted to supervertices, and the two parity results are
-unioned.  Dropping an edge buried inside a supervertex is safe: any cut
-separating its endpoints already pays for much heavier contracted edges.
+The direct weighted sparsifier reads edges as at most `copy_cap` unit
+copies, too few for weights spanning many orders of magnitude.  Here edges
+are split into geometric weight buckets (ratio alpha = 10 n^2 / eps^3),
+buckets of the same parity are far enough apart that each can be handled
+with the ones above it contracted to supervertices, and the two parity
+results are unioned.  Dropping an edge buried inside a supervertex is safe:
+any cut separating its endpoints pays for much heavier contracted edges.
 
 The streaming wrapper buffers edges per level and re-sparsifies on overflow;
 each element passes through at most levels+1 sparsifications, so running the

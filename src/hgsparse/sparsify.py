@@ -7,24 +7,19 @@ rounded down to whole copies (the Benczur-Karger reduction), sampled at eps/3.
 Each copy is kept with probability p = min(1, rho/kappa_e), where kappa_e is
 its weakest clique slot strength under a gamma-balanced assignment and rho
 grows like gamma^2 log(n)/eps^2; the constant 0.38 in rho comes from the
-Chernoff bound used in the analysis.  The draw is an exact Bernoulli(p) on
-the rational p = a/D: the first `getrandbits(D.bit_length())` below D, the
-stream of `randrange(D)`, compared with the numerator a.  A copy with p = 1
-is kept without a draw.  When rho is at least the copy count m', p = 1 on
-every copy, and nothing is expanded, balanced or drawn.
+Chernoff bound used in the analysis.  When rho is at least the copy count
+m', p = 1 on every copy, and nothing is expanded, balanced or drawn.
 
 Nothing is expanded per copy: balancing reads edge j as counts[j] copies
 (its groups keep runs of copies with equal units), all copies of edge j lie
 in one group, so the plan holds counts[j] and one p per edge, and the
-sampler draws edge j's copies in a row and emits one edge of weight
-k/(p * scale) for its k kept copies, so every cut is preserved in
-expectation.
+sampler draws edge j's kept count k, an exact Binomial(counts[j], p), in
+O(log counts[j]) draws and emits one edge of weight k/(p * scale), so every
+cut is preserved in expectation.
 """
 
 from __future__ import annotations
 
-import functools
-import itertools
 import math
 import operator
 import random
@@ -164,10 +159,10 @@ def sample_sparsifier(h: WeightedHypergraph, plan: SamplingPlan, seed: int) -> S
     weight k * w / p, and an edge with none is dropped.  Identical
     (hypergraph, plan, seed) gives identical output.
 
-    A copy with p = a/D < 1 draws `getrandbits(D.bit_length())` until the
-    draw falls below D, and is kept when that draw is below a: the RNG stream
-    of `randrange(D) < a`, one accepted draw per such copy, in edge order.  A
-    copy with p = 1 is kept without touching the RNG."""
+    At p = a/D < 1 a copy is kept when its uniform U is below p, read one
+    binary digit at a time (Knuth-Yao) for the edge's u undecided copies at
+    once: `getrandbits(u)` holds the next bit of each, against p's next digit
+    by long division.  Edges draw in edge order; p = 1 draws nothing."""
     if not h.m == len(plan.p) == len(plan.counts):
         raise ValueError("plan does not match the hypergraph edge count")
     getrandbits = random.Random(seed).getrandbits
@@ -179,11 +174,14 @@ def sample_sparsifier(h: WeightedHypergraph, plan: SamplingPlan, seed: int) -> S
             kept.append(HyperEdge(e.vertices, count * e.weight))
             origin.append(j)
             continue
-        # each copy's first draw below den, drawn lazily so that none is made
-        # past the edge's last copy; the copy is kept when it is below num
-        draws = map(getrandbits, itertools.repeat(den.bit_length()))
-        accepted = itertools.islice(filter(functools.partial(operator.gt, den), draws), count)
-        k = sum(map(operator.gt, itertools.repeat(num), accepted))
+        k, u, r = 0, count, num  # kept and undecided copies, remainder of p
+        while u and r:  # r = 0: p's later digits are 0, so the rest have U >= p
+            r <<= 1
+            ones = getrandbits(u).bit_count()
+            if r >= den:  # p's digit is 1: the copies with a 0 are below p
+                r, k, u = r - den, k + u - ones, ones
+            else:  # p's digit is 0: the copies with a 1 are above p
+                u -= ones
         if k:
             kept.append(HyperEdge(e.vertices, k * e.weight / pe))
             origin.append(j)

@@ -8,7 +8,9 @@ with its per-iteration record, the src-class bound of a peel tree by a
 running max, the balance state's grouping one copy at a
 time, the per-copy strength views of a balanced assignment, the weighted
 reduction expanded into its unit copies, the sampler one unit copy at a
-time, and the mean cut error by a running sum.
+time (by `randrange`, and by the bitwise draws of the library), exact bounds
+on the law of an edge's kept count under the library's draws, and the mean
+cut error by a running sum.
 
 The library keeps what its samplers, pipeline, CLI and demos run; these
 recompute from first principles and back the fast paths at small scale.
@@ -21,7 +23,9 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from types import SimpleNamespace
 from typing import Iterable, Iterator, Optional, Sequence
+from unittest import mock
 
 from hgsparse import (
     AssignmentGroup,
@@ -45,6 +49,7 @@ from hgsparse import (
     sparsify_weighted,
     transfer_step,
 )
+from hgsparse import sparsify
 from hgsparse.balance import BadEdge, BalanceState
 from hgsparse.graph import _adjacency, _sigma, _stoer_wagner
 from hgsparse.sparsify import check_epsilon
@@ -87,9 +92,9 @@ def single_steps(state: BalanceState, iteration_cap: Optional[int] = None
 
 def src_class_fails(chain, src: tuple[int, int], dst: tuple[int, int], j: int) -> dict:
     """Per block of src's chain, whether the src-class bound fails for the
-    move from state j to j + 1, by the running max `StrengthTree.shift` used
-    before the bound had one definition: the block's new value λ(j + 1)
-    reaches k(j), the largest λ_K(j) of the blocks K from it down."""
+    move from state j to j + 1, by a running max kept apart from the lines
+    of `graph._src_class`: the block's new value λ(j + 1) reaches k(j), the
+    largest λ_K(j) of the blocks K from it down."""
     fails, k = {}, 0
     for node in reversed(chain):
         sigma = _sigma(node, src, dst)
@@ -422,6 +427,119 @@ def sample_per_copy(
     for j, e in kept:
         folded[j] = folded.get(j, Fraction(0)) + e.weight
     return [(j, HyperEdge(h.edges[j].vertices, w)) for j, w in folded.items()]
+
+
+def sample_bitwise_per_copy(
+    h: WeightedHypergraph, plan: SamplingPlan, seed: int
+) -> list[tuple[int, HyperEdge]]:
+    """`sparsify.sample_sparsifier`'s draws one unit copy at a time: edge j
+    expands to plan.counts[j] copies holding p = plan.p[j].  At p < 1 each
+    copy reads its own uniform U one binary digit per round: in round i,
+    bit t of `getrandbits(len(undecided))` is the i-th digit of the t-th
+    undecided copy, which is kept when it is below p's i-th digit
+    floor(p 2^i) mod 2, dropped when above it, and undecided when equal.
+    The rounds stop when no copy is undecided or p 2^i is an integer, whose
+    later digits are all 0.  A kept copy weighs w/p (w when p = 1), and the
+    kept copies of each input edge are folded by one `Fraction` add per
+    copy.  Returns (input edge, folded edge) per input edge with a kept
+    copy."""
+    getrandbits = random.Random(seed).getrandbits
+    out = []
+    for j, (e, count, pe) in enumerate(zip(h.edges, plan.counts, plan.p)):
+        copies = range(count)
+        if pe >= 1:
+            kept = list(copies)
+        else:
+            kept, undecided, i = [], list(copies), 0
+            while undecided and (pe * 2**i).denominator != 1:
+                i += 1
+                digit = math.floor(pe * 2**i) % 2
+                bits = getrandbits(len(undecided))
+                still = []
+                for t, c in enumerate(undecided):
+                    bit = bits >> t & 1
+                    if bit < digit:
+                        kept.append(c)
+                    elif bit == digit:
+                        still.append(c)
+                undecided = still
+        total = Fraction(0)
+        for _ in kept:
+            total += e.weight if pe >= 1 else e.weight / pe
+        if kept:
+            out.append((j, HyperEdge(e.vertices, total)))
+    return out
+
+
+class _FirstDrawStub:
+    """Stands in for `random.Random`: the first `getrandbits(u)` returns
+    `first` one-bits and every later one u one-bits, each u recorded."""
+
+    def __init__(self, first: int):
+        self.first, self.calls = first, []
+
+    def getrandbits(self, u: int) -> int:
+        ones = u if self.calls else self.first
+        self.calls.append(u)
+        if len(self.calls) > 10**4:
+            raise RuntimeError("an edge drew all-one bits 10^4 times without stopping")
+        return (1 << ones) - 1
+
+
+def bitwise_law(n: int, p: Fraction, depth: int) -> tuple[dict[int, Fraction], Fraction]:
+    """Exact bounds on the law of the kept count of one edge of n copies at
+    0 < p < 1 under `sparsify.sample_sparsifier`'s draws: (lower,
+    undecided), lower[k] the probability that the edge keeps k copies within
+    `depth` draws and undecided the probability that it needs more, so
+    P(kept = k) lies in [lower[k], lower[k] + undecided].
+
+    The chain is over (kept so far, undecided copies u, remainder), and each
+    level branches over the count j of one-bits in `getrandbits(u)`, with
+    weight C(u, j) / 2^u.  Its steps are read off the library: between
+    draws the edge's loop carries only the three, and the remainder stands
+    for p's unread digits, q = p 2^i mod 1 after i draws, so from (k, u) it
+    runs as a fresh edge of u copies at q, plus k.  Such an edge whose first
+    draw has j one-bits either stops, keeping what it returns, or asks next
+    for u' bits; then k grows by its kept count when every later draw is all
+    ones, less that of an edge of u' copies at 2q mod 1 under all-one draws
+    alone."""
+    unit = WeightedHypergraph(2, (HyperEdge((1, 2)),))
+    stub = _FirstDrawStub(0)
+    probes: dict[tuple[int, Fraction, int], tuple[int, list[int]]] = {}
+
+    def probe(u: int, q: Fraction, first: int) -> tuple[int, list[int]]:
+        """The kept count and draw sizes of an edge of u copies at q."""
+        if (u, q, first) not in probes:
+            stub.first, stub.calls = first, []
+            plan = SamplingPlan(0.5, 2, 1, Fraction(1), 2, (u,), (q,))
+            res = sparsify.sample_sparsifier(unit, plan, 0)
+            kept = res.hypergraph.edges[0].weight * q if res.m_out else 0
+            probes[u, q, first] = int(kept), stub.calls
+        return probes[u, q, first]
+
+    # masses are integers over 2^(n * level): C(u, j) / 2^u is
+    # C(u, j) 2^(n - u) / 2^n with u <= n
+    lower: dict[int, int] = {}
+    states, q = {n: {0: 1}}, p
+    with mock.patch.object(sparsify, "random", SimpleNamespace(Random=lambda seed: stub)):
+        for _ in range(depth):
+            lower = {k: m << n for k, m in lower.items()}
+            nxt: dict[int, dict[int, int]] = {}
+            for u, masses in states.items():
+                for j in range(u + 1):
+                    weight = math.comb(u, j) << (n - u)
+                    kept, calls = probe(u, q, j)
+                    if len(calls) < 2:
+                        step, row = kept, lower
+                    else:
+                        step = kept - probe(calls[1], 2 * q % 1, calls[1])[0]
+                        row = nxt.setdefault(calls[1], {})
+                    for k, m in masses.items():
+                        row[k + step] = row.get(k + step, 0) + m * weight
+            states, q = nxt, 2 * q % 1
+    scale = 1 << (n * depth)
+    undecided = sum(m for masses in states.values() for m in masses.values())
+    return {k: Fraction(m, scale) for k, m in lower.items()}, Fraction(undecided, scale)
 
 
 def mean_rel_error_loop(report: QualityReport):

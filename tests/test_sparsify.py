@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from conftest import BALANCE_INSTANCES, bucket_cases, fraction_builds
 from hgsparse import sparsify
 from hgsparse import (
@@ -37,7 +38,15 @@ from hgsparse import (
     sparsify_weighted,
     theoretical_rho,
 )
-from oracles import copy_counts_loop, expand_copies, kappa_by_copy, mask_of, sample_per_copy
+from oracles import (
+    bitwise_law,
+    copy_counts_loop,
+    expand_copies,
+    kappa_by_copy,
+    mask_of,
+    sample_bitwise_per_copy,
+    sample_per_copy,
+)
 
 
 def edges_of(h):
@@ -172,67 +181,75 @@ class TestSampleSparsifier:
         for idx, e in zip(res.origin, res.hypergraph.edges):
             assert e.weight * plan.p[idx] == h.edges[idx].weight
 
-    @pytest.mark.parametrize("p", [Fraction(1, 3), Fraction(2, 7), Fraction(2**60 + 1, 2**61 + 3)],
-                             ids=["one_third", "two_sevenths", "denominator_past_2_53"])
+    @pytest.mark.parametrize("p", [Fraction(1, 3), Fraction(2, 7), Fraction(2**60 + 1, 2**61 + 3),
+                                   Fraction(3, 8)],
+                             ids=["one_third", "two_sevenths", "denominator_past_2_53",
+                                  "three_eighths"])
     def test_each_draw_outcome_keeps_below_the_numerator(self, monkeypatch, p):
-        # a copy draws getrandbits(k), k = den.bit_length(), until the draw
-        # falls below den, as randrange(den) does, so its accepted draw is
-        # uniform over 0..den-1; exactly the draws below the numerator keep
-        # it, so it is kept with probability exactly p.  A draw of den or
-        # more is redrawn and decides nothing.  A denominator past 2^53 is
-        # checked at its boundary
-        k = p.denominator.bit_length()
-        if p.denominator < 100:
-            outcomes = list(range(p.denominator))
-        else:
-            outcomes = [0, p.numerator - 1, p.numerator, p.denominator - 1]
-        rejected = sorted({p.denominator, 2**k - 1})
-        stub = StubRandom(rejected + outcomes)
+        # one copy reads its U one bit per draw, getrandbits(1), against p's
+        # binary digits: after i - 1 bits equal to p's digits, a bit below
+        # p's i-th digit keeps it and a bit above drops it, so it is kept
+        # exactly when U < p.  A dyadic p stops after its last 1 digit, with
+        # the copy dropped, since the U that is left is >= p.  A denominator
+        # past 2^53 is read to depths past float precision
+        digits = [math.floor(p * 2**i) % 2 for i in range(1, 71)]
+        dyadic_depth = next((i for i in range(71) if (p * 2**i).denominator == 1), None)
         monkeypatch.setattr(sparsify, "random", SimpleNamespace(Random=lambda seed: stub))
         h = WeightedHypergraph(2, (HyperEdge((1, 2), Fraction(3, 2)),))
         plan = SamplingPlan(0.5, 2, 1, Fraction(1), 2, (1,), (p,))
-        kept = [u for u in outcomes if sample_sparsifier(h, plan, seed=0).m_out]
-        # the first copy drew the rejected outcomes and then outcomes[0], and
-        # every outcome was drawn
-        assert stub.calls == [k] * (len(rejected) + len(outcomes))
-        assert next(stub.outcomes, None) is None
-        assert kept == [u for u in outcomes if u < p.numerator]
-        if p.denominator < 100:
-            assert len(kept) == p.numerator
+        for i in range(1, (dyadic_depth or 70) + 1):
+            stub = StubRandom(digits[:i - 1] + [1 - digits[i - 1]])
+            res = sample_sparsifier(h, plan, seed=0)
+            assert stub.calls == [1] * i
+            assert next(stub.outcomes, None) is None
+            assert res.m_out == digits[i - 1]
+        if dyadic_depth is not None:
+            stub = StubRandom(digits[:dyadic_depth])
+            assert sample_sparsifier(h, plan, seed=0).m_out == 0
+            assert stub.calls == [1] * dyadic_depth
 
     def test_one_draw_per_copy_below_one(self, monkeypatch):
-        # one accepted draw per p < 1 copy, in edge order, each of its own
-        # denominator's bit length; a draw at or past the denominator is
-        # redrawn for the same copy; p = 1 edges draw nothing; an edge's k
-        # kept copies weigh exactly k * w / p, and an edge that keeps none
-        # is dropped
+        # each p < 1 edge draws getrandbits(u) for its u undecided copies,
+        # one draw per binary digit of p, in edge order, and only the count
+        # of one-bits matters: on a 1 digit the copies with a 0 are kept, on
+        # a 0 digit the copies with a 1 are dropped.  p = 1 edges draw
+        # nothing; a dyadic p stops once its digits run out; an edge's k kept
+        # copies weigh exactly k * w / p, and an edge that keeps none is
+        # dropped
         ps = (Fraction(1, 3), Fraction(1), Fraction(2, 7), Fraction(1), Fraction(5, 11),
-              Fraction(1, 3))
-        counts = (2, 3, 1, 1, 2, 1)
-        # edge 0 keeps both copies, edge 2 one after a redraw, edge 4 one of
-        # two after a redraw, and edge 5 none
-        stub = StubRandom([0, 0, 7, 0, 15, 0, 5, 1])
+              Fraction(1, 3), Fraction(3, 4))
+        counts = (2, 3, 1, 1, 2, 1, 3)
+        # 1/3 = 0.0101..., 2/7 = 0.010010..., 5/11 = 0.0111010001..., 3/4 = 0.11
+        outcomes = [0b00, 0b00,  # edge 0: both equal, then both below a 1: k = 2
+                    0, 1, 0, 0, 0,  # edge 2: four digits equal, then below a 1: k = 1
+                    0b10, 1, 0,  # edge 4: one above a 0, one equal to 0.01, then below: k = 1
+                    1,  # edge 5: above a 0: k = 0
+                    0b110, 0b11]  # edge 6: one below a 1, two equal to 0.11: k = 1
+        stub = StubRandom(outcomes)
         monkeypatch.setattr(sparsify, "random", SimpleNamespace(Random=lambda seed: stub))
-        h = WeightedHypergraph(3, tuple(HyperEdge((1, 2, 3), Fraction(k, 2)) for k in range(1, 7)))
+        h = WeightedHypergraph(3, tuple(HyperEdge((1, 2, 3), Fraction(k, 2)) for k in range(1, 8)))
         res = sample_sparsifier(h, SamplingPlan(0.5, 2, 1, Fraction(1), 3, counts, ps), seed=0)
-        assert stub.calls == [2, 2, 3, 3, 4, 4, 4, 2]
-        assert res.origin == (0, 1, 2, 3, 4)
-        assert (res.m_in, res.m_out) == (6, 5)
+        assert stub.calls == [2, 2, 1, 1, 1, 1, 1, 2, 1, 1, 1, 3, 2]
+        assert next(stub.outcomes, None) is None
+        assert res.origin == (0, 1, 2, 3, 4, 6)
+        assert (res.m_in, res.m_out) == (7, 6)
         assert [e.weight for e in res.hypergraph.edges] == [
-            k * e.weight / pe for k, e, pe in zip((2, 3, 1, 1, 1), h.edges, ps)]
+            k * h.edges[j].weight / ps[j] for k, j in zip((2, 3, 1, 1, 1, 1), res.origin)]
 
-    @given(st.lists(st.tuples(st.fractions(Fraction(1, 10**20), 1), st.integers(1, 6),
+    @given(st.lists(st.tuples(st.fractions(Fraction(1, 10**20), 1), st.integers(1, 40),
                               st.fractions(Fraction(1, 4), 4)), min_size=1, max_size=8),
            st.integers(0, 2**32))
     @settings(max_examples=60, deadline=None)
     def test_matches_per_copy_randrange_draws(self, runs, seed):
         # (p, count, w) per input edge, with p denominators far past 2^53:
-        # the oracle expands every edge into its copies, draws each with
-        # randrange and folds the kept copies of each edge by Fraction adds
+        # the oracle expands every edge into its copies, reads each copy's
+        # own bits of the same draws and folds the kept copies of each edge
+        # by Fraction adds.  The per-copy randrange stream is no longer the
+        # sampler's; its law is, which `TestBitwiseLaw` checks exactly
         ps, counts, weights = zip(*runs)
         h = WeightedHypergraph(2, tuple(HyperEdge((1, 2), w) for w in weights))
         plan = SamplingPlan(0.5, 2, 1, Fraction(1), 2, counts, ps)
-        res = sample_per_copy(h, plan, seed)
+        res = sample_bitwise_per_copy(h, plan, seed)
         out = sample_sparsifier(h, plan, seed)
         assert list(zip(out.origin, out.hypergraph.edges)) == res
         assert (out.m_in, out.m_out) == (h.m, len(res))
@@ -295,7 +312,8 @@ class TestSamplerOps:
         for copies in (8, 16):
             plan = SamplingPlan(0.5, 2, 1, Fraction(1), 5, (copies,) * len(ps), ps)
             res = sample_sparsifier(h, plan, seed)
-            assert list(zip(res.origin, res.hypergraph.edges)) == sample_per_copy(h, plan, seed)
+            assert list(zip(res.origin, res.hypergraph.edges)) == sample_bitwise_per_copy(
+                h, plan, seed)
             # every edge keeps a copy, and some copy is dropped
             assert res.origin == (0, 1, 2, 3)
             assert sum(e.weight * pe / f.weight
@@ -303,6 +321,76 @@ class TestSamplerOps:
             assert hyperedge_builds(monkeypatch, lambda: sample_sparsifier(h, plan, seed)) == 4
             built.append(fraction_builds(monkeypatch, lambda: sample_sparsifier(h, plan, seed)))
         assert 0 < built[0] == built[1]
+
+    @pytest.mark.parametrize("p", [Fraction(1, 3), Fraction(5, 7), Fraction(3, 8),
+                                   Fraction(2**60 + 1, 2**61 + 3)])
+    def test_draws_grow_with_log_count(self, monkeypatch, p):
+        # each draw decides about half the undecided copies, whatever p's
+        # digit, so one edge of 10 to 10^7 copies takes O(log count) draws
+        class Counted:
+            def __init__(self, seed):
+                self.rng, self.calls = random.Random(seed), 0
+
+            def getrandbits(self, k):
+                self.calls += 1
+                return self.rng.getrandbits(k)
+
+        made = []
+
+        def counted(seed):
+            made.append(Counted(seed))
+            return made[-1]
+
+        monkeypatch.setattr(sparsify, "random", SimpleNamespace(Random=counted))
+        h = WeightedHypergraph(2, (HyperEdge((1, 2)),))
+        for count in (10, 10**3, 10**6, 10**7):
+            for seed in (0, 1):
+                res = sample_sparsifier(h, SamplingPlan(0.5, 2, 1, Fraction(1), 2, (count,), (p,)),
+                                        seed)
+                assert 1 <= made[-1].calls <= 64
+                if count >= 10**3:
+                    k = res.hypergraph.edges[0].weight * p
+                    assert abs(k - count * p) < 6 * math.sqrt(count * p * (1 - p))
+
+
+class TestBitwiseLaw:
+    """The law of an edge's kept count under the sampler's bitwise draws is
+    Binomial(count, p), the law of the per-copy `randrange` draws."""
+
+    def test_bounds_hold_the_binomial(self):
+        # every n <= 6 and p = a/D with D <= 9, to 40 draws: the undecided
+        # mass is below 6 * 2^-40, so the bracket pins every P(kept = k)
+        for n in range(1, 7):
+            for den in range(2, 10):
+                for num in range(1, den):
+                    p = Fraction(num, den)
+                    lower, undecided = bitwise_law(n, p, 40)
+                    assert sum(lower.values()) + undecided == 1
+                    assert undecided < Fraction(6, 2**40)
+                    for k in range(n + 1):
+                        law = math.comb(n, k) * p**k * (1 - p)**(n - k)
+                        assert lower.get(k, 0) <= law <= lower.get(k, 0) + undecided, (n, p, k)
+
+    def test_binomial_is_the_per_copy_law(self, monkeypatch):
+        # `sample_per_copy` keeps a copy when randrange(D) < a: over every
+        # outcome of its n draws, each of weight D^-n, it keeps k copies
+        # with probability C(n, k) p^k (1 - p)^(n - k)
+        h = WeightedHypergraph(2, (HyperEdge((1, 2)),))
+        for n in range(1, 4):
+            for den in range(2, 6):
+                for num in range(1, den):
+                    p = Fraction(num, den)
+                    plan = SamplingPlan(0.5, 2, 1, Fraction(1), 2, (n,), (p,))
+                    law = [Fraction(0)] * (n + 1)
+                    for draws in itertools.product(range(p.denominator), repeat=n):
+                        stub = SimpleNamespace(randrange=lambda bound, it=iter(draws): next(it))
+                        monkeypatch.setattr(oracles, "random",
+                                            SimpleNamespace(Random=lambda seed: stub))
+                        kept = sample_per_copy(h, plan, 0)
+                        k = int(kept[0][1].weight * p) if kept else 0
+                        law[k] += Fraction(1, p.denominator**n)
+                    assert law == [math.comb(n, k) * p**k * (1 - p)**(n - k)
+                                   for k in range(n + 1)]
 
 
 class TestReduceWeighted:
@@ -447,25 +535,19 @@ class TestSparsifyWeighted:
     def test_fold_matches_per_copy_sums_on_shared_edges(self):
         # adjacent input edges that are one object reduce to one run of
         # copies; each input edge still weighs its own kept copies' summed
-        # weight, as it does when the inputs are equal but distinct objects
+        # weight, as it does when the inputs are equal but distinct objects:
+        # the oracle balances the unit copies and folds each copy it keeps
         e, f = HyperEdge((1, 2)), HyperEdge((2, 3), Fraction(3, 2))
         shared = WeightedHypergraph(3, (e, e, f, f, e))
         distinct = WeightedHypergraph(3, tuple(HyperEdge(x.vertices, x.weight)
                                                for x in shared.edges))
-        scale, counts = copy_counts(shared, 0.5)
-        unit, origin = expand_copies(shared, counts)
-        plan = make_plan(run_balance(unit), 0.5 / 3, rho_override=Fraction(2))
-        assert all(p < 1 for p in plan.p)
         dropped = set()
         for seed in range(6):
             res = sparsify_weighted(shared, 0.5, seed=seed, rho_override=Fraction(2))
             assert res == sparsify_weighted(distinct, 0.5, seed=seed, rho_override=Fraction(2))
-            sample = sample_sparsifier(unit, plan, seed)
-            sums = {}
-            for c, kept in zip(sample.origin, sample.hypergraph.edges):
-                sums[origin[c]] = sums.get(origin[c], 0) + kept.weight
-            assert [(e.vertices, e.weight) for e in res.hypergraph.edges] == [
-                (shared.edges[j].vertices, w / scale) for j, w in sums.items()]
+            out, origin, _, plan, _ = slow_weighted(shared, 0.5, 2, 1, seed, Fraction(2))
+            assert all(p < 1 for p in plan.p)
+            assert (res.hypergraph, res.origin) == (out, origin)
             dropped |= set(range(shared.m)) - set(res.origin)
         assert dropped
 
@@ -511,8 +593,8 @@ def slow_unweighted(h, epsilon, gamma, d, seed, rho_override):
 def slow_weighted(h, epsilon, gamma, d, seed, rho_override):
     """sparsify_weighted without the p = 1 shortcut: expand into unit
     copies, balance and plan them, give each input edge its first copy's p,
-    then sample every unit copy of weight 1/scale on its own and fold the
-    kept copies of each input edge."""
+    then decide every unit copy of weight 1/scale on its own bits of the
+    sampler's draws and fold the kept copies of each input edge."""
     scale, counts = copy_counts(h, epsilon)
     reduced, _ = expand_copies(h, counts)
     assignment = run_balance(reduced, gamma)
@@ -521,7 +603,7 @@ def slow_weighted(h, epsilon, gamma, d, seed, rho_override):
     plan = dataclasses.replace(per_copy, counts=tuple(counts),
                                p=tuple(per_copy.p[s] for s, _ in zip(starts, counts)))
     units = WeightedHypergraph(h.n, tuple(HyperEdge(e.vertices, 1 / scale) for e in h.edges))
-    kept = sample_per_copy(units, plan, seed)
+    kept = sample_bitwise_per_copy(units, plan, seed)
     out = WeightedHypergraph(h.n, tuple(e for _, e in kept))
     return out, tuple(j for j, _ in kept), plan.sum_p(), plan, assignment
 
