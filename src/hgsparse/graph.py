@@ -72,17 +72,23 @@ from .hypergraph import WeightedHypergraph, as_weight, weight_sum
 
 class UnionFind:
     """Connected components: disjoint sets over `ids`, with the vertices of
-    each of `vertex_sets` (an edge; a pair is a 2-set) joined into one."""
+    each of `vertex_sets` (an edge; a pair is a 2-set) joined into one.
+
+    Every vertex of every set must lie in `ids`.  Joining stops once one
+    set is left, so a stray id in a later set is not caught."""
 
     __slots__ = ("parent", "rank")
 
     def __init__(self, ids: Iterable[int], vertex_sets: Iterable[Sequence[int]] = ()):
         self.parent = {i: i for i in ids}
         self.rank = {i: 0 for i in self.parent}
+        sets = len(self.parent)
         for verts in vertex_sets:
             first = verts[0]
             for v in verts[1:]:
-                self.union(first, v)
+                sets -= self.union(first, v)
+            if sets == 1:
+                break
 
     def find(self, x: int) -> int:
         p = self.parent

@@ -20,10 +20,12 @@ the original vertex set, and the flush fold when no parallel edge joins it.
 So a flush builds new edges only for what it changes.
 
 Weights are summed and compared as ints per denominator: `weight_sum` adds
-the numerators of each denominator and `min_weight` compares them, so the
-bucket weights, the flush fold and both minimum weights take one `Fraction`
-operation per distinct denominator, not one per edge; `bucket_by_weight`
-tests each bound by integer cross-multiplication.  At p = 1 the denominator
+the numerators of each denominator, merges the denominators by integer gcd
+steps and normalizes once, so the bucket weights and the flush fold build
+one `Fraction` per sum and make no `Fraction` add; `min_weight` compares
+the numerators, so both minimum weights take one `Fraction` compare per
+distinct denominator, not one per edge; `bucket_by_weight` tests each bound
+by integer cross-multiplication.  At p = 1 the denominator
 of every output weight of one `sparsify_weighted` call divides the numerator
 of its scale, so a bucket holds few distinct denominators.
 """

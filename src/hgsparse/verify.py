@@ -2,7 +2,7 @@
 
 Cut weights are recomputed by direct enumeration, over all cuts up to an
 exhaustive limit and over a seeded uniform sample above it.  The weights of a
-cut's crossing edges are summed by `weight_sum`, as ints per denominator.
+cut's crossing edges are summed by `weight_sum`, as ints normalized once.
 Errors are exact rationals, and the mean adds them pairwise, since they
 rarely share a denominator; the only float is the infinity reported when a
 sparsifier invents weight on a cut the input does not have.

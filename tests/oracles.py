@@ -9,8 +9,10 @@ running max, the balance state's grouping one copy at a
 time, the per-copy strength views of a balanced assignment, the weighted
 reduction expanded into its unit copies, the sampler one unit copy at a
 time (by `randrange`, and by the bitwise draws of the library), exact bounds
-on the law of an edge's kept count under the library's draws, and the mean
-cut error by a running sum.
+on the law of an edge's kept count under the library's draws, the mean
+cut error by a running sum, exact sums by one `Fraction` per denominator,
+the edge-line parser by `Fraction(tok)` on every weight, and connected
+components that read every vertex set.
 
 The library keeps what its samplers, pipeline, CLI and demos run; these
 recompute from first principles and back the fast paths at small scale.
@@ -34,6 +36,7 @@ from hgsparse import (
     ContractionMap,
     Cut,
     HyperEdge,
+    ParseError,
     QualityReport,
     SamplingPlan,
     UnionFind,
@@ -326,6 +329,62 @@ def cut_weight_loop(h: WeightedHypergraph, cut: Cut) -> Fraction:
         if em & cut.mask and em & inv:
             total += e.weight
     return total
+
+
+def weight_sum_by_fractions(ws: Iterable[Fraction]) -> Fraction:
+    """`hypergraph.weight_sum` as it was before it merged the denominators
+    by integer gcd steps: the int sum of each denominator's numerators made
+    a `Fraction`, and those added."""
+    by_den: dict[int, int] = {}
+    for w in ws:
+        d = w.denominator
+        by_den[d] = by_den.get(d, 0) + w.numerator
+    if not by_den:
+        return Fraction(0)
+    first, *rest = (Fraction(n, d) for d, n in by_den.items())
+    return sum(rest, first)
+
+
+def parse_edge_line_by_fraction(lineno: int, toks: Sequence[str], n: int, fmt: int
+                                ) -> HyperEdge:
+    """`hypergraph.parse_edge_line` as it was before integer weight tokens
+    skipped `Fraction`'s string parser: `Fraction(tok)` on every weight, and
+    a range check on every vertex."""
+    if fmt == 1:
+        if len(toks) < 2:
+            raise ParseError(lineno, "weighted edge line needs a weight and vertices")
+        try:
+            w = Fraction(toks[0])
+        except (ValueError, ZeroDivisionError):
+            raise ParseError(lineno, f"bad weight {toks[0]!r}") from None
+        vtoks = toks[1:]
+    else:
+        w = Fraction(1)
+        vtoks = toks
+    try:
+        verts = sorted({int(t) for t in vtoks})
+    except ValueError:
+        raise ParseError(lineno, "bad vertex id") from None
+    for v in verts:
+        if not 1 <= v <= n:
+            raise ParseError(lineno, f"vertex id {v} out of range [1,{n}]")
+    if len(verts) < 2:
+        raise ParseError(lineno, "hyperedge has fewer than 2 distinct vertices")
+    if w.numerator <= 0:
+        raise ParseError(lineno, f"non-positive weight {toks[0]}")
+    return HyperEdge(tuple(verts), w)
+
+
+def components_full_join(ids: Iterable[int], vertex_sets: Iterable[Sequence[int]]
+                         ) -> list[frozenset[int]]:
+    """`graph.UnionFind(ids, vertex_sets).groups()` by merging whole label
+    sets, reading every vertex set to the end."""
+    comp = {i: frozenset((i,)) for i in ids}
+    for verts in vertex_sets:
+        merged = frozenset().union(*(comp[v] for v in verts))
+        for v in merged:
+            comp[v] = merged
+    return sorted(set(comp.values()), key=min)
 
 
 def format_weight_loop(w: Fraction) -> str:

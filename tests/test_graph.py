@@ -24,7 +24,7 @@ from hgsparse import (
 from hgsparse import balance, graph
 from hgsparse.graph import StrengthTree, _merged_min_cut, _stoer_wagner
 from conftest import mg, random_hypergraph, random_multigraph
-from oracles import global_min_cut, heavy_core, src_class_fails
+from oracles import components_full_join, global_min_cut, heavy_core, src_class_fails
 
 TRIANGLE = [(1, 2, 1), (2, 3, 1), (1, 3, 1)]
 # two unit triangles joined by one bridge edge
@@ -536,3 +536,24 @@ class TestUnionFind:
         assert uf.find(1) == uf.find(2)
         assert uf.find(1) != uf.find(3)
         assert uf.groups() == [frozenset({1, 2}), frozenset({3, 4})]
+
+    def test_joining_stops_at_one_set(self):
+        joins = []
+
+        class Counted(UnionFind):
+            def union(self, a, b):
+                joins.append((a, b))
+                return super().union(a, b)
+
+        # one set is left after (3, 4); the sets after it are not read
+        sets = [(1, 2), (2, 3), (3, 4), (1, 4), (2, 3, 4)]
+        assert Counted(range(1, 5), sets).groups() == [frozenset({1, 2, 3, 4})]
+        assert joins == [(1, 2), (2, 3), (3, 4)]
+        assert UnionFind(range(1, 5), sets).groups() == components_full_join(range(1, 5), sets)
+
+    @given(st.integers(1, 7), st.data())
+    def test_groups_match_a_full_join(self, n, data):
+        sets = data.draw(st.lists(
+            st.lists(st.integers(1, n), min_size=1, max_size=4), max_size=10))
+        ids = range(1, n + 1)
+        assert UnionFind(ids, sets).groups() == components_full_join(ids, sets)

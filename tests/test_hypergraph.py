@@ -21,8 +21,14 @@ from hgsparse import (
     parse_hypergraph,
     serialize_hypergraph,
 )
-from hgsparse.hypergraph import min_weight, weight_sum
-from oracles import format_weight_loop, mask_of
+from conftest import fraction_builds, fraction_op_counts
+from hgsparse.hypergraph import min_weight, parse_edge_line, weight_sum
+from oracles import (
+    format_weight_loop,
+    mask_of,
+    parse_edge_line_by_fraction,
+    weight_sum_by_fractions,
+)
 
 
 class SubFraction(Fraction):
@@ -33,6 +39,29 @@ class SubFraction(Fraction):
 WEIGHT_LISTS = st.lists(st.builds(
     Fraction, st.integers(1, 10**30),
     st.sampled_from([1, 3, 2**64 + 13]) | st.integers(1, 2**100)), max_size=30)
+
+# 0 to 60 terms over powers of 2, small primes and random 61-bit ints
+MIXED_DENOMINATORS = st.lists(st.builds(
+    Fraction, st.integers(-10**20, 10**20),
+    st.integers(0, 64).map(lambda k: 2**k) | st.sampled_from([3, 5, 7, 11, 13])
+    | st.integers(2**60, 2**61 - 1)), max_size=60)
+
+# each one parses alike in both weight parsers, or fails alike; \u0663 is an
+# Arabic-Indic 3 and \uff11\uff12 a full-width 12
+WEIGHT_TOKENS = ["007", "+3", "-0", "3_0", "\u0663", "\uff11\uff12", "1e3", "3/4",
+                 "1/0", "nan", "inf", "0", "12", "2.5", "-2", "0x10", "\u0663/4", ""]
+# n = 5: in range; out of range below, above (two ids, the lower one named)
+# or both; too few distinct ids; not a number
+VERTEX_TOKENS = [["1", "2"], ["5", "3", "1"], ["0", "3"], ["3", "7", "6"], ["-1", "9", "7"],
+                 ["3", "3"], ["x", "2"], ["2"]]
+
+
+def parse_outcome(parse, toks, n, fmt):
+    """The edge a line parser returns, or the line and message it raises."""
+    try:
+        return parse(7, toks, n, fmt)
+    except ParseError as ex:
+        return ex.line, str(ex)
 
 
 class TestWeightArithmetic:
@@ -45,16 +74,22 @@ class TestWeightArithmetic:
     def test_min_is_the_same_object_as_min(self, ws):
         assert min_weight(iter(ws)) is min(ws)
 
-    def test_one_fraction_add_per_extra_denominator(self, monkeypatch):
-        adds = []
-        for name in ("__add__", "__radd__"):
-            def counted(*args, _real=getattr(Fraction, name)):
-                adds.append(args)
-                return _real(*args)
-            monkeypatch.setattr(Fraction, name, counted)
-        thirds = [Fraction(1, 3), Fraction(2, 3), Fraction(4, 3)]
-        assert weight_sum(thirds) == Fraction(7, 3) and adds == []
-        assert weight_sum(thirds + [Fraction(1, 2)]) == Fraction(17, 6) and len(adds) == 1
+    def test_no_fraction_add_and_one_build(self, monkeypatch):
+        # none, one and many distinct denominators, coprime or not, are all
+        # merged in ints and normalized once
+        dens = [3, 3, 2, 2**61 - 1, 10**30, 7, 12, 1]
+        for k in range(len(dens) + 1):
+            ws = [Fraction(j + 2, d) for j, d in enumerate(dens[:k])]
+            ops = fraction_op_counts(monkeypatch, lambda: weight_sum(ws))
+            assert ops["__add__"] == ops["__radd__"] == 0
+            assert fraction_builds(monkeypatch, lambda: weight_sum(ws)) == 1
+            assert weight_sum(ws) == sum(ws, Fraction(0))
+
+    @given(MIXED_DENOMINATORS)
+    def test_sum_matches_the_per_denominator_oracle(self, ws):
+        total = weight_sum(ws)
+        assert type(total) is Fraction
+        assert total == weight_sum_by_fractions(ws) == sum(ws, Fraction(0))
 
     @pytest.mark.parametrize("text, want", [
         ("0.1", Fraction(1, 10)), ("-2.50", Fraction(-5, 2)), ("1e-3", Fraction(1, 1000)),
@@ -113,6 +148,19 @@ class TestParse:
         h = parse_hypergraph("1 4 1\n1 4 4 2\n")
         assert h.edges[0].vertices == (2, 4)
         assert h.edges[0].weight == 1
+
+    @pytest.mark.parametrize("tok", WEIGHT_TOKENS)
+    def test_weight_tokens_match_the_fraction_parser(self, tok):
+        for verts in VERTEX_TOKENS:
+            assert (parse_outcome(parse_edge_line, [tok, *verts], 5, 1)
+                    == parse_outcome(parse_edge_line_by_fraction, [tok, *verts], 5, 1))
+
+    @given(st.lists(st.text("0123456789+-_/.e\u0663", min_size=1, max_size=6)
+                    | st.integers(-2, 8).map(str), min_size=1, max_size=5),
+           st.integers(1, 6), st.sampled_from([0, 1]))
+    def test_lines_match_the_fraction_parser(self, toks, n, fmt):
+        assert (parse_outcome(parse_edge_line, toks, n, fmt)
+                == parse_outcome(parse_edge_line_by_fraction, toks, n, fmt))
 
     def test_vertex_out_of_range(self):
         with pytest.raises(ParseError) as ex:
