@@ -1,8 +1,8 @@
 """One pass over an edge stream with merge-and-reduce buffers.
 
-Raw edges fill a fixed-capacity buffer; each full buffer is sparsified at a
-tightened inner epsilon and promoted one level, and two sketches on the same
-level merge into one a level higher.  Memory therefore stays within
+Raw edges fill a fixed-capacity buffer; each full buffer has its parallel
+edges summed, is sparsified at a tightened inner epsilon and is promoted one
+level, and two sketches on the same level merge into one a level higher.  Memory therefore stays within
 2 log2^2(m/n) times the buffer size no matter how long the stream runs; the
 final answer is one more sparsification of everything still buffered.
 """

@@ -116,13 +116,14 @@ class UnionFind:
 
 
 def collapse(h: WeightedHypergraph) -> dict[tuple[int, int], Fraction]:
-    """The pair weights of a 2-uniform hypergraph: parallel edges summed."""
-    sums: dict[tuple[int, int], Fraction] = {}
+    """The pair weights of a 2-uniform hypergraph: parallel edges summed by
+    `weight_sum`, pairs in order of first appearance."""
+    parallel: dict[tuple[int, int], list[Fraction]] = {}
     for e in h.edges:
         if e.size != 2:
             raise ValueError(f"a weighted multigraph needs 2-vertex edges, got {e.vertices}")
-        sums[e.vertices] = sums.get(e.vertices, Fraction(0)) + e.weight
-    return sums
+        parallel.setdefault(e.vertices, []).append(e.weight)
+    return {pair: weight_sum(ws) for pair, ws in parallel.items()}
 
 
 def _adjacency(n: int, pair_weights: Mapping[tuple[int, int], object]) -> dict[int, dict]:

@@ -16,12 +16,18 @@ An edge passes through a stage as the same `HyperEdge` object whenever the
 stage leaves its vertex set and weight unchanged: contraction when its image
 is its own vertex set, the per-component relabel when the component is
 already supervertices 1..k, the restore when the sampler's edge already has
-the original vertex set, and the flush fold when no parallel edge joins it.
+the original vertex set, and the stream's fold when no parallel edge joins it.
 So a flush builds new edges only for what it changes.
+
+The stream folds parallel edges before each sparsification, not after: a
+fold preserves every cut exactly, so each flush sparsifies distinct vertex
+sets only.  `fast_sparsify` emits at most one edge per input edge, restored
+to that edge's vertex set, so its output needs no second fold, and the
+stream's output holds at most one edge per vertex set.
 
 Weights are summed and compared as ints per denominator: `weight_sum` adds
 the numerators of each denominator, merges the denominators by integer gcd
-steps and normalizes once, so the bucket weights and the flush fold build
+steps and normalizes once, so the bucket weights and the stream's fold build
 one `Fraction` per sum and make no `Fraction` add; `min_weight` compares
 the numerators, so both minimum weights take one `Fraction` compare per
 distinct denominator, not one per edge; `bucket_by_weight` tests each bound
@@ -260,13 +266,15 @@ def fast_sparsify(
 class StreamState:
     """Merge-and-reduce buffers.
 
-    Level 0 accumulates raw edges up to the capacity, then sparsifies the
-    batch at eps_inner and promotes the compacted result (parallel vertex
-    sets folded together) as one sketch.  A level above 0 holds at most two
-    sketches: when the second arrives, their union is sparsified once and
-    the output moves up a level.  Each edge therefore passes through at
-    most levels+1 sparsifications, never more, no matter how little the
-    sparsifier compresses.
+    Level 0 accumulates raw edges up to the capacity, then folds the batch
+    (parallel vertex sets summed into one edge), sparsifies it at eps_inner
+    and promotes the result as one sketch.  A level above 0 holds at most
+    two sketches: when the second arrives, their union is folded and
+    sparsified once and the output moves up a level.  `finish` folds the
+    union of all that is left before the final sparsification, so every
+    sketch and the output hold at most one edge per vertex set.  Each edge
+    therefore passes through at most levels+1 sparsifications, never more,
+    no matter how little the sparsifier compresses.
     """
 
     def __init__(self, n: int, m_bound: int, epsilon: float, d: int = 1,
@@ -323,18 +331,20 @@ class StreamState:
             batch, self.raw = self.raw, []
             self._place(1, self._sparsify_batch(batch))
 
+    def _fold_and_sparsify(self, edges: Iterable[HyperEdge], *path) -> SparsifierResult:
+        """fast_sparsify of `edges` with parallel edges summed first, one edge
+        per vertex set in sorted order (a lone edge stays the same object)."""
+        parallel: dict[tuple[int, ...], list[HyperEdge]] = {}
+        for e in edges:
+            parallel.setdefault(e.vertices, []).append(e)
+        folded = tuple(es[0] if len(es) == 1 else HyperEdge(vs, weight_sum(e.weight for e in es))
+                       for vs, es in sorted(parallel.items()))
+        return fast_sparsify(WeightedHypergraph(self.n, folded), self.eps_inner, self.d,
+                             child_seed(self.seed, *path), copy_cap=self.copy_cap)
+
     def _sparsify_batch(self, edges: list[HyperEdge]) -> list[HyperEdge]:
         self.flushes += 1
-        res = fast_sparsify(
-            WeightedHypergraph(self.n, tuple(edges)),
-            self.eps_inner, self.d, child_seed(self.seed, "flush", self.flushes),
-            copy_cap=self.copy_cap,
-        )
-        parallel: dict[tuple[int, ...], list[HyperEdge]] = {}
-        for e in res.hypergraph.edges:
-            parallel.setdefault(e.vertices, []).append(e)
-        out = [es[0] if len(es) == 1 else HyperEdge(vs, weight_sum(e.weight for e in es))
-               for vs, es in sorted(parallel.items())]
+        out = list(self._fold_and_sparsify(edges, "flush", self.flushes).hypergraph.edges)
         self.max_flush_out = max(self.max_flush_out, len(out))
         return out
 
@@ -359,11 +369,7 @@ class StreamState:
         for lvl in self.sketches:
             for sk in lvl:
                 union.extend(sk)
-        final = fast_sparsify(
-            WeightedHypergraph(self.n, tuple(union)),
-            self.eps_inner, self.d, child_seed(self.seed, "final"),
-            copy_cap=self.copy_cap,
-        )
+        final = self._fold_and_sparsify(union, "final")
         notes = dict(final.notes)
         notes.update(
             high_water=self.high_water,

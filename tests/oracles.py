@@ -11,8 +11,9 @@ reduction expanded into its unit copies, the sampler one unit copy at a
 time (by `randrange`, and by the bitwise draws of the library), exact bounds
 on the law of an edge's kept count under the library's draws, the mean
 cut error by a running sum, exact sums by one `Fraction` per denominator,
-the edge-line parser by `Fraction(tok)` on every weight, and connected
-components that read every vertex set.
+the edge-line parser by `Fraction(tok)` on every weight, connected
+components that read every vertex set, and parallel edges summed by one
+`Fraction` add per edge.
 
 The library keeps what its samplers, pipeline, CLI and demos run; these
 recompute from first principles and back the fast paths at small scale.
@@ -343,6 +344,16 @@ def weight_sum_by_fractions(ws: Iterable[Fraction]) -> Fraction:
         return Fraction(0)
     first, *rest = (Fraction(n, d) for d, n in by_den.items())
     return sum(rest, first)
+
+
+def sum_parallel_loop(edges: Iterable[HyperEdge]) -> dict[tuple[int, ...], Fraction]:
+    """Each vertex set's total weight by one `Fraction` add per edge, the
+    sets in order of first appearance: `graph.collapse` as it was before it
+    summed through `weight_sum`, for edges of any size."""
+    sums: dict[tuple[int, ...], Fraction] = {}
+    for e in edges:
+        sums[e.vertices] = sums.get(e.vertices, Fraction(0)) + e.weight
+    return sums
 
 
 def parse_edge_line_by_fraction(lineno: int, toks: Sequence[str], n: int, fmt: int

@@ -239,7 +239,8 @@ class TestLazyStream:
         monkeypatch.setattr("sys.stdin", LineStdin(text))
         assert dispatch(self.ARGV) == 0
         assert capsys.readouterr().out == from_file
-        assert parse_hypergraph(from_file).m == 5
+        # `1 2 3` comes twice: one edge per distinct vertex set
+        assert parse_hypergraph(from_file).m == 4
 
     def test_stops_at_first_bad_line(self, monkeypatch, capsys):
         # line 4 by str.splitlines(), inside the third physical line

@@ -24,7 +24,8 @@ from hgsparse import (
 from hgsparse import balance, graph
 from hgsparse.graph import StrengthTree, _merged_min_cut, _stoer_wagner
 from conftest import mg, random_hypergraph, random_multigraph
-from oracles import components_full_join, global_min_cut, heavy_core, src_class_fails
+from oracles import (components_full_join, global_min_cut, heavy_core, src_class_fails,
+                     sum_parallel_loop)
 
 TRIANGLE = [(1, 2, 1), (2, 3, 1), (1, 3, 1)]
 # two unit triangles joined by one bridge edge
@@ -43,6 +44,21 @@ class TestCollapse:
         g = mg(3, [(u, v, Fraction(1, 3)) for u, v, _ in TRIANGLE])
         assert collapse(g) == {(1, 2): Fraction(1, 3), (2, 3): Fraction(1, 3),
                                (1, 3): Fraction(1, 3)}
+
+    @given(st.integers(2, 6), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_matches_fraction_add_oracle(self, n, data):
+        # mixed denominators, many parallel pairs; keys in first-appearance
+        # order, which the strength routines and Stoer-Wagner inputs follow
+        pair = st.lists(st.integers(1, n), min_size=2, max_size=2, unique=True)
+        weight = st.one_of(st.builds(Fraction, st.integers(1, 30)),
+                           st.builds(Fraction, st.integers(1, 10**6), st.integers(1, 10**4)))
+        triples = data.draw(st.lists(st.tuples(pair, weight), max_size=30))
+        g = mg(n, [(u, v, w) for (u, v), w in triples])
+        got = collapse(g)
+        want = sum_parallel_loop(g.edges)
+        assert list(got.items()) == list(want.items())
+        assert all(type(w) is Fraction for w in got.values())
 
     def test_self_loop_rejected(self):
         with pytest.raises(ValueError):

@@ -4,7 +4,7 @@ import dataclasses
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import bucket_cases, fraction_builds, fraction_op_counts
@@ -28,7 +28,7 @@ from hgsparse import (
 )
 from hgsparse import pipeline
 from hgsparse.pipeline import EVEN, ODD
-from oracles import bucket_by_weight_loop, mask_of, rebuild_contract_components
+from oracles import bucket_by_weight_loop, mask_of, rebuild_contract_components, sum_parallel_loop
 
 
 @st.composite
@@ -37,6 +37,38 @@ def edge_lists(draw, n: int, max_edges: int) -> list[HyperEdge]:
     weights = st.builds(Fraction, st.integers(1, 50), st.integers(1, 8))
     return [HyperEdge(tuple(sorted(draw(sets))), draw(weights))
             for _ in range(draw(st.integers(0, max_edges)))]
+
+
+def fold(h: WeightedHypergraph) -> WeightedHypergraph:
+    """h with each vertex set's edges summed into one, sorted by vertex set."""
+    return WeightedHypergraph(h.n, tuple(
+        HyperEdge(vs, w) for vs, w in sorted(sum_parallel_loop(h.edges).items())))
+
+
+@st.composite
+def parallel_streams(draw, n_range=(3, 7), max_edges=40) -> tuple[int, list[HyperEdge]]:
+    """Edges over a few vertex sets, so parallel edges are common, with
+    integer or p/q weights."""
+    n = draw(st.integers(*n_range))
+    sets = st.sets(st.integers(1, n), min_size=2, max_size=min(n, 4))
+    pool = [tuple(sorted(vs)) for vs in draw(st.lists(sets, min_size=1, max_size=8))]
+    weights = st.one_of(st.builds(Fraction, st.integers(1, 20)),
+                        st.builds(Fraction, st.integers(1, 50), st.integers(1, 8)))
+    return n, [HyperEdge(draw(st.sampled_from(pool)), draw(weights))
+               for _ in range(draw(st.integers(1, max_edges)))]
+
+
+def record_fast_sparsify(monkeypatch) -> list[WeightedHypergraph]:
+    """Patch the stream's `fast_sparsify` to log the hypergraph of each call."""
+    fed: list[WeightedHypergraph] = []
+    real = pipeline.fast_sparsify
+
+    def logged(h, *args, **kwargs):
+        fed.append(h)
+        return real(h, *args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "fast_sparsify", logged)
+    return fed
 
 
 def heavy_light(n=4, ratio=None):
@@ -240,7 +272,7 @@ class TestStreaming:
         h = gen_random(5, 10, 3, seed=4)
         res = stream_sparsify(iter(h.edges), 5, 100, 0.5, seed=6)
         direct = fast_sparsify(
-            h, res.notes["eps_inner"], 1, child_seed(6, "final"))
+            fold(h), res.notes["eps_inner"], 1, child_seed(6, "final"))
         assert [(e.vertices, e.weight) for e in res.hypergraph.edges] == \
             [(e.vertices, e.weight) for e in direct.hypergraph.edges]
         assert res.notes["flushes"] == 0 and res.notes["levels"] == 1
@@ -295,6 +327,51 @@ class TestStreaming:
         # two compounded flushes at eps_inner, each within (1 +- eps_inner)
         band = (1 + s.eps_inner) ** 2
         assert 8 / band <= total <= 8 * band
+
+
+class TestStreamFold:
+    """Parallel edges are folded before every sparsification, never after."""
+
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_each_flush_sparsifies_distinct_sets(self, data):
+        n, edges = data.draw(parallel_streams())
+        capacity = data.draw(st.integers(4, 12))
+        if data.draw(st.booleans()):
+            # one heavy pair a bucket above every other weight, folded or not
+            eps_inner = StreamState(n, len(edges) + 1, 0.5).eps_inner
+            alpha = bucket_by_weight(WeightedHypergraph(n, ()), eps_inner).alpha
+            heavy = HyperEdge((1, 2), 2 * alpha * sum(e.weight for e in edges))
+            edges.insert(data.draw(st.integers(0, len(edges))), heavy)
+        distinct = len({e.vertices for e in edges})
+        with pytest.MonkeyPatch.context() as mp:
+            fed = record_fast_sparsify(mp)
+            res = stream_sparsify(iter(edges), n, len(edges), 0.5, seed=3, capacity=capacity)
+        assert len(fed) == res.notes["flushes"] + 1
+        assert sum(h.m for h in fed) <= (res.notes["flushes"] + 1) * distinct
+        for h in fed:
+            assert len({e.vertices for e in h.edges}) == h.m
+        out_sets = [e.vertices for e in res.hypergraph.edges]
+        assert len(set(out_sets)) == len(out_sets) == res.m_out <= distinct
+
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_fold_preserves_every_cut(self, data):
+        n, edges = data.draw(parallel_streams(n_range=(2, 8), max_edges=30))
+        h = WeightedHypergraph(n, tuple(edges))
+        with pytest.MonkeyPatch.context() as mp:
+            fed = record_fast_sparsify(mp)
+            # a capacity above the edge count: the one call is finish's
+            stream_sparsify(iter(edges), n, len(edges), 0.5, capacity=len(edges) + 4)
+        (folded,) = fed
+        for mask in range(1, 1 << (n - 1)):
+            cut = Cut(n, mask)
+            assert cut_weight(folded, cut) == cut_weight(h, cut)
+        assert [(e.vertices, e.weight) for e in folded.edges] == \
+            [(e.vertices, e.weight) for e in fold(h).edges]
+        # a lone edge passes through as the same object
+        lone = [e for e in edges if sum(f.vertices == e.vertices for f in edges) == 1]
+        assert all(any(f is e for f in folded.edges) for e in lone)
 
 
 class TestStreamMemoryCheck:
