@@ -38,8 +38,6 @@ from .pipeline import PipelineError, fast_sparsify, stream_sparsify
 from .sparsify import SamplingError, SparsifierResult, check_epsilon, save_result, sparsify_weighted
 from .verify import EXHAUSTIVE_LIMIT, all_cuts_report, report_csv, report_text
 
-DEFAULT_EDGE_CAP = 10**6
-
 
 def _int_type(ok, message: str):
     """An argparse type: an int for which `ok` holds, else `message`."""
@@ -119,9 +117,6 @@ def _add_common(p: argparse.ArgumentParser, *, gamma: bool) -> None:
                    help="master seed; all randomness derives from it (default 0)")
     p.add_argument("--rho-override", default=None, metavar="RHO",
                    help="replace the theoretical sampling rate (rational or decimal)")
-    p.add_argument("--edge-cap", type=_edge_cap, default=DEFAULT_EDGE_CAP,
-                   help="limit on generated edges / expanded unit copies "
-                        "(default 1000000)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -150,15 +145,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--w-max", type=int, default=1,
                    help="largest random weight (default 1)")
     p.add_argument("--seed", type=_seed, default=0, help="random family seed")
-    p.add_argument("--edge-cap", type=_edge_cap, default=DEFAULT_EDGE_CAP,
+    p.add_argument("--edge-cap", type=_edge_cap, default=10**6,
                    help="refuse families with more edges than this")
     p.add_argument("-o", "--output", default=None, help="output path (default stdout)")
     p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("sparsify", formatter_class=_fmt,
-                       help="sparsify via unit-copy expansion and strength sampling",
-                       description="Direct sparsifier: rescale weights, expand "
-                                   "into unit copies, balance, sample.")
+                       help="sparsify via unit-copy counts and strength sampling",
+                       description="Direct sparsifier: rescale weights to "
+                                   "unit-copy counts, balance, sample.")
     p.add_argument("-i", "--input", default=None, help="input path (default stdin)")
     p.add_argument("-o", "--output", default=None,
                    help="output path; writes a .meta sidecar too (default stdout)")
@@ -265,8 +260,7 @@ def cmd_sparsify(args) -> int:
     check_epsilon(args.epsilon)
     h = _read_hypergraph(args.input)
     res = sparsify_weighted(h, args.epsilon, d=args.d, seed=args.seed,
-                            gamma=args.gamma, rho_override=rho,
-                            copy_cap=args.edge_cap)
+                            gamma=args.gamma, rho_override=rho)
     _emit_result(res, args.output)
     return 0
 
@@ -277,7 +271,7 @@ def cmd_pipeline(args) -> int:
     if rho is not None:
         raise ValueError("the bucketed pipeline does not take a rho override")
     h = _read_hypergraph(args.input)
-    res = fast_sparsify(h, args.epsilon, args.d, args.seed, copy_cap=args.edge_cap)
+    res = fast_sparsify(h, args.epsilon, args.d, args.seed)
     _emit_result(res, args.output)
     return 0
 
@@ -291,7 +285,7 @@ def cmd_stream(args) -> int:
         edges = (parse_edge_line(lineno, toks, args.n, args.fmt)
                  for lineno, toks in content_lines(fh))
         res = stream_sparsify(edges, args.n, args.m_bound, args.epsilon, args.d, args.seed,
-                              args.capacity, copy_cap=args.edge_cap)
+                              args.capacity)
     _emit_result(res, args.output)
     return 0
 

@@ -11,6 +11,7 @@ import itertools
 import math
 import operator
 import random
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
@@ -335,6 +336,8 @@ def gen_random(
         raise ValueError("r_max must be at least 2")
     if weighted and w_max < 1:
         raise ValueError("w_max must be at least 1")
+    if weighted and w_max > sys.float_info.max:  # weights are drawn as floats
+        raise ValueError("w_max must fit in a float")
     check_edge_count(m, edge_cap)
     rng = random.Random(seed)
     top = min(r_max, n)

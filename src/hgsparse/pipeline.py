@@ -1,7 +1,7 @@
 """Arbitrary-ratio weights and streaming, by bucketing and merge-and-reduce.
 
-The direct weighted sparsifier reads edges as at most `copy_cap` unit
-copies, too few for weights spanning many orders of magnitude.  Here edges
+The direct weighted sparsifier counts each edge in unit copies of the
+minimum weight, so its work below p = 1 grows with the weight ratio.  Here edges
 are split into geometric weight buckets (ratio alpha = 10 n^2 / eps^3),
 buckets of the same parity are far enough apart that each can be handled
 with the ones above it contracted to supervertices, and the two parity
@@ -152,7 +152,6 @@ def sparsify_parity(
     epsilon: float,
     d: int = 1,
     seed: int = 0,
-    copy_cap: int = 10**6,
 ) -> tuple[list[HyperEdge], list[int], list[BucketReport]]:
     """Sparsify one parity class of `buckets` (the weight buckets of `h`),
     heaviest bucket first, contracting all same-parity buckets above the
@@ -209,7 +208,6 @@ def sparsify_parity(
             res = sparsify_weighted(
                 sub, epsilon / 2, d=d,
                 seed=child_seed(seed, parity, i, min(comp)),
-                copy_cap=copy_cap,
             )
             for pos, w_edge in zip(res.origin, res.hypergraph.edges):
                 orig_idx = bucket_origin[kept[edge_ids[pos]]]
@@ -232,8 +230,7 @@ def sparsify_parity(
 
 
 def fast_sparsify(
-    h: WeightedHypergraph, epsilon: float, d: int = 1, seed: int = 0,
-    copy_cap: int = 10**6,
+    h: WeightedHypergraph, epsilon: float, d: int = 1, seed: int = 0
 ) -> SparsifierResult:
     """Union of the two parity-class sparsifiers; handles arbitrary weight
     ratios at the price of a constant-factor error increase."""
@@ -244,7 +241,7 @@ def fast_sparsify(
     reports: list[BucketReport] = []
     for parity in (EVEN, ODD):
         p_edges, p_origin, p_reports = sparsify_parity(
-            h, buckets, parity, epsilon, d, seed, copy_cap=copy_cap)
+            h, buckets, parity, epsilon, d, seed)
         edges.extend(p_edges)
         origin.extend(p_origin)
         reports.extend(p_reports)
@@ -278,8 +275,7 @@ class StreamState:
     """
 
     def __init__(self, n: int, m_bound: int, epsilon: float, d: int = 1,
-                 seed: int = 0, capacity: Optional[int] = None,
-                 copy_cap: int = 10**6):
+                 seed: int = 0, capacity: Optional[int] = None):
         if n < 1 or m_bound < 1:
             raise ValueError("need n >= 1 and m_bound >= 1")
         check_epsilon(epsilon)
@@ -289,14 +285,23 @@ class StreamState:
         self.epsilon = epsilon
         self.d = d
         self.seed = seed
-        self.copy_cap = copy_cap
-        self.log_ratio = max(1.0, math.log2(m_bound / n))
+        try:
+            log_ratio = math.log2(m_bound / n)
+        except OverflowError:  # a quotient past float range; log2 takes any int
+            log_ratio = math.log2(m_bound) - math.log2(n)
+        self.log_ratio = max(1.0, log_ratio)
         self.eps_inner = epsilon / (2 * self.log_ratio)
         if capacity is None:
             capacity = 4 * n * max(1, math.ceil(self.log_ratio))
         if capacity < 4:
             raise ValueError("capacity must be at least 4")
         self.capacity = capacity
+        try:
+            bound = self.memory_bound()
+        except OverflowError:  # an int capacity past float range
+            bound = math.inf
+        if bound == math.inf:
+            raise ValueError("capacity is too large: the memory bound overflows a float")
         self.raw: list[HyperEdge] = []
         self.sketches: list[list[list[HyperEdge]]] = []
         self.sketched = 0  # edges held in self.sketches, kept by _place
@@ -340,7 +345,7 @@ class StreamState:
         folded = tuple(es[0] if len(es) == 1 else HyperEdge(vs, weight_sum(e.weight for e in es))
                        for vs, es in sorted(parallel.items()))
         return fast_sparsify(WeightedHypergraph(self.n, folded), self.eps_inner, self.d,
-                             child_seed(self.seed, *path), copy_cap=self.copy_cap)
+                             child_seed(self.seed, *path))
 
     def _sparsify_batch(self, edges: list[HyperEdge]) -> list[HyperEdge]:
         self.flushes += 1
@@ -401,9 +406,8 @@ def stream_sparsify(
     d: int = 1,
     seed: int = 0,
     capacity: Optional[int] = None,
-    copy_cap: int = 10**6,
 ) -> SparsifierResult:
-    state = StreamState(n, m_bound, epsilon, d, seed, capacity, copy_cap)
+    state = StreamState(n, m_bound, epsilon, d, seed, capacity)
     for e in edges:
         state.push(e)
     return state.finish()

@@ -40,6 +40,8 @@ from .seeds import RNG_ID
 
 CHERNOFF_CONSTANT = 0.38
 RHO_FACTOR = 8
+# Below p = 1, balancing and the draws grow with a weighted call's unit copies
+COPY_LIMIT = 10**6
 
 
 class SamplingError(RuntimeError):
@@ -198,12 +200,9 @@ def sample_sparsifier(h: WeightedHypergraph, plan: SamplingPlan, seed: int) -> S
     )
 
 
-def copy_counts(
-    h: WeightedHypergraph, epsilon: float, copy_cap: int = 10**6
-) -> tuple[Fraction, list[int]]:
+def copy_counts(h: WeightedHypergraph, epsilon: float) -> tuple[Fraction, list[int]]:
     """The scale that lifts the minimum weight of h to 3/eps, and each
-    edge's unit-copy count floor(scale * w).  Raises when the counts sum
-    past copy_cap.
+    edge's unit-copy count floor(scale * w).
 
     Rounding loses less than one copy per edge against a scaled weight of at
     least 3/eps, so the copies are a (1 +- eps/3) proxy for the input.
@@ -216,12 +215,6 @@ def copy_counts(
     # floor(scale * w) on integers: both terms are positive
     sn, sd = scale.numerator, scale.denominator
     counts = [sn * e.weight.numerator // (sd * e.weight.denominator) for e in h.edges]
-    total = sum(counts)
-    if total > copy_cap:
-        raise ValueError(
-            f"reduction needs {total} copies, over the cap {copy_cap}; "
-            "the weight spread is too large for direct reduction, use the bucketed pipeline"
-        )
     return scale, counts
 
 
@@ -267,6 +260,11 @@ def _sparsify_copies(
         notes["balance_iterations"] = 0
         return SparsifierResult(out, plan, seed, h.m, out.m, Fraction(copies),
                                 tuple(range(h.m)), notes)
+    # one copy per edge (an unweighted input) costs no more than the edges
+    if copies > max(COPY_LIMIT, h.m):
+        raise ValueError(
+            f"sampling needs {copies} unit copies at rho {rho}, over the limit {COPY_LIMIT} "
+            "for balancing and drawing; a rho of at least the copy count keeps every copy")
     assignment = run_balance(reduce_weighted(h), gamma, counts=counts)
     plan = make_plan(assignment, epsilon, d, rho_override)
     copy_weight = 1 / scale
@@ -306,7 +304,6 @@ def sparsify_weighted(
     seed: int = 0,
     gamma: int = 2,
     rho_override=None,
-    copy_cap: int = 10**6,
 ) -> SparsifierResult:
     """Weighted entry point: round to unit copies, sample those at eps/3,
     and fold the kept copies of each input edge back together with the
@@ -314,7 +311,7 @@ def sparsify_weighted(
     check_epsilon(epsilon)
     check_gamma(gamma)
     check_d(d)
-    scale, counts = copy_counts(h, epsilon, copy_cap)
+    scale, counts = copy_counts(h, epsilon)
     return _sparsify_copies(h, scale, counts, epsilon / 3, gamma, d, seed, rho_override,
                             {"scale": scale, "reduced_copies": sum(counts)})
 

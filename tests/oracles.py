@@ -443,9 +443,7 @@ def bucket_by_weight_loop(h: WeightedHypergraph, epsilon: float) -> WeightBucket
     return WeightBuckets(alpha, w0, {i: tuple(v) for i, v in buckets.items()})
 
 
-def copy_counts_loop(
-    h: WeightedHypergraph, epsilon: float, copy_cap: int = 10**6
-) -> tuple[Fraction, list[int]]:
+def copy_counts_loop(h: WeightedHypergraph, epsilon: float) -> tuple[Fraction, list[int]]:
     """`sparsify.copy_counts` by `Fraction` arithmetic: `min` over the
     weights, then each count as the floor of the `Fraction` scale * w."""
     if h.m == 0:
@@ -453,14 +451,7 @@ def copy_counts_loop(
     eps = as_weight(epsilon)
     w_min = min(e.weight for e in h.edges)
     scale = (3 / eps) / w_min
-    counts = [int(scale * e.weight) for e in h.edges]
-    total = sum(counts)
-    if total > copy_cap:
-        raise ValueError(
-            f"reduction needs {total} copies, over the cap {copy_cap}; "
-            "the weight spread is too large for direct reduction, use the bucketed pipeline"
-        )
-    return scale, counts
+    return scale, [int(scale * e.weight) for e in h.edges]
 
 
 def expand_copies(

@@ -206,7 +206,7 @@ def test_05_expected_size_within_budget(balanced_corpus):
                 plans += 1
     for seed in range(5):
         h = gen_random(6, 10, 3, weighted=True, w_max=50, seed=seed)
-        res = sparsify_weighted(h, 0.5, seed=seed, copy_cap=10**7)
+        res = sparsify_weighted(h, 0.5, seed=seed)
         assert res.plan.sum_p() <= res.plan.size_budget()
         plans += 1
     print(f"[PASS] criterion 5: sum p <= rho*gamma*(n-1) exactly on "
@@ -283,8 +283,7 @@ def test_09_weighted_instances_within_epsilon():
         else:
             h = gen_random(4 + seed % 7, 8 + seed % 7, 3, weighted=True,
                            w_max=1000, seed=seed)
-        res = sparsify_weighted(h, eps, seed=child_seed(4242, "c9", seed),
-                                copy_cap=10**7)
+        res = sparsify_weighted(h, eps, seed=child_seed(4242, "c9", seed))
         rep = all_cuts_report(h, res.hypergraph, eps)
         assert rep.passed, (seed, rep.max_rel_error)
         worst = max(worst, float(rep.max_rel_error))
@@ -346,7 +345,7 @@ def test_11_streaming_quality_and_memory():
     t0 = time.monotonic()
     for m in (1500, 10**4):
         edges = stream_instance(10, m, seed=11)
-        res = stream_sparsify(iter(edges), 10, m, eps, seed=11, copy_cap=10**8)
+        res = stream_sparsify(iter(edges), 10, m, eps, seed=11)
         # the run itself hard-asserts high_water <= 2*log2^2(m/n)*capacity
         folded = {}
         for e in edges:

@@ -65,6 +65,14 @@ class TestGen:
         assert dispatch(argv) == 0
         assert parse_hypergraph(out.read_text()) == gen_random(5, 8, 3, seed=2)
 
+    def test_w_max_past_float_range(self, capsys):
+        argv = ["gen", "random", "--n", "4", "--m", "3", "--weighted", "--w-max"]
+        assert dispatch(argv + [str(10**400)]) == 2
+        assert capsys.readouterr() == ("", "error: w_max must fit in a float\n")
+        assert dispatch(argv + [str(10**300), "--seed", "2"]) == 0
+        assert parse_hypergraph(capsys.readouterr().out) == gen_random(
+            4, 3, 3, weighted=True, w_max=10**300, seed=2)
+
     def test_unknown_family(self, capsys):
         assert dispatch(["gen", "torus", "--n", "3"]) == 2
         assert "invalid choice" in capsys.readouterr().err
@@ -123,11 +131,10 @@ class TestSparsify:
             capsys.readouterr()
 
     def test_tiny_epsilon_exits_2(self, tmp_path, capsys):
-        # past the copy cap check, rho at eps/3 overflows a float
+        # rho at eps/3 overflows a float
         src = tmp_path / "in.hg"
         src.write_text("2 3 1\n1 1 2\n1 2 3\n")
-        assert dispatch(["sparsify", "-i", str(src), "-e", "1e-160",
-                         "--edge-cap", str(10**200)]) == 2
+        assert dispatch(["sparsify", "-i", str(src), "-e", "1e-160"]) == 2
         assert capsys.readouterr().err.startswith("error: rho is not a finite float")
 
     def test_size_budget_violation_exits_1(self, tmp_path, capsys, inflate_p):
@@ -209,6 +216,23 @@ class TestStream:
         src.write_text("1 1 2\n")
         assert dispatch(["stream", "-i", str(src), "--n", "3",
                          "--m-bound", "5", "-e", "0.5", "--capacity", "3"]) == 2
+
+    def test_m_bound_past_float_range(self, tmp_path, capsys):
+        # m_bound / n overflows a float, log2(m_bound) - log2(n) does not
+        src = tmp_path / "edges.txt"
+        src.write_text("1 1 2\n2 2 3\n1/2 1 3\n")
+        assert dispatch(["stream", "-i", str(src), "--n", "3",
+                         "--m-bound", str(10**400), "-e", "0.5"]) == 0
+        h = parse_hypergraph(capsys.readouterr().out)
+        assert [e.vertices for e in h.edges] == [(1, 2), (1, 3), (2, 3)]
+
+    def test_capacity_past_float_range(self, tmp_path, capsys):
+        src = tmp_path / "edges.txt"
+        src.write_text("1 1 2\n")
+        assert dispatch(["stream", "-i", str(src), "--n", "3", "--m-bound", "5",
+                         "-e", "0.5", "--capacity", str(10**400)]) == 2
+        assert capsys.readouterr() == (
+            "", "error: capacity is too large: the memory bound overflows a float\n")
 
 
 class LineStdin:
@@ -309,7 +333,7 @@ class TestFlagChecks:
     GAMMA = [["sparsify", "-e", "0.5"], ["strengths"], ["balance"]]
     D = [["sparsify", "-e", "0.5"], ["pipeline", "-e", "0.5"],
          ["stream", "--n", "3", "--m-bound", "5", "-e", "0.5"]]
-    EDGE_CAP = [["gen", "sunflower", "--n", "3"]] + D
+    EDGE_CAP = [["gen", "sunflower", "--n", "3"]]
 
     CASES = ([(argv + ["--seed", v], "argument --seed: seed must fit in 64 unsigned bits")
               for argv in SEED for v in ("-1", str(2**64))]
@@ -326,6 +350,13 @@ class TestFlagChecks:
         err = capsys.readouterr().err
         assert err.startswith("usage: hgsparse ")
         assert err.endswith(f"hgsparse {argv[0]}: error: {message}\n")
+
+    @pytest.mark.parametrize("argv", D, ids=lambda a: a[0])
+    def test_edge_cap_is_gen_only(self, monkeypatch, capsys, argv):
+        monkeypatch.setattr("sys.stdin", UntouchedStdin())
+        assert dispatch(argv + ["--edge-cap", "5"]) == 2
+        assert capsys.readouterr().err.endswith(
+            "hgsparse: error: unrecognized arguments: --edge-cap 5\n")
 
     @pytest.mark.parametrize("argv", [["sparsify"], ["pipeline"],
                                       ["stream", "--n", "3", "--m-bound", "5"]],

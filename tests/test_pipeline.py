@@ -19,6 +19,7 @@ from hgsparse import (
     bucket_by_weight,
     child_seed,
     contract_components,
+    copy_counts,
     cut_weight,
     fast_sparsify,
     gen_random,
@@ -26,7 +27,7 @@ from hgsparse import (
     sparsify_weighted,
     stream_sparsify,
 )
-from hgsparse import pipeline
+from hgsparse import pipeline, sparsify
 from hgsparse.pipeline import EVEN, ODD
 from oracles import bucket_by_weight_loop, mask_of, rebuild_contract_components, sum_parallel_loop
 
@@ -69,6 +70,14 @@ def record_fast_sparsify(monkeypatch) -> list[WeightedHypergraph]:
 
     monkeypatch.setattr(pipeline, "fast_sparsify", logged)
     return fed
+
+
+def two_alpha_pair(light: list[HyperEdge]) -> WeightedHypergraph:
+    """(1, 2) at 2 alpha, alpha = 10 n^2 / eps^3 at n = 3 and eps = 0.133,
+    then the `light` edges: below 3 alpha, so one bucket, whose reduction
+    at eps/2 needs over a million unit copies."""
+    alpha = Fraction(10 * 3 * 3) / Fraction(0.133) ** 3
+    return WeightedHypergraph(3, (HyperEdge((1, 2), 2 * alpha), *light))
 
 
 def heavy_light(n=4, ratio=None):
@@ -230,6 +239,22 @@ class TestFastSparsify:
             rep = all_cuts_report(h, res.hypergraph, 0.5)
             assert rep.passed, rep.max_rel_error
 
+    def test_one_bucket_over_the_copy_limit(self):
+        # every copy is kept at the theoretical rho, so the count is no limit
+        h = two_alpha_pair([HyperEdge((1, 3), 3)])
+        assert bucket_by_weight(h, 0.133).buckets == {1: (0, 1)}
+        assert sum(copy_counts(h, 0.133 / 2)[1]) == 1150569 > sparsify.COPY_LIMIT
+        res = fast_sparsify(h, 0.133)
+        assert res.m_out == 2 and all_cuts_report(h, res.hypergraph, 0.133).passed
+
+    def test_copy_limit_reaches_the_pipeline(self):
+        # ten parallel heavy edges in one bucket: 1,200,024 copies at eps/2
+        # = 1/8 against a theoretical rho near 3.7e5, so below p = 1
+        h = WeightedHypergraph(3, (HyperEdge((1, 2)), *[HyperEdge((1, 3), 5000)] * 10))
+        assert bucket_by_weight(h, 0.25).buckets == {1: tuple(range(11))}
+        with pytest.raises(ValueError, match="^sampling needs 1200024 unit copies at rho "):
+            fast_sparsify(h, 0.25)
+
     def test_origin_sorted_and_reports_collected(self):
         h = heavy_light()
         res = fast_sparsify(h, 0.5, seed=0)
@@ -276,6 +301,16 @@ class TestStreaming:
         assert [(e.vertices, e.weight) for e in res.hypergraph.edges] == \
             [(e.vertices, e.weight) for e in direct.hypergraph.edges]
         assert res.notes["flushes"] == 0 and res.notes["levels"] == 1
+
+    def test_heavy_pair_then_unit_edges(self, monkeypatch):
+        # eps_inner of 11 edges over 3 vertices at eps 0.5 is near 0.133, so
+        # the flushes after the first hold a bucket over the copy limit
+        h = two_alpha_pair([HyperEdge((1, 3))] * 10)
+        fed = record_fast_sparsify(monkeypatch)
+        res = stream_sparsify(iter(h.edges), 3, 11, 0.5, capacity=4)
+        assert res.notes["flushes"] == 3 and round(res.notes["eps_inner"], 3) == 0.133
+        assert max(sum(copy_counts(f, res.notes["eps_inner"] / 2)[1]) for f in fed) == 1147367
+        assert all_cuts_report(h, res.hypergraph, 0.5).passed
 
     def test_eps_inner_floor(self):
         s = StreamState(8, 8, 0.5)

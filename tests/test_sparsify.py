@@ -429,10 +429,10 @@ class TestReduceWeighted:
                 target = scale * e.weight
                 assert (1 - eps_f / 3) * target <= c <= (1 + eps_f / 3) * target
 
-    def test_cap_error_mentions_pipeline(self):
+    def test_counts_have_no_limit(self):
+        # the copy limit applies where copies are balanced and drawn, not here
         h = WeightedHypergraph(2, (HyperEdge((1, 2), 10**6), HyperEdge((1, 2), 1)))
-        with pytest.raises(ValueError, match="bucketed pipeline"):
-            copy_counts(h, 1.0, copy_cap=100)
+        assert copy_counts(h, 1.0) == (3, [3 * 10**6, 3])
 
     def test_empty(self):
         h = WeightedHypergraph(3, ())
@@ -441,18 +441,11 @@ class TestReduceWeighted:
         assert reduced.m == 0 and origin == ()
         assert reduce_weighted(h) == h
 
-    @given(bucket_cases(), st.sampled_from([100, 10**6, 10**40]))
-    def test_matches_fraction_loop(self, case, cap):
-        # scale and every count, or the same cap error
+    @given(bucket_cases())
+    def test_matches_fraction_loop(self, case):
+        # the scale and every count
         h, eps = case
-
-        def outcome(counter):
-            try:
-                return counter(h, eps, cap)
-            except ValueError as err:
-                return str(err)
-
-        assert outcome(copy_counts) == outcome(copy_counts_loop)
+        assert copy_counts(h, eps) == copy_counts_loop(h, eps)
 
 
 class TestSparsifyUnweighted:
@@ -552,9 +545,14 @@ class TestSparsifyWeighted:
         assert dropped
 
     def test_cap_propagates(self):
+        # 6,000,006 copies, one short of keeping every copy: the error names
+        # the copy count, rho and the limit, and points to no other entry point
         h = WeightedHypergraph(2, (HyperEdge((1, 2), 10**6), HyperEdge((1, 2), 1)))
-        with pytest.raises(ValueError, match="copies"):
-            sparsify_weighted(h, 0.5, copy_cap=1000)
+        with pytest.raises(ValueError) as err:
+            sparsify_weighted(h, 0.5, rho_override=6000005)
+        assert str(err.value) == (
+            "sampling needs 6000006 unit copies at rho 6000005, over the limit 1000000 "
+            "for balancing and drawing; a rho of at least the copy count keeps every copy")
 
     def test_merge_restores_scale(self):
         # with all p=1 the output equals the floor-rounded weights exactly
@@ -689,10 +687,27 @@ class TestKeepEveryEdgeShortcut:
         assert balanced == 0 and res.notes["balance_iterations"] == 0
         assert sample_sparsifier(gen_sunflower(5), res.plan, 0).hypergraph == res.hypergraph
 
-    def test_copy_cap_still_checked(self):
+    def test_copy_limit_only_below_p_1(self):
+        # 6,000,006 copies: kept whole at rho >= the copy count, refused below
+        # it before the balance loop runs
         h = WeightedHypergraph(2, (HyperEdge((1, 2), 10**6), HyperEdge((1, 2), 1)))
-        with pytest.raises(ValueError, match="use the bucketed pipeline"):
-            sparsify_weighted(h, 0.5, copy_cap=1000, rho_override=10**12)
+        res, balanced = balance_runs(sparsify_weighted, h, 0.5, rho_override=10**12)
+        assert balanced == 0 and res.sum_p == res.notes["reduced_copies"] == 6000006
+        assert res.hypergraph == h
+        for rho in (None, 6000005):
+            with mock.patch.object(sparsify, "run_balance") as spy:
+                with pytest.raises(ValueError, match="^sampling needs 6000006 unit copies"):
+                    sparsify_weighted(h, 0.5, rho_override=rho)
+            spy.assert_not_called()
+
+    def test_unweighted_input_has_no_copy_limit(self, monkeypatch):
+        # one copy per edge: the limit bounds only a weighted input's copies
+        monkeypatch.setattr(sparsify, "COPY_LIMIT", 5)
+        h = gen_random(5, 20, 3, seed=1)
+        res, balanced = balance_runs(sparsify_unweighted, h, 0.5, rho_override=1)
+        assert balanced == 1 and res.m_out < h.m
+        with pytest.raises(ValueError, match="over the limit 5 "):
+            sparsify_weighted(h, 0.5, rho_override=1)
 
     def test_weighted_input_still_rejected(self):
         h = WeightedHypergraph(2, (HyperEdge((1, 2), 2),))
