@@ -29,7 +29,6 @@ from .graph import (
     edge_strengths,
     k_strong_components,
     pair_strengths,
-    strength_table_from_pairs,
 )
 from .hypergraph import (
     Cut,
@@ -48,7 +47,6 @@ from .hypergraph import (
 )
 from .pipeline import (
     BucketReport,
-    ContractionMap,
     PipelineError,
     StreamState,
     WeightBuckets,
@@ -89,7 +87,6 @@ __all__ = [
     "BalanceReport",
     "BalancedAssignment",
     "BucketReport",
-    "ContractionMap",
     "Cut",
     "CutRecord",
     "HyperEdge",
@@ -140,7 +137,6 @@ __all__ = [
     "sparsify_unweighted",
     "sparsify_weighted",
     "stream_sparsify",
-    "strength_table_from_pairs",
     "theoretical_rho",
     "transfer_step",
 ]

@@ -49,8 +49,8 @@ solves these comparisons of lines in closed form for T, the number of units
 that keep every kept cut certified and every strength on one line, with src
 never emptying.  `shift(src, dst, units)` with units - 1 <= T is one walk:
 it sets each cut to λ(units), tests the bounds only for the move from state
-units - 1, by a running max of the lines down the chain, and writes each
-strength that moves from its old value to its new one.
+units - 1, the src-class bound by the lines of `_src_class` at that state,
+and writes each strength that moves from its old value to its new one.
 
 `StrengthTree.changed` collects the pairs whose strength took a new value or
 was dropped, until its owner clears it.  A strength is written only when it
@@ -366,10 +366,8 @@ class StrengthTree:
             return
         self._use_pair(src, dst)
         # the chain blocks whose `_src_class` lines are all <= 0 at units - 1
-        chain = self._chain(a, b)[::-1]
-        sigmas = [_sigma(node, src, dst) for node in chain]
-        ks = itertools.accumulate((n.val + s * (units - 1) for n, s in zip(chain, sigmas)), max)
-        src_fails = {n for n, s, k in zip(chain, sigmas, ks) if s >= 0 and n.val + s * units >= k}
+        src_fails = {node for node, lines in _src_class(self._chain(a, b), src, dst)
+                     if all(c + s * (units - 1) <= 0 for c, s in lines)}
         stack = [(self.roots[i], 0, 0) for i in {self.comp[a], self.comp[c]}]
         while stack:
             node, old_top, new_top = stack.pop()
@@ -486,16 +484,11 @@ class StrengthTable:
                           for p, w in self.pair_weight.items())
 
 
-def strength_table_from_pairs(n: int, weights: Mapping[tuple[int, int], Fraction]) -> StrengthTable:
-    pos = {p: w for p, w in weights.items() if w > 0}
-    raw = pair_strengths(n, pos)
-    table = {p: Fraction(v) for p, v in raw.items()}
-    return StrengthTable(n, table, pos)
-
-
 def edge_strengths(h: WeightedHypergraph) -> StrengthTable:
     """Pair strengths of the weighted multigraph given as the 2-uniform h."""
-    return strength_table_from_pairs(h.n, collapse(h))
+    weights = collapse(h)  # every pair weight is positive
+    strengths = {p: Fraction(v) for p, v in pair_strengths(h.n, weights).items()}
+    return StrengthTable(h.n, strengths, weights)
 
 
 def k_strong_components(table: StrengthTable, k) -> list[frozenset[int]]:

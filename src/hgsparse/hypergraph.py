@@ -93,6 +93,13 @@ class HyperEdge:
         return m
 
 
+def vertex_range_message(vertices: Sequence[int], n: int) -> str:
+    """The error for an edge with a vertex outside 1..n, naming the first such
+    vertex.  Callers test the range first; this runs only on a bad edge."""
+    v = next(v for v in vertices if not 1 <= v <= n)
+    return f"vertex id {v} out of range [1,{n}]"
+
+
 @dataclass(frozen=True)
 class WeightedHypergraph:
     n: int
@@ -105,10 +112,7 @@ class WeightedHypergraph:
             object.__setattr__(self, "edges", tuple(self.edges))
         for e in self.edges:
             if e.vertices[0] < 1 or e.vertices[-1] > self.n:
-                raise ValueError(
-                    f"vertex id {e.vertices[0] if e.vertices[0] < 1 else e.vertices[-1]}"
-                    f" out of range [1,{self.n}]"
-                )
+                raise ValueError(vertex_range_message(e.vertices, self.n))
 
     @property
     def m(self) -> int:
@@ -177,16 +181,14 @@ def serialize_hypergraph(h: WeightedHypergraph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def content_lines(source) -> Iterator[tuple[int, list[str]]]:
+def content_lines(source: str | Iterable[str]) -> Iterator[tuple[int, list[str]]]:
     """(1-based line number, tokens) of every line that is neither blank
     nor a '%' comment.
 
-    `source` is the whole text (str, or ASCII bytes) or an iterable of text
-    lines such as an open file, which is read one line at a time.  Either
+    `source` is the whole text as one str, or an iterable of text lines
+    such as an open text file, which is read one line at a time.  Either
     way lines are numbered as `str.splitlines()` numbers the whole text.
     """
-    if isinstance(source, bytes):
-        source = source.decode("ascii")
     if isinstance(source, str):
         source = (source,)
     lines = (line for chunk in source for line in chunk.splitlines())
@@ -216,9 +218,8 @@ def parse_edge_line(lineno: int, toks: Sequence[str], n: int, fmt: int) -> Hyper
         verts = sorted({int(t) for t in vtoks})
     except ValueError:
         raise ParseError(lineno, "bad vertex id") from None
-    if not 1 <= verts[0] <= verts[-1] <= n:
-        v = next(v for v in verts if not 1 <= v <= n)
-        raise ParseError(lineno, f"vertex id {v} out of range [1,{n}]")
+    if verts[0] < 1 or verts[-1] > n:
+        raise ParseError(lineno, vertex_range_message(verts, n))
     if len(verts) < 2:
         raise ParseError(lineno, "hyperedge has fewer than 2 distinct vertices")
     if w.numerator <= 0:
@@ -226,7 +227,7 @@ def parse_edge_line(lineno: int, toks: Sequence[str], n: int, fmt: int) -> Hyper
     return HyperEdge(tuple(verts), w)
 
 
-def parse_hypergraph(text) -> WeightedHypergraph:
+def parse_hypergraph(text: str | Iterable[str]) -> WeightedHypergraph:
     header = None
     header_line = 0
     edges: list[HyperEdge] = []
@@ -258,6 +259,13 @@ def parse_hypergraph(text) -> WeightedHypergraph:
 # named generators
 # ---------------------------------------------------------------------------
 
+EDGE_LIMIT = 10**6  # checked by each generator after its arguments, before any edge is built
+
+
+def _check_edge_count(count: int) -> None:
+    if count > EDGE_LIMIT:
+        raise ValueError(f"edge count {count} exceeds the limit {EDGE_LIMIT}")
+
 
 def gen_sunflower(n: int) -> WeightedHypergraph:
     """n petal edges sharing a common core of n vertices.
@@ -268,6 +276,7 @@ def gen_sunflower(n: int) -> WeightedHypergraph:
     """
     if n < 1:
         raise ValueError("sunflower needs n >= 1")
+    _check_edge_count(n)
     core = tuple(range(n + 1, 2 * n + 1))
     edges = tuple(HyperEdge((i,) + core) for i in range(1, n + 1))
     return WeightedHypergraph(2 * n, edges)
@@ -277,6 +286,7 @@ def gen_footnote_graph(n: int) -> WeightedHypergraph:
     """One unit hyperedge over all n vertices plus all pairs at weight 1/n^2."""
     if n < 3:
         raise ValueError("footnote graph needs n >= 3")
+    _check_edge_count(1 + n * (n - 1) // 2)
     w = Fraction(1, n * n)
     edges = [HyperEdge(tuple(range(1, n + 1)))]
     for u, v in itertools.combinations(range(1, n + 1), 2):
@@ -284,19 +294,12 @@ def gen_footnote_graph(n: int) -> WeightedHypergraph:
     return WeightedHypergraph(n, tuple(edges))
 
 
-def check_edge_count(count: int, edge_cap: int) -> None:
-    """Refuse to build a hypergraph of more than edge_cap edges."""
-    if count > edge_cap:
-        raise ValueError(f"edge count {count} exceeds cap {edge_cap}")
-
-
-def gen_example(which: str, n: int, r: int, edge_cap: int = 10**6) -> WeightedHypergraph:
+def gen_example(which: str, n: int, r: int) -> WeightedHypergraph:
     """Two structured families on 2n vertices used as sampling stress tests."""
     if which == "example1":
         if r < 2 or r - 1 > n or n < 1:
             raise ValueError(f"example1 needs 2 <= r <= n+1, got n={n} r={r}")
-        count = n * math.comb(n, r - 1)
-        check_edge_count(count, edge_cap)
+        _check_edge_count(n * math.comb(n, r - 1))
         second = range(n + 1, 2 * n + 1)
         edges = []
         for i in range(1, n + 1):
@@ -306,8 +309,7 @@ def gen_example(which: str, n: int, r: int, edge_cap: int = 10**6) -> WeightedHy
     if which == "example2":
         if r < 1 or 4 * r > n:
             raise ValueError(f"example2 needs 1 <= r and 2r <= n/2, got n={n} r={r}")
-        count = 2 + 2 * math.comb(n, 2 * r)
-        check_edge_count(count, edge_cap)
+        _check_edge_count(2 + 2 * math.comb(n, 2 * r))
         e0 = HyperEdge(tuple(range(1, 2 * r)) + (n + 1,))
         e1 = HyperEdge(tuple(range(1, r + 1)) + tuple(range(n + 1, n + r + 1)))
         edges = [e0, e1]
@@ -325,11 +327,12 @@ def gen_random(
     weighted: bool = False,
     w_max: int = 1,
     seed: int = 0,
-    edge_cap: int = 10**6,
 ) -> WeightedHypergraph:
     """Random multi-hypergraph, deterministic in the seed."""
     if n < 2:
         raise ValueError("random hypergraph needs n >= 2")
+    if n > sys.maxsize:  # random.sample takes a range no longer than this
+        raise ValueError("n must fit in a machine index")
     if m < 0:
         raise ValueError("edge count must be nonnegative")
     if r_max < 2:
@@ -338,7 +341,7 @@ def gen_random(
         raise ValueError("w_max must be at least 1")
     if weighted and w_max > sys.float_info.max:  # weights are drawn as floats
         raise ValueError("w_max must fit in a float")
-    check_edge_count(m, edge_cap)
+    _check_edge_count(m)
     rng = random.Random(seed)
     top = min(r_max, n)
     edges = []

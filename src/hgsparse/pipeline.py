@@ -44,7 +44,8 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .graph import UnionFind
-from .hypergraph import HyperEdge, WeightedHypergraph, as_weight, min_weight, weight_sum
+from .hypergraph import (HyperEdge, WeightedHypergraph, as_weight, min_weight,
+                         vertex_range_message, weight_sum)
 from .seeds import child_seed
 from .sparsify import SparsifierResult, check_d, check_epsilon, sparsify_weighted
 
@@ -59,7 +60,6 @@ class PipelineError(RuntimeError):
 @dataclass(frozen=True)
 class WeightBuckets:
     alpha: Fraction
-    w0: Fraction
     buckets: Mapping[int, tuple[int, ...]]
 
     def parity_indices(self, parity: str) -> list[int]:
@@ -75,7 +75,7 @@ def bucket_by_weight(h: WeightedHypergraph, epsilon: float) -> WeightBuckets:
     eps = as_weight(epsilon)
     alpha = Fraction(10 * h.n * h.n) / (eps * eps * eps)
     if h.m == 0:
-        return WeightBuckets(alpha, Fraction(0), {})
+        return WeightBuckets(alpha, {})
     w0 = min_weight(e.weight for e in h.edges)
     an, ad = alpha.numerator, alpha.denominator
     # bounds[i] = w0 alpha^(i+1) as an unreduced (numerator, denominator)
@@ -90,47 +90,34 @@ def bucket_by_weight(h: WeightedHypergraph, epsilon: float) -> WeightBuckets:
                 bn, bd = bounds[-1]
                 bounds.append((bn * an, bd * ad))
         buckets.setdefault(i + 1, []).append(idx)
-    return WeightBuckets(alpha, w0, {i: tuple(v) for i, v in buckets.items()})
-
-
-@dataclass(frozen=True)
-class ContractionMap:
-    supervertex: tuple[int, ...]  # original vertex v -> supervertex id, 1-based
-    n_super: int
-
-    def image(self, vertices: Iterable[int]) -> tuple[int, ...]:
-        return tuple(sorted({self.supervertex[v - 1] for v in vertices}))
+    return WeightBuckets(alpha, {i: tuple(v) for i, v in buckets.items()})
 
 
 def contract_components(
     n: int, higher: Sequence[HyperEdge], lower: Sequence[HyperEdge]
-) -> tuple[WeightedHypergraph, ContractionMap, tuple[int, ...]]:
-    """Contract the connected components spanned by `higher` (isolated
-    vertices stay their own component, numbered by smallest member) and map
-    `lower` through; edges collapsing into one supervertex are dropped, and
-    an edge whose image is its own vertex set is kept as the same object.
-    Returns the contracted hypergraph, the map, and the surviving indices
-    into `lower`.  With no `higher` edge the map is the identity, and `lower`
-    comes back whole.
+) -> tuple[WeightedHypergraph, tuple[int, ...]]:
+    """Contract the connected components spanned by `higher` into
+    supervertices 1..k, numbered in order of smallest member (an isolated
+    vertex is its own component), and map `lower` through; edges collapsing
+    into one supervertex are dropped, and an edge whose image is its own
+    vertex set is kept as the same object.  Returns the contracted
+    hypergraph, on the k supervertices, and the surviving indices into
+    `lower`.  With no `higher` edge nothing is contracted, and `lower` comes
+    back whole.
     """
     if not higher:
-        identity = ContractionMap(tuple(range(1, n + 1)), n)
-        return WeightedHypergraph(n, tuple(lower)), identity, tuple(range(len(lower)))
+        return WeightedHypergraph(n, tuple(lower)), tuple(range(len(lower)))
     groups = UnionFind(range(1, n + 1), (e.vertices for e in higher)).groups()
-    sv = [0] * n
-    for sid, grp in enumerate(groups, start=1):
-        for v in grp:
-            sv[v - 1] = sid
-    cmap = ContractionMap(tuple(sv), len(groups))
+    supervertex = {v: sid for sid, grp in enumerate(groups, start=1) for v in grp}
     kept: list[HyperEdge] = []
     origin: list[int] = []
     for idx, e in enumerate(lower):
-        img = cmap.image(e.vertices)
+        img = tuple(sorted({supervertex[v] for v in e.vertices}))
         if len(img) < 2:
             continue
         kept.append(e if img == e.vertices else HyperEdge(img, e.weight))
         origin.append(idx)
-    return WeightedHypergraph(cmap.n_super, tuple(kept)), cmap, tuple(origin)
+    return WeightedHypergraph(len(groups), tuple(kept)), tuple(origin)
 
 
 @dataclass(frozen=True)
@@ -174,17 +161,17 @@ def sparsify_parity(
     for i in reversed(indices):
         bucket_edges = [h.edges[j] for j in buckets.buckets[i]]
         bucket_origin = list(buckets.buckets[i])
-        contracted, cmap, kept = contract_components(h.n, higher, bucket_edges)
-        if prev_after is not None and cmap.n_super != prev_after:
+        contracted, kept = contract_components(h.n, higher, bucket_edges)
+        if prev_after is not None and contracted.n != prev_after:
             raise PipelineError(
-                f"supervertex count {cmap.n_super} does not match the "
+                f"supervertex count {contracted.n} does not match the "
                 f"previous bucket's component count {prev_after}"
             )
         comps = UnionFind(range(1, contracted.n + 1),
                           (e.vertices for e in contracted.edges)).groups()
         comp_sizes = tuple(len(c) for c in comps)
         after = len(comps)
-        delta = cmap.n_super - after
+        delta = contracted.n - after
         total_delta += delta
         weight_in = weight_sum(e.weight for e in bucket_edges)
         restored: list[Fraction] = []
@@ -221,7 +208,7 @@ def sparsify_parity(
                 f"bucket {i} restored weight {weight_out} exceeds 3x input {weight_in}"
             )
         reports.append(BucketReport(parity, i, weight_in, weight_out,
-                                    cmap.n_super, after, delta, comp_sizes))
+                                    contracted.n, after, delta, comp_sizes))
         higher.extend(bucket_edges)
         prev_after = after
     if total_delta > h.n - 1 and indices:
@@ -285,14 +272,18 @@ class StreamState:
         self.epsilon = epsilon
         self.d = d
         self.seed = seed
+        # log2 of the float quotient, unless it overflows or underflows to
+        # 0.0 (log2 then raises); log2 takes an int of any size
         try:
             log_ratio = math.log2(m_bound / n)
-        except OverflowError:  # a quotient past float range; log2 takes any int
+        except (OverflowError, ValueError):
             log_ratio = math.log2(m_bound) - math.log2(n)
         self.log_ratio = max(1.0, log_ratio)
         self.eps_inner = epsilon / (2 * self.log_ratio)
+        too_large = "capacity"  # what the overflow message names
         if capacity is None:
             capacity = 4 * n * max(1, math.ceil(self.log_ratio))
+            too_large = "n"
         if capacity < 4:
             raise ValueError("capacity must be at least 4")
         self.capacity = capacity
@@ -301,7 +292,7 @@ class StreamState:
         except OverflowError:  # an int capacity past float range
             bound = math.inf
         if bound == math.inf:
-            raise ValueError("capacity is too large: the memory bound overflows a float")
+            raise ValueError(f"{too_large} is too large: the memory bound overflows a float")
         self.raw: list[HyperEdge] = []
         self.sketches: list[list[list[HyperEdge]]] = []
         self.sketched = 0  # edges held in self.sketches, kept by _place
@@ -327,8 +318,7 @@ class StreamState:
         # checked here, not at the flush, which would lose the whole batch
         vs = edge.vertices
         if vs[0] < 1 or vs[-1] > self.n:
-            raise ValueError(
-                f"vertex id {vs[0] if vs[0] < 1 else vs[-1]} out of range [1,{self.n}]")
+            raise ValueError(vertex_range_message(vs, self.n))
         self.edges_seen += 1
         self.raw.append(edge)
         self._note_memory()

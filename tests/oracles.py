@@ -34,7 +34,6 @@ from hgsparse import (
     AssignmentGroup,
     BalanceError,
     BalancedAssignment,
-    ContractionMap,
     Cut,
     HyperEdge,
     ParseError,
@@ -297,25 +296,21 @@ def concentration_trial(
 
 def rebuild_contract_components(
     n: int, higher: Sequence[HyperEdge], lower: Sequence[HyperEdge]
-) -> tuple[WeightedHypergraph, ContractionMap, tuple[int, ...]]:
+) -> tuple[WeightedHypergraph, tuple[int, ...]]:
     """`pipeline.contract_components` as it was before it passed unchanged
     edges through: every surviving edge of `lower` is built anew from its
-    image."""
+    image, through a vertex-to-supervertex dict."""
     groups = UnionFind(range(1, n + 1), (e.vertices for e in higher)).groups()
-    sv = [0] * n
-    for sid, grp in enumerate(groups, start=1):
-        for v in grp:
-            sv[v - 1] = sid
-    cmap = ContractionMap(tuple(sv), len(groups))
+    supervertex = {v: sid for sid, grp in enumerate(groups, start=1) for v in grp}
     kept: list[HyperEdge] = []
     origin: list[int] = []
     for idx, e in enumerate(lower):
-        img = cmap.image(e.vertices)
+        img = tuple(sorted({supervertex[v] for v in e.vertices}))
         if len(img) < 2:
             continue
         kept.append(HyperEdge(img, e.weight))
         origin.append(idx)
-    return WeightedHypergraph(cmap.n_super, tuple(kept)), cmap, tuple(origin)
+    return WeightedHypergraph(len(groups), tuple(kept)), tuple(origin)
 
 
 def cut_weight_loop(h: WeightedHypergraph, cut: Cut) -> Fraction:
@@ -429,7 +424,7 @@ def bucket_by_weight_loop(h: WeightedHypergraph, epsilon: float) -> WeightBucket
     eps = as_weight(epsilon)
     alpha = Fraction(10 * h.n * h.n) / (eps * eps * eps)
     if h.m == 0:
-        return WeightBuckets(alpha, Fraction(0), {})
+        return WeightBuckets(alpha, {})
     w0 = min(e.weight for e in h.edges)
     first_bound = w0 * alpha
     buckets: dict[int, list[int]] = {}
@@ -440,7 +435,7 @@ def bucket_by_weight_loop(h: WeightedHypergraph, epsilon: float) -> WeightBucket
             bound *= alpha
             i += 1
         buckets.setdefault(i, []).append(idx)
-    return WeightBuckets(alpha, w0, {i: tuple(v) for i, v in buckets.items()})
+    return WeightBuckets(alpha, {i: tuple(v) for i, v in buckets.items()})
 
 
 def copy_counts_loop(h: WeightedHypergraph, epsilon: float) -> tuple[Fraction, list[int]]:

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import random_multigraph
+from conftest import mg, random_multigraph
 from hgsparse import (
     Cut,
     HyperEdge,
@@ -34,7 +34,6 @@ from hgsparse import (
     sparsify_unweighted,
     sparsify_weighted,
     stream_sparsify,
-    strength_table_from_pairs,
 )
 from oracles import check_same_component, mask_of, traced_balance
 from hgsparse.graph import collapse
@@ -108,7 +107,8 @@ def test_02_distinct_strengths_and_weight_ratio_bounds(balanced_corpus):
             for i, u in enumerate(verts):
                 for v in verts[i + 1:]:
                     pairs[(u, v)] = pairs.get((u, v), Fraction(0)) + share
-        tables.append((f"footnote-{n}", n, strength_table_from_pairs(n, pairs)))
+        clique = mg(n, [(u, v, w) for (u, v), w in pairs.items()])
+        tables.append((f"footnote-{n}", n, edge_strengths(clique)))
     for seed in range(10):
         n = 5 + seed % 8
         g = random_multigraph(n, 8 + seed, seed)

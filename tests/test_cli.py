@@ -78,19 +78,33 @@ class TestGen:
         assert "invalid choice" in capsys.readouterr().err
 
     def test_edge_cap(self, capsys):
-        for argv, count in ((["random", "--n", "3", "--m", "20"], 20),
-                            (["footnote", "--n", "10"], 46), (["sunflower", "--n", "10"], 10)):
-            assert dispatch(["gen"] + argv + ["--edge-cap", "5"]) == 2
-            assert capsys.readouterr() == ("", f"error: edge count {count} exceeds cap 5\n")
+        # every family refuses more than 10**6 edges before it builds one
+        for argv, count in ((["random", "--n", "3", "--m", "1000001"], 1000001),
+                            (["footnote", "--n", "1415"], 1000406),
+                            (["sunflower", "--n", "1000001"], 1000001),
+                            (["example1", "--n", "200", "--r", "4"], 262680000),
+                            (["example2", "--n", "100", "--r", "3"], 2384104802)):
+            assert dispatch(["gen"] + argv) == 2
+            assert capsys.readouterr() == (
+                "", f"error: edge count {count} exceeds the limit 1000000\n")
         # a family's own argument check still comes first
         for argv, message in ((["footnote", "--n", "2"], "footnote graph needs n >= 3"),
                               (["sunflower", "--n", "0"], "sunflower needs n >= 1"),
-                              (["random", "--n", "1", "--m", "20"],
+                              (["random", "--n", "1", "--m", "1000001"],
                                "random hypergraph needs n >= 2"),
-                              (["random", "--n", "3", "--m", "20", "--r-max", "1"],
+                              (["random", "--n", str(10**400), "--m", "1000001"],
+                               "n must fit in a machine index"),
+                              (["random", "--n", "3", "--m", "1000001", "--r-max", "1"],
                                "r_max must be at least 2")):
-            assert dispatch(["gen"] + argv + ["--edge-cap", "1"]) == 2
+            assert dispatch(["gen"] + argv) == 2
             assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_n_past_machine_index(self, capsys):
+        assert dispatch(["gen", "random", "--n", str(10**400), "--m", "2"]) == 2
+        assert capsys.readouterr() == ("", "error: n must fit in a machine index\n")
+        big = str(2**63 - 1)  # the largest n that random.sample takes on 64-bit builds
+        assert dispatch(["gen", "random", "--n", big, "--m", "2", "--seed", "4"]) == 0
+        assert parse_hypergraph(capsys.readouterr().out) == gen_random(2**63 - 1, 2, 3, seed=4)
 
 
 class TestSparsify:
@@ -234,6 +248,15 @@ class TestStream:
         assert capsys.readouterr() == (
             "", "error: capacity is too large: the memory bound overflows a float\n")
 
+    def test_n_past_float_range(self, tmp_path, capsys):
+        # m_bound / n underflows to 0.0, log2(m_bound) - log2(n) does not
+        src = tmp_path / "edges.txt"
+        src.write_text("1 1 2\n")
+        argv = ["stream", "-i", str(src), "--n", str(10**400), "--m-bound", "5", "-e", "0.5"]
+        assert dispatch(argv) == 2  # the default capacity, 4 n, is past float range
+        assert capsys.readouterr() == (
+            "", "error: n is too large: the memory bound overflows a float\n")
+
 
 class LineStdin:
     """A stdin that hands out its lines one at a time and refuses read()."""
@@ -333,15 +356,12 @@ class TestFlagChecks:
     GAMMA = [["sparsify", "-e", "0.5"], ["strengths"], ["balance"]]
     D = [["sparsify", "-e", "0.5"], ["pipeline", "-e", "0.5"],
          ["stream", "--n", "3", "--m-bound", "5", "-e", "0.5"]]
-    EDGE_CAP = [["gen", "sunflower", "--n", "3"]]
 
     CASES = ([(argv + ["--seed", v], "argument --seed: seed must fit in 64 unsigned bits")
               for argv in SEED for v in ("-1", str(2**64))]
              + [(argv + ["-g", "1"], "argument -g/--gamma: gamma must be an integer >= 2")
                 for argv in GAMMA]
-             + [(argv + ["-d", "-1"], "argument -d: d must be nonnegative") for argv in D]
-             + [(argv + ["--edge-cap", "0"], "argument --edge-cap: edge cap must be positive")
-                for argv in EDGE_CAP])
+             + [(argv + ["-d", "-1"], "argument -d: d must be nonnegative") for argv in D])
 
     @pytest.mark.parametrize("argv,message", CASES, ids=[" ".join(a) for a, _ in CASES])
     def test_bad_value_exits_2_before_reading(self, monkeypatch, capsys, argv, message):
@@ -351,8 +371,9 @@ class TestFlagChecks:
         assert err.startswith("usage: hgsparse ")
         assert err.endswith(f"hgsparse {argv[0]}: error: {message}\n")
 
-    @pytest.mark.parametrize("argv", D, ids=lambda a: a[0])
+    @pytest.mark.parametrize("argv", SEED[:1] + D, ids=lambda a: a[0])
     def test_edge_cap_is_gen_only(self, monkeypatch, capsys, argv):
+        # no command takes --edge-cap, gen included: its limit is fixed
         monkeypatch.setattr("sys.stdin", UntouchedStdin())
         assert dispatch(argv + ["--edge-cap", "5"]) == 2
         assert capsys.readouterr().err.endswith(

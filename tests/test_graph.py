@@ -19,7 +19,6 @@ from hgsparse import (
     k_strong_components,
     pair_strengths,
     run_balance,
-    strength_table_from_pairs,
 )
 from hgsparse import balance, graph
 from hgsparse.graph import StrengthTree, _merged_min_cut, _stoer_wagner
@@ -36,9 +35,6 @@ class TestCollapse:
     def test_parallel_sum(self):
         g = mg(2, [(1, 2, Fraction(1, 2)), (2, 1, Fraction(1, 2))])
         assert collapse(g) == {(1, 2): Fraction(1)}
-
-    def test_zero_filtered(self):
-        assert strength_table_from_pairs(2, {(1, 2): Fraction(0)}).pair_weight == {}
 
     def test_k3_thirds(self):
         g = mg(3, [(u, v, Fraction(1, 3)) for u, v, _ in TRIANGLE])
@@ -133,9 +129,8 @@ class TestEdgeStrengths:
         assert t.strength(1, 2) == 5
 
     def test_zero_weight_edge_inherits_pair(self):
-        t = strength_table_from_pairs(3, {(1, 2): Fraction(3), (1, 3): Fraction(0),
-                                          (2, 3): Fraction(1)})
-        # the zero pair carries no weight and leaves pair (1,2) at weight 3
+        t = edge_strengths(mg(3, [(1, 2, 3), (2, 3, 1)]))
+        # the absent pair (1,3) carries no weight and leaves pair (1,2) at weight 3
         assert t.strength(1, 2) == 3
         assert (1, 3) not in t.pair_weight
 
@@ -516,7 +511,7 @@ class TestKStrongComponents:
 
 class TestWeightIncreaseMonotonicity:
     def _strengths(self, n, pairs):
-        return strength_table_from_pairs(n, pairs).pair_strength
+        return edge_strengths(mg(n, [(u, v, w) for (u, v), w in pairs.items()])).pair_strength
 
     def test_delta_increase_bounds_quick(self):
         import random as _random

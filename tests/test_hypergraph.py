@@ -10,6 +10,7 @@ from hgsparse import (
     Cut,
     HyperEdge,
     ParseError,
+    StreamState,
     WeightedHypergraph,
     as_weight,
     cut_weight,
@@ -22,6 +23,7 @@ from hgsparse import (
     serialize_hypergraph,
 )
 from conftest import fraction_builds, fraction_op_counts
+from hgsparse import hypergraph
 from hgsparse.hypergraph import min_weight, parse_edge_line, weight_sum
 from oracles import (
     format_weight_loop,
@@ -213,10 +215,6 @@ class TestParse:
         with pytest.raises(ParseError):
             parse_hypergraph("")
 
-    def test_bytes_accepted(self):
-        h = parse_hypergraph(b"1 2 0\n1 2\n")
-        assert h.m == 1
-
 
 class TestSerialize:
     def test_single_unit_edge(self):
@@ -339,11 +337,21 @@ class TestGenerators:
 
     def test_example_caps_and_validation(self):
         with pytest.raises(ValueError):
-            gen_example("example1", 10, 6, edge_cap=10)
+            gen_example("example1", 200, 4)  # 262,680,000 edges, refused before any is built
         with pytest.raises(ValueError):
             gen_example("example2", 4, 2)  # needs 2r <= n/2
         with pytest.raises(ValueError):
             gen_example("nope", 4, 2)
+
+    def test_edge_limit(self, monkeypatch):
+        monkeypatch.setattr(hypergraph, "EDGE_LIMIT", 6)
+        assert gen_sunflower(6).m == gen_random(3, 6, 2).m == 6
+        for build, count in ((lambda: gen_sunflower(7), 7), (lambda: gen_random(3, 7, 2), 7),
+                             (lambda: gen_footnote_graph(4), 7),
+                             (lambda: gen_example("example1", 3, 2), 9),
+                             (lambda: gen_example("example2", 4, 1), 14)):
+            with pytest.raises(ValueError, match=rf"^edge count {count} exceeds the limit 6$"):
+                build()
 
     def test_random_deterministic(self):
         a = gen_random(6, 10, 4, weighted=True, w_max=5, seed=7)
@@ -364,6 +372,20 @@ class TestHypergraphType:
     def test_vertex_range_enforced(self):
         with pytest.raises(ValueError):
             WeightedHypergraph(2, (HyperEdge((1, 3)),))
+
+    @pytest.mark.parametrize("verts,bad", [((1, 12, 15), 12), ((0, 3, 12), 0)])
+    def test_first_bad_vertex_named_on_every_path(self, verts, bad):
+        message = f"vertex id {bad} out of range [1,10]"
+        line = " ".join(map(str, verts))
+        with pytest.raises(ParseError) as parsed:
+            parse_hypergraph(f"1 10 1\n1 {line}\n")
+        assert str(parsed.value) == f"line 2: {message}"
+        with pytest.raises(ValueError) as built:
+            WeightedHypergraph(10, (HyperEdge(verts),))
+        assert str(built.value) == message
+        with pytest.raises(ValueError) as pushed:
+            StreamState(10, 5, 0.5).push(HyperEdge(verts))
+        assert str(pushed.value) == message
 
     def test_isolated_vertices_allowed(self):
         h = WeightedHypergraph(9, (HyperEdge((1, 2)),))

@@ -1,6 +1,7 @@
 """Weight buckets, contraction, the parity pipeline, and streaming."""
 
 import dataclasses
+import math
 from fractions import Fraction
 
 import pytest
@@ -9,11 +10,11 @@ from hypothesis import strategies as st
 
 from conftest import bucket_cases, fraction_builds, fraction_op_counts
 from hgsparse import (
-    ContractionMap,
     Cut,
     HyperEdge,
     PipelineError,
     StreamState,
+    UnionFind,
     WeightedHypergraph,
     all_cuts_report,
     bucket_by_weight,
@@ -103,7 +104,7 @@ class TestBucketByWeight:
                                    HyperEdge((1, 2), 40),
                                    HyperEdge((1, 2), 1600)))
         b = bucket_by_weight(h, 1.0)
-        assert b.alpha == 40 and b.w0 == 1
+        assert b.alpha == 40
         assert b.buckets == {1: (0, 1), 2: (2,), 3: (3,)}
         assert b.parity_indices(EVEN) == [2]
         assert b.parity_indices(ODD) == [1, 3]
@@ -115,7 +116,7 @@ class TestBucketByWeight:
 
     @given(bucket_cases())
     def test_matches_fraction_loop(self, case):
-        # alpha, w0 and every bucket, on weights at and 1/q beside w0 alpha^k
+        # alpha and every bucket, on weights at and 1/q beside w0 alpha^k
         h, eps = case
         assert bucket_by_weight(h, eps) == bucket_by_weight_loop(h, eps)
 
@@ -123,23 +124,25 @@ class TestBucketByWeight:
 class TestContractComponents:
     def test_identity_when_no_higher(self):
         lower = (HyperEdge((1, 3)), HyperEdge((2, 4, 5)))
-        contracted, cmap, kept = contract_components(5, (), lower)
-        assert cmap.n_super == 5 and cmap.supervertex == (1, 2, 3, 4, 5)
+        contracted, kept = contract_components(5, (), lower)
+        assert contracted.n == 5
         assert contracted.edges == lower and kept == (0, 1)
 
     def test_collapse_and_drop(self):
         higher = (HyperEdge((1, 2)), HyperEdge((3, 4)))
         lower = (HyperEdge((1, 3)), HyperEdge((1, 2)), HyperEdge((2, 4)))
-        contracted, cmap, kept = contract_components(4, higher, lower)
-        assert cmap.supervertex == (1, 1, 2, 2) and cmap.n_super == 2
+        contracted, kept = contract_components(4, higher, lower)
+        assert contracted.n == 2
         # (1,2) lives inside supervertex 1 and is dropped
         assert kept == (0, 2)
         assert [e.vertices for e in contracted.edges] == [(1, 2), (1, 2)]
 
     def test_isolated_vertices_numbered_by_smallest(self):
-        contracted, cmap, _ = contract_components(5, (HyperEdge((2, 4)),), ())
-        assert cmap.supervertex == (1, 2, 3, 2, 4)
-        assert contracted.n == 4
+        # supervertices 1..4 are {1}, {2, 4}, {3}, {5}
+        lower = tuple(HyperEdge(vs) for vs in ((1, 2), (2, 3), (4, 5), (2, 4), (1, 5)))
+        contracted, kept = contract_components(5, (HyperEdge((2, 4)),), lower)
+        assert contracted.n == 4 and kept == (0, 1, 2, 4)
+        assert [e.vertices for e in contracted.edges] == [(1, 2), (2, 3), (2, 4), (1, 4)]
 
     @pytest.mark.parametrize("with_higher", [False, True])
     @given(data=st.data())
@@ -147,9 +150,9 @@ class TestContractComponents:
         n = data.draw(st.integers(2, 8))
         higher = data.draw(edge_lists(n, 4)) if with_higher else []
         lower = data.draw(edge_lists(n, 10))
-        contracted, cmap, kept = contract_components(n, higher, lower)
-        want, want_cmap, want_kept = rebuild_contract_components(n, higher, lower)
-        assert (cmap, kept, contracted.n) == (want_cmap, want_kept, want.n)
+        contracted, kept = contract_components(n, higher, lower)
+        want, want_kept = rebuild_contract_components(n, higher, lower)
+        assert (kept, contracted.n) == (want_kept, want.n)
         assert [(e.vertices, e.weight) for e in contracted.edges] == \
             [(e.vertices, e.weight) for e in want.edges]
         # an edge whose vertex set maps to itself is passed through
@@ -163,13 +166,16 @@ class TestContractComponents:
         for seed in range(8):
             h = gen_random(6, 10, 3, weighted=True, w_max=5, seed=seed)
             higher = gen_random(6, 3, 2, seed=seed + 100).edges
-            contracted, cmap, kept = contract_components(6, higher, h.edges)
+            contracted, _ = contract_components(6, higher, h.edges)
             if contracted.n < 2:
                 continue
+            # supervertices are numbered in order of smallest member
+            groups = UnionFind(range(1, 7), (e.vertices for e in higher)).groups()
+            supervertex = {v: sid for sid, grp in enumerate(groups, start=1) for v in grp}
             for mask in range(1, 1 << (contracted.n - 1), 2):
                 csup = Cut(contracted.n, mask)
                 side = [v for v in range(1, 7)
-                        if mask >> (cmap.supervertex[v - 1] - 1) & 1]
+                        if mask >> (supervertex[v] - 1) & 1]
                 w_sup = cut_weight(contracted, csup)
                 w_orig = cut_weight(h, Cut(6, mask_of(side)))
                 assert w_sup == w_orig
@@ -283,8 +289,12 @@ class TestHardChecks:
         real = pipeline.contract_components
 
         def padded(n, higher, lower):
-            contracted, cmap, kept = real(n, higher, lower)
-            return contracted, ContractionMap(cmap.supervertex, cmap.n_super + n), kept
+            contracted, kept = real(n, higher, lower)
+            # n more supervertices, joined to the rest by a copy of the first edge
+            extra = tuple(range(contracted.n + 1, contracted.n + n + 1))
+            first = contracted.edges[0]
+            edges = contracted.edges + (HyperEdge(first.vertices + extra, first.weight),)
+            return WeightedHypergraph(contracted.n + n, edges), kept + kept[:1]
 
         monkeypatch.setattr(pipeline, "contract_components", padded)
         h = WeightedHypergraph(3, (HyperEdge((1, 2)), HyperEdge((2, 3))))
@@ -330,6 +340,13 @@ class TestStreaming:
             StreamState(0, 100, 0.5)
         with pytest.raises(ValueError):
             StreamState(3, 100, 1.5)
+
+    def test_log_ratio_past_float_range(self):
+        # m_bound / n underflows to 0.0 and overflows a float; the int logs
+        # take over, and the float quotient stays in every other case
+        assert StreamState(10**400, 5, 0.5, capacity=4).log_ratio == 1.0
+        assert StreamState(3, 10**400, 0.5).log_ratio == math.log2(10**400) - math.log2(3)
+        assert StreamState(6, 40, 0.5).log_ratio == math.log2(40 / 6)
 
     def test_d_checked_before_any_edge(self):
         with pytest.raises(ValueError, match="d must be a nonnegative integer"):
