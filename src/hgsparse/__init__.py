@@ -53,7 +53,6 @@ from .pipeline import (
     bucket_by_weight,
     contract_components,
     fast_sparsify,
-    sparsify_parity,
     stream_sparsify,
 )
 from .seeds import RNG_ID, child_seed
@@ -133,7 +132,6 @@ __all__ = [
     "sample_sparsifier",
     "save_result",
     "serialize_hypergraph",
-    "sparsify_parity",
     "sparsify_unweighted",
     "sparsify_weighted",
     "stream_sparsify",

@@ -22,6 +22,7 @@ from .balance import BalanceError, is_balanced, run_balance
 from .graph import edge_strengths
 from .hypergraph import (
     EDGE_LIMIT,
+    ENTRY_LIMIT,
     ParseError,
     WeightedHypergraph,
     content_lines,
@@ -130,7 +131,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="generate a named hypergraph family",
                        description="Write a named hypergraph family to a file "
                                    f"or stdout.  A family of more than {EDGE_LIMIT} "
-                                   "edges is refused.")
+                                   f"edges or {ENTRY_LIMIT} vertex entries is refused.")
     p.add_argument("family",
                    choices=["sunflower", "footnote", "example1", "example2", "random"])
     p.add_argument("--n", type=int, required=True, help="family size parameter")

@@ -260,11 +260,14 @@ def parse_hypergraph(text: str | Iterable[str]) -> WeightedHypergraph:
 # ---------------------------------------------------------------------------
 
 EDGE_LIMIT = 10**6  # checked by each generator after its arguments, before any edge is built
+ENTRY_LIMIT = 10**7  # the same for the vertex entries, the sum of |e| over the edges
 
 
-def _check_edge_count(count: int) -> None:
+def _check_size(count: int, entries: int) -> None:
     if count > EDGE_LIMIT:
         raise ValueError(f"edge count {count} exceeds the limit {EDGE_LIMIT}")
+    if entries > ENTRY_LIMIT:
+        raise ValueError(f"{entries} vertex entries exceed the limit {ENTRY_LIMIT}")
 
 
 def gen_sunflower(n: int) -> WeightedHypergraph:
@@ -276,7 +279,7 @@ def gen_sunflower(n: int) -> WeightedHypergraph:
     """
     if n < 1:
         raise ValueError("sunflower needs n >= 1")
-    _check_edge_count(n)
+    _check_size(n, n * (n + 1))
     core = tuple(range(n + 1, 2 * n + 1))
     edges = tuple(HyperEdge((i,) + core) for i in range(1, n + 1))
     return WeightedHypergraph(2 * n, edges)
@@ -286,7 +289,7 @@ def gen_footnote_graph(n: int) -> WeightedHypergraph:
     """One unit hyperedge over all n vertices plus all pairs at weight 1/n^2."""
     if n < 3:
         raise ValueError("footnote graph needs n >= 3")
-    _check_edge_count(1 + n * (n - 1) // 2)
+    _check_size(1 + n * (n - 1) // 2, n * n)
     w = Fraction(1, n * n)
     edges = [HyperEdge(tuple(range(1, n + 1)))]
     for u, v in itertools.combinations(range(1, n + 1), 2):
@@ -299,7 +302,8 @@ def gen_example(which: str, n: int, r: int) -> WeightedHypergraph:
     if which == "example1":
         if r < 2 or r - 1 > n or n < 1:
             raise ValueError(f"example1 needs 2 <= r <= n+1, got n={n} r={r}")
-        _check_edge_count(n * math.comb(n, r - 1))
+        count = n * math.comb(n, r - 1)
+        _check_size(count, r * count)
         second = range(n + 1, 2 * n + 1)
         edges = []
         for i in range(1, n + 1):
@@ -309,7 +313,8 @@ def gen_example(which: str, n: int, r: int) -> WeightedHypergraph:
     if which == "example2":
         if r < 1 or 4 * r > n:
             raise ValueError(f"example2 needs 1 <= r and 2r <= n/2, got n={n} r={r}")
-        _check_edge_count(2 + 2 * math.comb(n, 2 * r))
+        count = 2 + 2 * math.comb(n, 2 * r)
+        _check_size(count, 2 * r * count)
         e0 = HyperEdge(tuple(range(1, 2 * r)) + (n + 1,))
         e1 = HyperEdge(tuple(range(1, r + 1)) + tuple(range(n + 1, n + r + 1)))
         edges = [e0, e1]
@@ -341,9 +346,9 @@ def gen_random(
         raise ValueError("w_max must be at least 1")
     if weighted and w_max > sys.float_info.max:  # weights are drawn as floats
         raise ValueError("w_max must fit in a float")
-    _check_edge_count(m)
-    rng = random.Random(seed)
     top = min(r_max, n)
+    _check_size(m, m * top)  # at most top vertices per edge
+    rng = random.Random(seed)
     edges = []
     for _ in range(m):
         size = rng.randint(2, top)

@@ -13,9 +13,9 @@ each element passes through at most levels+1 sparsifications, so running the
 inner stages at eps/(2 log2(m/n)) keeps the composed error within eps.
 
 An edge passes through a stage as the same `HyperEdge` object whenever the
-stage leaves its vertex set and weight unchanged: contraction when its image
-is its own vertex set, the per-component relabel when the component is
-already supervertices 1..k, the restore when the sampler's edge already has
+stage leaves its vertex set and weight unchanged: the contraction map
+(supervertices, then each component relabelled to 1..size) when its final
+image is its own vertex set, the restore when the sampler's edge already has
 the original vertex set, and the stream's fold when no parallel edge joins it.
 So a flush builds new edges only for what it changes.
 
@@ -62,10 +62,6 @@ class WeightBuckets:
     alpha: Fraction
     buckets: Mapping[int, tuple[int, ...]]
 
-    def parity_indices(self, parity: str) -> list[int]:
-        want = 0 if parity == EVEN else 1
-        return sorted(i for i in self.buckets if i % 2 == want)
-
 
 def bucket_by_weight(h: WeightedHypergraph, epsilon: float) -> WeightBuckets:
     """Partition edges by weight into half-open geometric buckets
@@ -95,29 +91,47 @@ def bucket_by_weight(h: WeightedHypergraph, epsilon: float) -> WeightBuckets:
 
 def contract_components(
     n: int, higher: Sequence[HyperEdge], lower: Sequence[HyperEdge]
-) -> tuple[WeightedHypergraph, tuple[int, ...]]:
-    """Contract the connected components spanned by `higher` into
-    supervertices 1..k, numbered in order of smallest member (an isolated
-    vertex is its own component), and map `lower` through; edges collapsing
-    into one supervertex are dropped, and an edge whose image is its own
-    vertex set is kept as the same object.  Returns the contracted
-    hypergraph, on the k supervertices, and the surviving indices into
-    `lower`.  With no `higher` edge nothing is contracted, and `lower` comes
-    back whole.
+) -> tuple[int, list[tuple[int, WeightedHypergraph, tuple[int, ...]]]]:
+    """Map `lower` onto the samplers' vertices.  The components spanned by
+    `higher` become supervertices 1..k in order of smallest member (an
+    isolated vertex is its own; with no `higher` edge, k = n).  Edges inside
+    one supervertex are dropped, and the rest split into the connected
+    components of their images, each relabelled to 1..size.  Returns k and,
+    per component in order of smallest supervertex, (that supervertex, the
+    component's hypergraph, each edge's index into `lower`); a lone
+    supervertex has no edges.  An edge whose final image is its own vertex
+    set is kept as the same object.
     """
-    if not higher:
-        return WeightedHypergraph(n, tuple(lower)), tuple(range(len(lower)))
-    groups = UnionFind(range(1, n + 1), (e.vertices for e in higher)).groups()
-    supervertex = {v: sid for sid, grp in enumerate(groups, start=1) for v in grp}
-    kept: list[HyperEdge] = []
-    origin: list[int] = []
-    for idx, e in enumerate(lower):
-        img = tuple(sorted({supervertex[v] for v in e.vertices}))
-        if len(img) < 2:
-            continue
-        kept.append(e if img == e.vertices else HyperEdge(img, e.weight))
-        origin.append(idx)
-    return WeightedHypergraph(len(groups), tuple(kept)), tuple(origin)
+    k = n
+    if higher:
+        groups = UnionFind(range(1, n + 1), (e.vertices for e in higher)).groups()
+        k = len(groups)
+        supervertex = {v: sid for sid, grp in enumerate(groups, start=1) for v in grp}
+        images = {}
+        for idx, e in enumerate(lower):
+            img = tuple(sorted({supervertex[v] for v in e.vertices}))
+            if len(img) > 1:
+                images[idx] = img
+    else:
+        images = {idx: e.vertices for idx, e in enumerate(lower)}
+    comps = UnionFind(range(1, k + 1), images.values()).groups()
+    comp_of = {v: ci for ci, comp in enumerate(comps) for v in comp}
+    members: list[list[int]] = [[] for _ in comps]
+    for idx, img in images.items():
+        members[comp_of[img[0]]].append(idx)
+    out = []
+    for comp, idxs in zip(comps, members):
+        # a component already on supervertices 1..size needs no relabel
+        rank = None if max(comp) == len(comp) else {
+            v: t for t, v in enumerate(sorted(comp), start=1)}
+        edges = []
+        for idx in idxs:
+            e, img = lower[idx], images[idx]
+            if rank is not None:
+                img = tuple(rank[v] for v in img)
+            edges.append(e if img == e.vertices else HyperEdge(img, e.weight))
+        out.append((min(comp), WeightedHypergraph(len(comp), tuple(edges)), tuple(idxs)))
+    return k, out
 
 
 @dataclass(frozen=True)
@@ -132,108 +146,65 @@ class BucketReport:
     comp_sizes: tuple[int, ...]
 
 
-def sparsify_parity(
-    h: WeightedHypergraph,
-    buckets: WeightBuckets,
-    parity: str,
-    epsilon: float,
-    d: int = 1,
-    seed: int = 0,
-) -> tuple[list[HyperEdge], list[int], list[BucketReport]]:
-    """Sparsify one parity class of `buckets` (the weight buckets of `h`),
-    heaviest bucket first, contracting all same-parity buckets above the
-    current one.  Per bucket, each connected component of the contracted
-    hypergraph is sparsified at eps/2 on its own and restored through the
-    contraction map.
-
-    Hard checks: the supervertex counts telescope (total shrink at most n-1)
-    and each bucket's restored weight stays within 3x its input weight.
-    """
-    if parity not in (EVEN, ODD):
-        raise ValueError("parity must be 'even' or 'odd'")
-    indices = buckets.parity_indices(parity)
-    out_edges: list[HyperEdge] = []
-    out_origin: list[int] = []
-    reports: list[BucketReport] = []
-    higher: list[HyperEdge] = []
-    prev_after: Optional[int] = None
-    total_delta = 0
-    for i in reversed(indices):
-        bucket_edges = [h.edges[j] for j in buckets.buckets[i]]
-        bucket_origin = list(buckets.buckets[i])
-        contracted, kept = contract_components(h.n, higher, bucket_edges)
-        if prev_after is not None and contracted.n != prev_after:
-            raise PipelineError(
-                f"supervertex count {contracted.n} does not match the "
-                f"previous bucket's component count {prev_after}"
-            )
-        comps = UnionFind(range(1, contracted.n + 1),
-                          (e.vertices for e in contracted.edges)).groups()
-        comp_sizes = tuple(len(c) for c in comps)
-        after = len(comps)
-        delta = contracted.n - after
-        total_delta += delta
-        weight_in = weight_sum(e.weight for e in bucket_edges)
-        restored: list[Fraction] = []
-        comp_of = {v: ci for ci, comp in enumerate(comps) for v in comp}
-        comp_edges: list[list[int]] = [[] for _ in comps]
-        for k, e in enumerate(contracted.edges):
-            comp_edges[comp_of[e.vertices[0]]].append(k)
-        for comp, edge_ids in zip(comps, comp_edges):
-            if not edge_ids:
-                continue
-            if max(comp) == len(comp):  # already supervertices 1..k
-                sub_edges = tuple(contracted.edges[k] for k in edge_ids)
-            else:
-                relabel = {v: t for t, v in enumerate(sorted(comp), start=1)}
-                sub_edges = tuple(
-                    HyperEdge(tuple(relabel[v] for v in contracted.edges[k].vertices),
-                              contracted.edges[k].weight)
-                    for k in edge_ids
-                )
-            sub = WeightedHypergraph(len(comp), sub_edges)
-            res = sparsify_weighted(
-                sub, epsilon / 2, d=d,
-                seed=child_seed(seed, parity, i, min(comp)),
-            )
-            for pos, w_edge in zip(res.origin, res.hypergraph.edges):
-                orig_idx = bucket_origin[kept[edge_ids[pos]]]
-                vs = h.edges[orig_idx].vertices
-                out_edges.append(w_edge if w_edge.vertices == vs else HyperEdge(vs, w_edge.weight))
-                out_origin.append(orig_idx)
-                restored.append(w_edge.weight)
-        weight_out = weight_sum(restored)
-        if weight_out > 3 * weight_in:
-            raise PipelineError(
-                f"bucket {i} restored weight {weight_out} exceeds 3x input {weight_in}"
-            )
-        reports.append(BucketReport(parity, i, weight_in, weight_out,
-                                    contracted.n, after, delta, comp_sizes))
-        higher.extend(bucket_edges)
-        prev_after = after
-    if total_delta > h.n - 1 and indices:
-        raise PipelineError(f"supervertex shrink {total_delta} exceeds n-1")
-    return out_edges, out_origin, reports
-
-
 def fast_sparsify(
     h: WeightedHypergraph, epsilon: float, d: int = 1, seed: int = 0
 ) -> SparsifierResult:
     """Union of the two parity-class sparsifiers; handles arbitrary weight
-    ratios at the price of a constant-factor error increase."""
+    ratios at the price of a constant-factor error increase.
+
+    Each parity class of the weight buckets is sparsified heaviest bucket
+    first, with all same-parity buckets above the current one contracted
+    away.  Per bucket, each connected component of the contracted bucket is
+    sparsified at eps/2 on its own and restored to the original vertex
+    sets; the output lists the kept edges in input order.
+
+    Hard checks, raising `PipelineError`: the supervertex counts telescope
+    (each bucket's count equals the component count of the bucket above,
+    and the total shrink per parity is at most n-1), and each bucket's
+    restored weight stays within 3x its input weight.  A bucket whose unit
+    copies exceed `sparsify.COPY_LIMIT` below p = 1 still raises
+    `ValueError`.
+    """
     check_d(d)
     buckets = bucket_by_weight(h, epsilon)
-    edges: list[HyperEdge] = []
-    origin: list[int] = []
+    restored: dict[int, HyperEdge] = {}
     reports: list[BucketReport] = []
-    for parity in (EVEN, ODD):
-        p_edges, p_origin, p_reports = sparsify_parity(
-            h, buckets, parity, epsilon, d, seed)
-        edges.extend(p_edges)
-        origin.extend(p_origin)
-        reports.extend(p_reports)
-    order = sorted(range(len(edges)), key=lambda t: origin[t])
-    out = WeightedHypergraph(h.n, tuple(edges[t] for t in order))
+    for parity, rem in ((EVEN, 0), (ODD, 1)):
+        higher: list[HyperEdge] = []
+        prev_after: Optional[int] = None
+        total_delta = 0
+        for i in sorted((i for i in buckets.buckets if i % 2 == rem), reverse=True):
+            bucket = buckets.buckets[i]
+            lower = [h.edges[j] for j in bucket]
+            k, comps = contract_components(h.n, higher, lower)
+            if prev_after is not None and k != prev_after:
+                raise PipelineError(f"supervertex count {k} does not match the previous "
+                                    f"bucket's component count {prev_after}")
+            after = len(comps)
+            total_delta += k - after
+            weight_in = weight_sum(e.weight for e in lower)
+            for low, sub, idxs in comps:
+                if not sub.m:
+                    continue
+                res = sparsify_weighted(sub, epsilon / 2, d=d,
+                                        seed=child_seed(seed, parity, i, low))
+                for pos, w_edge in zip(res.origin, res.hypergraph.edges):
+                    j = bucket[idxs[pos]]
+                    vs = h.edges[j].vertices
+                    restored[j] = w_edge if w_edge.vertices == vs else HyperEdge(vs, w_edge.weight)
+            weight_out = weight_sum(restored[j].weight for j in bucket if j in restored)
+            if weight_out > 3 * weight_in:
+                raise PipelineError(
+                    f"bucket {i} restored weight {weight_out} exceeds 3x input {weight_in}"
+                )
+            reports.append(BucketReport(parity, i, weight_in, weight_out, k, after,
+                                        k - after, tuple(sub.n for _, sub, _ in comps)))
+            higher.extend(lower)
+            prev_after = after
+        if total_delta > h.n - 1:
+            raise PipelineError(f"supervertex shrink {total_delta} exceeds n-1")
+    origin = tuple(sorted(restored))
+    out = WeightedHypergraph(h.n, tuple(restored[j] for j in origin))
     return SparsifierResult(
         hypergraph=out,
         plan=None,
@@ -241,7 +212,7 @@ def fast_sparsify(
         m_in=h.m,
         m_out=out.m,
         sum_p=None,
-        origin=tuple(origin[t] for t in order),
+        origin=origin,
         notes={"bucket_reports": tuple(reports),
                "alpha": buckets.alpha},
     )

@@ -1,6 +1,7 @@
 """Slow oracles that only the tests read: an exact global min cut, the
 survivor-connectivity audit of a sampling plan, a seeded concentration batch,
-a contraction that rebuilds every edge, cut weights by a per-edge `Fraction`
+a contraction map that rebuilds every edge and splits and relabels its
+components in plain passes, cut weights by a per-edge `Fraction`
 loop, a weight formatter that strips factors of 2 one at a time, weight
 bucketing and copy counts by `Fraction` compares, a bitmask builder for
 `Cut`, the heavy-core family of instances, the balance loop one unit per pick
@@ -297,9 +298,10 @@ def concentration_trial(
 def rebuild_contract_components(
     n: int, higher: Sequence[HyperEdge], lower: Sequence[HyperEdge]
 ) -> tuple[WeightedHypergraph, tuple[int, ...]]:
-    """`pipeline.contract_components` as it was before it passed unchanged
-    edges through: every surviving edge of `lower` is built anew from its
-    image, through a vertex-to-supervertex dict."""
+    """The contraction half of `pipeline.contract_components`, as it was
+    before it passed unchanged edges through: the hypergraph on the k
+    supervertices and the surviving indices into `lower`, every surviving
+    edge built anew from its image, through a vertex-to-supervertex dict."""
     groups = UnionFind(range(1, n + 1), (e.vertices for e in higher)).groups()
     supervertex = {v: sid for sid, grp in enumerate(groups, start=1) for v in grp}
     kept: list[HyperEdge] = []
@@ -311,6 +313,27 @@ def rebuild_contract_components(
         kept.append(HyperEdge(img, e.weight))
         origin.append(idx)
     return WeightedHypergraph(len(groups), tuple(kept)), tuple(origin)
+
+
+def rebuild_component_map(
+    n: int, higher: Sequence[HyperEdge], lower: Sequence[HyperEdge]
+) -> tuple[int, list[tuple[int, WeightedHypergraph, tuple[int, ...]]]]:
+    """`pipeline.contract_components` in plain passes: `rebuild_contract_components`,
+    then its edges split by `components_full_join`, and each component
+    relabelled to 1..size by position in its sorted vertex list.  Every edge
+    is built anew."""
+    contracted, kept = rebuild_contract_components(n, higher, lower)
+    out = []
+    for comp in components_full_join(range(1, contracted.n + 1),
+                                     (e.vertices for e in contracted.edges)):
+        order = sorted(comp)
+        edges, idxs = [], []
+        for e, idx in zip(contracted.edges, kept):
+            if e.vertices[0] in comp:
+                edges.append(HyperEdge(tuple(order.index(v) + 1 for v in e.vertices), e.weight))
+                idxs.append(idx)
+        out.append((order[0], WeightedHypergraph(len(order), tuple(edges)), tuple(idxs)))
+    return contracted.n, out
 
 
 def cut_weight_loop(h: WeightedHypergraph, cut: Cut) -> Fraction:

@@ -73,6 +73,12 @@ class TestGen:
         assert parse_hypergraph(capsys.readouterr().out) == gen_random(
             4, 3, 3, weighted=True, w_max=10**300, seed=2)
 
+    def test_entry_limit(self, monkeypatch, capsys):
+        # sunflower --n 4 builds 4 edges of 5 vertices: 20 vertex entries
+        monkeypatch.setattr("hgsparse.hypergraph.ENTRY_LIMIT", 19)
+        assert dispatch(["gen", "sunflower", "--n", "4"]) == 2
+        assert capsys.readouterr() == ("", "error: 20 vertex entries exceed the limit 19\n")
+
     def test_unknown_family(self, capsys):
         assert dispatch(["gen", "torus", "--n", "3"]) == 2
         assert "invalid choice" in capsys.readouterr().err

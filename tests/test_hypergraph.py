@@ -353,6 +353,31 @@ class TestGenerators:
             with pytest.raises(ValueError, match=rf"^edge count {count} exceeds the limit 6$"):
                 build()
 
+    def test_entry_limit(self, monkeypatch):
+        # each family's vertex-entry count, built at the limit and refused one
+        # below it; random's count is exact when every edge has r_max vertices
+        for build, entries in ((lambda: gen_sunflower(4), 20),
+                               (lambda: gen_footnote_graph(4), 16),
+                               (lambda: gen_example("example1", 3, 2), 18),
+                               (lambda: gen_example("example2", 4, 1), 28),
+                               (lambda: gen_random(3, 7, 2), 14)):
+            monkeypatch.setattr(hypergraph, "ENTRY_LIMIT", entries)
+            assert sum(e.size for e in build().edges) == entries
+            monkeypatch.setattr(hypergraph, "ENTRY_LIMIT", entries - 1)
+            with pytest.raises(ValueError,
+                               match=rf"^{entries} vertex entries exceed the limit {entries - 1}$"):
+                build()
+        # random bounds each edge by min(r_max, n) vertices
+        monkeypatch.setattr(hypergraph, "ENTRY_LIMIT", 15)
+        assert sum(e.size for e in gen_random(3, 5, 9).edges) <= 15
+        monkeypatch.setattr(hypergraph, "ENTRY_LIMIT", 14)
+        with pytest.raises(ValueError, match=r"^15 vertex entries exceed the limit 14$"):
+            gen_random(3, 5, 9)
+        # the edge count is checked first
+        monkeypatch.setattr(hypergraph, "EDGE_LIMIT", 6)
+        with pytest.raises(ValueError, match=r"^edge count 7 exceeds the limit 6$"):
+            gen_sunflower(7)
+
     def test_random_deterministic(self):
         a = gen_random(6, 10, 4, weighted=True, w_max=5, seed=7)
         b = gen_random(6, 10, 4, weighted=True, w_max=5, seed=7)

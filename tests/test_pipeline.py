@@ -24,13 +24,12 @@ from hgsparse import (
     cut_weight,
     fast_sparsify,
     gen_random,
-    sparsify_parity,
     sparsify_weighted,
     stream_sparsify,
 )
 from hgsparse import pipeline, sparsify
 from hgsparse.pipeline import EVEN, ODD
-from oracles import bucket_by_weight_loop, mask_of, rebuild_contract_components, sum_parallel_loop
+from oracles import bucket_by_weight_loop, mask_of, rebuild_component_map, sum_parallel_loop
 
 
 @st.composite
@@ -95,7 +94,7 @@ class TestBucketByWeight:
         b = bucket_by_weight(h, 0.5)
         assert b.alpha == Fraction(10 * 9) / Fraction(1, 8)
         assert b.buckets == {1: (0, 1)}
-        assert b.parity_indices(ODD) == [1] and b.parity_indices(EVEN) == []
+        assert [i for i in b.buckets if i % 2 == 0] == []
 
     def test_boundaries_exact(self):
         # n=2, eps=1 gives alpha=40; the bucket is half-open on the right
@@ -106,8 +105,8 @@ class TestBucketByWeight:
         b = bucket_by_weight(h, 1.0)
         assert b.alpha == 40
         assert b.buckets == {1: (0, 1), 2: (2,), 3: (3,)}
-        assert b.parity_indices(EVEN) == [2]
-        assert b.parity_indices(ODD) == [1, 3]
+        assert sorted(i for i in b.buckets if i % 2 == 0) == [2]
+        assert sorted(i for i in b.buckets if i % 2 == 1) == [1, 3]
 
     def test_empty_and_validation(self):
         assert bucket_by_weight(WeightedHypergraph(2, ()), 0.5).buckets == {}
@@ -121,28 +120,51 @@ class TestBucketByWeight:
         assert bucket_by_weight(h, eps) == bucket_by_weight_loop(h, eps)
 
 
+def edge_view(comps):
+    """The components of a contraction map with each edge as (vertices, weight)."""
+    return [(low, sub.n, [(e.vertices, e.weight) for e in sub.edges], idxs)
+            for low, sub, idxs in comps]
+
+
 class TestContractComponents:
     def test_identity_when_no_higher(self):
+        # {1, 3} and {2, 4, 5} are already their own components
         lower = (HyperEdge((1, 3)), HyperEdge((2, 4, 5)))
-        contracted, kept = contract_components(5, (), lower)
-        assert contracted.n == 5
-        assert contracted.edges == lower and kept == (0, 1)
+        k, comps = contract_components(5, (), lower)
+        assert k == 5
+        assert edge_view(comps) == [(1, 2, [((1, 2), 1)], (0,)),
+                                    (2, 3, [((1, 2, 3), 1)], (1,))]
+        lower = (HyperEdge((1, 2)), HyperEdge((2, 3)))
+        k, comps = contract_components(4, (), lower)
+        assert [(low, sub.n, idxs) for low, sub, idxs in comps] == [(1, 3, (0, 1)),
+                                                                    (4, 1, ())]
+        assert comps[0][1].edges == lower and comps[1][1].edges == ()
 
     def test_collapse_and_drop(self):
         higher = (HyperEdge((1, 2)), HyperEdge((3, 4)))
         lower = (HyperEdge((1, 3)), HyperEdge((1, 2)), HyperEdge((2, 4)))
-        contracted, kept = contract_components(4, higher, lower)
-        assert contracted.n == 2
+        k, comps = contract_components(4, higher, lower)
         # (1,2) lives inside supervertex 1 and is dropped
-        assert kept == (0, 2)
-        assert [e.vertices for e in contracted.edges] == [(1, 2), (1, 2)]
+        assert k == 2
+        assert edge_view(comps) == [(1, 2, [((1, 2), 1), ((1, 2), 1)], (0, 2))]
 
     def test_isolated_vertices_numbered_by_smallest(self):
         # supervertices 1..4 are {1}, {2, 4}, {3}, {5}
         lower = tuple(HyperEdge(vs) for vs in ((1, 2), (2, 3), (4, 5), (2, 4), (1, 5)))
-        contracted, kept = contract_components(5, (HyperEdge((2, 4)),), lower)
-        assert contracted.n == 4 and kept == (0, 1, 2, 4)
-        assert [e.vertices for e in contracted.edges] == [(1, 2), (2, 3), (2, 4), (1, 4)]
+        k, comps = contract_components(5, (HyperEdge((2, 4)),), lower)
+        assert k == 4
+        assert edge_view(comps) == [
+            (1, 4, [((1, 2), 1), ((2, 3), 1), ((2, 4), 1), ((1, 4), 1)], (0, 1, 2, 4))]
+
+    def test_components_relabelled_in_supervertex_order(self):
+        # supervertices {1}, {2, 3}, {4}, {5}, {6}; images (2, 4), (4, 5), (2, 5)
+        # join 2, 4 and 5, relabelled 1, 2 and 3; 1 and 3 are left alone
+        lower = tuple(HyperEdge(vs, w) for vs, w in (((2, 5), 2), ((5, 6), 3), ((3, 6), 4)))
+        k, comps = contract_components(6, (HyperEdge((2, 3)),), lower)
+        assert k == 5
+        assert edge_view(comps) == [(1, 1, [], ()),
+                                    (2, 3, [((1, 2), 2), ((2, 3), 3), ((1, 3), 4)], (0, 1, 2)),
+                                    (3, 1, [], ())]
 
     @pytest.mark.parametrize("with_higher", [False, True])
     @given(data=st.data())
@@ -150,66 +172,67 @@ class TestContractComponents:
         n = data.draw(st.integers(2, 8))
         higher = data.draw(edge_lists(n, 4)) if with_higher else []
         lower = data.draw(edge_lists(n, 10))
-        contracted, kept = contract_components(n, higher, lower)
-        want, want_kept = rebuild_contract_components(n, higher, lower)
-        assert (kept, contracted.n) == (want_kept, want.n)
-        assert [(e.vertices, e.weight) for e in contracted.edges] == \
-            [(e.vertices, e.weight) for e in want.edges]
+        k, comps = contract_components(n, higher, lower)
+        want_k, want = rebuild_component_map(n, higher, lower)
+        assert k == want_k
+        assert edge_view(comps) == edge_view(want)
         # an edge whose vertex set maps to itself is passed through
-        for e, idx in zip(contracted.edges, kept):
-            assert (e is lower[idx]) == (e.vertices == lower[idx].vertices)
-        if not higher:
-            assert all(e is lower[idx] for e, idx in zip(contracted.edges, kept))
+        for _, sub, idxs in comps:
+            for e, idx in zip(sub.edges, idxs):
+                assert (e is lower[idx]) == (e.vertices == lower[idx].vertices)
 
     def test_cut_weights_preserved_under_lifting(self):
-        # every contracted cut lifts to an original cut of equal lower weight
-        for seed in range(8):
-            h = gen_random(6, 10, 3, weighted=True, w_max=5, seed=seed)
-            higher = gen_random(6, 3, 2, seed=seed + 100).edges
-            contracted, _ = contract_components(6, higher, h.edges)
-            if contracted.n < 2:
-                continue
+        # every supervertex cut lifts to an original cut of equal lower weight;
+        # the sparser inputs split into several components, some relabelled
+        for seed, m_lower, m_higher in [(s, 10, 3) for s in range(8)] + \
+                [(s, 3, 2) for s in range(8)]:
+            h = gen_random(6, m_lower, 3, weighted=True, w_max=5, seed=seed)
+            higher = gen_random(6, m_higher, 2, seed=seed + 100).edges
+            k, comps = contract_components(6, higher, h.edges)
             # supervertices are numbered in order of smallest member
             groups = UnionFind(range(1, 7), (e.vertices for e in higher)).groups()
             supervertex = {v: sid for sid, grp in enumerate(groups, start=1) for v in grp}
-            for mask in range(1, 1 << (contracted.n - 1), 2):
-                csup = Cut(contracted.n, mask)
-                side = [v for v in range(1, 7)
-                        if mask >> (supervertex[v] - 1) & 1]
-                w_sup = cut_weight(contracted, csup)
+            assert k == len(groups)
+            # each component's vertices 1..size are its supervertices in order
+            members = [sorted({supervertex[v] for j in idxs for v in h.edges[j].vertices}
+                              or {low}) for low, _, idxs in comps]
+            assert sorted(s for sub in members for s in sub) == list(range(1, k + 1))
+            for mask in range(1, (1 << k) - 1):
+                local = [mask_of(t for t, s in enumerate(sup, start=1) if mask >> (s - 1) & 1)
+                         for sup in members]
+                # a component on one side of the cut adds nothing
+                w_sup = sum(cut_weight(sub, Cut(sub.n, lm)) for (_, sub, _), lm in
+                            zip(comps, local) if 0 < lm < (1 << sub.n) - 1)
+                side = [v for v in range(1, 7) if mask >> (supervertex[v] - 1) & 1]
                 w_orig = cut_weight(h, Cut(6, mask_of(side)))
                 assert w_sup == w_orig
 
 
 class TestSparsifyParity:
+    """One parity class of `fast_sparsify`'s buckets, heaviest bucket first."""
+
     def test_single_bucket_matches_direct_call(self):
         h = gen_random(5, 9, 2, seed=3)
-        edges, origin, reports = sparsify_parity(
-            h, bucket_by_weight(h, 0.5), ODD, 0.5, seed=7)
+        res = fast_sparsify(h, 0.5, seed=7)
         direct = sparsify_weighted(h, 0.25, seed=child_seed(7, ODD, 1, 1))
-        assert [(e.vertices, e.weight) for e in edges] == \
+        assert [(e.vertices, e.weight) for e in res.hypergraph.edges] == \
             [(e.vertices, e.weight) for e in direct.hypergraph.edges]
-        assert tuple(origin) == direct.origin
+        assert res.origin == direct.origin
+        reports = res.notes["bucket_reports"]
         assert len(reports) == 1 and reports[0].index == 1
 
     def test_other_parity_empty(self):
         h = gen_random(5, 9, 2, seed=3)
-        edges, origin, reports = sparsify_parity(
-            h, bucket_by_weight(h, 0.5), EVEN, 0.5, seed=7)
-        assert edges == [] and origin == [] and reports == []
-
-    def test_bad_parity(self):
-        h = gen_random(3, 2, 2, seed=0)
-        with pytest.raises(ValueError):
-            sparsify_parity(h, bucket_by_weight(h, 0.5), "both", 0.5)
+        reports = fast_sparsify(h, 0.5, seed=7).notes["bucket_reports"]
+        assert [r.parity for r in reports] == [ODD]
 
     def test_heavy_contracts_light_away(self):
         h = heavy_light()
-        edges, origin, reports = sparsify_parity(
-            h, bucket_by_weight(h, 0.5), ODD, 0.5, seed=1)
+        res = fast_sparsify(h, 0.5, seed=1)
         # the spanning heavy path collapses everything: the light edge dies
-        assert 0 not in origin
-        assert sorted(origin) == [1, 2, 3]
+        assert res.origin == (1, 2, 3)
+        reports = res.notes["bucket_reports"]
+        assert [(r.parity, r.index) for r in reports] == [(ODD, 3), (ODD, 1)]
         by_index = {r.index: r for r in reports}
         assert by_index[3].delta == 3 and by_index[3].n_super_before == 4
         assert by_index[1].n_super_before == 1 and by_index[1].delta == 0
@@ -289,17 +312,33 @@ class TestHardChecks:
         real = pipeline.contract_components
 
         def padded(n, higher, lower):
-            contracted, kept = real(n, higher, lower)
-            # n more supervertices, joined to the rest by a copy of the first edge
-            extra = tuple(range(contracted.n + 1, contracted.n + n + 1))
-            first = contracted.edges[0]
-            edges = contracted.edges + (HyperEdge(first.vertices + extra, first.weight),)
-            return WeightedHypergraph(contracted.n + n, edges), kept + kept[:1]
+            k, comps = real(n, higher, lower)
+            # n more supervertices, joined to the first component by a copy
+            # of its first edge
+            (low, sub, idxs), *rest = comps
+            extra = tuple(range(sub.n + 1, sub.n + n + 1))
+            first = sub.edges[0]
+            edges = sub.edges + (HyperEdge(first.vertices + extra, first.weight),)
+            return k + n, [(low, WeightedHypergraph(sub.n + n, edges), idxs + idxs[:1]), *rest]
 
         monkeypatch.setattr(pipeline, "contract_components", padded)
         h = WeightedHypergraph(3, (HyperEdge((1, 2)), HyperEdge((2, 3))))
         with pytest.raises(PipelineError, match=r"^supervertex shrink 5 exceeds n-1$"):
             fast_sparsify(h, 0.5)
+
+    def test_supervertex_count_must_telescope(self, monkeypatch):
+        real = pipeline.contract_components
+
+        def one_more(n, higher, lower):
+            k, comps = real(n, higher, lower)
+            # the second bucket of a parity is the first with a heavier one
+            return (k + 1 if higher else k), comps
+
+        monkeypatch.setattr(pipeline, "contract_components", one_more)
+        # buckets 3 (the heavy path, one component) and 1, both odd
+        with pytest.raises(PipelineError, match=r"^supervertex count 2 does not match the "
+                           r"previous bucket's component count 1$"):
+            fast_sparsify(heavy_light(), 0.5)
 
 
 class TestStreaming:
