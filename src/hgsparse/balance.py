@@ -30,8 +30,9 @@ A group's verdict (bad or not; its index, weakest and strongest slots) is a
 function of its slots' strengths, its aggregate slot units and the fixed
 levels K_j alone.  So after a transfer only the group that moved the unit and
 the groups holding a pair whose strength changed can change verdict;
-`find_max_bad` re-examines just those and caches the rest, which gives
-exactly the pick of a scan over every group.
+`find_max_bad` re-examines just those and keeps every group's verdict in one
+record (`BalanceState.verdicts`), which gives exactly the pick of a scan over
+every group.  Batch planning reads the same record.
 
 A pick is repeated for many units in a row, so the loop moves them in one
 `transfer_step`.  While the tree certifies the moves (`StrengthTree.horizon`),
@@ -178,9 +179,10 @@ class BalanceState:
                 self.groups_of.setdefault(p, []).append(key)
         self.tree = StrengthTree(self.n, pair_units)
         self.strengths: dict[Pair, int] = self.tree.strengths
-        # find_max_bad's cache: groups to re-examine, and the bad verdicts
+        # find_max_bad's record: dirty groups, verdicts (i_min, k_min, i_max, k_max, ind), bad ones
         self.dirty = set(self.groups)
-        self.bad: dict[tuple[int, ...], tuple] = {}
+        self.verdicts: dict[tuple[int, ...], tuple[int, int, int, int, int]] = {}
+        self.bad: set[tuple[int, ...]] = set()
 
         if not self.groups:
             self.k0_units = 0
@@ -217,11 +219,11 @@ class BalanceState:
                             tuple((count, tuple(units)) for count, units in g.runs))
             for g in self.groups.values()
         )
-        d = self.delta
+        d, units = self.delta, self.units_total
         table = StrengthTable(
             self.n,
-            {p: v * d for p, v in self.strengths.items()},
-            {p: u * d for p, u in self.pair_units.items() if u > 0},
+            {p: Fraction(v, units) for p, v in self.strengths.items()},
+            {p: Fraction(u, units) for p, u in self.pair_units.items() if u > 0},
         )
         return BalancedAssignment(
             hypergraph=self.hypergraph,
@@ -260,25 +262,25 @@ def find_max_bad(state: BalanceState) -> Optional[BadEdge]:
     those holding a pair in the tree's `changed` set.  Every other group's
     inputs, so its cached verdict, are as at its last examination.
     """
-    dirty, bad = state.dirty, state.bad
+    dirty, bad, verdicts = state.dirty, state.bad, state.verdicts
     for p in state.tree.changed:
         dirty.update(state.groups_of.get(p, ()))
     state.tree.changed.clear()
     for key in sorted(dirty):
-        g = state.groups[key]
-        i_min, k_min, s_star, k_max = g.extremes(state.strengths)
+        i_min, k_min, s_star, k_max = extremes = state.groups[key].extremes(state.strengths)
         ind = state.interval_index(k_max)
+        verdicts[key] = (*extremes, ind)
         if ind == 0 or k_min >= state.K_units[ind - 1]:
-            bad.pop(key, None)
+            bad.discard(key)
         else:
-            bad[key] = (ind, g.slots[i_min], s_star, k_min, k_max)
+            bad.add(key)
     dirty.clear()
     if not bad:
         return None
-    key = min(bad, key=lambda k: (-bad[k][0], k))
-    ind, f_min, s_star, k_min, k_max = bad[key]
+    key = min(bad, key=lambda k: (-verdicts[k][4], k))
+    i_min, k_min, s_star, k_max, ind = verdicts[key]
     g = state.groups[key]
-    return BadEdge(g.holder(s_star), key, ind, f_min, g.slots[s_star],
+    return BadEdge(g.holder(s_star), key, ind, g.slots[i_min], g.slots[s_star],
                    k_min, k_max)
 
 
@@ -333,32 +335,30 @@ def _verdict_lasts(state: BalanceState, g: _Group, slopes: Mapping[Pair, int],
     """The first state j >= 1 at which g's verdict (bad or not, ind, f_min,
     s_star, k_max in range) would differ from now, when each slot strength
     moves by its slope per unit and the picked group moves units from f_max
-    to f_min; inf when it never does."""
-    strengths = state.strengths
-    line = [(strengths.get(p, 0), slopes.get(p, 0)) for p in g.slots]
-    agg = [(u, 0) for u in g.agg_units]
+    to f_min; inf when it never does.  g's verdict now is find_max_bad's."""
+    f, k_min, top, k_max, ind = state.verdicts[g.key]
+    slope = [slopes.get(p, 0) for p in g.slots]
+    moves = {}  # the slots whose aggregate units move: the picked group's
     if g.key == bad.group_key:
-        i_min, i_max = g.slot_index[bad.f_min], g.slot_index[bad.f_max]
-        agg[i_max], agg[i_min] = (agg[i_max][0], -1), (agg[i_min][0], 1)
+        moves = {g.slot_index[bad.f_max]: -1, g.slot_index[bad.f_min]: 1}
     # find_max_bad's choices now, each kept while every other slot stays on
-    # its side
-    f, k_min, top, k_max = g.extremes(strengths)
-    s_min, s_max = line[f][1], line[top][1]
-    stays = [(*agg[top], True)]
-    for i, (v, s) in enumerate(line):
-        if i != f:
-            stays.append((v - k_min, s - s_min, i < f))
-        if i != top and (agg[i][0] > 0 or agg[i][1] > 0):
-            stays.append((k_max - v, s_max - s, i < top))
+    # its side; a slot on f_min's (s_star's) slope keeps it, as f_min is the
+    # first weakest slot and s_star the first strongest held one
+    s_min, s_max = slope[f], slope[top]
+    stays = [(g.agg_units[top], moves.get(top, 0), True)]
+    for i, s in enumerate(slope):
+        if s != s_min:
+            stays.append((state.strengths.get(g.slots[i], 0) - k_min, s - s_min, i < f))
+        if s != s_max and (g.agg_units[i] > 0 or moves.get(i, 0) > 0):
+            stays.append((k_max - state.strengths.get(g.slots[i], 0), s_max - s, i < top))
     levels = state.K_units
-    ind = state.interval_index(k_max)
     below = levels[max(ind - 1, 0)]
     stays.append((levels[ind] - k_max, -s_max, False))
     stays.append((k_max - below, s_max, ind > 0))
     if ind > 0:
         stays.append((below - k_min, -s_min, True) if k_min < below
                      else (k_min - below, s_min, False))
-    return min(first_fail(c, s, strict) for c, s, strict in stays)
+    return min(itertools.starmap(first_fail, stays))
 
 
 def run_balance(
@@ -427,10 +427,8 @@ class BalancedAssignment:
 
     def kappa_by_group(self) -> dict[tuple[int, ...], Fraction]:
         """Weakest clique slot strength per group (all slots, zero or not)."""
-        out = {}
-        for g in self.groups:
-            out[g.key] = min(self.strengths.strength(u, v) for u, v in g.slots)
-        return out
+        return {g.key: min(itertools.starmap(self.strengths.strength, g.slots))
+                for g in self.groups}
 
 
 @dataclass(frozen=True)

@@ -69,6 +69,8 @@ from typing import Iterable, Mapping, Sequence
 
 from .hypergraph import WeightedHypergraph, as_weight, weight_sum
 
+_ZERO = Fraction(0)  # the strength of a pair that shares no block
+
 
 class UnionFind:
     """Connected components: disjoint sets over `ids`, with the vertices of
@@ -473,7 +475,7 @@ class StrengthTable:
 
     def strength(self, u: int, v: int) -> Fraction:
         p = (u, v) if u < v else (v, u)
-        return self.pair_strength.get(p, Fraction(0))
+        return self.pair_strength.get(p, _ZERO)
 
     def distinct_strength_count(self) -> int:
         return len({self.pair_strength[p] for p in self.pair_weight})

@@ -3,6 +3,10 @@
 Vertices are integers 1..n.  Hyperedges are sorted tuples of at least two
 distinct vertices with an exact positive rational weight.  Parallel edges
 (same vertex set) are allowed and kept as separate entries.
+
+Every public constructor, the parser and the generators check these rules;
+what the library builds from checked parts (contraction, restore, fold, the
+sampler's copies and output) skips the checks through the `trusted` builds.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ import random
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 
 class ParseError(ValueError):
@@ -31,14 +35,18 @@ def as_weight(value) -> Fraction:
 
 
 def weight_sum(ws: Iterable[Fraction]) -> Fraction:
-    """sum(ws, Fraction(0)), exactly and with one normalization: the
-    numerators of each denominator are added as ints, the distinct
-    denominators are merged into one running num/den by integer gcd steps,
-    and one Fraction is built at the end."""
+    """sum(ws, Fraction(0)) exactly: the numerators of each denominator are
+    added as ints, then merged by `denominator_sum`."""
     by_den: dict[int, int] = {}
     for w in ws:
         d = w.denominator
         by_den[d] = by_den.get(d, 0) + w.numerator
+    return denominator_sum(by_den)
+
+
+def denominator_sum(by_den: Mapping[int, int]) -> Fraction:
+    """The exact sum of num/d over the items d: num, merged into one running
+    num/den by integer gcd steps, with one Fraction built at the end."""
     num, den = 0, 1
     for d, n in by_den.items():
         g = math.gcd(den, d)
@@ -82,6 +90,14 @@ class HyperEdge:
         if w.numerator <= 0:
             raise ValueError("hyperedge weight must be positive")
 
+    @classmethod
+    def trusted(cls, vertices: tuple[int, ...], weight: Fraction) -> "HyperEdge":
+        """Unchecked: needs a strictly increasing tuple of >= 2 ints, a positive Fraction."""
+        e = object.__new__(cls)
+        d = e.__dict__  # frozen blocks setattr, not the instance dict
+        d["vertices"], d["weight"] = vertices, weight
+        return e
+
     @property
     def size(self) -> int:
         return len(self.vertices)
@@ -113,6 +129,14 @@ class WeightedHypergraph:
         for e in self.edges:
             if e.vertices[0] < 1 or e.vertices[-1] > self.n:
                 raise ValueError(vertex_range_message(e.vertices, self.n))
+
+    @classmethod
+    def trusted(cls, n: int, edges: tuple[HyperEdge, ...]) -> "WeightedHypergraph":
+        """Unchecked: needs n >= 1 and a tuple of edges that lie within 1..n."""
+        h = object.__new__(cls)
+        d = h.__dict__
+        d["n"], d["edges"] = n, edges
+        return h
 
     @property
     def m(self) -> int:
@@ -224,7 +248,7 @@ def parse_edge_line(lineno: int, toks: Sequence[str], n: int, fmt: int) -> Hyper
         raise ParseError(lineno, "hyperedge has fewer than 2 distinct vertices")
     if w.numerator <= 0:
         raise ParseError(lineno, f"non-positive weight {toks[0]}")
-    return HyperEdge(tuple(verts), w)
+    return HyperEdge.trusted(tuple(verts), w)
 
 
 def parse_hypergraph(text: str | Iterable[str]) -> WeightedHypergraph:
@@ -252,7 +276,7 @@ def parse_hypergraph(text: str | Iterable[str]) -> WeightedHypergraph:
         raise ParseError(1, "empty input, expected a header line")
     if len(edges) != m:
         raise ParseError(header_line, f"expected {m} edge lines, found {len(edges)}")
-    return WeightedHypergraph(n, tuple(edges))
+    return WeightedHypergraph.trusted(n, tuple(edges))  # each line checked its range
 
 
 # ---------------------------------------------------------------------------

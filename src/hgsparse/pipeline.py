@@ -17,7 +17,7 @@ stage leaves its vertex set and weight unchanged: the contraction map
 (supervertices, then each component relabelled to 1..size) when its final
 image is its own vertex set, the restore when the sampler's edge already has
 the original vertex set, and the stream's fold when no parallel edge joins it.
-So a flush builds new edges only for what it changes.
+So a flush builds new edges only for what it changes, unchecked.
 
 The stream folds parallel edges before each sparsification, not after: a
 fold preserves every cut exactly, so each flush sparsifies distinct vertex
@@ -129,8 +129,8 @@ def contract_components(
             e, img = lower[idx], images[idx]
             if rank is not None:
                 img = tuple(rank[v] for v in img)
-            edges.append(e if img == e.vertices else HyperEdge(img, e.weight))
-        out.append((min(comp), WeightedHypergraph(len(comp), tuple(edges)), tuple(idxs)))
+            edges.append(e if img == e.vertices else HyperEdge.trusted(img, e.weight))
+        out.append((min(comp), WeightedHypergraph.trusted(len(comp), tuple(edges)), tuple(idxs)))
     return k, out
 
 
@@ -191,7 +191,8 @@ def fast_sparsify(
                 for pos, w_edge in zip(res.origin, res.hypergraph.edges):
                     j = bucket[idxs[pos]]
                     vs = h.edges[j].vertices
-                    restored[j] = w_edge if w_edge.vertices == vs else HyperEdge(vs, w_edge.weight)
+                    restored[j] = (w_edge if w_edge.vertices == vs
+                                   else HyperEdge.trusted(vs, w_edge.weight))
             weight_out = weight_sum(restored[j].weight for j in bucket if j in restored)
             if weight_out > 3 * weight_in:
                 raise PipelineError(
@@ -204,7 +205,7 @@ def fast_sparsify(
         if total_delta > h.n - 1:
             raise PipelineError(f"supervertex shrink {total_delta} exceeds n-1")
     origin = tuple(sorted(restored))
-    out = WeightedHypergraph(h.n, tuple(restored[j] for j in origin))
+    out = WeightedHypergraph.trusted(h.n, tuple(restored[j] for j in origin))
     return SparsifierResult(
         hypergraph=out,
         plan=None,
@@ -303,10 +304,10 @@ class StreamState:
         parallel: dict[tuple[int, ...], list[HyperEdge]] = {}
         for e in edges:
             parallel.setdefault(e.vertices, []).append(e)
-        folded = tuple(es[0] if len(es) == 1 else HyperEdge(vs, weight_sum(e.weight for e in es))
-                       for vs, es in sorted(parallel.items()))
-        return fast_sparsify(WeightedHypergraph(self.n, folded), self.eps_inner, self.d,
-                             child_seed(self.seed, *path))
+        folded = tuple(es[0] if len(es) == 1 else HyperEdge.trusted(vs, weight_sum(
+            e.weight for e in es)) for vs, es in sorted(parallel.items()))
+        return fast_sparsify(WeightedHypergraph.trusted(self.n, folded), self.eps_inner,
+                             self.d, child_seed(self.seed, *path))
 
     def _sparsify_batch(self, edges: list[HyperEdge]) -> list[HyperEdge]:
         self.flushes += 1

@@ -21,7 +21,6 @@ cut is preserved in expectation.
 from __future__ import annotations
 
 import math
-import operator
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -32,9 +31,9 @@ from .hypergraph import (
     HyperEdge,
     WeightedHypergraph,
     as_weight,
+    denominator_sum,
     min_weight,
     serialize_hypergraph,
-    weight_sum,
 )
 from .seeds import RNG_ID
 
@@ -110,8 +109,11 @@ class SamplingPlan:
     overridden: bool = False
 
     def sum_p(self) -> Fraction:
-        """The expected number of kept copies, sum(counts[j] * p[j])."""
-        return weight_sum(map(operator.mul, self.counts, self.p))
+        """The expected kept copies, sum(counts[j] * p[j]), as ints per denominator."""
+        by_den: dict[int, int] = {}
+        for count, pe in zip(self.counts, self.p):
+            by_den[pe.denominator] = by_den.get(pe.denominator, 0) + count * pe.numerator
+        return denominator_sum(by_den)
 
     def size_budget(self) -> Fraction:
         """Exact upper bound rho * gamma * (n - 1) on the expected size."""
@@ -144,12 +146,12 @@ def make_plan(
     check_d(d)
     h = assignment.hypergraph
     rho, overridden = plan_rho(h.n, epsilon, assignment.gamma, d, rho_override)
-    one = Fraction(1)
+    one, rn, rd = Fraction(1), rho.numerator, rho.denominator
     per_group = {}
     for key, kappa in assignment.kappa_by_group().items():
-        gp = rho / kappa
-        # min(1, rho/kappa) by an int compare
-        per_group[key] = one if gp.numerator >= gp.denominator else gp
+        # min(1, rho/kappa) by an int compare; kappa = 0 fails as rho / kappa does
+        num, den = rn * kappa.denominator, rd * kappa.numerator
+        per_group[key] = one if num >= den > 0 else Fraction(num, den) if den else rho / kappa
     p = tuple(per_group[e.vertices] for e in h.edges)
     return SamplingPlan(epsilon, assignment.gamma, d, rho, h.n, assignment.counts, p,
                         overridden)
@@ -158,8 +160,9 @@ def make_plan(
 def sample_sparsifier(h: WeightedHypergraph, plan: SamplingPlan, seed: int) -> SparsifierResult:
     """Edge j of h stands for plan.counts[j] copies of itself, each kept with
     probability exactly p = plan.p[j]; its k kept copies become one edge of
-    weight k * w / p, and an edge with none is dropped.  Identical
-    (hypergraph, plan, seed) gives identical output.
+    weight k * w / p, one Fraction from the ints of w and p, and an edge
+    with none is dropped.  Identical (hypergraph, plan, seed) gives
+    identical output.
 
     At p = a/D < 1 a copy is kept when its uniform U is below p, read one
     binary digit at a time (Knuth-Yao) for the edge's u undecided copies at
@@ -172,7 +175,7 @@ def sample_sparsifier(h: WeightedHypergraph, plan: SamplingPlan, seed: int) -> S
     origin: list[int] = []
     for j, (e, count, pe) in enumerate(zip(h.edges, plan.counts, plan.p)):
         num, den = pe.numerator, pe.denominator
-        if num >= den:  # p >= 1; an int compare is half the cost of a Fraction one
+        if num >= den:  # p >= 1; checked, as a caller's plan may hold a count of 0
             kept.append(HyperEdge(e.vertices, count * e.weight))
             origin.append(j)
             continue
@@ -184,10 +187,11 @@ def sample_sparsifier(h: WeightedHypergraph, plan: SamplingPlan, seed: int) -> S
                 r, k, u = r - den, k + u - ones, ones
             else:  # p's digit is 0: the copies with a 1 are above p
                 u -= ones
-        if k:
-            kept.append(HyperEdge(e.vertices, k * e.weight / pe))
+        if k:  # then 0 < p < 1, so the weight is positive
+            kept.append(HyperEdge.trusted(e.vertices, Fraction(
+                k * e.weight.numerator * den, e.weight.denominator * num)))
             origin.append(j)
-    out = WeightedHypergraph(h.n, tuple(kept))
+    out = WeightedHypergraph.trusted(h.n, tuple(kept))
     return SparsifierResult(
         hypergraph=out,
         plan=plan,
@@ -221,8 +225,9 @@ def copy_counts(h: WeightedHypergraph, epsilon: float) -> tuple[Fraction, list[i
 def reduce_weighted(h: WeightedHypergraph) -> WeightedHypergraph:
     """Each edge of h at unit weight, in edge order: the unit copy that
     `run_balance(..., counts=counts)` reads counts[j] times for edge j."""
-    return WeightedHypergraph(h.n, tuple(
-        e if e.weight == 1 else HyperEdge(e.vertices) for e in h.edges))
+    one = Fraction(1)
+    return WeightedHypergraph.trusted(h.n, tuple(
+        e if e.weight == 1 else HyperEdge.trusted(e.vertices, one) for e in h.edges))
 
 
 def _sparsify_copies(
@@ -253,8 +258,8 @@ def _sparsify_copies(
         # Fraction per distinct count
         sn, sd = scale.numerator, scale.denominator
         per_count = {c: Fraction(c * sd, sn) for c in set(counts)}
-        out = WeightedHypergraph(h.n, tuple(
-            HyperEdge(e.vertices, per_count[c]) for e, c in zip(h.edges, counts)))
+        out = WeightedHypergraph.trusted(h.n, tuple(
+            HyperEdge.trusted(e.vertices, per_count[c]) for e, c in zip(h.edges, counts)))
         plan = SamplingPlan(epsilon, gamma, d, rho, h.n, tuple(counts),
                             (Fraction(1),) * h.m, overridden)
         notes["balance_iterations"] = 0
@@ -268,8 +273,8 @@ def _sparsify_copies(
     assignment = run_balance(reduce_weighted(h), gamma, counts=counts)
     plan = make_plan(assignment, epsilon, d, rho_override)
     copy_weight = 1 / scale
-    sample = sample_sparsifier(WeightedHypergraph(h.n, tuple(
-        HyperEdge(e.vertices, copy_weight) for e in h.edges)), plan, seed)
+    sample = sample_sparsifier(WeightedHypergraph.trusted(h.n, tuple(
+        HyperEdge.trusted(e.vertices, copy_weight) for e in h.edges)), plan, seed)
     # p <= rho/kappa and sum(1/kappa) <= gamma (n-1) on a balanced assignment
     if sample.sum_p > plan.size_budget():
         raise SamplingError(f"expected size {sample.sum_p} exceeds rho*gamma*(n-1) = "

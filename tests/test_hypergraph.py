@@ -14,6 +14,7 @@ from hgsparse import (
     WeightedHypergraph,
     as_weight,
     cut_weight,
+    fast_sparsify,
     format_weight,
     gen_example,
     gen_footnote_graph,
@@ -21,6 +22,8 @@ from hgsparse import (
     gen_sunflower,
     parse_hypergraph,
     serialize_hypergraph,
+    sparsify_weighted,
+    stream_sparsify,
 )
 from conftest import fraction_builds, fraction_op_counts
 from hgsparse import hypergraph
@@ -439,3 +442,85 @@ class TestRoundTripExtremes:
             edges.append(HyperEdge(verts, w))
         h = WeightedHypergraph(n, tuple(edges))
         assert parse_hypergraph(serialize_hypergraph(h)) == h
+
+
+def checked_trusted(fired):
+    """Stand-ins for the two trusted constructors that build through the
+    checked ones, and first test the rest of the stated precondition: a
+    tuple of vertices and a Fraction weight, a tuple of HyperEdges.  A
+    failed check is recorded in `fired` and raised."""
+    def guarded(build, precondition):
+        def make(*args):
+            try:
+                if not precondition(*args):
+                    raise ValueError(f"precondition broken by {args!r}")
+                return build(*args)
+            except ValueError as exc:
+                fired.append(exc)
+                raise
+        return make
+    edge = guarded(HyperEdge, lambda vs, w: type(vs) is tuple and isinstance(w, Fraction))
+    hypergraph = guarded(WeightedHypergraph, lambda n, edges: type(edges) is tuple and all(
+        isinstance(e, HyperEdge) for e in edges))
+    return edge, hypergraph
+
+
+@st.composite
+def weighted_inputs(draw):
+    n = draw(st.integers(2, 6))
+    edges = []
+    for _ in range(draw(st.integers(1, 10))):
+        size = draw(st.integers(2, min(n, 4)))
+        verts = tuple(sorted(draw(st.sets(st.integers(1, n), min_size=size, max_size=size))))
+        w = draw(st.integers(1, 9) | st.builds(Fraction, st.integers(1, 60), st.integers(1, 7)))
+        edges.append(HyperEdge(verts, Fraction(w)))
+    return WeightedHypergraph(n, tuple(edges))
+
+
+def outcome(call):
+    """What `call()` returns, or the type and message of what it raises."""
+    try:
+        res = call()
+    except (ValueError, RuntimeError) as exc:
+        return type(exc).__name__, str(exc)
+    return res.hypergraph, res.origin, res.sum_p, res.plan, res.notes
+
+
+class TestTrustedBuilds:
+    """Internal builds skip the checks; built through the checked
+    constructors instead, every run gives the same output and no check
+    fires."""
+
+    @given(weighted_inputs(), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_trusted_builds_equal_checked_builds(self, h, data):
+        seed = data.draw(st.integers(0, 2**32))
+        rho = data.draw(st.sampled_from([Fraction(1, 2), Fraction(2), Fraction(5)]))
+        capacity = data.draw(st.integers(max(4, h.n), h.n + 8))
+        calls = [
+            lambda: sparsify_weighted(h, 0.5, seed=seed, rho_override=rho),
+            lambda: fast_sparsify(h, 0.5, seed=seed),
+            lambda: stream_sparsify(iter(h.edges), h.n, h.m, 0.5, seed=seed, capacity=capacity),
+        ]
+        want = [outcome(call) for call in calls]
+        # below p = 1: rho is under the copy count, so the sampler draws
+        assert want[0][3].rho < sum(want[0][3].counts)
+        fired = []
+        edge, hypergraph = checked_trusted(fired)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(HyperEdge, "trusted", edge)
+            mp.setattr(WeightedHypergraph, "trusted", hypergraph)
+            got = [outcome(call) for call in calls]
+        assert fired == []
+        assert got == want
+
+    def test_the_oracle_sees_a_bad_build(self):
+        fired = []
+        edge, hypergraph = checked_trusted(fired)
+        for build in (lambda: edge((2, 1), Fraction(1)), lambda: edge((1, 2), Fraction(0)),
+                      lambda: edge([1, 2], Fraction(1)), lambda: edge((1, 2), 1),
+                      lambda: hypergraph(2, (HyperEdge((1, 3)),)),
+                      lambda: hypergraph(3, [HyperEdge((1, 3))])):
+            with pytest.raises(ValueError):
+                build()
+        assert len(fired) == 6

@@ -21,6 +21,7 @@ from hgsparse import (
     SamplingError,
     SamplingPlan,
     SparsifierResult,
+    StrengthTable,
     WeightedHypergraph,
     copy_counts,
     cut_weight,
@@ -283,15 +284,21 @@ class TestSampleSparsifier:
 
 
 def hyperedge_builds(monkeypatch, call) -> int:
-    """How many `HyperEdge`s `call()` constructs."""
+    """How many `HyperEdge`s `call()` constructs, checked or trusted."""
     count = 0
-    real = HyperEdge.__post_init__
+    real, real_trusted = HyperEdge.__post_init__, HyperEdge.trusted
 
     def counted(self):
         nonlocal count
         count += 1
         real(self)
+
+    def counted_trusted(vertices, weight):
+        nonlocal count
+        count += 1
+        return real_trusted(vertices, weight)
     monkeypatch.setattr(HyperEdge, "__post_init__", counted)
+    monkeypatch.setattr(HyperEdge, "trusted", counted_trusted)
     try:
         call()
     finally:
@@ -321,6 +328,28 @@ class TestSamplerOps:
             assert hyperedge_builds(monkeypatch, lambda: sample_sparsifier(h, plan, seed)) == 4
             built.append(fraction_builds(monkeypatch, lambda: sample_sparsifier(h, plan, seed)))
         assert 0 < built[0] == built[1]
+
+    def test_caller_plan_with_no_copies(self):
+        # the output is built unchecked below p = 1 only; at p = 1 a count of
+        # 0 still reaches the edge check, and below p = 1 it keeps nothing
+        h = WeightedHypergraph(3, (HyperEdge((1, 2)), HyperEdge((2, 3), Fraction(2, 3))))
+        plan = SamplingPlan(0.5, 2, 1, Fraction(1), 3, (0, 4), (Fraction(1), Fraction(1, 2)))
+        with pytest.raises(ValueError, match="^hyperedge weight must be positive$"):
+            sample_sparsifier(h, plan, 0)
+        plan = dataclasses.replace(plan, counts=(4, 0), p=(Fraction(1), Fraction(1, 2)))
+        assert sample_sparsifier(h, plan, 0).hypergraph.edges == (HyperEdge((1, 2), 4),)
+
+    @pytest.mark.parametrize("rho", [Fraction(3, 2), Fraction(7), None])
+    def test_zero_kappa_fails_as_fraction_division(self, rho):
+        # kappa = 0 fails in make_plan as rho / kappa does
+        a = run_balance(gen_sunflower(2))
+        a = dataclasses.replace(a, strengths=StrengthTable(a.hypergraph.n, {}, {}))
+        with pytest.raises(ZeroDivisionError) as got:
+            make_plan(a, 0.5, rho_override=rho)
+        rho = make_plan(run_balance(gen_sunflower(2)), 0.5, rho_override=rho).rho
+        with pytest.raises(ZeroDivisionError) as want:
+            rho / Fraction(0)
+        assert str(got.value) == str(want.value)
 
     @pytest.mark.parametrize("p", [Fraction(1, 3), Fraction(5, 7), Fraction(3, 8),
                                    Fraction(2**60 + 1, 2**61 + 3)])
