@@ -32,7 +32,11 @@ levels K_j alone.  So after a transfer only the group that moved the unit and
 the groups holding a pair whose strength changed can change verdict;
 `find_max_bad` re-examines just those and keeps every group's verdict in one
 record (`BalanceState.verdicts`), which gives exactly the pick of a scan over
-every group.  Batch planning reads the same record.
+every group.  Batch planning reads the same record.  A 2-vertex group has no
+choice: its one slot is both its weakest and its strongest held slot, with
+K_{ind-1} < k_min = k_max, so it is never bad and gets no verdict.  Its
+strength is only checked against the tracked range [K_0, K_ell], and it
+bounds a batch only where that strength would leave the range.
 
 A pick is repeated for many units in a row, so the loop moves them in one
 `transfer_step`.  While the tree certifies the moves (`StrengthTree.horizon`),
@@ -42,13 +46,15 @@ verdict holds while each of its comparisons of two lines does: every other
 slot against f_min and against s_star, the held units of s_star against 0,
 k_max against K_{ind-1} and K_ind, and k_min against K_{ind-1}.  Each flips at
 most once, at a state read off in closed form.  The batch ends at the first
-state at which any group's verdict would flip, at the horizon plus one, or at
-the iteration cap, whichever comes first, so the iterations, the units of
-every copy and the strengths are those of moving one unit per pick.
+state at which any group's verdict would flip or a 2-vertex group's strength
+would leave the tracked range, at the horizon plus one, or at the iteration
+cap, whichever comes first, so the iterations, the units of every copy and
+the strengths are those of moving one unit per pick.
 """
 
 from __future__ import annotations
 
+import collections
 import itertools
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -171,18 +177,24 @@ class BalanceState:
             key: _Group(key, self.units_total, spans[key]) for key in sorted(spans)
         }
 
+        # a 2-vertex group is keyed by its one pair; `groups_of` lists, per
+        # pair, the groups of 3 or more vertices holding it
+        self.pair_groups: set[Pair] = {key for key in self.groups if len(key) == 2}
         pair_units: dict[Pair, int] = {}
         self.groups_of: dict[Pair, list[tuple[int, ...]]] = {}
         for key, g in self.groups.items():
             for p, agg in zip(g.slots, g.agg_units):
                 pair_units[p] = pair_units.get(p, 0) + agg
-                self.groups_of.setdefault(p, []).append(key)
+                if key not in self.pair_groups:
+                    self.groups_of.setdefault(p, []).append(key)
         self.tree = StrengthTree(self.n, pair_units)
         self.strengths: dict[Pair, int] = self.tree.strengths
-        # find_max_bad's record: dirty groups, verdicts (i_min, k_min, i_max, k_max, ind), bad ones
-        self.dirty = set(self.groups)
+        # find_max_bad's record: dirty groups, verdicts (i_min, k_min, i_max, k_max, ind), bad
+        # ones; and the dirty 2-vertex groups, which only need a range check
+        self.dirty = set(self.groups) - self.pair_groups
         self.verdicts: dict[tuple[int, ...], tuple[int, int, int, int, int]] = {}
         self.bad: set[tuple[int, ...]] = set()
+        self.dirty_pair_groups = set(self.pair_groups)
 
         if not self.groups:
             self.k0_units = 0
@@ -260,12 +272,25 @@ def find_max_bad(state: BalanceState) -> Optional[BadEdge]:
 
     Only dirty groups are examined: those a transfer moved a unit in, and
     those holding a pair in the tree's `changed` set.  Every other group's
-    inputs, so its cached verdict, are as at its last examination.
+    inputs, so its cached verdict, are as at its last examination.  A
+    2-vertex group is never bad, so a dirty one is only range-checked; when
+    one is out of range, the error names the first dirty group out of range
+    in key order, as a pass over every dirty group would.
     """
-    dirty, bad, verdicts = state.dirty, state.bad, state.verdicts
-    for p in state.tree.changed:
+    dirty, bad, verdicts, pairs = state.dirty, state.bad, state.verdicts, state.dirty_pair_groups
+    changed = state.tree.changed
+    for p in changed:
         dirty.update(state.groups_of.get(p, ()))
-    state.tree.changed.clear()
+    pairs |= changed & state.pair_groups
+    changed.clear()
+    if pairs:
+        tops = [state.strengths[p] for p in pairs]
+        if min(tops) < state.k0_units or max(tops) > state.K_units[-1]:
+            # raise for the first dirty group out of range, as a pass over all would
+            for key in sorted(dirty | pairs):
+                state.interval_index(state.strengths[key] if key in pairs
+                                     else state.groups[key].extremes(state.strengths)[3])
+        pairs.clear()
     for key in sorted(dirty):
         i_min, k_min, s_star, k_max = extremes = state.groups[key].extremes(state.strengths)
         ind = state.interval_index(k_max)
@@ -318,7 +343,8 @@ def transfer_step(state: BalanceState, key: tuple[int, ...], f_min: Pair, f_max:
 
 def _batch_length(state: BalanceState, bad: BadEdge, room: int) -> int:
     """How many units the loop moves for the pick `bad`: the first state
-    j >= 1 at which some group's verdict would differ from now, with at most
+    j >= 1 at which some group's verdict would differ from now, or a moving
+    2-vertex group's strength would leave the tracked range, with at most
     the tree's certified horizon + 1 and `room` units.  Only the picked group
     and the groups holding a pair whose strength moves can change verdict."""
     certified, slopes = state.tree.horizon(bad.f_max, bad.f_min)
@@ -327,6 +353,10 @@ def _batch_length(state: BalanceState, bad: BadEdge, room: int) -> int:
         keys = {bad.group_key}.union(*(state.groups_of.get(p, ()) for p in slopes))
         for key in keys:
             units = min(units, _verdict_lasts(state, state.groups[key], slopes, bad))
+        low, high = state.k0_units, state.K_units[-1]
+        for p in slopes.keys() & state.pair_groups:
+            k, s = state.strengths[p], slopes[p]
+            units = min(units, first_fail(k - low, s), first_fail(high - k, -s))
     return units
 
 
@@ -426,8 +456,15 @@ class BalancedAssignment:
         return total
 
     def kappa_by_group(self) -> dict[tuple[int, ...], Fraction]:
-        """Weakest clique slot strength per group (all slots, zero or not)."""
-        return {g.key: min(itertools.starmap(self.strengths.strength, g.slots))
+        """Weakest clique slot strength per group (all slots, zero or not).
+        Strengths lie on the delta grid, so slots compare by their integer
+        counts of delta (0 for a pair with no strength); a 2-vertex group
+        has one slot."""
+        units, strength = self.units_per_copy, self.strengths.strength
+        grid = collections.defaultdict(int, {p: s.numerator * (units // s.denominator)
+                                             for p, s in self.strengths.pair_strength.items()})
+        return {g.key: strength(*(min(g.slots, key=grid.__getitem__) if len(g.slots) > 1
+                                  else g.slots[0]))
                 for g in self.groups}
 
 

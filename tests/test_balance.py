@@ -23,6 +23,7 @@ from hgsparse import (
     copy_counts,
     edge_strengths,
     find_max_bad,
+    gen_random,
     gen_sunflower,
     init_weights,
     is_balanced,
@@ -382,6 +383,30 @@ class TestFindMaxBad:
             assert find_max_bad(st_) == scan_max_bad(st_)
         assert find_max_bad(st_).f_max == (1, 3)
 
+    def test_pair_out_of_range_raises_as_the_scan(self):
+        # a 2-vertex group gets no verdict, but its strength is still
+        # range-checked: a patched range leaves the pair (1, 2) out alone or
+        # first in key order, or puts the spanning group first; in `tail`
+        # the spanning group (k_max 10) comes before the pair (3, 4) (32)
+        h = WeightedHypergraph(3, tuple(HyperEdge(e) for e in [(1, 2, 3), (1, 2)] + [(2, 3)] * 4))
+        tail = WeightedHypergraph(4, tuple(HyperEdge(e) for e in [(1, 2, 3)] + [(3, 4)] * 2))
+        assert init_weights(h).strengths == {(1, 2): 15, (1, 3): 15, (2, 3): 39}
+        assert init_weights(tail).strengths[(3, 4)] == 32
+        for g, k0, top, strength in [(h, 16, 60, 15), (h, 16, 38, 15), (h, 15, 38, 39),
+                                     (tail, 11, 31, 10)]:
+            st_ = init_weights(g)
+            st_.k0_units, st_.K_units[-1] = k0, top
+            message = f"strength {strength} left the tracked range [{k0}, {top}]"
+            assert pick_outcome(scan_max_bad, st_) == pick_outcome(find_max_bad, st_) == message
+        # after a transfer, only the pairs whose strength changed are checked
+        st_ = init_weights(h)
+        bad = find_max_bad(st_)
+        transfer_step(st_, bad.group_key, bad.f_min, bad.f_max)
+        assert st_.strengths[(1, 2)] == 16 and st_.dirty_pair_groups == set()
+        st_.k0_units = 17
+        message = "strength 16 left the tracked range [17, 60]"
+        assert pick_outcome(scan_max_bad, st_) == pick_outcome(find_max_bad, st_) == message
+
 
 class TestTransferStep:
     def test_moves_one_unit(self):
@@ -488,6 +513,22 @@ class TestRunBalance:
     def test_iteration_cap(self):
         with pytest.raises(BalanceError):
             run_balance(two_cluster(), iteration_cap=1)
+
+    def test_graph_does_no_verdict_work(self, monkeypatch):
+        # every group of a 2-uniform input is a pair, which is never bad, so
+        # the loop only range-checks strengths: no extremes, no batch plan
+        h = gen_random(8, 30, 2, seed=4)
+        calls = []
+        extremes, lasts = balance._Group.extremes, balance._verdict_lasts
+        monkeypatch.setattr(balance._Group, "extremes",
+                            lambda *args: calls.append("extremes") or extremes(*args))
+        monkeypatch.setattr(balance, "_verdict_lasts",
+                            lambda *args: calls.append("lasts") or lasts(*args))
+        a = run_balance(h)
+        monkeypatch.undo()
+        assert h.m == 30 and all(len(g.key) == 2 for g in a.groups)
+        assert a.iterations == 0 and calls == []
+        assert outcome(a) == single_step_balance(h)
 
     def test_termination_bound(self):
         for seed in range(8):
@@ -728,6 +769,43 @@ class TestBatches:
         slow = single_step_balance(h)
         assert batched_balance(h) == slow
         assert reference_balance(h) == slow[:2]
+
+    def test_pair_crossing_a_level_ends_no_batch(self, monkeypatch):
+        # the pick moves (2, 3) -> (1, 2) three times; after the first unit
+        # the pair group (1, 2) goes from K_0 into interval 1, which cannot
+        # make it bad, so the three units move in one transfer, not 1 + 2
+        h = WeightedHypergraph(3, tuple(HyperEdge(e) for e in [(1, 2, 3), (1, 2)] + [(2, 3)] * 4))
+        st_ = init_weights(h)
+        steps = single_steps(st_)
+        indices = [st_.interval_index(st_.strengths[(1, 2)])]
+        for bad in steps:
+            indices.append(st_.interval_index(st_.strengths[(1, 2)]))
+            assert (bad.group_key, bad.f_max, bad.f_min) == ((1, 2, 3), (2, 3), (1, 2))
+        assert indices == [0, 1, 1, 1]
+        slow = single_step_balance(h)
+        log = record_batches(monkeypatch)
+        assert batched_balance(h) == slow and slow[0] == 3
+        assert [batch[0] for batch in log] == [3]
+
+    def test_batch_stops_where_a_pair_leaves_the_range(self, monkeypatch):
+        # the lower end of the tracked range raised to 110, with the levels
+        # K_j kept: the pair group (1, 2) falls by one per unit from 111 and
+        # leaves the range at state 2, where no verdict flips
+        real = balance.init_weights
+
+        def raised(h, gamma, counts=None):
+            state = real(h, gamma, counts)
+            state.k0_units = 110
+            return state
+
+        monkeypatch.setattr(balance, "init_weights", raised)
+        h = two_cluster()
+        st_ = balance.init_weights(h, 2)
+        bad = find_max_bad(st_)
+        assert st_.strengths[(1, 2)] == 111 and bad.f_max == (1, 2)
+        assert balance._batch_length(st_, bad, 100) == 2
+        assert batched_balance(h) == single_step_balance(h) \
+            == ("strength 109 left the tracked range [110, 192]", 2)
 
     def test_found_case_instance(self):
         # blocks holding src whose stored cut crosses neither pair at k = λ
