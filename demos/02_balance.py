@@ -37,19 +37,18 @@ while (bad := find_max_bad(state)) is not None:
           f"hist=[{','.join(f'{j}:{c}' for j, c in enumerate(hist))}]")
 print()
 
-a = state.snapshot()
-spanning = next(g for g in a.groups if g.key == (1, 2, 3))
+spanning = state.groups[(1, 2, 3)]
 ((_, units),) = spanning.runs  # the spanning edge is one copy
 print("final clique weights of the spanning edge:")
 for pair, u in zip(spanning.slots, units):
-    print(f"  slot {pair}: {u} units = {u * a.delta}")
+    print(f"  slot {pair}: {u} units = {u * state.delta}")
 
-report = is_balanced(a)
-kappa = a.kappa_by_group()[spanning.key]
-kappa_max = max(a.strengths.strength(*pair)
-                for pair, u in zip(spanning.slots, units) if u > 0)
+report = is_balanced(state)
+kappa = state.kappa_by_group()[spanning.key]
+kappa_max = max(state.strengths[pair]
+                for pair, u in zip(spanning.slots, units) if u > 0) * state.delta
 print()
 print(f"balanced={report.ok} checked={report.checked_copies} "
       f"violations={len(report.violations)}")
 print(f"spanning copy: kappa={kappa} kappa_max={kappa_max} "
-      f"ratio within gamma={a.gamma}")
+      f"ratio within gamma={state.gamma}")

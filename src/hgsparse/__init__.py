@@ -13,8 +13,7 @@ both at small scale.
 from .balance import (
     BalanceError,
     BalanceReport,
-    BalancedAssignment,
-    AssignmentGroup,
+    BalanceState,
     find_max_bad,
     init_weights,
     is_balanced,
@@ -81,10 +80,9 @@ from .verify import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AssignmentGroup",
     "BalanceError",
     "BalanceReport",
-    "BalancedAssignment",
+    "BalanceState",
     "BucketReport",
     "Cut",
     "CutRecord",

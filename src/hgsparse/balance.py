@@ -50,18 +50,23 @@ state at which any group's verdict would flip or a 2-vertex group's strength
 would leave the tracked range, at the horizon plus one, or at the iteration
 cap, whichever comes first, so the iterations, the units of every copy and
 the strengths are those of moving one unit per pick.
+
+`run_balance` returns the loop's final `BalanceState` itself: its runs are
+the assignment and its strengths stay integers on the delta grid.  The
+sampler needs one number per group from it, kappa, which
+`BalanceState.kappa_by_group` builds as one Fraction of the integer minimum
+of the group's slot strengths; a run builds no other Fraction but delta.
 """
 
 from __future__ import annotations
 
-import collections
 import itertools
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
-from .graph import StrengthTable, StrengthTree, first_fail, pair_strengths
+from .graph import StrengthTree, first_fail, pair_strengths
 from .hypergraph import WeightedHypergraph
 
 Pair = tuple[int, int]
@@ -74,14 +79,14 @@ class BalanceError(RuntimeError):
 class _Group:
     __slots__ = ("key", "slots", "slot_index", "spans", "runs", "agg_units")
 
-    def __init__(self, key: tuple[int, ...], units_total: int, spans: list[range]):
+    def __init__(self, key: tuple[int, ...], units_per_copy: int, spans: list[range]):
         self.key = key
         self.slots = list(itertools.combinations(key, 2))
         self.slot_index = {p: i for i, p in enumerate(self.slots)}
         self.spans = spans  # the group's copy ids, as ranges in copy order
         q = len(self.slots)
-        base = max(2, units_total // q)
-        rem = units_total - q * base
+        base = max(2, units_per_copy // q)
+        rem = units_per_copy - q * base
         if rem < 0:
             raise BalanceError(f"slot count {q} too large for the delta grid")
         units = [base + 1 if i < rem else base for i in range(q)]
@@ -163,8 +168,8 @@ class BalanceState:
         self.counts = counts
         self.n = h.n
         self.gamma = gamma
-        self.units_total = h.n * h.n
-        self.delta = Fraction(1, self.units_total)
+        self.units_per_copy = h.n * h.n
+        self.delta = Fraction(1, self.units_per_copy)
         self.iterations = 0
 
         starts = list(itertools.accumulate(counts, initial=0))
@@ -172,9 +177,9 @@ class BalanceState:
         spans: dict[tuple[int, ...], list[range]] = {}
         for e, start, stop in zip(h.edges, starts, starts[1:]):
             spans.setdefault(e.vertices, []).append(range(start, stop))
-        # in key order, the order of the snapshot's groups
+        # in key order, the order `is_balanced` checks and `hgsparse balance` prints
         self.groups: dict[tuple[int, ...], _Group] = {
-            key: _Group(key, self.units_total, spans[key]) for key in sorted(spans)
+            key: _Group(key, self.units_per_copy, spans[key]) for key in sorted(spans)
         }
 
         # a 2-vertex group is keyed by its one pair; `groups_of` lists, per
@@ -225,30 +230,24 @@ class BalanceState:
             )
         return bisect_left(self.K_units, value)
 
-    def snapshot(self) -> "BalancedAssignment":
-        groups = tuple(
-            AssignmentGroup(g.key, tuple(g.slots), tuple(g.spans),
-                            tuple((count, tuple(units)) for count, units in g.runs))
-            for g in self.groups.values()
-        )
-        d, units = self.delta, self.units_total
-        table = StrengthTable(
-            self.n,
-            {p: Fraction(v, units) for p, v in self.strengths.items()},
-            {p: Fraction(u, units) for p, u in self.pair_units.items() if u > 0},
-        )
-        return BalancedAssignment(
-            hypergraph=self.hypergraph,
-            counts=self.counts,
-            gamma=self.gamma,
-            delta=d,
-            units_per_copy=self.units_total,
-            groups=groups,
-            strengths=table,
-            iterations=self.iterations,
-            k0=self.k0_units * d,
-            ell=self.ell,
-        )
+    def collapsed_units(self) -> dict[Pair, int]:
+        """The units on each pair, summed over every group's runs; a pair
+        with none is left out."""
+        total: dict[Pair, int] = {}
+        for g in self.groups.values():
+            for i, p in enumerate(g.slots):
+                agg = sum(count * units[i] for count, units in g.runs)
+                if agg:
+                    total[p] = total.get(p, 0) + agg
+        return total
+
+    def kappa_by_group(self) -> dict[tuple[int, ...], Fraction]:
+        """Weakest clique slot strength per group (all slots, zero or not):
+        the integer minimum of its slots' strengths (0 for a pair with no
+        strength), as one Fraction on the delta grid."""
+        get, units = self.strengths.get, self.units_per_copy
+        return {key: Fraction(min(get(p, 0) for p in g.slots), units)
+                for key, g in self.groups.items()}
 
 
 def init_weights(h: WeightedHypergraph, gamma: int = 2,
@@ -396,9 +395,12 @@ def run_balance(
     gamma: int = 2,
     iteration_cap: Optional[int] = None,
     counts: Optional[Sequence[int]] = None,
-) -> "BalancedAssignment":
+) -> BalanceState:
     """Run the transfer loop to a gamma-balanced assignment, reading edge j
-    of h as counts[j] copies (one each by default).
+    of h as counts[j] copies (one each by default), and return the loop's
+    final state: its runs are the assignment, its `strengths` the integer
+    pair strengths on the delta grid, and `kappa_by_group` gives each
+    group's kappa.
 
     Each pick moves `_batch_length` units in one `transfer_step`: as many as
     the one-unit loop would move before any pick could change, so the
@@ -410,7 +412,7 @@ def run_balance(
     """
     state = init_weights(h, gamma, counts)
     if iteration_cap is None:
-        iteration_cap = 2 * state.copies * state.ell * state.units_total
+        iteration_cap = 2 * state.copies * state.ell * state.units_per_copy
     while True:
         bad = find_max_bad(state)
         if bad is None:
@@ -419,53 +421,7 @@ def run_balance(
             raise BalanceError(f"iteration cap {iteration_cap} exceeded")
         units = _batch_length(state, bad, iteration_cap - state.iterations)
         transfer_step(state, bad.group_key, bad.f_min, bad.f_max, units)
-    return state.snapshot()
-
-
-@dataclass(frozen=True)
-class AssignmentGroup:
-    """The copies of one vertex set: their ids as ranges (`spans`) and their
-    slot units as runs (count, units), both in copy order."""
-    key: tuple[int, ...]
-    slots: tuple[Pair, ...]
-    spans: tuple[range, ...]
-    runs: tuple[tuple[int, tuple[int, ...]], ...]
-
-
-@dataclass(frozen=True)
-class BalancedAssignment:
-    """Edge j of `hypergraph` stands for counts[j] copies."""
-    hypergraph: WeightedHypergraph
-    counts: tuple[int, ...]
-    gamma: int
-    delta: Fraction
-    units_per_copy: int
-    groups: tuple[AssignmentGroup, ...]
-    strengths: StrengthTable
-    iterations: int
-    k0: Fraction
-    ell: int
-
-    def collapsed_units(self) -> dict[Pair, int]:
-        total: dict[Pair, int] = {}
-        for g in self.groups:
-            for i, p in enumerate(g.slots):
-                agg = sum(count * units[i] for count, units in g.runs)
-                if agg:
-                    total[p] = total.get(p, 0) + agg
-        return total
-
-    def kappa_by_group(self) -> dict[tuple[int, ...], Fraction]:
-        """Weakest clique slot strength per group (all slots, zero or not).
-        Strengths lie on the delta grid, so slots compare by their integer
-        counts of delta (0 for a pair with no strength); a 2-vertex group
-        has one slot."""
-        units, strength = self.units_per_copy, self.strengths.strength
-        grid = collections.defaultdict(int, {p: s.numerator * (units // s.denominator)
-                                             for p, s in self.strengths.pair_strength.items()})
-        return {g.key: strength(*(min(g.slots, key=grid.__getitem__) if len(g.slots) > 1
-                                  else g.slots[0]))
-                for g in self.groups}
+    return state
 
 
 @dataclass(frozen=True)
@@ -486,28 +442,29 @@ class BalanceReport:
     checked_copies: int
 
 
-def is_balanced(assignment: BalancedAssignment, gamma: Optional[int] = None) -> BalanceReport:
-    """Re-derive strengths from the stored weights and check both conditions:
-    each copy's slots sum to exactly 1, and its strength spread is within
-    gamma.  Does not trust the strengths cached on the assignment.  A run of
-    copies with equal units is checked once and weighs its count.
+def is_balanced(state: BalanceState, gamma: Optional[int] = None) -> BalanceReport:
+    """Check both conditions on the runs of a balance state: each copy's
+    slots sum to exactly 1, and its strength spread is within gamma.  It
+    re-derives everything from the runs, strengths by a fresh
+    `pair_strengths` of their collapsed units, and trusts neither the
+    state's `strengths` nor its tree.  A run of copies with equal units is
+    checked once and weighs its count.
     """
     if gamma is None:
-        gamma = assignment.gamma
-    n = assignment.hypergraph.n
-    units_total = assignment.units_per_copy
-    fresh = pair_strengths(n, assignment.collapsed_units())
+        gamma = state.gamma
+    units_per_copy = state.units_per_copy
+    fresh = pair_strengths(state.n, state.collapsed_units())
     violations: list[Violation] = []
     checked = 0
-    d = assignment.delta
-    for g in assignment.groups:
+    d = state.delta
+    for g in state.groups.values():
         slot_strengths = [fresh.get(p, 0) for p in g.slots]
         kappa = min(slot_strengths)
         pos = 0
         for count, units in g.runs:
             total = sum(units)
             kmax = max((s for s, u in zip(slot_strengths, units) if u > 0), default=0)
-            for kind, broken in (("weight-sum", total != units_total),
+            for kind, broken in (("weight-sum", total != units_per_copy),
                                  ("gamma-ratio", kmax > gamma * kappa)):
                 if broken:
                     violations.append(Violation(_copy_at(g.spans, pos), kind, kappa * d,

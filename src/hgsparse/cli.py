@@ -23,6 +23,7 @@ from .graph import edge_strengths
 from .hypergraph import (
     EDGE_LIMIT,
     ENTRY_LIMIT,
+    HyperEdge,
     ParseError,
     WeightedHypergraph,
     content_lines,
@@ -287,15 +288,17 @@ def cmd_stream(args) -> int:
 
 def cmd_strengths(args) -> int:
     h = _read_hypergraph(args.input)
-    if all(e.size == 2 for e in h.edges):
-        table = edge_strengths(h)
-    elif h.is_unweighted():
-        table = run_balance(h, args.gamma).strengths
-    else:
-        raise ValueError(
-            "strengths needs a 2-uniform input or unit weights; weighted "
-            "hyperedges have no canonical clique weights before balancing"
-        )
+    if not all(e.size == 2 for e in h.edges):
+        if not h.is_unweighted():
+            raise ValueError(
+                "strengths needs a 2-uniform input or unit weights; weighted "
+                "hyperedges have no canonical clique weights before balancing"
+            )
+        # the balanced clique weights, as the multigraph they make
+        state = run_balance(h, args.gamma)
+        h = WeightedHypergraph(h.n, tuple(HyperEdge(p, u * state.delta)
+                                          for p, u in state.collapsed_units().items()))
+    table = edge_strengths(h)
     lines = ["% u v weight strength"]
     for (u, v), w in sorted(table.pair_weight.items()):
         lines.append(f"{u} {v} {format_weight(w)} {format_weight(table.strength(u, v))}")
@@ -307,15 +310,15 @@ def cmd_strengths(args) -> int:
 
 
 def cmd_balance(args) -> int:
-    assignment = run_balance(_read_hypergraph(args.input), args.gamma)
-    report = is_balanced(assignment)
+    state = run_balance(_read_hypergraph(args.input), args.gamma)
+    report = is_balanced(state)
     lines = [
-        f"n={assignment.hypergraph.n} m={assignment.hypergraph.m}"
-        f" gamma={assignment.gamma} delta={assignment.delta}"
-        f" iterations={assignment.iterations}"
-        f" k0={assignment.k0} ell={assignment.ell}"
+        f"n={state.hypergraph.n} m={state.hypergraph.m}"
+        f" gamma={state.gamma} delta={state.delta}"
+        f" iterations={state.iterations}"
+        f" k0={state.k0_units * state.delta} ell={state.ell}"
     ]
-    for g in assignment.groups:
+    for g in state.groups.values():
         slots = ";".join(f"{u},{v}" for u, v in g.slots)
         lines.append(f"group={','.join(map(str, g.key))} slots={slots}")
         copies = itertools.chain.from_iterable(g.spans)

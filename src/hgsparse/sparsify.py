@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
-from .balance import BalancedAssignment, check_gamma, check_unweighted, run_balance
+from .balance import BalanceState, check_gamma, check_unweighted, run_balance
 from .hypergraph import (
     HyperEdge,
     WeightedHypergraph,
@@ -93,10 +93,10 @@ class SamplingPlan:
     """Input edge j stands for counts[j] unit copies, each kept with
     probability p[j] = min(1, rho/kappa).
 
-    `make_plan` reads each edge's strength kappa off a balanced assignment;
-    the plan keeps only p.  When rho is at least the copy count m', the core
-    skips balancing: no strength can exceed the total copy weight m', so
-    p = 1 on every copy.
+    `make_plan` reads each edge's strength kappa off `run_balance`'s final
+    state, one per balance group; the plan keeps only p.  When rho is at
+    least the copy count m', the core skips balancing: no strength can
+    exceed the total copy weight m', so p = 1 on every copy.
     """
 
     epsilon: float
@@ -133,15 +133,16 @@ class SparsifierResult:
 
 
 def make_plan(
-    assignment: BalancedAssignment,
+    assignment: BalanceState,
     epsilon: float,
     d: int = 1,
     rho_override=None,
 ) -> SamplingPlan:
-    """p = min(1, rho/kappa) per edge j of the assignment's hypergraph, which
+    """p = min(1, rho/kappa) per edge j of the balanced hypergraph, which
     stands for assignment.counts[j] copies, where kappa is the weakest clique
-    slot strength of the edge's group.  All edges of a group share one p
-    object."""
+    slot strength of the edge's group.  `assignment` is `run_balance`'s final
+    state, and kappa is read once per group with `kappa_by_group`.  All edges
+    of a group share one p object."""
     check_epsilon(epsilon)
     check_d(d)
     h = assignment.hypergraph

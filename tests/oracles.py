@@ -32,9 +32,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 from unittest import mock
 
 from hgsparse import (
-    AssignmentGroup,
     BalanceError,
-    BalancedAssignment,
     Cut,
     HyperEdge,
     ParseError,
@@ -86,7 +84,7 @@ def single_steps(state: BalanceState, iteration_cap: Optional[int] = None
     BalanceError past `run_balance`'s default cap of 2 m ell n^2, m the copy
     count."""
     if iteration_cap is None:
-        iteration_cap = 2 * state.copies * state.ell * state.units_total
+        iteration_cap = 2 * state.copies * state.ell * state.units_per_copy
     while (bad := find_max_bad(state)) is not None:
         if state.iterations >= iteration_cap:
             raise BalanceError(f"iteration cap {iteration_cap} exceeded")
@@ -125,7 +123,7 @@ def weight_above(state: BalanceState) -> tuple[int, ...]:
 
 
 def traced_balance(h: WeightedHypergraph, gamma: int = 2
-                   ) -> tuple[BalancedAssignment, list[tuple]]:
+                   ) -> tuple[BalanceState, list[tuple]]:
     """The one-unit loop to a gamma-balanced assignment, with a record
     (ind, hist, weight_gt) after each transfer: the pick's interval index,
     `strength_histogram` and `weight_above`.  The potential argument says
@@ -133,7 +131,7 @@ def traced_balance(h: WeightedHypergraph, gamma: int = 2
     state = init_weights(h, gamma)
     records = [(bad.ind, strength_histogram(state), weight_above(state))
                for bad in single_steps(state)]
-    return state.snapshot(), records
+    return state, records
 
 
 def group_copies_loop(h: WeightedHypergraph
@@ -157,34 +155,35 @@ def group_copies_loop(h: WeightedHypergraph
     return groups
 
 
-def group_copy_units(g: AssignmentGroup) -> Iterator[tuple[int, tuple[int, ...]]]:
-    """(copy, units) for each copy of a group: its runs expanded, in copy
-    order."""
-    units = itertools.chain.from_iterable(itertools.repeat(u, count) for count, u in g.runs)
+def group_copy_units(g) -> Iterator[tuple[int, tuple[int, ...]]]:
+    """(copy, units) for each copy of a balance state's group: its runs
+    expanded, in copy order, the units as a tuple."""
+    units = itertools.chain.from_iterable(itertools.repeat(tuple(u), count)
+                                          for count, u in g.runs)
     return zip(itertools.chain.from_iterable(g.spans), units)
 
 
-def copy_units(assignment: BalancedAssignment) -> dict[int, tuple[int, ...]]:
-    """Every copy's slot units, the assignment's runs expanded."""
-    return dict(itertools.chain.from_iterable(map(group_copy_units, assignment.groups)))
+def copy_units(state: BalanceState) -> dict[int, tuple[int, ...]]:
+    """Every copy's slot units, the state's runs expanded."""
+    return dict(itertools.chain.from_iterable(map(group_copy_units, state.groups.values())))
 
 
-def kappa_by_copy(assignment: BalancedAssignment) -> list[Fraction]:
-    """Weakest clique slot strength per copy: its group's."""
-    per_group = assignment.kappa_by_group()
-    out = [Fraction(0)] * sum(assignment.counts)
-    for g in assignment.groups:
+def kappa_by_copy(state: BalanceState) -> list[Fraction]:
+    """Weakest clique slot strength per copy: its group's, the least
+    strength over all its slots (0 for a pair with no strength)."""
+    out = [Fraction(0)] * sum(state.counts)
+    for g in state.groups.values():
+        kappa = min(state.strengths.get(p, 0) * state.delta for p in g.slots)
         for c, _ in group_copy_units(g):
-            out[c] = per_group[g.key]
+            out[c] = kappa
     return out
 
 
-def kappa_max_by_copy(assignment: BalancedAssignment) -> list[Fraction]:
+def kappa_max_by_copy(state: BalanceState) -> list[Fraction]:
     """Strongest positively weighted slot strength per copy."""
-    table = assignment.strengths
-    out = [Fraction(0)] * sum(assignment.counts)
-    for g in assignment.groups:
-        slot_strengths = [table.strength(u, v) for u, v in g.slots]
+    out = [Fraction(0)] * sum(state.counts)
+    for g in state.groups.values():
+        slot_strengths = [state.strengths.get(p, 0) * state.delta for p in g.slots]
         for c, units in group_copy_units(g):
             out[c] = max(s for s, u in zip(slot_strengths, units) if u > 0)
     return out
@@ -214,7 +213,7 @@ def global_min_cut(
     return Fraction(val), side
 
 
-def check_same_component(assignment: BalancedAssignment, plan: SamplingPlan) -> bool:
+def check_same_component(assignment: BalanceState, plan: SamplingPlan) -> bool:
     """For every threshold rho * 2^i with survivors, the strong pairs must
     connect each surviving copy internally.
 
@@ -227,7 +226,7 @@ def check_same_component(assignment: BalancedAssignment, plan: SamplingPlan) -> 
     h = assignment.hypergraph
     if assignment.counts != plan.counts:
         raise ValueError("plan does not match the assignment's hypergraph")
-    table = assignment.strengths
+    strengths, delta = assignment.strengths, assignment.delta
     positive = [p for p, u in assignment.collapsed_units().items() if u > 0]
     per_group = assignment.kappa_by_group()
     kappa = [per_group[e.vertices] for e in h.edges]
@@ -241,7 +240,7 @@ def check_same_component(assignment: BalancedAssignment, plan: SamplingPlan) -> 
         if not survivors:
             return True
         uf = UnionFind(range(1, h.n + 1),
-                       (p for p in positive if table.strength(*p) >= threshold))
+                       (p for p in positive if strengths[p] * delta >= threshold))
         for j in survivors:
             verts = h.edges[j].vertices
             root = uf.find(verts[0])

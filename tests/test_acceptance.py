@@ -96,7 +96,10 @@ def test_02_distinct_strengths_and_weight_ratio_bounds(balanced_corpus):
     tables = []
     for label, h, assignment in balanced_corpus:
         if h.m:
-            tables.append((label, h.n, assignment.strengths))
+            # the balanced clique weights, as the multigraph they make
+            clique = mg(h.n, [(u, v, units * assignment.delta)
+                              for (u, v), units in assignment.collapsed_units().items()])
+            tables.append((label, h.n, edge_strengths(clique)))
     for n in range(5, 13):
         h = gen_footnote_graph(n)
         pairs = {}
@@ -162,12 +165,16 @@ def test_04_balance_terminates_and_invariants_hold():
                            2 + seed % 3, seed=seed)
         assert h.n <= 10 and h.m <= 40
         a, records = traced_balance(h, gamma=2)
-        assert run_balance(h, gamma=2) == a
+        batched = run_balance(h, gamma=2)
+        assert (batched.iterations, batched.k0_units, batched.ell, batched.strengths) == (
+            a.iterations, a.k0_units, a.ell, a.strengths)
+        assert ({key: g.runs for key, g in batched.groups.items()}
+                == {key: g.runs for key, g in a.groups.items()})
         assert a.iterations == len(records) <= h.m * a.ell * h.n * h.n
         assert is_balanced(a).ok
-        k_top = a.k0 * 2 ** a.ell
-        for u, v in a.strengths.pair_weight:
-            assert a.k0 <= a.strengths.strength(u, v) <= k_top
+        k_top = a.k0_units * 2 ** a.ell
+        for p in a.collapsed_units():
+            assert a.k0_units <= a.strengths[p] <= k_top
         for _, hist, _ in records:
             # hist indexes strengths into [K0, K0*gamma^ell]; building it
             # would have raised on any strength outside that range

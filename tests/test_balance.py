@@ -33,14 +33,14 @@ from hgsparse import (
     transfer_step,
 )
 from hgsparse import balance, graph
-from hgsparse.balance import AssignmentGroup, BadEdge, BalancedAssignment
-from conftest import BALANCE_INSTANCES, random_hypergraph, two_cluster
+from hgsparse.balance import BadEdge
+from conftest import BALANCE_INSTANCES, fraction_builds, random_hypergraph, two_cluster
 from oracles import (copy_units, expand_copies, group_copies_loop, group_copy_units, heavy_core,
                      kappa_by_copy, kappa_max_by_copy, single_steps, traced_balance)
 
 
-def units_of(assignment):
-    return {(g.key, c): units for g in assignment.groups for c, units in group_copy_units(g)}
+def units_of(state):
+    return {(g.key, c): units for g in state.groups.values() for c, units in group_copy_units(g)}
 
 
 def first_holder_units(g, slot):
@@ -99,12 +99,12 @@ def reference_balance(h, gamma=2):
         table = strengths()
 
 
-def outcome(assignment):
+def outcome(state):
     """What a balance run decides: its iterations, every copy's units, each
-    group's runs, and the strengths."""
-    return (assignment.iterations, units_of(assignment),
-            [(g.key, g.runs) for g in assignment.groups],
-            assignment.strengths.pair_strength)
+    group's runs, and the strengths, copied off the state."""
+    return (state.iterations, units_of(state),
+            [(key, [(count, tuple(u)) for count, u in g.runs]) for key, g in state.groups.items()],
+            dict(state.strengths))
 
 
 def single_step_balance(h, gamma=2, iteration_cap=None):
@@ -117,7 +117,7 @@ def single_step_balance(h, gamma=2, iteration_cap=None):
             pass
     except BalanceError as exc:
         return str(exc), state.iterations
-    return outcome(state.snapshot())
+    return outcome(state)
 
 
 def batched_balance(h, gamma=2, iteration_cap=None):
@@ -211,7 +211,7 @@ def drive_against_scan(h, data, steps):
 
 def drains_parallel_copy(assignment):
     """Some copy with a parallel twin holds zero units on a slot."""
-    return any(0 in u for g in assignment.groups if sum(map(len, g.spans)) > 1
+    return any(0 in u for g in assignment.groups.values() if sum(map(len, g.spans)) > 1
                for _, u in g.runs)
 
 
@@ -429,7 +429,7 @@ class TestTransferStep:
         batched, stepped = init_weights(h, counts=counts), init_weights(h, counts=counts)
         g = batched.groups[key]
         ids = list(itertools.chain.from_iterable(g.spans))
-        model = {c: list(u) for c, u in copy_units(batched.snapshot()).items()}
+        model = {c: list(u) for c, u in copy_units(batched).items()}
         for _ in range(data.draw(st.integers(1, 6))):
             i_max = data.draw(st.sampled_from([i for i, u in enumerate(g.agg_units) if u > 0]))
             i_min = data.draw(st.sampled_from([i for i in range(3) if i != i_max]))
@@ -444,9 +444,9 @@ class TestTransferStep:
                 model[c][i_max] -= take
                 model[c][i_min] += take
                 left -= take
-            assert outcome(batched.snapshot()) == outcome(stepped.snapshot())
+            assert outcome(batched) == outcome(stepped)
             assert batched.pair_units == stepped.pair_units
-            assert copy_units(batched.snapshot()) == {c: tuple(u) for c, u in model.items()}
+            assert copy_units(batched) == {c: tuple(u) for c, u in model.items()}
 
     def test_moving_more_than_the_group_holds_raises(self):
         state = init_weights(WeightedHypergraph(4, (HyperEdge((1, 2, 3)),) * 2))
@@ -526,9 +526,16 @@ class TestRunBalance:
                             lambda *args: calls.append("lasts") or lasts(*args))
         a = run_balance(h)
         monkeypatch.undo()
-        assert h.m == 30 and all(len(g.key) == 2 for g in a.groups)
+        assert h.m == 30 and all(len(key) == 2 for key in a.groups)
         assert a.iterations == 0 and calls == []
         assert outcome(a) == single_step_balance(h)
+
+    def test_builds_only_delta(self, monkeypatch):
+        # the loop's weights and strengths stay integers on the delta grid,
+        # and run_balance returns them as they are: its one Fraction is
+        # delta, not one per pair strength and pair weight (163 here)
+        h = heavy_core(14)
+        assert fraction_builds(monkeypatch, lambda: run_balance(h)) == 1
 
     def test_termination_bound(self):
         for seed in range(8):
@@ -555,7 +562,7 @@ class TestRunBalance:
 
     def test_empty_hypergraph(self):
         a = run_balance(WeightedHypergraph(3, ()))
-        assert a.iterations == 0 and a.groups == ()
+        assert a.iterations == 0 and a.groups == {}
 
     def test_monotone_weight_above(self):
         # once an iteration picks ind <= i, units on pairs stronger than
@@ -623,7 +630,7 @@ class TestRunBalance:
         a = run_balance(h)
         assert reference_balance(h) == (a.iterations, units_of(a))
         fresh = pair_strengths(n, a.collapsed_units())
-        assert a.strengths.pair_strength == {p: v * a.delta for p, v in fresh.items()}
+        assert a.strengths == fresh
 
     def test_about_one_stoer_wagner_per_transfer(self, monkeypatch):
         # the peel tree re-runs Stoer-Wagner only where a cut loses its
@@ -904,7 +911,7 @@ class TestBatches:
         # 1/kappa; the balanced weights meet it (31.2 > 26 >= 10.5 at n = 14,
         # 40.3 > 30 >= 12.0 at n = 16)
         h = heavy_core(n)
-        uniform = sum(1 / k for k in kappa_by_copy(init_weights(h).snapshot()))
+        uniform = sum(1 / k for k in kappa_by_copy(init_weights(h)))
         balanced = sum(1 / k for k in kappa_by_copy(run_balance(h)))
         assert uniform > 2 * (n - 1) >= balanced
 
@@ -933,8 +940,8 @@ class TestCounts:
         got, want = run_balance(h, counts=counts), run_balance(copies)
         assert got.counts == tuple(counts) and want.counts == (1,) * sum(counts)
         assert copy_units(got) == copy_units(want)
-        assert (got.iterations, got.k0, got.ell, got.strengths) == (
-            want.iterations, want.k0, want.ell, want.strengths)
+        assert (got.iterations, got.k0_units, got.ell, got.strengths) == (
+            want.iterations, want.k0_units, want.ell, want.strengths)
         assert is_balanced(got) == is_balanced(want)
         assert is_balanced(got).checked_copies == sum(counts)
         assert list(single_steps(init_weights(h, counts=counts))) == list(
@@ -960,7 +967,7 @@ class TestCounts:
         for scale in (1, 10**6):
             calls.clear()
             a = run_balance(unit, counts=[c * scale for c in counts])
-            runs = sum(len(g.runs) for g in a.groups)
+            runs = sum(len(g.runs) for g in a.groups.values())
             assert runs <= len(a.groups) + 2 * len(calls)
             seen.append((runs, len(calls)))
         assert seen[0] == seen[1] and seen[0][1] > 5
@@ -969,7 +976,7 @@ class TestCounts:
 class TestIsBalanced:
     def test_two_cluster_init_flagged(self):
         st = init_weights(two_cluster())
-        rep = is_balanced(st.snapshot())
+        rep = is_balanced(st)
         assert not rep.ok
         (v,) = rep.violations
         assert v.copy == 12 and v.kind == "gamma-ratio"
@@ -977,26 +984,23 @@ class TestIsBalanced:
 
     def test_weight_sum_violation(self):
         a = run_balance(WeightedHypergraph(3, (HyperEdge((1, 2, 3)),)))
-        g = a.groups[0]
+        (g,) = a.groups.values()
         ((count, units),) = g.runs
-        broken = AssignmentGroup(
-            key=g.key, slots=g.slots, spans=g.spans,
-            runs=((count, (units[0] - 1,) + units[1:]),),
-        )
-        fake = BalancedAssignment(
-            hypergraph=a.hypergraph, counts=a.counts, gamma=a.gamma, delta=a.delta,
-            units_per_copy=a.units_per_copy, groups=(broken,),
-            strengths=a.strengths, iterations=a.iterations, k0=a.k0, ell=a.ell,
-        )
-        rep = is_balanced(fake)
+        g.runs = [[count, [units[0] - 1] + units[1:]]]
+        rep = is_balanced(a)
         assert not rep.ok
         assert any(v.kind == "weight-sum" for v in rep.violations)
 
+    def test_trusts_neither_strengths_nor_tree(self):
+        a = run_balance(two_cluster())
+        want = is_balanced(a)
+        a.strengths, a.tree = {}, None
+        assert want.ok and is_balanced(a) == want
+
     def test_respects_gamma_argument(self):
         st = init_weights(two_cluster())
-        snap = st.snapshot()
-        assert not is_balanced(snap, gamma=2).ok
-        assert is_balanced(snap, gamma=100).ok
+        assert not is_balanced(st, gamma=2).ok
+        assert is_balanced(st, gamma=100).ok
 
 
 class TestAssignmentViews:
@@ -1009,7 +1013,7 @@ class TestAssignmentViews:
         a = run_balance(two_cluster())
         per_group = a.kappa_by_group()
         per_copy = kappa_by_copy(a)
-        for g in a.groups:
+        for g in a.groups.values():
             for c, _ in group_copy_units(g):
                 assert per_copy[c] == per_group[g.key]
         for lo, hi in zip(per_copy, kappa_max_by_copy(a)):

@@ -22,6 +22,7 @@ from hgsparse import (
     gen_random,
     gen_sunflower,
     parse_hypergraph,
+    run_balance,
     sparsify_weighted,
 )
 from hgsparse.cli import dispatch
@@ -446,6 +447,31 @@ class TestStrengths:
             "1 2 1/3 2/3\n1 3 1/3 2/3\n2 3 1/3 2/3\n"
             "% distinct_strengths=1 weight_over_strength=1.5 n_minus_1=2\n"
         )
+
+    @given(st.integers(3, 6), st.sampled_from([2, 3]), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_unit_hypergraph_prints_balanced_strengths(self, n, gamma, data):
+        # a unit-weight input with an edge of 3 or more vertices: each row is
+        # (u delta, s delta) for the units u and strength s of run_balance,
+        # and the footer counts and sums those rows
+        sets = st.sets(st.integers(1, n), min_size=2).map(lambda vs: tuple(sorted(vs)))
+        edges = data.draw(st.lists(sets, min_size=1, max_size=8).filter(
+            lambda es: any(len(vs) >= 3 for vs in es)))
+        h = WeightedHypergraph(n, tuple(HyperEdge(vs) for vs in edges))
+        out = io.StringIO()
+        with mock.patch("sys.stdin", io.StringIO(serialize_hypergraph(h))), redirect_stdout(out):
+            assert dispatch(["strengths", "-g", str(gamma)]) == 0
+        *rows, footer = out.getvalue().splitlines()[1:]
+        printed = {(int(u), int(v)): (Fraction(w), Fraction(k))
+                   for u, v, w, k in map(str.split, rows)}
+        state = run_balance(h, gamma)
+        d = state.delta
+        want = {p: (u * d, state.strengths[p] * d) for p, u in state.collapsed_units().items()}
+        assert printed == want
+        fields = dict(f.split("=") for f in footer.split()[1:])
+        assert int(fields["distinct_strengths"]) == len({k for _, k in want.values()})
+        assert Fraction(fields["weight_over_strength"]) == sum(w / k for w, k in want.values())
+        assert fields["n_minus_1"] == str(n - 1)
 
     def test_weighted_hyperedges_rejected(self, tmp_path, capsys):
         src = tmp_path / "w.hg"

@@ -10,12 +10,9 @@ from hypothesis import strategies as st
 
 from conftest import fraction_op_counts
 from hgsparse import (
-    AssignmentGroup,
-    BalancedAssignment,
     Cut,
     HyperEdge,
     SamplingPlan,
-    StrengthTable,
     WeightedHypergraph,
     all_cuts_report,
     cut_weight,
@@ -23,6 +20,7 @@ from hgsparse import (
     gen_footnote_graph,
     gen_random,
     gen_sunflower,
+    init_weights,
     make_plan,
     report_csv,
     report_text,
@@ -217,25 +215,11 @@ class TestCheckSameComponent:
         # every slot wrongly credited as strong, but weight on one slot: the
         # surviving copy spans {1,2,3} but the strong pairs only join {1,2}
         h = WeightedHypergraph(3, (HyperEdge((1, 2, 3)),))
-        group = AssignmentGroup(
-            key=(1, 2, 3),
-            slots=((1, 2), (1, 3), (2, 3)),
-            spans=(range(1),),
-            runs=((1, (9, 0, 0)),),
-        )
-        bad = BalancedAssignment(
-            hypergraph=h,
-            counts=(1,),
-            gamma=2,
-            delta=Fraction(1, 9),
-            units_per_copy=9,
-            groups=(group,),
-            strengths=StrengthTable(3, dict.fromkeys(group.slots, Fraction(4)),
-                                    {(1, 2): Fraction(1)}),
-            iterations=0,
-            k0=Fraction(1, 3),
-            ell=1,
-        )
+        bad = init_weights(h)
+        group = bad.groups[(1, 2, 3)]
+        assert group.slots == [(1, 2), (1, 3), (2, 3)] and bad.delta == Fraction(1, 9)
+        group.runs = [[1, [9, 0, 0]]]
+        bad.strengths = dict.fromkeys(group.slots, 36)  # strength 4 on every slot
         plan = SamplingPlan(
             epsilon=0.5, gamma=2, d=1, rho=Fraction(1), n=3,
             counts=(1,), p=(Fraction(1),), overridden=True,
