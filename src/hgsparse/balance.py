@@ -47,9 +47,9 @@ slot against f_min and against s_star, the held units of s_star against 0,
 k_max against K_{ind-1} and K_ind, and k_min against K_{ind-1}.  Each flips at
 most once, at a state read off in closed form.  The batch ends at the first
 state at which any group's verdict would flip or a 2-vertex group's strength
-would leave the tracked range, at the horizon plus one, or at the iteration
-cap, whichever comes first, so the iterations, the units of every copy and
-the strengths are those of moving one unit per pick.
+would leave the tracked range, or at the horizon plus one, whichever comes
+first, so the iterations, the units of every copy and the strengths are those
+of moving one unit per pick.
 
 `run_balance` returns the loop's final `BalanceState` itself: its runs are
 the assignment and its strengths stay integers on the delta grid.  The
@@ -133,15 +133,14 @@ def _moved(units: list[int], i_from: int, i_to: int, k: int) -> list[int]:
 @dataclass(frozen=True)
 class BadEdge:
     """A pick: the bad group `group_key` of interval index `ind`, its weakest
-    slot f_min and its strongest held slot f_max with their strengths; `copy`
-    labels the group's first copy holding units on f_max."""
+    slot f_min and its strongest held slot f_max (their strengths are in
+    `BalanceState.verdicts`); `copy` labels the group's first copy holding
+    units on f_max."""
     copy: int
     group_key: tuple[int, ...]
     ind: int
     f_min: Pair
     f_max: Pair
-    k_min: int
-    k_max: int
 
 
 def check_gamma(gamma: int) -> None:
@@ -215,6 +214,13 @@ class BalanceState:
             cur *= gamma
             self.ell += 1
         self.K_units = [self.k0_units * gamma**j for j in range(self.ell + 1)]
+
+    @property
+    def iteration_cap(self) -> int:
+        """Twice the proved bound of m * ell * n^2 transfers, m the copy
+        count: a run that reaches it has a logic error, not an unlucky
+        input."""
+        return 2 * self.copies * self.ell * self.units_per_copy
 
     @property
     def pair_units(self) -> dict[Pair, int]:
@@ -302,10 +308,9 @@ def find_max_bad(state: BalanceState) -> Optional[BadEdge]:
     if not bad:
         return None
     key = min(bad, key=lambda k: (-verdicts[k][4], k))
-    i_min, k_min, s_star, k_max, ind = verdicts[key]
+    i_min, _, s_star, _, ind = verdicts[key]
     g = state.groups[key]
-    return BadEdge(g.holder(s_star), key, ind, g.slots[i_min], g.slots[s_star],
-                   k_min, k_max)
+    return BadEdge(g.holder(s_star), key, ind, g.slots[i_min], g.slots[s_star])
 
 
 def transfer_step(state: BalanceState, key: tuple[int, ...], f_min: Pair, f_max: Pair,
@@ -340,14 +345,14 @@ def transfer_step(state: BalanceState, key: tuple[int, ...], f_min: Pair, f_max:
     state.tree.shift(f_max, f_min, units)
 
 
-def _batch_length(state: BalanceState, bad: BadEdge, room: int) -> int:
+def _batch_length(state: BalanceState, bad: BadEdge) -> int:
     """How many units the loop moves for the pick `bad`: the first state
     j >= 1 at which some group's verdict would differ from now, or a moving
     2-vertex group's strength would leave the tracked range, with at most
-    the tree's certified horizon + 1 and `room` units.  Only the picked group
-    and the groups holding a pair whose strength moves can change verdict."""
+    the tree's certified horizon + 1 units.  Only the picked group and the
+    groups holding a pair whose strength moves can change verdict."""
     certified, slopes = state.tree.horizon(bad.f_max, bad.f_min)
-    units = min(certified + 1, room)
+    units = certified + 1
     if units > 1:
         keys = {bad.group_key}.union(*(state.groups_of.get(p, ()) for p in slopes))
         for key in keys:
@@ -390,12 +395,8 @@ def _verdict_lasts(state: BalanceState, g: _Group, slopes: Mapping[Pair, int],
     return min(itertools.starmap(first_fail, stays))
 
 
-def run_balance(
-    h: WeightedHypergraph,
-    gamma: int = 2,
-    iteration_cap: Optional[int] = None,
-    counts: Optional[Sequence[int]] = None,
-) -> BalanceState:
+def run_balance(h: WeightedHypergraph, gamma: int = 2,
+                counts: Optional[Sequence[int]] = None) -> BalanceState:
     """Run the transfer loop to a gamma-balanced assignment, reading edge j
     of h as counts[j] copies (one each by default), and return the loop's
     final state: its runs are the assignment, its `strengths` the integer
@@ -406,21 +407,15 @@ def run_balance(
     the one-unit loop would move before any pick could change, so the
     iterations and the final weights are those of moving one unit per pick.
     To step one unit at a time, call `find_max_bad` and `transfer_step` on
-    an `init_weights` state.  The loop provably needs at most m*ell*n^2
-    transfers, m the copy count; the default cap is twice that, and hitting
-    it raises since it would mean a logic error, not an unlucky input.
+    an `init_weights` state.  A pick made at or past
+    `BalanceState.iteration_cap` raises: a correct run makes at most half
+    of it, so no batch reaches it either.
     """
     state = init_weights(h, gamma, counts)
-    if iteration_cap is None:
-        iteration_cap = 2 * state.copies * state.ell * state.units_per_copy
-    while True:
-        bad = find_max_bad(state)
-        if bad is None:
-            break
-        if state.iterations >= iteration_cap:
-            raise BalanceError(f"iteration cap {iteration_cap} exceeded")
-        units = _batch_length(state, bad, iteration_cap - state.iterations)
-        transfer_step(state, bad.group_key, bad.f_min, bad.f_max, units)
+    while (bad := find_max_bad(state)) is not None:
+        if state.iterations >= state.iteration_cap:
+            raise BalanceError(f"iteration cap {state.iteration_cap} exceeded")
+        transfer_step(state, bad.group_key, bad.f_min, bad.f_max, _batch_length(state, bad))
     return state
 
 
@@ -442,17 +437,15 @@ class BalanceReport:
     checked_copies: int
 
 
-def is_balanced(state: BalanceState, gamma: Optional[int] = None) -> BalanceReport:
+def is_balanced(state: BalanceState) -> BalanceReport:
     """Check both conditions on the runs of a balance state: each copy's
-    slots sum to exactly 1, and its strength spread is within gamma.  It
-    re-derives everything from the runs, strengths by a fresh
+    slots sum to exactly 1, and its strength spread is within the state's
+    gamma.  It re-derives everything from the runs, strengths by a fresh
     `pair_strengths` of their collapsed units, and trusts neither the
     state's `strengths` nor its tree.  A run of copies with equal units is
     checked once and weighs its count.
     """
-    if gamma is None:
-        gamma = state.gamma
-    units_per_copy = state.units_per_copy
+    gamma, units_per_copy = state.gamma, state.units_per_copy
     fresh = pair_strengths(state.n, state.collapsed_units())
     violations: list[Violation] = []
     checked = 0

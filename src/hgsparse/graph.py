@@ -138,11 +138,12 @@ def _adjacency(n: int, pair_weights: Mapping[tuple[int, int], object]) -> dict[i
 
 
 def _stoer_wagner(vertices: Sequence[int], adj) -> tuple[object, frozenset[int]]:
-    """Exact global min cut of a connected graph on >= 2 vertices.
+    """Exact global min cut of a connected graph on >= 2 vertices: its value
+    and the side of the first cut-of-the-phase that attains it.
 
-    Ties in the maximum-adjacency scan go to the smallest node id; among
-    equal-value phase cuts the lexicographically smallest sorted side wins,
-    so results are reproducible across runs.
+    Ties in the maximum-adjacency scan go to the smallest node id, so the
+    result is deterministic for a given input.  Which minimum cut's side is
+    returned is not otherwise promised.
     """
     nodes = sorted(vertices)
     k = len(nodes)
@@ -160,8 +161,7 @@ def _stoer_wagner(vertices: Sequence[int], adj) -> tuple[object, frozenset[int]]
     members: list[list[int]] = [[v] for v in nodes]
     active = list(range(k))
     in_a = [False] * k
-    best_val = None
-    best_side: tuple[int, ...] = ()
+    best_val = best_side = None
     while len(active) > 1:
         start = active[0]
         key = w[start][:]
@@ -184,10 +184,8 @@ def _stoer_wagner(vertices: Sequence[int], adj) -> tuple[object, frozenset[int]]
             for i in active:
                 if not in_a[i]:
                     key[i] = key[i] + wp[i]
-        phase_val = key[t]
-        side = tuple(sorted(members[t]))
-        if best_val is None or phase_val < best_val or (phase_val == best_val and side < best_side):
-            best_val, best_side = phase_val, side
+        if best_val is None or key[t] < best_val:
+            best_val, best_side = key[t], frozenset(members[t])
         members[s].extend(members[t])
         ws, wt_row = w[s], w[t]
         for i in active:
@@ -195,7 +193,7 @@ def _stoer_wagner(vertices: Sequence[int], adj) -> tuple[object, frozenset[int]]
                 ws[i] = ws[i] + wt_row[i]
                 w[i][s] = ws[i]
         active.remove(t)
-    return best_val, frozenset(best_side)
+    return best_val, best_side
 
 
 def _merged_min_cut(verts: frozenset[int], adj, pairs: Iterable[tuple[int, int]]):

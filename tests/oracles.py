@@ -76,18 +76,15 @@ def heavy_core(n: int) -> WeightedHypergraph:
     return WeightedHypergraph(n, tuple(edges))
 
 
-def single_steps(state: BalanceState, iteration_cap: Optional[int] = None
-                 ) -> Iterator[BadEdge]:
+def single_steps(state: BalanceState) -> Iterator[BadEdge]:
     """The balance loop one unit per pick, as the paper states it: each
     `find_max_bad` pick moves one delta of the picked group in a
     `transfer_step`.  Yields each pick after its transfer, and raises
-    BalanceError past `run_balance`'s default cap of 2 m ell n^2, m the copy
-    count."""
-    if iteration_cap is None:
-        iteration_cap = 2 * state.copies * state.ell * state.units_per_copy
+    BalanceError at a pick made at or past `state.iteration_cap`, as
+    `run_balance` does."""
     while (bad := find_max_bad(state)) is not None:
-        if state.iterations >= iteration_cap:
-            raise BalanceError(f"iteration cap {iteration_cap} exceeded")
+        if state.iterations >= state.iteration_cap:
+            raise BalanceError(f"iteration cap {state.iteration_cap} exceeded")
         transfer_step(state, bad.group_key, bad.f_min, bad.f_max)
         yield bad
 

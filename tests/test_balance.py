@@ -107,20 +107,20 @@ def outcome(state):
             dict(state.strengths))
 
 
-def single_step_balance(h, gamma=2, iteration_cap=None):
+def single_step_balance(h, gamma=2):
     """The loop one unit per pick (`oracles.single_steps`).  Returns the
     run's `outcome`, or the message of the BalanceError it raised and the
     iterations made by then."""
     state = balance.init_weights(h, gamma)
     try:
-        for _ in single_steps(state, iteration_cap):
+        for _ in single_steps(state):
             pass
     except BalanceError as exc:
         return str(exc), state.iterations
     return outcome(state)
 
 
-def batched_balance(h, gamma=2, iteration_cap=None):
+def batched_balance(h, gamma=2):
     """`run_balance`, reported as `single_step_balance` reports its run."""
     states = []
     init = balance.init_weights
@@ -132,7 +132,7 @@ def batched_balance(h, gamma=2, iteration_cap=None):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(balance, "init_weights", kept)
         try:
-            return outcome(run_balance(h, gamma, iteration_cap))
+            return outcome(run_balance(h, gamma))
         except BalanceError as exc:
             return str(exc), states[0].iterations
 
@@ -175,7 +175,7 @@ def scan_max_bad(state):
         if best is not None and ind <= best.ind:
             continue
         copy = g.holder(s_star)
-        best = BadEdge(copy, key, ind, f_min, g.slots[s_star], k_min, k_max)
+        best = BadEdge(copy, key, ind, f_min, g.slots[s_star])
     return best
 
 
@@ -317,7 +317,8 @@ class TestFindMaxBad:
         assert bad.copy == 12 and bad.group_key == (1, 2, 3)
         assert bad.ind == 5
         assert bad.f_min == (1, 3) and bad.f_max == (1, 2)
-        assert bad.k_min == 6 and bad.k_max == 111
+        _, k_min, _, k_max, ind = st.verdicts[bad.group_key]
+        assert k_min == 6 and k_max == 111 and ind == 5
 
     def test_adjacent_intervals_not_bad(self):
         # badness needs a >= 2-interval gap; a single hyperedge plus one
@@ -510,9 +511,22 @@ class TestRunBalance:
         assert a.iterations == 3
         assert is_balanced(a).ok
 
-    def test_iteration_cap(self):
-        with pytest.raises(BalanceError):
-            run_balance(two_cluster(), iteration_cap=1)
+    def test_iteration_cap(self, monkeypatch):
+        # the cap 2 * copies * ell * n^2 is read off the state; with ell
+        # forced to 0 it is 0, so the first pick raises before any transfer,
+        # in the loop and in its one-unit oracle alike
+        real = balance.init_weights
+
+        def flat(h, gamma, counts=None):
+            state = real(h, gamma, counts)
+            state.ell = 0
+            return state
+
+        monkeypatch.setattr(balance, "init_weights", flat)
+        h = two_cluster()
+        assert batched_balance(h) == single_step_balance(h) == ("iteration cap 0 exceeded", 0)
+        monkeypatch.undo()
+        assert run_balance(heavy_core(14)).iteration_cap == 192080
 
     def test_graph_does_no_verdict_work(self, monkeypatch):
         # every group of a 2-uniform input is a pair, which is never bad, so
@@ -715,8 +729,7 @@ class TestBatches:
     @given(st.integers(3, 6), st.data())
     @settings(max_examples=100, deadline=None)
     def test_matches_single_step_loop(self, n, data):
-        # parallel copies of a few hyperedges next to heavy pairs, with an
-        # iteration cap that can fall inside a batch
+        # parallel copies of a few hyperedges next to heavy pairs
         verts = st.integers(1, n)
         edges = []
         for _ in range(data.draw(st.integers(1, 5))):
@@ -727,11 +740,9 @@ class TestBatches:
             pair = tuple(sorted(data.draw(st.sets(verts, min_size=2, max_size=2))))
             edges += [HyperEdge(pair)] * data.draw(st.integers(3, 30))
         h = WeightedHypergraph(n, tuple(data.draw(st.permutations(edges))))
-        cap = data.draw(st.none() | st.integers(0, 80))
-        slow = single_step_balance(h, iteration_cap=cap)
-        assert batched_balance(h, iteration_cap=cap) == slow
-        if cap is None:
-            assert reference_balance(h) == slow[:2]
+        slow = single_step_balance(h)
+        assert batched_balance(h) == slow
+        assert reference_balance(h) == slow[:2]
 
     def test_batches_span_holders_and_empty_src(self, monkeypatch):
         # one batch drains several parallel copies; another empties its src
@@ -810,7 +821,7 @@ class TestBatches:
         st_ = balance.init_weights(h, 2)
         bad = find_max_bad(st_)
         assert st_.strengths[(1, 2)] == 111 and bad.f_max == (1, 2)
-        assert balance._batch_length(st_, bad, 100) == 2
+        assert balance._batch_length(st_, bad) == 2
         assert batched_balance(h) == single_step_balance(h) \
             == ("strength 109 left the tracked range [110, 192]", 2)
 
@@ -821,18 +832,6 @@ class TestBatches:
                                + (HyperEdge((1, 2)),) * 30 + (HyperEdge((3, 5)),) * 20)
         slow = single_step_balance(h)
         assert batched_balance(h) == slow and slow[0] == 242
-
-    def test_cap_inside_a_batch(self, monkeypatch):
-        light = random_hypergraph(8, 30, 3, 1).edges
-        h = WeightedHypergraph(8, light + (HyperEdge((1, 2)),) * 90 + (HyperEdge((3, 5)),) * 60)
-        log = record_batches(monkeypatch)
-        done = run_balance(h).iterations
-        monkeypatch.undo()
-        longest = max(range(len(log)), key=lambda i: log[i][0])
-        cap = sum(batch[0] for batch in log[:longest]) + log[longest][0] // 2
-        assert 0 < cap < done and log[longest][0] > 10
-        assert batched_balance(h, iteration_cap=cap) == single_step_balance(h, iteration_cap=cap) \
-            == (f"iteration cap {cap} exceeded", cap)
 
     def test_strength_leaving_the_range_raises_alike(self, monkeypatch):
         # levels rebuilt from the least k_max of any group, so a falling
@@ -998,9 +997,9 @@ class TestIsBalanced:
         assert want.ok and is_balanced(a) == want
 
     def test_respects_gamma_argument(self):
-        st = init_weights(two_cluster())
-        assert not is_balanced(st, gamma=2).ok
-        assert is_balanced(st, gamma=100).ok
+        # the checker reads gamma from the state it is given
+        assert not is_balanced(init_weights(two_cluster(), 2)).ok
+        assert is_balanced(init_weights(two_cluster(), 100)).ok
 
 
 class TestAssignmentViews:

@@ -90,9 +90,13 @@ class TestGlobalMinCut:
         assert val == 2
 
     def test_deterministic_tiebreak(self):
-        # C4: many cuts achieve 2; the contraction order pins one side
+        # C4: many cuts achieve 2; any of them may be returned, the same one
+        # on every call
         g = mg(4, [(1, 2, 1), (2, 3, 1), (3, 4, 1), (1, 4, 1)])
-        assert global_min_cut(g) == (Fraction(2), frozenset({2, 3, 4}))
+        val, side = global_min_cut(g)
+        assert val == 2 and global_min_cut(g) == (val, side)
+        assert side and side < {1, 2, 3, 4}
+        assert sum(w for (u, v), w in collapse(g).items() if (u in side) != (v in side)) == 2
 
     def test_exact_over_brute(self):
         for seed in range(10):
@@ -110,6 +114,86 @@ class TestGlobalMinCut:
                             total += w
                     best = total if best is None or total < best else best
             assert val == best
+            assert side and side < set(range(1, 7))
+            assert sum(w for (u, v), w in weights.items() if (u in side) != (v in side)) == val
+
+
+def minimum_cut_sides(vertices, adj):
+    """The min-cut value of the block on `vertices` and every side of a
+    minimum cut, each cut listed by both of its sides, by enumeration."""
+    nodes = sorted(vertices)
+    bit = {v: 1 << i for i, v in enumerate(nodes)}
+    edges = [(bit[u] | bit[v], w) for u in nodes for v, w in adj.get(u, {}).items()
+             if v in bit and u < v]
+    full = (1 << len(nodes)) - 1
+    cuts = {s: sum(w for pm, w in edges if pm & s and pm & (full ^ s)) for s in range(1, full)}
+    best = min(cuts.values())
+    return best, [frozenset(v for v in nodes if bit[v] & s) for s, c in cuts.items() if c == best]
+
+
+def other_min_cuts(mp, choose=None):
+    """Patch `graph._stoer_wagner` to return another minimum cut: the one
+    `choose` picks from `minimum_cut_sides`, or by default the complement of
+    the side it finds, which is a minimum cut too."""
+    real = graph._stoer_wagner
+
+    def other(vertices, adj):
+        val, side = real(vertices, adj)
+        if choose is None:
+            return val, frozenset(vertices) - side
+        best, sides = minimum_cut_sides(vertices, adj)
+        assert best == val and side in sides
+        return val, choose(sides)
+
+    mp.setattr(graph, "_stoer_wagner", other)
+
+
+def balance_outcome(state):
+    return (state.iterations, dict(state.strengths),
+            [(key, [(count, tuple(u)) for count, u in g.runs]) for key, g in state.groups.items()])
+
+
+class TestAnyMinimumCutSide:
+    """`_stoer_wagner` promises the value and some minimum side, not which.
+    Strengths are unique, so the peel and the balance loop must not move
+    when each stored side is swapped for its complement or for the side of
+    any other minimum cut: what a replacement min-cut routine has to keep."""
+
+    @given(st.integers(2, 7), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_pair_strengths(self, n, data):
+        pairs = list(itertools.combinations(range(1, n + 1), 2))
+        weights = data.draw(st.dictionaries(st.sampled_from(pairs), st.integers(1, 9)))
+        want = pair_strengths(n, weights)
+        for choose in (None, lambda sides: data.draw(st.sampled_from(sides))):
+            with pytest.MonkeyPatch.context() as mp:
+                other_min_cuts(mp, choose)
+                assert pair_strengths(n, weights) == want
+
+    @given(st.integers(3, 6), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_balance_loop(self, n, data):
+        verts = st.integers(1, n)
+        edges = []
+        for _ in range(data.draw(st.integers(1, 6))):
+            size = data.draw(st.integers(2, n))
+            edge = HyperEdge(tuple(sorted(data.draw(st.sets(verts, min_size=size, max_size=size)))))
+            edges += [edge] * data.draw(st.integers(1, 8))
+        h = WeightedHypergraph(n, tuple(edges))
+        want = balance_outcome(run_balance(h))
+        for choose in (None, lambda sides: data.draw(st.sampled_from(sides))):
+            with pytest.MonkeyPatch.context() as mp:
+                other_min_cuts(mp, choose)
+                assert balance_outcome(run_balance(h)) == want
+
+    def test_heavy_core(self):
+        h = heavy_core(10)
+        want = balance_outcome(run_balance(h))
+        assert want[0] == 340
+        for choose in (None, lambda sides: sides[-1]):
+            with pytest.MonkeyPatch.context() as mp:
+                other_min_cuts(mp, choose)
+                assert balance_outcome(run_balance(h)) == want
 
 
 class TestEdgeStrengths:

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -474,6 +475,33 @@ class TestStreamMemoryCheck:
         with pytest.raises(PipelineError, match="over the budget 2.5"):
             s.push(HyperEdge((1, 3)))
         assert s.edges_seen == 3 and s.high_water == 3
+
+
+ITEM_17 = ("ROADMAP item 17: the stream's memory bound 2L^2 * capacity falls below "
+           "what a valid stream stores when little folds or drops")
+
+
+class TestStreamMemoryDefect:
+    """Valid streams that the hard memory check rejects.  The xfails are
+    strict, so the fix of the bound shows as a failure here, to be restated
+    as passing tests."""
+
+    @pytest.mark.xfail(strict=True, raises=PipelineError, reason=ITEM_17)
+    def test_capacity_below_n(self):
+        # raises "stored 9 edges, over the budget 8.0"
+        edges = [HyperEdge(vs) for vs in [(1, 2)] * 4 + [(1, 2, 3), (1, 3), (1, 4), (1, 2, 4)]
+                 + [(1, 2)] * 4]
+        res = stream_sparsify(iter(edges), 6, 12, 0.5, seed=3, capacity=4)
+        assert res.notes["high_water"] <= res.notes["memory_bound"]
+
+    @pytest.mark.xfail(strict=True, raises=PipelineError, reason=ITEM_17)
+    def test_capacity_n(self):
+        # raises "stored 3921 edges, over the budget 3920.0"
+        rng = random.Random(2)
+        edges = [HyperEdge(tuple(sorted(rng.sample(range(1, 41), rng.randint(3, 4)))))
+                 for _ in range(5120)]
+        res = stream_sparsify(iter(edges), 40, len(edges), 0.5, capacity=40)
+        assert res.notes["high_water"] <= res.notes["memory_bound"]
 
 
 class TestStreamPush:
